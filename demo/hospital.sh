@@ -19,7 +19,7 @@ done
 $SSDB hub --listen "$HUB" &
 sleep 0.5
 
-$SSDB create-table --hub "$HUB" schema.json
+$SSDB create-table schema.json
 $SSDB load-csv    --hub "$HUB" patient_details patients.csv
 $SSDB insert      --hub "$HUB" patient_details 105 Eve 33 Flu
 

@@ -130,7 +130,7 @@ def _cmd_create_table(args) -> int:
             schema = TableSchema.from_json_dict(json.load(fh))
         except json.JSONDecodeError as exc:
             raise ValueError(f"{args.schema}: not valid JSON: {exc}") from None
-    _hub_client(args, config).create_table(schema)
+    Dealer(None, config).create_table(schema)  # writes go straight to the servers
     print(f"created table {schema.table_name}")
     return 0
 
@@ -138,7 +138,7 @@ def _cmd_create_table(args) -> int:
 def _cmd_insert(args) -> int:
     config = _load_config(args)
     hub = _hub_client(args, config)
-    schema = hub.get_schema(args.table)
+    schema = hub.get_schema(args.table).schema
     values = _parse_values(schema, args.values)
     index = Dealer(hub, config).insert_row(schema, values)
     print(f"inserted row {index} into {args.table}")
@@ -148,7 +148,7 @@ def _cmd_insert(args) -> int:
 def _cmd_load_csv(args) -> int:
     config = _load_config(args)
     hub = _hub_client(args, config)
-    schema = hub.get_schema(args.table)
+    schema = hub.get_schema(args.table).schema
     with open(args.file, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -226,7 +226,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_hub)
 
     p = sub.add_parser("create-table", help="create a table on every server")
-    common(p)
+    common(p, hub=False)
     p.add_argument("schema", help="schema JSON file")
     p.set_defaults(func=_cmd_create_table)
 

@@ -1,11 +1,13 @@
 """Client side: the dealer's insert path and the query pipeline.
 
 All secret-bearing computation happens here. Inserts encode each value,
-split every field element into n shares, and hand the hub one bundle per
-row. Queries pull one share column from t servers, reconstruct it,
-evaluate the predicate on plaintext, then have the servers push the
-matching cells of each selected attribute straight to a throwaway
-listener socket owned by the query.
+split every field element into n shares, and send each server only its
+own cut, directly. Queries read only through server pushes: t servers
+push every row of the condition column to a throwaway listener socket
+owned by the query, the client reconstructs it and evaluates the
+predicate on plaintext, then the servers push the matching cells of each
+other selected attribute the same way. The hub only relays the fetch
+requests.
 """
 
 from __future__ import annotations
@@ -24,17 +26,14 @@ from .field import FieldElement, PrimeField
 from .hub import ClusterConfig
 from .protocol import (
     Ack,
-    ColumnSet,
     CreateTable,
     DeliverShares,
     FetchToClient,
     FrameDecoder,
-    GetColumn,
     GetSchema,
-    InsertBundle,
+    InsertShares,
     SchemaResult,
     SsdbError,
-    TaggedColumn,
 )
 from .shamir import SchemeParams, lagrange_weights, split
 
@@ -282,27 +281,14 @@ class HubClient:
             raise SsdbError(protocol.INTERNAL, f"unexpected reply {reply.type} from hub")
         return reply
 
-    def create_table(self, schema: TableSchema) -> None:
-        self._call(CreateTable(req_id=protocol.new_req_id(), schema=schema), Ack)
-
-    def insert_bundle(self, table: str, index: int, per_server: dict) -> None:
-        msg = InsertBundle(
-            req_id=protocol.new_req_id(), table=table, index=index, per_server=per_server
-        )
-        self._call(msg, Ack)
-
-    def get_column(self, table: str, attr: str) -> ColumnSet:
-        return self._call(
-            GetColumn(req_id=protocol.new_req_id(), table=table, attr=attr), ColumnSet
-        )
-
-    def get_schema(self, table: str) -> TableSchema:
-        reply = self._call(GetSchema(req_id=protocol.new_req_id(), table=table), SchemaResult)
-        return reply.schema
+    def get_schema(self, table: str) -> SchemaResult:
+        """The table's schema and stored row count."""
+        return self._call(GetSchema(req_id=protocol.new_req_id(), table=table), SchemaResult)
 
     def fetch_to_client(
-        self, table: str, attr: str, indices: list[int], client_addr: str, req_id: str
+        self, table: str, attr: str, indices: Optional[list[int]], client_addr: str, req_id: str
     ) -> None:
+        """Have t servers push their shares of `attr` at `indices` (None: every row)."""
         msg = FetchToClient(
             req_id=req_id, table=table, attr=attr, indices=indices, client_addr=client_addr
         )
@@ -319,13 +305,16 @@ class HubClient:
 
 
 class Dealer:
-    """Splits plaintext rows into per-server share bundles.
+    """Splits plaintext rows into shares and writes each server its own cut.
 
     The dealer is the only party that ever sees a whole row; nothing it
-    sends over the wire contains a plaintext encoding once t >= 2.
+    sends over the wire contains a plaintext encoding once t >= 2, and
+    each server receives only the shares at its own x-coordinate. The
+    hub is used only to read a table's row count, so a dealer that only
+    creates tables needs none.
     """
 
-    def __init__(self, hub: HubClient, config: ClusterConfig, rng=None):
+    def __init__(self, hub: Optional[HubClient], config: ClusterConfig, rng=None):
         self.hub = hub
         self.config = config
         self.rng = rng
@@ -337,17 +326,38 @@ class Dealer:
         )
         self._next_index: dict[str, int] = {}
 
+    def _write_all(self, build) -> None:
+        """Send build(server) to every server in turn; all n must acknowledge.
+
+        Stops at the first failure, so at most the servers already
+        written diverge (there is no rollback message), and names the
+        server that failed.
+        """
+        req_id = protocol.new_req_id()
+        for info in self.config.servers:
+            msg = build(info)
+            msg.req_id = req_id
+            try:
+                protocol.request(protocol.parse_addr(info.address), msg, p=self.config.p)
+            except OSError as exc:
+                raise SsdbError(
+                    protocol.THRESHOLD_UNAVAILABLE,
+                    f"write failed at server {info.server_id} ({info.address}): {exc}",
+                ) from exc
+            except SsdbError as exc:
+                raise SsdbError(
+                    exc.code,
+                    f"write failed at server {info.server_id} ({info.address}): {exc.detail}",
+                ) from exc
+
     def create_table(self, schema: TableSchema) -> None:
         # no index-cache seeding: create is idempotent, the table may
         # already hold rows
-        self.hub.create_table(schema)
+        self._write_all(lambda info: CreateTable(schema=schema))
 
     def next_index_for(self, schema: TableSchema) -> int:
-        """Row count + 1, read back through the hub."""
-        colset = self.hub.get_column(schema.table_name, schema.attributes[0].name)
-        if not colset.columns:
-            raise SsdbError(protocol.INTERNAL, "hub returned no columns")
-        return len(colset.columns[0].index_list) + 1
+        """Stored row count + 1, read through the hub."""
+        return self.hub.get_schema(schema.table_name).rows + 1
 
     def insert_row(self, schema: TableSchema, values) -> int:
         """Share one row out to every server; returns the row index."""
@@ -384,7 +394,11 @@ class Dealer:
                 )
 
         try:
-            self.hub.insert_bundle(table, index, per_server)
+            self._write_all(
+                lambda info: InsertShares(
+                    table=table, index=index, cells=per_server[info.server_id]
+                )
+            )
         except SsdbError:
             self._next_index.pop(table, None)  # cache may be stale, rediscover
             raise
@@ -600,7 +614,7 @@ def execute_query(
     field = PrimeField(config.p)
     deadline = time.monotonic() + timeout
 
-    schema = hub.get_schema(query.table)
+    schema = hub.get_schema(query.table).schema
     if tuple(query.select_attrs) == ("*",):
         select_attrs = list(schema.attr_names())
     else:
@@ -627,56 +641,37 @@ def execute_query(
         if cond_type is AttrType.TEXT and not isinstance(predicate.literal, str):
             raise ValueError(f"{cond_attr!r} is TEXT but the literal is an integer")
 
-    # (a)+(b): one share column from t servers, reconstructed locally
-    colset = hub.get_column(query.table, cond_attr)
-    columns = colset.columns
-    if len(columns) < config.t:
-        raise SsdbError(
-            protocol.THRESHOLD_UNAVAILABLE,
-            f"hub returned {len(columns)} columns, need {config.t}",
-        )
-    columns = columns[: config.t]
-    index_list = list(columns[0].index_list)
-    for col in columns[1:]:
-        if list(col.index_list) != index_list:
-            raise SsdbError(
-                protocol.DATA_CORRUPTION, "servers disagree on the stored row indices"
+    listener = ResultListener(listen_host, listen_port, p=config.p)
+    try:
+        base = protocol.new_req_id()
+
+        def fetch(k: int, attr: str, indices: Optional[list[int]]) -> _PendingFetch:
+            req_id = f"{base}:{k}"
+            pf = listener.register(req_id, config.t)
+            hub.fetch_to_client(query.table, attr, indices, listener.addr_str, req_id)
+            return pf
+
+        # (a)+(b): t servers push every row of the condition column,
+        # reconstructed locally
+        pushes = listener.wait(fetch(0, cond_attr, None), deadline)
+        by_index = _assemble_pushes(field, schema, query.table, cond_attr, None, pushes)
+
+        # (c): plaintext predicate evaluation
+        matched = evaluate_predicate(list(by_index.items()), predicate, cond_type)
+
+        # (d)+(e): servers push the selected cells straight to our listener
+        values_by_attr: dict[str, dict[int, Value]] = {}
+        if cond_attr in select_attrs:
+            values_by_attr[cond_attr] = {i: by_index[i] for i in matched}
+        fetch_attrs = [a for a in dict.fromkeys(select_attrs) if a != cond_attr]
+        pending = [(attr, fetch(k, attr, matched)) for k, attr in enumerate(fetch_attrs, 1)]
+        for attr, pf in pending:
+            pushes = listener.wait(pf, deadline)
+            values_by_attr[attr] = _assemble_pushes(
+                field, schema, query.table, attr, matched, pushes
             )
-    tagged = [(col.server_x, [list(v) for v in col.cells]) for col in columns]
-    if index_list:
-        plain_vectors = _reconstruct_matrix(field, tagged, query.table, cond_attr)
-    else:
-        plain_vectors = []
-    cond_values = _decode_column(cond_type, plain_vectors, query.table, cond_attr)
-    decoded = list(zip(index_list, cond_values))
-
-    # (c): plaintext predicate evaluation
-    matched = evaluate_predicate(decoded, predicate, cond_type)
-    by_index = dict(decoded)
-
-    # (d)+(e): servers push the selected cells straight to our listener
-    values_by_attr: dict[str, dict[int, Value]] = {}
-    if cond_attr in select_attrs:
-        values_by_attr[cond_attr] = {i: by_index[i] for i in matched}
-    fetch_attrs = [a for a in dict.fromkeys(select_attrs) if a != cond_attr]
-
-    if fetch_attrs:
-        listener = ResultListener(listen_host, listen_port, p=config.p)
-        try:
-            base = protocol.new_req_id()
-            pending = []
-            for k, attr in enumerate(fetch_attrs):
-                req_id = f"{base}:{k}"
-                pf = listener.register(req_id, config.t)
-                hub.fetch_to_client(query.table, attr, matched, listener.addr_str, req_id)
-                pending.append((attr, pf))
-            for attr, pf in pending:
-                pushes = listener.wait(pf, deadline)
-                values_by_attr[attr] = _assemble_pushes(
-                    field, schema, query.table, attr, matched, pushes
-                )
-        finally:
-            listener.close()
+    finally:
+        listener.close()
 
     rows = [[values_by_attr[a][i] for a in select_attrs] for i in matched]
     return ResultSet(columns=select_attrs, indices=matched, rows=rows)
@@ -687,10 +682,16 @@ def _assemble_pushes(
     schema: TableSchema,
     table: str,
     attr: str,
-    matched: list[int],
+    matched: Optional[list[int]],
     pushes: dict[int, DeliverShares],
 ) -> dict[int, Value]:
-    """Reconstruct one selected attribute from t delivery pushes."""
+    """Reconstruct one attribute from t delivery pushes, keyed by row index.
+
+    Every push must hold exactly the requested rows; for an every-row
+    fetch (matched None) they must all hold the same rows.
+    """
+    if matched is None:
+        matched = sorted(row.index for row in pushes[min(pushes)].rows)
     expected = set(matched)
     tagged = []
     for x in sorted(pushes):

@@ -1,9 +1,10 @@
-"""Shareless router between dealer/client and the share servers.
+"""Control-plane hub for the share servers, and the cluster topology.
 
-Knows every server's address and x-coordinate, fans writes out to all n
-servers, satisfies reads from the first t that respond, and relays
-result-delivery requests. It forwards share strings opaquely and never
-reconstructs anything.
+Knows every server's address and x-coordinate and tracks liveness. It
+answers schema reads from the first live server and relays each
+FETCH_TO_CLIENT to the first t live servers, which push their shares
+straight to the client. Writes go from the dealer to each server
+directly, so no share value ever passes through the hub.
 """
 
 from __future__ import annotations
@@ -20,20 +21,12 @@ from . import protocol
 from .field import MERSENNE_61, is_prime
 from .protocol import (
     Ack,
-    ColumnSet,
-    ColumnShares,
-    CreateTable,
     FetchToClient,
-    GetColumn,
     GetSchema,
-    InsertBundle,
-    InsertShares,
     Register,
-    RemoteError,
     SchemaResult,
     ServerList,
     SsdbError,
-    TaggedColumn,
     TcpService,
 )
 
@@ -112,7 +105,7 @@ class ClusterConfig:
 
 
 class Hub:
-    """Single-process router; holds addresses and liveness, never shares."""
+    """Single-process control plane; holds addresses and liveness, never shares."""
 
     def __init__(
         self,
@@ -160,12 +153,6 @@ class Hub:
     # --- handlers -----------------------------------------------------------
 
     def handle(self, msg):
-        if isinstance(msg, CreateTable):
-            return self.broadcast(msg)
-        if isinstance(msg, InsertBundle):
-            return self.split_insert(msg)
-        if isinstance(msg, GetColumn):
-            return self.fetch_column_from_t(msg)
         if isinstance(msg, GetSchema):
             return self.fetch_schema(msg)
         if isinstance(msg, FetchToClient):
@@ -176,116 +163,36 @@ class Hub:
             return self.server_list(msg)
         raise SsdbError(protocol.INTERNAL, f"{msg.type} is not handled by the hub")
 
-    def broadcast(self, msg: CreateTable) -> Ack:
-        """Write path: every server must acknowledge, no quorum writes."""
-        for info in self.config.servers:
-            try:
-                self._ask(info, msg)
-            except (OSError, SsdbError) as exc:
-                raise self._write_failure(info, exc)
-        return Ack()
-
-    def split_insert(self, msg: InsertBundle) -> Ack:
-        """Deliver each server only its own share values from the bundle."""
-        bundle_ids = set(msg.per_server)
-        config_ids = {s.server_id for s in self.config.servers}
-        if bundle_ids != config_ids:
-            unknown = sorted(bundle_ids - config_ids)
-            missing = sorted(config_ids - bundle_ids)
-            parts = []
-            if unknown:
-                parts.append(f"unknown server ids {unknown}")
-            if missing:
-                parts.append(f"missing server ids {missing}")
-            raise SsdbError(protocol.SCHEMA_MISMATCH, f"bad insert bundle: {'; '.join(parts)}")
-        for info in self.config.servers:
-            cut = InsertShares(
-                req_id=msg.req_id, table=msg.table, index=msg.index,
-                cells=msg.per_server[info.server_id],
-            )
-            try:
-                self._ask(info, cut)
-            except (OSError, SsdbError) as exc:
-                raise self._write_failure(info, exc)
-        return Ack()
-
-    def _write_failure(self, info: ServerInfo, exc: Exception) -> SsdbError:
-        # abort on the first failure so at most the servers already
-        # written diverge; there is no rollback message
-        code = exc.code if isinstance(exc, SsdbError) else protocol.INTERNAL
-        if isinstance(exc, OSError):
-            self.last_seen[info.server_id] = None
-        return SsdbError(code, f"write failed at server {info.server_id} ({info.address}): {exc}")
-
-    def _collect_from_t(self, build_msg):
-        """Ask servers in configured order until t have answered.
+    def _ask_until(self, msg, needed: int) -> list:
+        """Send msg to servers in configured order until `needed` have answered.
 
         Transport failures skip to the next server; an ERROR reply is a
         data-level answer and propagates immediately.
         """
-        collected = []
+        replies = []
         for info in self.config.servers:
             try:
-                reply = self._ask(info, build_msg(info))
-            except RemoteError:
-                raise
+                replies.append(self._ask(info, msg))
             except OSError as exc:
                 log.info("hub: server %s unreachable: %s", info.server_id, exc)
                 self.last_seen[info.server_id] = None
                 continue
-            collected.append((info, reply))
-            if len(collected) == self.config.t:
-                return collected
+            if len(replies) == needed:
+                return replies
         raise SsdbError(
             protocol.THRESHOLD_UNAVAILABLE,
-            f"only {len(collected)} of {self.config.n} servers reachable, need {self.config.t}",
+            f"only {len(replies)} of {self.config.n} servers reachable, need {needed}",
         )
-
-    def fetch_column_from_t(self, msg: GetColumn) -> ColumnSet:
-        collected = self._collect_from_t(
-            lambda info: GetColumn(req_id=msg.req_id, table=msg.table, attr=msg.attr)
-        )
-        columns = []
-        for info, reply in collected:
-            if not isinstance(reply, ColumnShares):
-                raise SsdbError(
-                    protocol.INTERNAL,
-                    f"server {info.server_id} sent {reply.type}, expected COLUMN_SHARES",
-                )
-            columns.append(
-                TaggedColumn(server_x=info.x_coord, index_list=reply.index_list, cells=reply.cells)
-            )
-        first = columns[0].index_list
-        for col, (info, _) in zip(columns[1:], collected[1:]):
-            if col.index_list != first:
-                raise SsdbError(
-                    protocol.INTERNAL,
-                    f"servers disagree on the index list of {msg.table!r}.{msg.attr!r}",
-                )
-        return ColumnSet(columns=columns)
 
     def fetch_schema(self, msg: GetSchema) -> SchemaResult:
-        for info in self.config.servers:
-            try:
-                reply = self._ask(info, GetSchema(req_id=msg.req_id, table=msg.table))
-            except RemoteError:
-                raise
-            except OSError:
-                self.last_seen[info.server_id] = None
-                continue
-            if not isinstance(reply, SchemaResult):
-                raise SsdbError(protocol.INTERNAL, f"unexpected reply {reply.type}")
-            return reply
-        raise SsdbError(protocol.THRESHOLD_UNAVAILABLE, "no server reachable for schema read")
+        (reply,) = self._ask_until(msg, 1)
+        if not isinstance(reply, SchemaResult):
+            raise SsdbError(protocol.INTERNAL, f"unexpected reply {reply.type}")
+        return reply
 
     def relay_fetch_to_client(self, msg: FetchToClient) -> Ack:
         """Instruct t live servers to push the requested cells to the client."""
-        self._collect_from_t(
-            lambda info: FetchToClient(
-                req_id=msg.req_id, table=msg.table, attr=msg.attr,
-                indices=msg.indices, client_addr=msg.client_addr,
-            )
-        )
+        self._ask_until(msg, self.config.t)
         return Ack()
 
     def register(self, msg: Register) -> Ack:

@@ -1,5 +1,10 @@
 """Framed wire protocol spoken by dealer, hub, share servers, and client.
 
+Share values cross only two kinds of link: dealer to one server
+(INSERT_SHARES, that server's cut of a row) and server to client
+(DELIVER_SHARES, pushed after a FETCH_TO_CLIENT). The hub carries
+control messages only.
+
 A frame is a 4-byte big-endian length followed by that many bytes of
 UTF-8 JSON; the JSON is an object carrying a "type" tag and a "req_id"
 that every response echoes verbatim. Share values travel as base-10
@@ -215,131 +220,6 @@ class InsertShares:
 
 @_register
 @dataclass
-class InsertBundle:
-    """Dealer-to-hub insert: the full n-way share bundle keyed by server id.
-
-    The hub splits it so each server sees only its own share values.
-    """
-
-    type: ClassVar[str] = "INSERT_BUNDLE"
-    req_id: str = ""
-    table: str = ""
-    index: int = 0
-    per_server: dict[str, dict[str, list[int]]] = field(default_factory=dict)
-
-    def payload_fields(self) -> dict:
-        return {
-            "table": self.table,
-            "index": self.index,
-            "per_server": {sid: _cells_out(cells) for sid, cells in self.per_server.items()},
-        }
-
-    @classmethod
-    def from_payload(cls, fields: dict, p: int) -> "InsertBundle":
-        index = _get(fields, "index", int)
-        if index < 1:
-            raise ProtocolError(VALUE_RANGE, f"row index {index} must be >= 1")
-        raw = _get(fields, "per_server", dict)
-        per_server = {}
-        for sid, cells in raw.items():
-            if not isinstance(sid, str):
-                raise ProtocolError(INTERNAL, "per_server keys must be server ids")
-            per_server[sid] = _cells_in(cells, p)
-        return cls(table=_get(fields, "table", str), index=index, per_server=per_server)
-
-
-@_register
-@dataclass
-class GetColumn:
-    type: ClassVar[str] = "GET_COLUMN"
-    req_id: str = ""
-    table: str = ""
-    attr: str = ""
-
-    def payload_fields(self) -> dict:
-        return {"table": self.table, "attr": self.attr}
-
-    @classmethod
-    def from_payload(cls, fields: dict, p: int) -> "GetColumn":
-        return cls(table=_get(fields, "table", str), attr=_get(fields, "attr", str))
-
-
-@_register
-@dataclass
-class ColumnShares:
-    """One server's full column: share vectors aligned with the index list."""
-
-    type: ClassVar[str] = "COLUMN_SHARES"
-    req_id: str = ""
-    index_list: list[int] = field(default_factory=list)
-    cells: list[list[int]] = field(default_factory=list)
-
-    def payload_fields(self) -> dict:
-        return {
-            "index_list": self.index_list,
-            "cells": [_shares_out(vec) for vec in self.cells],
-        }
-
-    @classmethod
-    def from_payload(cls, fields: dict, p: int) -> "ColumnShares":
-        index_list = _indices_in(_get(fields, "index_list", list))
-        raw = _get(fields, "cells", list)
-        cells = [_shares_in(vec, p) for vec in raw]
-        if len(cells) != len(index_list):
-            raise ProtocolError(INTERNAL, "cells and index_list lengths differ")
-        return cls(index_list=index_list, cells=cells)
-
-
-@dataclass
-class TaggedColumn:
-    """A COLUMN_SHARES response plus the x-coordinate of the server it came from."""
-
-    server_x: int
-    index_list: list[int]
-    cells: list[list[int]]
-
-
-@_register
-@dataclass
-class ColumnSet:
-    """Hub-to-client reply: t column responses tagged with server x-coordinates."""
-
-    type: ClassVar[str] = "COLUMN_SET"
-    req_id: str = ""
-    columns: list[TaggedColumn] = field(default_factory=list)
-
-    def payload_fields(self) -> dict:
-        return {
-            "columns": [
-                {
-                    "server_x": c.server_x,
-                    "index_list": c.index_list,
-                    "cells": [_shares_out(vec) for vec in c.cells],
-                }
-                for c in self.columns
-            ]
-        }
-
-    @classmethod
-    def from_payload(cls, fields: dict, p: int) -> "ColumnSet":
-        raw = _get(fields, "columns", list)
-        columns = []
-        for entry in raw:
-            if not isinstance(entry, dict):
-                raise ProtocolError(INTERNAL, "column entry must be an object")
-            server_x = _get(entry, "server_x", int)
-            if server_x < 1:
-                raise ProtocolError(VALUE_RANGE, f"server_x {server_x} must be >= 1")
-            index_list = _indices_in(_get(entry, "index_list", list))
-            cells = [_shares_in(vec, p) for vec in _get(entry, "cells", list)]
-            if len(cells) != len(index_list):
-                raise ProtocolError(INTERNAL, "cells and index_list lengths differ")
-            columns.append(TaggedColumn(server_x=server_x, index_list=index_list, cells=cells))
-        return cls(columns=columns)
-
-
-@_register
-@dataclass
 class GetSchema:
     type: ClassVar[str] = "GET_SCHEMA"
     req_id: str = ""
@@ -356,16 +236,22 @@ class GetSchema:
 @_register
 @dataclass
 class SchemaResult:
+    """A table's schema and its stored row count; both are public."""
+
     type: ClassVar[str] = "SCHEMA_RESULT"
     req_id: str = ""
     schema: TableSchema = None
+    rows: int = 0
 
     def payload_fields(self) -> dict:
-        return {"schema": self.schema.to_json_dict()}
+        return {"schema": self.schema.to_json_dict(), "rows": self.rows}
 
     @classmethod
     def from_payload(cls, fields: dict, p: int) -> "SchemaResult":
-        return cls(schema=_schema_in(_get(fields, "schema", dict, SCHEMA_MISMATCH)))
+        rows = _get(fields, "rows", int)
+        if rows < 0:
+            raise ProtocolError(VALUE_RANGE, f"row count {rows} must be >= 0")
+        return cls(schema=_schema_in(_get(fields, "schema", dict, SCHEMA_MISMATCH)), rows=rows)
 
 
 @_register
@@ -374,14 +260,15 @@ class FetchToClient:
     """Result-delivery request: row indices, attribute, and where to push.
 
     Carries exactly the three semantic fields of the retrieval packet;
-    the table name and req_id are routing plumbing.
+    the table name and req_id are routing plumbing. Indices that are
+    null (or absent on the wire) ask for every stored row.
     """
 
     type: ClassVar[str] = "FETCH_TO_CLIENT"
     req_id: str = ""
     table: str = ""
     attr: str = ""
-    indices: list[int] = field(default_factory=list)
+    indices: Optional[list[int]] = None
     client_addr: str = ""
 
     def payload_fields(self) -> dict:
@@ -397,7 +284,7 @@ class FetchToClient:
         return cls(
             table=_get(fields, "table", str),
             attr=_get(fields, "attr", str),
-            indices=_indices_in(_get(fields, "indices", list)),
+            indices=None if fields.get("indices") is None else _indices_in(fields["indices"]),
             client_addr=_get(fields, "client_addr", str),
         )
 
@@ -625,6 +512,18 @@ def push(addr: tuple[str, int], msg, *, connect_timeout: float = 2.0) -> None:
         send_message(sock, msg)
 
 
+def start_daemon(threads: list, target: Callable, *args, name: str) -> None:
+    """Start a daemon thread and track it in `threads`, forgetting finished ones.
+
+    The caller holds the lock that guards `threads`, so a long-lived
+    service keeps only the threads that are still running.
+    """
+    threads[:] = [t for t in threads if t.is_alive()]
+    thread = threading.Thread(target=target, args=args, name=name, daemon=True)
+    thread.start()
+    threads.append(thread)
+
+
 class TcpService:
     """Threaded frame server: one handler call per frame, in arrival order.
 
@@ -659,12 +558,9 @@ class TcpService:
         sock.bind((self._host, self._port))
         sock.listen(64)
         self._sock = sock
-        self._stopping = False
-        accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"{self._name}-accept", daemon=True
-        )
-        accept_thread.start()
-        self._threads.append(accept_thread)
+        with self._lock:
+            self._stopping = False
+            start_daemon(self._threads, self._accept_loop, name=f"{self._name}-accept")
 
     @property
     def address(self) -> tuple[str, int]:
@@ -687,11 +583,7 @@ class TcpService:
                     conn.close()
                     return
                 self._conns.add(conn)
-            thread = threading.Thread(
-                target=self._serve_conn, args=(conn,), name=f"{self._name}-conn", daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
+                start_daemon(self._threads, self._serve_conn, conn, name=f"{self._name}-conn")
 
     def _serve_conn(self, conn: socket.socket) -> None:
         decoder = FrameDecoder(self._p)
@@ -738,6 +630,8 @@ class TcpService:
         with self._lock:
             self._stopping = True
             conns = list(self._conns)
+            threads = list(self._threads)
+            self._threads.clear()
         if self._sock is not None:
             try:
                 # wake the blocked accept(); close() alone leaves the
@@ -755,6 +649,5 @@ class TcpService:
             except OSError:
                 pass
             conn.close()
-        for thread in self._threads:
+        for thread in threads:
             thread.join(timeout=5)
-        self._threads.clear()

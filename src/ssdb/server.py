@@ -21,12 +21,10 @@ from .encoding import TableSchema
 from .field import MERSENNE_61
 from .protocol import (
     Ack,
-    ColumnShares,
     CreateTable,
     DeliveredRow,
     DeliverShares,
     FetchToClient,
-    GetColumn,
     GetSchema,
     InsertShares,
     Register,
@@ -44,7 +42,7 @@ _META_FILE = "server.json"
 class StoredTable:
     schema: TableSchema
     directory: Path
-    rows: list[tuple[int, dict[str, list[int]]]] = field(default_factory=list)
+    rows: list[dict[str, list[int]]] = field(default_factory=list)  # row i is rows[i - 1]
     log_file: Optional[object] = None
 
     @property
@@ -133,7 +131,7 @@ class ServerStore:
                     self.server_id, pos, log_path, exc,
                 )
                 break
-            table.rows.append((index, cells))
+            table.rows.append(cells)
             pos = newline + 1
             good_end = pos
         if good_end < len(data):
@@ -204,33 +202,30 @@ class ServerStore:
             table.log_file.write(line.encode("utf-8"))
             table.log_file.flush()
             os.fsync(table.log_file.fileno())
-            table.rows.append((index, cells))
+            table.rows.append(cells)
 
-    def column(self, table_name: str, attr: str) -> tuple[list[int], list[list[int]]]:
+    def rows_for(
+        self, table_name: str, attr: str, indices: Optional[list[int]]
+    ) -> list[DeliveredRow]:
+        """This server's shares of `attr` at the given rows; None means every row."""
         with self._lock:
             table = self._table(table_name)
             if not table.schema.has_attr(attr):
                 raise SsdbError(protocol.NO_SUCH_ATTR, f"no attribute {attr!r} in {table_name!r}")
-            indices = [index for index, _ in table.rows]
-            cells = [list(row_cells[attr]) for _, row_cells in table.rows]
-            return indices, cells
-
-    def rows_for(self, table_name: str, attr: str, indices: list[int]) -> list[DeliveredRow]:
-        with self._lock:
-            table = self._table(table_name)
-            if not table.schema.has_attr(attr):
-                raise SsdbError(protocol.NO_SUCH_ATTR, f"no attribute {attr!r} in {table_name!r}")
-            by_index = {index: cells for index, cells in table.rows}
+            if indices is None:
+                indices = range(1, len(table.rows) + 1)
             rows = []
             for index in indices:
-                if index not in by_index:
+                if not 1 <= index <= len(table.rows):
                     raise SsdbError(protocol.VALUE_RANGE, f"no row with index {index}")
-                rows.append(DeliveredRow(index=index, elements=list(by_index[index][attr])))
+                rows.append(DeliveredRow(index=index, elements=table.rows[index - 1][attr]))
             return rows
 
-    def schema(self, table_name: str) -> TableSchema:
+    def schema(self, table_name: str) -> tuple[TableSchema, int]:
+        """The table's schema and its stored row count."""
         with self._lock:
-            return self._table(table_name).schema
+            table = self._table(table_name)
+            return table.schema, len(table.rows)
 
     def close(self) -> None:
         with self._lock:
@@ -258,6 +253,7 @@ class ShareServer:
         self._hub_addr = protocol.parse_addr(hub_addr) if hub_addr else None
         self._service = TcpService(listen[0], listen[1], self.handle, p=p, name=server_id)
         self._push_threads: list[threading.Thread] = []
+        self._push_lock = threading.Lock()
 
     def start(self) -> None:
         self.store.load()
@@ -289,19 +285,17 @@ class ShareServer:
         if isinstance(msg, InsertShares):
             self.store.append_row(msg.table, msg.index, msg.cells)
             return Ack()
-        if isinstance(msg, GetColumn):
-            indices, cells = self.store.column(msg.table, msg.attr)
-            return ColumnShares(index_list=indices, cells=cells)
         if isinstance(msg, GetSchema):
-            return SchemaResult(schema=self.store.schema(msg.table))
+            schema, rows = self.store.schema(msg.table)
+            return SchemaResult(schema=schema, rows=rows)
         if isinstance(msg, FetchToClient):
             deliver = self._prepare_deliver(msg)
             client_addr = protocol.parse_addr(msg.client_addr)
-            thread = threading.Thread(
-                target=self._push, args=(client_addr, deliver), daemon=True
-            )
-            thread.start()
-            self._push_threads.append(thread)
+            with self._push_lock:
+                protocol.start_daemon(
+                    self._push_threads, self._push, client_addr, deliver,
+                    name=f"{self.server_id}-push",
+                )
             return Ack()
         raise SsdbError(protocol.INTERNAL, f"{msg.type} is not handled by a share server")
 
@@ -327,7 +321,9 @@ class ShareServer:
 
     def stop(self) -> None:
         self._service.stop()
-        for thread in self._push_threads:
+        with self._push_lock:
+            threads = list(self._push_threads)
+            self._push_threads.clear()
+        for thread in threads:
             thread.join(timeout=2)
-        self._push_threads.clear()
         self.store.close()

@@ -18,23 +18,18 @@ from ssdb.encoding import Attribute, AttrType, TableSchema
 from ssdb.field import MERSENNE_61, PrimeField
 from ssdb.protocol import (
     Ack,
-    ColumnShares,
-    ColumnSet,
     CreateTable,
     DeliveredRow,
     DeliverShares,
     Error,
     FetchToClient,
     FrameDecoder,
-    GetColumn,
     GetSchema,
-    InsertBundle,
     InsertShares,
     Register,
     SchemaResult,
     ServerList,
     SsdbError,
-    TaggedColumn,
     encode_frame,
 )
 from ssdb.shamir import SchemeParams, split, reconstruct
@@ -271,20 +266,10 @@ def random_message(rng):
                       detail="boom 😀 émigré " * rng.randint(0, 5)),
         lambda: CreateTable(req_id=rid, schema=schema),
         lambda: InsertShares(req_id=rid, table=table, index=rng.randint(1, 10**6), cells=cells),
-        lambda: InsertBundle(req_id=rid, table=table, index=1,
-                             per_server={f"s{k}": cells for k in range(1, 4)}),
-        lambda: GetColumn(req_id=rid, table=table, attr=attr),
-        lambda: ColumnShares(req_id=rid, index_list=indices,
-                             cells=[random_share_vector(rng) for _ in indices]),
-        lambda: ColumnSet(req_id=rid, columns=[
-            TaggedColumn(server_x=k, index_list=indices,
-                         cells=[random_share_vector(rng) for _ in indices])
-            for k in (1, 2)
-        ]),
         lambda: GetSchema(req_id=rid, table=table),
-        lambda: SchemaResult(req_id=rid, schema=schema),
-        lambda: FetchToClient(req_id=rid, table=table, attr=attr,
-                              indices=indices, client_addr="127.0.0.1:5555"),
+        lambda: SchemaResult(req_id=rid, schema=schema, rows=rng.randint(0, 10**6)),
+        lambda: FetchToClient(req_id=rid, table=table, attr=attr,  # None: every row
+                              indices=rng.choice((indices, None)), client_addr="127.0.0.1:5555"),
         lambda: DeliverShares(req_id=rid, table=table, attr=attr, server_x=3,
                               rows=[DeliveredRow(i, random_share_vector(rng)) for i in indices]),
         lambda: Register(req_id=rid, server_id="s1", x_coord=1),
@@ -298,6 +283,10 @@ def random_message(rng):
 def test_frame_codec_round_trips():
     rng = random.Random(7777)
     messages = [random_message(rng) for _ in range(1200)]
+    # every message type is exercised, including an every-row fetch
+    assert {m.type for m in messages} == set(protocol._MESSAGE_TYPES)
+    assert any(m.type == "FETCH_TO_CLIENT" and m.indices is None for m in messages)
+    assert any(m.type == "SCHEMA_RESULT" and m.rows > 0 for m in messages)
 
     # whole frames, one at a time
     decoder = FrameDecoder(p=P)

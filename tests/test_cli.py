@@ -64,6 +64,8 @@ class TestArgumentErrors:
 
     def test_missing_required_flag(self, capsys):
         assert run(capsys, "insert", "t", "1")[0] == 1  # no --hub
+        # create-table writes to the servers directly and takes no --hub
+        assert run(capsys, "create-table", "--hub", "127.0.0.1:1", "schema.json")[0] == 1
 
     def test_no_cluster_file_anywhere(self, capsys, monkeypatch, net):
         monkeypatch.delenv(ENV_CLUSTER, raising=False)
@@ -87,8 +89,7 @@ class TestTableCommands:
             "attributes": [{"name": "k", "type": "INTEGER"},
                            {"name": "v", "type": "TEXT"}],
         }))
-        code, stdout, _ = run(capsys, "create-table", "--cluster", net.cfg,
-                              "--hub", net.hub, str(schema_file))
+        code, stdout, _ = run(capsys, "create-table", "--cluster", net.cfg, str(schema_file))
         assert code == 0 and "created table cli_rows" in stdout
 
         code, stdout, _ = run(capsys, "insert", "--cluster", net.cfg,
@@ -114,13 +115,12 @@ class TestTableCommands:
     def test_create_table_bad_json(self, capsys, net):
         bad = net.root / "bad.json"
         bad.write_text("{not json")
-        code, _, stderr = run(capsys, "create-table", "--cluster", net.cfg,
-                              "--hub", net.hub, str(bad))
+        code, _, stderr = run(capsys, "create-table", "--cluster", net.cfg, str(bad))
         assert code == 1 and "not valid JSON" in stderr
 
     def test_create_table_missing_file(self, capsys, net):
         code, _, _ = run(capsys, "create-table", "--cluster", net.cfg,
-                         "--hub", net.hub, str(net.root / "nope.json"))
+                         str(net.root / "nope.json"))
         assert code == 1
 
 
@@ -132,8 +132,7 @@ class TestLoadCsv:
             "attributes": [{"name": "k", "type": "INTEGER"},
                            {"name": "v", "type": "TEXT"}],
         }))
-        assert run(capsys, "create-table", "--cluster", net.cfg,
-                   "--hub", net.hub, str(schema_file))[0] == 0
+        assert run(capsys, "create-table", "--cluster", net.cfg, str(schema_file))[0] == 0
 
     def test_load_and_query(self, capsys, net):
         self.make_table(capsys, net, "cli_csv")

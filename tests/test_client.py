@@ -1,4 +1,4 @@
-"""Query language, dealer bundles, delivery listener, and the pipeline."""
+"""Query language, dealer writes, delivery listener, and the pipeline."""
 
 import json
 import time
@@ -22,12 +22,12 @@ from ssdb.encoding import Attribute, AttrType, TableSchema, encode_value
 from ssdb.field import MERSENNE_61, PrimeField
 from ssdb.hub import ClusterConfig, ServerInfo
 from ssdb.protocol import (
-    ColumnSet,
+    Ack,
     DeliveredRow,
     DeliverShares,
     InsertShares,
+    SchemaResult,
     SsdbError,
-    TaggedColumn,
 )
 from ssdb.shamir import SchemeParams, Share, reconstruct
 from ssdb.testnet import PATIENTS_SCHEMA, TestCluster
@@ -160,29 +160,39 @@ def make_config(n=3, t=2):
     )
 
 
-class FakeHub:
-    """Records dealer traffic instead of touching the network."""
+class FakeCluster:
+    """Answers the dealer's row-count reads and records its direct writes.
 
-    def __init__(self, row_count=0):
+    Stands in for the hub (get_schema) and, through a patched
+    protocol.request, for every share server; nothing touches the network.
+    """
+
+    def __init__(self, monkeypatch, config, row_count=0):
+        self.config = config
         self.row_count = row_count
-        self.bundles = []
-        self.column_calls = 0
-        self.fail_inserts = False
+        self.schema_calls = 0
+        self.writes = []  # (server id, message) in send order
+        self.down = set()  # server ids that refuse connections
+        monkeypatch.setattr(protocol, "request", self._request)
 
-    def create_table(self, schema):
-        pass
+    def get_schema(self, table):
+        self.schema_calls += 1
+        return SchemaResult(schema=SCHEMA2, rows=self.row_count)
 
-    def get_column(self, table, attr):
-        self.column_calls += 1
-        idx = list(range(1, self.row_count + 1))
-        return ColumnSet(
-            columns=[TaggedColumn(server_x=1, index_list=idx, cells=[[0]] * len(idx))]
-        )
+    def _request(self, addr, msg, **kwargs):
+        (info,) = [s for s in self.config.servers if protocol.parse_addr(s.address) == addr]
+        if info.server_id in self.down:
+            raise ConnectionRefusedError(f"{info.address} refused")
+        self.writes.append((info.server_id, msg))
+        return Ack()
 
-    def insert_bundle(self, table, index, per_server):
-        if self.fail_inserts:
-            raise SsdbError(protocol.INTERNAL, "injected failure")
-        self.bundles.append((table, index, per_server))
+    def bundles(self):
+        """Each insert's (table, index, per-server cells), rebuilt from the writes."""
+        out = {}
+        for sid, msg in self.writes:
+            assert isinstance(msg, InsertShares)
+            out.setdefault((msg.table, msg.index), {})[sid] = msg.cells
+        return [(table, index, per_server) for (table, index), per_server in out.items()]
 
 
 SCHEMA2 = TableSchema(
@@ -190,32 +200,36 @@ SCHEMA2 = TableSchema(
 )
 
 
+@pytest.fixture
+def fake(monkeypatch):
+    config = make_config()
+    hub = FakeCluster(monkeypatch, config)
+    return hub, Dealer(hub, config)
+
+
 class TestDealer:
-    def test_wrong_arity_sends_nothing(self):
-        hub = FakeHub()
-        dealer = Dealer(hub, make_config())
+    def test_wrong_arity_sends_nothing(self, fake):
+        hub, dealer = fake
         with pytest.raises(ValueError):
             dealer.insert_row(SCHEMA2, (1,))
         with pytest.raises(ValueError):
             dealer.insert_row(SCHEMA2, (1, "x", 3))
-        assert hub.bundles == [] and hub.column_calls == 0
+        assert hub.writes == [] and hub.schema_calls == 0
 
-    def test_wrong_type_sends_nothing(self):
-        hub = FakeHub()
-        dealer = Dealer(hub, make_config())
+    def test_wrong_type_sends_nothing(self, fake):
+        hub, dealer = fake
         with pytest.raises(ValueError):
             dealer.insert_row(SCHEMA2, ("not-int", "x"))
-        assert hub.bundles == [] and hub.column_calls == 0
+        assert hub.writes == [] and hub.schema_calls == 0
 
-    def test_bundle_shape_and_reconstruction(self):
-        hub = FakeHub()
-        config = make_config()
-        dealer = Dealer(hub, config)
+    def test_bundle_shape_and_reconstruction(self, fake):
+        hub, dealer = fake
         values = (12345, "Aids")
         dealer.insert_row(SCHEMA2, values)
-        (table, index, per_server) = hub.bundles[0]
+        # one message per server, in configured order, each its own cut
+        assert [sid for sid, _ in hub.writes] == ["s1", "s2", "s3"]
+        (table, index, per_server) = hub.bundles()[0]
         assert table == "t" and index == 1
-        assert set(per_server) == {"s1", "s2", "s3"}
 
         field = PrimeField(P)
         params = SchemeParams.with_default_coords(3, 2, field)
@@ -231,35 +245,33 @@ class TestDealer:
                 assert reconstruct(shares[:2], params).value == element
                 assert reconstruct(shares[1:], params).value == element
 
-    def test_no_plaintext_encoding_leaves_the_dealer(self):
-        hub = FakeHub()
-        dealer = Dealer(hub, make_config())
+    def test_no_plaintext_encoding_leaves_the_dealer(self, fake):
+        hub, dealer = fake
         values = (999, "a long secret string that must never travel whole")
         dealer.insert_row(SCHEMA2, values)
-        (_, _, per_server) = hub.bundles[0]
+        (_, _, per_server) = hub.bundles()[0]
         for attr, value in zip(SCHEMA2.attributes, values):
             plain = encode_value(attr.type, value, P)
             for sid in per_server:
                 assert per_server[sid][attr.name] != plain
 
-    def test_next_index_discovered_then_cached(self):
-        hub = FakeHub(row_count=3)
-        dealer = Dealer(hub, make_config())
+    def test_next_index_discovered_then_cached(self, fake):
+        hub, dealer = fake
+        hub.row_count = 3
         assert dealer.insert_row(SCHEMA2, (1, "a")) == 4
         assert dealer.insert_row(SCHEMA2, (2, "b")) == 5
-        assert hub.column_calls == 1  # second insert reused the cache
+        assert hub.schema_calls == 1  # second insert reused the cache
 
-    def test_failed_insert_invalidates_cache(self):
-        hub = FakeHub(row_count=0)
-        dealer = Dealer(hub, make_config())
+    def test_failed_insert_invalidates_cache(self, fake):
+        hub, dealer = fake
         assert dealer.insert_row(SCHEMA2, (1, "a")) == 1
-        hub.fail_inserts = True
+        hub.down = {"s2"}
         with pytest.raises(SsdbError):
             dealer.insert_row(SCHEMA2, (2, "b"))
-        hub.fail_inserts = False
+        hub.down = set()
         hub.row_count = 1  # pretend only the first landed
         assert dealer.insert_row(SCHEMA2, (2, "b")) == 2
-        assert hub.column_calls == 2
+        assert hub.schema_calls == 2
 
 
 class TestResultListener:
@@ -344,7 +356,7 @@ def counting_hub(cluster):
     original = hub.fetch_to_client
 
     def spy(table, attr, indices, client_addr, req_id):
-        calls.append(attr)
+        calls.append((attr, indices))
         return original(table, attr, indices, client_addr, req_id)
 
     hub.fetch_to_client = spy
@@ -367,13 +379,14 @@ class TestExecuteQuery:
             hub, patients.config,
         )
         assert rs.rows == [["Aids", "Ann"], ["Aids", "Dona"]]
-        assert calls == ["Patientname"]  # Diagonosis came from the condition fetch
+        # Diagonosis is fetched once, as the every-row condition fetch
+        assert calls == [("Diagonosis", None), ("Patientname", [1, 4])]
 
-    def test_no_predicate_single_attr_needs_no_delivery(self, patients):
+    def test_no_predicate_single_attr_needs_one_delivery(self, patients):
         hub, calls = counting_hub(patients)
         rs = execute_query("SELECT Patientid FROM patient_details", hub, patients.config)
         assert rs.rows == [[101], [102], [103], [104]]
-        assert calls == []
+        assert calls == [("Patientid", None)]  # the condition fetch is the whole answer
 
     def test_duplicate_select_attr_fetched_once(self, patients):
         hub, calls = counting_hub(patients)
@@ -382,7 +395,8 @@ class TestExecuteQuery:
             hub, patients.config,
         )
         assert rs.rows == [["Cara", "Cara"]]
-        assert calls == ["Patientname"]  # selected twice, delivered once
+        # selected twice, delivered once
+        assert calls == [("Patientid", None), ("Patientname", [3])]
 
     def test_star_follows_schema_order(self, patients):
         rs = patients.query("SELECT * FROM patient_details WHERE Patientid = 102")
@@ -396,7 +410,8 @@ class TestExecuteQuery:
             hub, patients.config,
         )
         assert rs.rows == [] and rs.indices == []
-        assert calls == ["Patientname"]  # vacuous fetch still happens
+        # vacuous fetch still happens
+        assert calls == [("Doctorid", None), ("Patientname", [])]
 
     def test_unknown_table_and_attr(self, patients):
         with pytest.raises(SsdbError) as e:

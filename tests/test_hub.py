@@ -1,32 +1,34 @@
-"""Hub routing: fan-out writes, threshold reads, liveness, topology file."""
+"""Hub control plane, the dealer's direct writes, and the topology file."""
 
 import ast
 import inspect
 import json
+import random
 import socket
 
 import pytest
 
 from ssdb import protocol
+from ssdb.client import Dealer, HubClient, execute_query
 from ssdb.encoding import Attribute, AttrType, TableSchema
-from ssdb.field import MERSENNE_61
+from ssdb.field import MERSENNE_61, PrimeField
 from ssdb.hub import ClusterConfig, Hub, ServerInfo
 from ssdb.protocol import (
     Ack,
-    ColumnSet,
     CreateTable,
     FetchToClient,
     FrameDecoder,
-    GetColumn,
     GetSchema,
-    InsertBundle,
     InsertShares,
     Register,
     RemoteError,
     SchemaResult,
     ServerList,
+    SsdbError,
 )
 from ssdb.server import ShareServer
+from ssdb.shamir import SchemeParams, Share, reconstruct
+from ssdb.testnet import PATIENTS_TABLE, TestCluster
 
 P = MERSENNE_61
 
@@ -105,7 +107,7 @@ class TestClusterConfig:
 
 
 class MiniCluster:
-    """Three real servers plus a hub, no dealer."""
+    """Three real servers, a hub, and a dealer that writes to the servers directly."""
 
     def __init__(self, tmp_path, t=2):
         self.servers = []
@@ -118,12 +120,35 @@ class MiniCluster:
         self.config = ClusterConfig(p=P, n=3, t=t, servers=tuple(infos))
         self.hub = Hub(self.config, listen=("127.0.0.1", 0), connect_timeout=0.5)
         self.hub.start()
+        self.hub_client = HubClient(self.hub.addr_str, p=P)
+        self.dealer = Dealer(self.hub_client, self.config, rng=random.Random(0))
 
     def ask(self, msg):
         return protocol.request(self.hub.address, msg, p=P)
 
     def ask_server(self, k, msg):
         return protocol.request(self.servers[k - 1].address, msg, p=P)
+
+    def relay_fetch(self, attr, indices):
+        """FETCH_TO_CLIENT through the hub; returns the pushes, checking no extra one lands."""
+        with socket.create_server(("127.0.0.1", 0)) as sink:
+            sink.settimeout(5)
+            addr = f"127.0.0.1:{sink.getsockname()[1]}"
+            reply = self.ask(FetchToClient(req_id="f", table="records", attr=attr,
+                                           indices=indices, client_addr=addr))
+            assert isinstance(reply, Ack)
+            pushes = []
+            while len(pushes) < self.config.t:
+                conn, _ = sink.accept()
+                with conn:
+                    conn.settimeout(5)
+                    decoder = FrameDecoder(P)
+                    while data := conn.recv(65536):
+                        pushes.extend(decoder.feed(data))
+            sink.settimeout(0.3)
+            with pytest.raises(TimeoutError):
+                sink.accept()  # no push beyond t
+        return sorted(pushes, key=lambda m: m.server_x)
 
     def kill(self, k):
         self.servers[k - 1].stop()
@@ -140,113 +165,112 @@ class MiniCluster:
         self.stop()
 
 
-def bundle(index, base):
-    return InsertBundle(
-        req_id=f"b{index}",
-        table="records",
-        index=index,
-        per_server={
-            "s1": {"k": [base + 1], "v": [1, 65]},
-            "s2": {"k": [base + 2], "v": [1, 66]},
-            "s3": {"k": [base + 3], "v": [1, 67]},
-        },
-    )
+def stored(server, attr="k"):
+    return [(r.index, r.elements) for r in server.store.rows_for("records", attr, None)]
 
 
 class TestHubRouting:
     def test_create_broadcasts_to_all_servers(self, tmp_path):
         with MiniCluster(tmp_path) as mini:
-            mini.ask(CreateTable(req_id="c", schema=SCHEMA))
+            mini.dealer.create_table(SCHEMA)
             for k in (1, 2, 3):
                 reply = mini.ask_server(k, GetSchema(req_id="g", table="records"))
                 assert reply.schema == SCHEMA
+            # the hub takes no writes at all
+            for msg in (CreateTable(req_id="c", schema=SCHEMA),
+                        InsertShares(req_id="i", table="records", index=1, cells={})):
+                with pytest.raises(RemoteError) as e:
+                    mini.ask(msg)
+                assert e.value.code == protocol.INTERNAL
 
     def test_insert_bundle_is_split_per_server(self, tmp_path):
         with MiniCluster(tmp_path) as mini:
-            mini.ask(CreateTable(req_id="c", schema=SCHEMA))
-            mini.ask(bundle(1, 10))
-            for k in (1, 2, 3):
-                reply = mini.ask_server(k, GetColumn(req_id="g", table="records", attr="k"))
-                assert reply.cells == [[10 + k]]  # only its own cut
-
-    def test_bundle_with_wrong_server_ids_rejected(self, tmp_path):
-        with MiniCluster(tmp_path) as mini:
-            mini.ask(CreateTable(req_id="c", schema=SCHEMA))
-            bad = InsertBundle(
-                req_id="b", table="records", index=1,
-                per_server={"s1": {"k": [1], "v": [1, 65]}, "nope": {"k": [2], "v": [1, 66]}},
-            )
-            with pytest.raises(RemoteError) as e:
-                mini.ask(bad)
-            assert e.value.code == protocol.SCHEMA_MISMATCH
-            assert "nope" in e.value.detail
+            mini.dealer.create_table(SCHEMA)
+            mini.dealer.insert_row(SCHEMA, (7, "A"))
+            cuts = [stored(server) for server in mini.servers]
+            assert [[index for index, _ in cut] for cut in cuts] == [[1], [1], [1]]
+            ys = [cut[0][1][0] for cut in cuts]
+            assert len(set(ys)) == 3  # each server holds only its own share
+            field = PrimeField(P)
+            params = SchemeParams.with_default_coords(3, 2, field)
+            shares = [Share(field.elem(x), field.elem(y)) for x, y in zip((1, 2, 3), ys)]
+            for pair in ((0, 1), (1, 2), (0, 2)):
+                assert reconstruct([shares[i] for i in pair], params).value == 7
 
     def test_get_column_returns_t_tagged_columns(self, tmp_path):
         with MiniCluster(tmp_path) as mini:
-            mini.ask(CreateTable(req_id="c", schema=SCHEMA))
-            mini.ask(bundle(1, 10))
-            reply = mini.ask(GetColumn(req_id="g", table="records", attr="k"))
-            assert isinstance(reply, ColumnSet)
-            assert len(reply.columns) == 2  # exactly t, in configured order
-            assert [c.server_x for c in reply.columns] == [1, 2]
-            assert [c.cells for c in reply.columns] == [[[11]], [[12]]]
+            mini.dealer.create_table(SCHEMA)
+            mini.dealer.insert_row(SCHEMA, (7, "A"))
+            mini.dealer.insert_row(SCHEMA, (8, "B"))
+            pushes = mini.relay_fetch("k", None)  # every row
+            assert [m.server_x for m in pushes] == [1, 2]  # exactly t, in configured order
+            for push, server in zip(pushes, mini.servers):
+                assert [(r.index, r.elements) for r in push.rows] == stored(server)
 
     def test_read_skips_dead_servers(self, tmp_path):
         with MiniCluster(tmp_path) as mini:
-            mini.ask(CreateTable(req_id="c", schema=SCHEMA))
-            mini.ask(bundle(1, 10))
+            mini.dealer.create_table(SCHEMA)
+            mini.dealer.insert_row(SCHEMA, (7, "A"))
             mini.kill(1)
-            reply = mini.ask(GetColumn(req_id="g", table="records", attr="k"))
-            assert [c.server_x for c in reply.columns] == [2, 3]
+            assert [m.server_x for m in mini.relay_fetch("k", None)] == [2, 3]
 
     def test_below_threshold_read_fails(self, tmp_path):
         with MiniCluster(tmp_path) as mini:
-            mini.ask(CreateTable(req_id="c", schema=SCHEMA))
+            mini.dealer.create_table(SCHEMA)
             mini.kill(1)
             mini.kill(3)
             with pytest.raises(RemoteError) as e:
-                mini.ask(GetColumn(req_id="g", table="records", attr="k"))
+                mini.ask(FetchToClient(req_id="f", table="records", attr="k",
+                                       client_addr="127.0.0.1:1"))
             assert e.value.code == protocol.THRESHOLD_UNAVAILABLE
 
     def test_write_needs_every_server_and_names_the_dead_one(self, tmp_path):
         with MiniCluster(tmp_path) as mini:
-            mini.ask(CreateTable(req_id="c", schema=SCHEMA))
+            mini.dealer.create_table(SCHEMA)
             mini.kill(2)
-            with pytest.raises(RemoteError) as e:
-                mini.ask(bundle(1, 10))
-            assert "s2" in e.value.detail
-            with pytest.raises(RemoteError) as e:
-                mini.ask(CreateTable(req_id="c2", schema=SCHEMA))
-            assert "s2" in e.value.detail
+            address = mini.config.server_by_id("s2").address
+            with pytest.raises(SsdbError) as e:
+                mini.dealer.insert_row(SCHEMA, (7, "A"))
+            assert e.value.code == protocol.THRESHOLD_UNAVAILABLE
+            assert "s2" in e.value.detail and address in e.value.detail
+            assert stored(mini.servers[0]) != [] and stored(mini.servers[2]) == []  # stopped at s2
+            with pytest.raises(SsdbError) as e:
+                mini.dealer.create_table(SCHEMA)
+            assert e.value.code == protocol.THRESHOLD_UNAVAILABLE
+            assert "s2" in e.value.detail and address in e.value.detail
 
     def test_application_errors_propagate_not_skip(self, tmp_path):
         with MiniCluster(tmp_path) as mini:
             # table never created: the first server's NO_SUCH_TABLE must
             # come back as-is instead of being treated as an outage
             with pytest.raises(RemoteError) as e:
-                mini.ask(GetColumn(req_id="g", table="records", attr="k"))
+                mini.ask(FetchToClient(req_id="f", table="records", attr="k",
+                                       client_addr="127.0.0.1:1"))
             assert e.value.code == protocol.NO_SUCH_TABLE
 
     def test_index_disagreement_is_reported(self, tmp_path):
         with MiniCluster(tmp_path) as mini:
-            mini.ask(CreateTable(req_id="c", schema=SCHEMA))
-            mini.ask(bundle(1, 10))
-            # sneak an extra row into s1 behind the hub's back
+            mini.dealer.create_table(SCHEMA)
+            mini.dealer.insert_row(SCHEMA, (7, "A"))
+            # sneak an extra row into s1 behind the dealer's back
             mini.ask_server(
                 1, InsertShares(req_id="x", table="records", index=2,
                                 cells={"k": [5], "v": [1, 70]})
             )
-            with pytest.raises(RemoteError) as e:
-                mini.ask(GetColumn(req_id="g", table="records", attr="k"))
-            assert e.value.code == protocol.INTERNAL
+            # the client's check on the condition column's pushes catches it
+            with pytest.raises(SsdbError) as e:
+                execute_query("SELECT v FROM records WHERE k = 7", mini.hub_client, mini.config)
+            assert e.value.code == protocol.DATA_CORRUPTION
 
     def test_schema_read_uses_first_live_server(self, tmp_path):
         with MiniCluster(tmp_path) as mini:
-            mini.ask(CreateTable(req_id="c", schema=SCHEMA))
+            mini.dealer.create_table(SCHEMA)
+            mini.dealer.insert_row(SCHEMA, (7, "A"))
             mini.kill(1)
             reply = mini.ask(GetSchema(req_id="g", table="records"))
             assert isinstance(reply, SchemaResult)
             assert reply.schema == SCHEMA
+            assert reply.rows == 1
             mini.kill(2)
             mini.kill(3)
             with pytest.raises(RemoteError) as e:
@@ -255,32 +279,11 @@ class TestHubRouting:
 
     def test_fetch_relay_reaches_exactly_t_servers(self, tmp_path):
         with MiniCluster(tmp_path) as mini:
-            mini.ask(CreateTable(req_id="c", schema=SCHEMA))
-            mini.ask(bundle(1, 10))
-            sink = socket.create_server(("127.0.0.1", 0))
-            sink.settimeout(5)
-            addr = f"127.0.0.1:{sink.getsockname()[1]}"
-            reply = mini.ask(
-                FetchToClient(req_id="f", table="records", attr="v", indices=[1],
-                              client_addr=addr)
-            )
-            assert isinstance(reply, Ack)
-            pushes = []
-            while len(pushes) < 2:
-                conn, _ = sink.accept()
-                conn.settimeout(5)
-                decoder = FrameDecoder(P)
-                while True:
-                    data = conn.recv(65536)
-                    if not data:
-                        break
-                    pushes.extend(decoder.feed(data))
-                conn.close()
-            sink.settimeout(0.3)
-            with pytest.raises(TimeoutError):
-                sink.accept()  # no third push
-            sink.close()
-            assert sorted(m.server_x for m in pushes) == [1, 2]
+            mini.dealer.create_table(SCHEMA)
+            mini.dealer.insert_row(SCHEMA, (7, "A"))
+            pushes = mini.relay_fetch("v", [1])
+            assert [m.server_x for m in pushes] == [1, 2]
+            assert all([r.index for r in m.rows] == [1] for m in pushes)
 
     def test_register_and_server_list(self, tmp_path):
         with MiniCluster(tmp_path) as mini:
@@ -301,6 +304,61 @@ class TestHubRouting:
             with pytest.raises(RemoteError) as e:
                 mini.ask(Register(req_id="r", server_id="s2", x_coord=3))
             assert e.value.code == protocol.SCHEMA_MISMATCH
+
+
+def _leaves(obj):
+    if isinstance(obj, dict):
+        for value in obj.values():
+            yield from _leaves(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _leaves(value)
+    else:
+        yield str(obj)
+
+
+def test_no_share_value_crosses_the_hub(monkeypatch):
+    """Information flow: every share stored on a server stays off the hub's wire.
+
+    Records every message the hub receives and answers, and every
+    request and reply it exchanges with a server, across a fixture load,
+    queries with all servers up, and a query with one server down.
+    """
+    recorded = []
+
+    def spy(original):
+        def wrapper(self, *args):
+            msg = args[-1]
+            recorded.append(protocol.encode_message(msg))
+            try:
+                reply = original(self, *args)
+            except Exception as exc:
+                recorded.append({"error": str(exc)})
+                raise
+            recorded.append(protocol.encode_message(reply))
+            return reply
+        return wrapper
+
+    monkeypatch.setattr(Hub, "handle", spy(Hub.handle))  # before the hub binds it
+    monkeypatch.setattr(Hub, "_ask", spy(Hub._ask))
+    hospital = "SELECT Patientname FROM patient_details WHERE Diagonosis = 'Aids'"
+    with TestCluster.start(3, 2, seed=31) as cluster:
+        cluster.load_fixture_patients()
+        assert len(cluster.query("SELECT * FROM patient_details").rows) == 4
+        assert cluster.query(hospital).rows == [["Ann"], ["Dona"]]
+        cluster.kill_server("s1")
+        assert cluster.query(hospital).rows == [["Ann"], ["Dona"]]
+        shares = set()
+        for sid in ("s1", "s2", "s3"):
+            for line in cluster.rows_log_bytes(sid, PATIENTS_TABLE).splitlines():
+                for vector in json.loads(line)["cells"].values():
+                    shares.update(vector)
+
+    assert shares and recorded
+    assert {"GET_SCHEMA", "FETCH_TO_CLIENT"} <= {m.get("type") for m in recorded}
+    seen = {leaf for msg in recorded for leaf in _leaves(msg)}
+    leaked = shares & seen
+    assert not leaked, f"{len(leaked)} of {len(shares)} stored share strings crossed the hub"
 
 
 def test_hub_module_never_touches_share_math():

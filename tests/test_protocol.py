@@ -13,17 +13,13 @@ from ssdb.encoding import Attribute, AttrType, TableSchema
 from ssdb.field import MERSENNE_61
 from ssdb.protocol import (
     Ack,
-    ColumnSet,
-    ColumnShares,
     CreateTable,
     DeliveredRow,
     DeliverShares,
     Error,
     FetchToClient,
     FrameDecoder,
-    GetColumn,
     GetSchema,
-    InsertBundle,
     InsertShares,
     ProtocolError,
     Register,
@@ -31,7 +27,6 @@ from ssdb.protocol import (
     SchemaResult,
     ServerList,
     SsdbError,
-    TaggedColumn,
     TcpService,
     decode_frame,
     decode_message,
@@ -51,26 +46,12 @@ SAMPLES = [
     Error(req_id="r2", code=protocol.NO_SUCH_TABLE, detail="no such table 'x'"),
     CreateTable(req_id="r3", schema=SCHEMA),
     InsertShares(req_id="r4", table="t", index=1, cells={"a": [5, P - 1], "b": [0]}),
-    InsertBundle(
-        req_id="r5",
-        table="t",
-        index=2,
-        per_server={"s1": {"a": [1]}, "s2": {"a": [2]}},
-    ),
-    GetColumn(req_id="r6", table="t", attr="a"),
-    ColumnShares(req_id="r7", index_list=[1, 2], cells=[[3], [4, 5]]),
-    ColumnSet(
-        req_id="r8",
-        columns=[
-            TaggedColumn(server_x=1, index_list=[1], cells=[[9]]),
-            TaggedColumn(server_x=3, index_list=[1], cells=[[11]]),
-        ],
-    ),
     GetSchema(req_id="r9", table="t"),
-    SchemaResult(req_id="r10", schema=SCHEMA),
+    SchemaResult(req_id="r10", schema=SCHEMA, rows=4),
     FetchToClient(
         req_id="r11", table="t", attr="a", indices=[1, 4], client_addr="127.0.0.1:9"
     ),
+    FetchToClient(req_id="r11b", table="t", attr="a", indices=None, client_addr="127.0.0.1:9"),
     DeliverShares(
         req_id="r12",
         table="t",
@@ -89,9 +70,9 @@ class TestFrameShape:
         assert frame[:4] == len(frame[4:]).to_bytes(4, "big")
 
     def test_payload_is_utf8_json_object(self):
-        frame = encode_frame(GetColumn(req_id="r", table="t", attr="a"))
+        frame = encode_frame(GetSchema(req_id="r", table="t"))
         obj = json.loads(frame[4:].decode("utf-8"))
-        assert obj["type"] == "GET_COLUMN"
+        assert obj["type"] == "GET_SCHEMA"
         assert obj["req_id"] == "r"
         assert obj["table"] == "t"
 
@@ -127,7 +108,10 @@ class TestFrameShape:
 
 
 class TestMessageCodec:
-    @pytest.mark.parametrize("msg", SAMPLES, ids=lambda m: m.type)
+    @pytest.mark.parametrize(
+        "msg", SAMPLES,
+        ids=lambda m: m.type + ("-every-row" if getattr(m, "indices", ()) is None else ""),
+    )
     def test_round_trip(self, msg):
         decoded, consumed = decode_frame(encode_frame(msg), P)
         assert consumed == len(encode_frame(msg))
@@ -179,6 +163,9 @@ class TestMessageCodec:
             with pytest.raises(ProtocolError):
                 decode_message({**base, "indices": bad}, P)
         assert decode_message({**base, "indices": []}, P).indices == []
+        # null or absent: every row
+        assert decode_message({**base, "indices": None}, P).indices is None
+        assert decode_message(base, P).indices is None
 
     def test_bool_rejected_where_int_expected(self):
         with pytest.raises(ProtocolError):
@@ -188,13 +175,14 @@ class TestMessageCodec:
                 P,
             )
 
-    def test_column_shares_alignment_enforced(self):
+    def test_schema_row_count_validation(self):
+        base = {"type": "SCHEMA_RESULT", "req_id": "r", "schema": SCHEMA.to_json_dict()}
+        assert decode_message({**base, "rows": 0}, P).rows == 0
+        for bad in (-1, True, "3", None):
+            with pytest.raises(ProtocolError):
+                decode_message({**base, "rows": bad}, P)
         with pytest.raises(ProtocolError):
-            decode_message(
-                {"type": "COLUMN_SHARES", "req_id": "r", "index_list": [1, 2],
-                 "cells": [["1"]]},
-                P,
-            )
+            decode_message(base, P)
 
     def test_bad_schema_payload_gets_schema_mismatch(self):
         with pytest.raises(ProtocolError) as e:

@@ -11,19 +11,18 @@ from ssdb.encoding import Attribute, AttrType, TableSchema
 from ssdb.field import MERSENNE_61
 from ssdb.protocol import (
     Ack,
-    ColumnShares,
     CreateTable,
     FetchToClient,
     FrameDecoder,
-    GetColumn,
     GetSchema,
-    InsertBundle,
     InsertShares,
     RemoteError,
     SchemaResult,
+    ServerList,
     SsdbError,
 )
 from ssdb.server import ServerStore, ShareServer
+from ssdb.testnet import TestCluster
 
 P = MERSENNE_61
 
@@ -43,16 +42,22 @@ def cells(k: int) -> dict:
     return {"pid": [100 + k], "name": [1, 65 + k]}
 
 
+def column(store, attr):
+    """(indices, share vectors) of every stored row."""
+    rows = store.rows_for("patients", attr, None)
+    return [r.index for r in rows], [r.elements for r in rows]
+
+
 class TestServerStore:
     def test_create_append_read(self, tmp_path):
         store = make_store(tmp_path)
         store.create_table(SCHEMA)
         store.append_row("patients", 1, cells(1))
         store.append_row("patients", 2, cells(2))
-        indices, col = store.column("patients", "pid")
+        indices, col = column(store, "pid")
         assert indices == [1, 2]
         assert col == [[101], [102]]
-        assert store.schema("patients") == SCHEMA
+        assert store.schema("patients") == (SCHEMA, 2)
 
     def test_replay_after_restart(self, tmp_path):
         store = make_store(tmp_path)
@@ -62,7 +67,7 @@ class TestServerStore:
         store.close()
 
         again = make_store(tmp_path)
-        indices, col = again.column("patients", "name")
+        indices, col = column(again, "name")
         assert indices == [1, 2, 3, 4, 5]
         assert col == [[1, 65 + k] for k in range(1, 6)]
         # appends continue at the right index
@@ -87,7 +92,7 @@ class TestServerStore:
         store.create_table(SCHEMA)
         store.append_row("patients", 1, cells(1))
         store.create_table(SCHEMA)  # no-op
-        assert store.column("patients", "pid")[0] == [1]
+        assert column(store, "pid")[0] == [1]
 
     def test_create_rejects_different_schema(self, tmp_path):
         store = make_store(tmp_path)
@@ -121,11 +126,14 @@ class TestServerStore:
     def test_unknown_table_and_attr(self, tmp_path):
         store = make_store(tmp_path)
         with pytest.raises(SsdbError) as e:
-            store.column("ghost", "pid")
+            store.rows_for("ghost", "pid", None)
+        assert e.value.code == protocol.NO_SUCH_TABLE
+        with pytest.raises(SsdbError) as e:
+            store.schema("ghost")
         assert e.value.code == protocol.NO_SUCH_TABLE
         store.create_table(SCHEMA)
         with pytest.raises(SsdbError) as e:
-            store.column("patients", "ghost")
+            store.rows_for("patients", "ghost", [])
         assert e.value.code == protocol.NO_SUCH_ATTR
 
     def test_rows_for(self, tmp_path):
@@ -136,9 +144,12 @@ class TestServerStore:
         rows = store.rows_for("patients", "pid", [3, 1])
         assert [(r.index, r.elements) for r in rows] == [(3, [103]), (1, [101])]
         assert store.rows_for("patients", "pid", []) == []
-        with pytest.raises(SsdbError) as e:
-            store.rows_for("patients", "pid", [9])
-        assert e.value.code == protocol.VALUE_RANGE
+        for bad in (0, 4, 9):
+            with pytest.raises(SsdbError) as e:
+                store.rows_for("patients", "pid", [bad])
+            assert e.value.code == protocol.VALUE_RANGE
+        every = store.rows_for("patients", "pid", None)
+        assert [(r.index, r.elements) for r in every] == [(1, [101]), (2, [102]), (3, [103])]
 
     def test_torn_trailing_record_is_truncated(self, tmp_path):
         store = make_store(tmp_path)
@@ -152,13 +163,13 @@ class TestServerStore:
         log_path.write_bytes(raw[:-10])  # tear the last record mid-line
 
         again = make_store(tmp_path)
-        indices, _ = again.column("patients", "pid")
+        indices, _ = column(again, "pid")
         assert indices == list(range(1, 100))  # 99 rows survive
         # the torn bytes are gone from disk: 99 whole lines remain
         on_disk = log_path.read_bytes()
         assert on_disk.endswith(b"\n") and on_disk.count(b"\n") == 99
         again.append_row("patients", 100, cells(100))
-        assert again.column("patients", "pid")[0] == list(range(1, 101))
+        assert column(again, "pid")[0] == list(range(1, 101))
         again.close()
 
     def test_corrupt_middle_record_drops_the_tail(self, tmp_path):
@@ -174,7 +185,7 @@ class TestServerStore:
         log_path.write_bytes(b"".join(lines))
 
         again = make_store(tmp_path)
-        assert again.column("patients", "pid")[0] == [1, 2, 3, 4]
+        assert column(again, "pid")[0] == [1, 2, 3, 4]
         again.close()
 
     def test_meta_file_pins_identity(self, tmp_path):
@@ -213,28 +224,50 @@ def ask(server, msg):
     return protocol.request(server.address, msg, p=P)
 
 
+def fetch(server, attr, indices, req_id="f"):
+    """Ask for a push of `attr` at `indices` and return the one push that lands."""
+    with socket.create_server(("127.0.0.1", 0)) as sink:
+        sink.settimeout(5)
+        addr = f"127.0.0.1:{sink.getsockname()[1]}"
+        reply = ask(
+            server,
+            FetchToClient(req_id=req_id, table="patients", attr=attr, indices=indices,
+                          client_addr=addr),
+        )
+        assert isinstance(reply, Ack)  # ack comes before the push lands
+        conn, _ = sink.accept()
+        with conn:
+            conn.settimeout(5)
+            decoder = FrameDecoder(P)
+            msgs = []
+            while not msgs:
+                msgs = decoder.feed(conn.recv(65536))
+    (push,) = msgs
+    return push
+
+
 class TestShareServerTcp:
     def test_insert_and_get_column(self, tmp_path):
         with LiveServer(tmp_path) as server:
             ask(server, CreateTable(req_id="c", schema=SCHEMA))
             ask(server, InsertShares(req_id="i1", table="patients", index=1, cells=cells(1)))
             ask(server, InsertShares(req_id="i2", table="patients", index=2, cells=cells(2)))
-            reply = ask(server, GetColumn(req_id="g", table="patients", attr="pid"))
-            assert isinstance(reply, ColumnShares)
-            assert reply.index_list == [1, 2]
-            assert reply.cells == [[101], [102]]
+            push = fetch(server, "pid", None)  # the whole column
+            assert [(r.index, r.elements) for r in push.rows] == [(1, [101]), (2, [102])]
             schema_reply = ask(server, GetSchema(req_id="s", table="patients"))
             assert isinstance(schema_reply, SchemaResult)
             assert schema_reply.schema == SCHEMA
+            assert schema_reply.rows == 2
 
     def test_error_codes_over_the_wire(self, tmp_path):
         with LiveServer(tmp_path) as server:
             with pytest.raises(RemoteError) as e:
-                ask(server, GetColumn(req_id="g", table="ghost", attr="a"))
+                ask(server, GetSchema(req_id="g", table="ghost"))
             assert e.value.code == protocol.NO_SUCH_TABLE
             ask(server, CreateTable(req_id="c", schema=SCHEMA))
             with pytest.raises(RemoteError) as e:
-                ask(server, GetColumn(req_id="g", table="patients", attr="ghost"))
+                ask(server, FetchToClient(req_id="g", table="patients", attr="ghost",
+                                          client_addr="127.0.0.1:1"))
             assert e.value.code == protocol.NO_SUCH_ATTR
             with pytest.raises(RemoteError) as e:
                 ask(server, InsertShares(req_id="i", table="patients", index=5, cells=cells(1)))
@@ -243,7 +276,7 @@ class TestShareServerTcp:
     def test_hub_only_message_rejected(self, tmp_path):
         with LiveServer(tmp_path) as server:
             with pytest.raises(RemoteError) as e:
-                ask(server, InsertBundle(req_id="b", table="t", index=1, per_server={}))
+                ask(server, ServerList(req_id="l"))
             assert e.value.code == protocol.INTERNAL
 
     def test_fetch_to_client_pushes_shares(self, tmp_path):
@@ -251,27 +284,7 @@ class TestShareServerTcp:
             ask(server, CreateTable(req_id="c", schema=SCHEMA))
             for k in range(1, 4):
                 ask(server, InsertShares(req_id=f"i{k}", table="patients", index=k, cells=cells(k)))
-
-            sink = socket.create_server(("127.0.0.1", 0))
-            sink.settimeout(5)
-            addr = f"127.0.0.1:{sink.getsockname()[1]}"
-            reply = ask(
-                server,
-                FetchToClient(
-                    req_id="f1", table="patients", attr="name", indices=[3, 1], client_addr=addr
-                ),
-            )
-            assert isinstance(reply, Ack)  # ack comes before the push lands
-
-            conn, _ = sink.accept()
-            conn.settimeout(5)
-            decoder = FrameDecoder(P)
-            msgs = []
-            while not msgs:
-                msgs = decoder.feed(conn.recv(65536))
-            conn.close()
-            sink.close()
-            (push,) = msgs
+            push = fetch(server, "name", [3, 1], req_id="f1")
             assert push.type == "DELIVER_SHARES"
             assert push.req_id == "f1"
             assert push.server_x == 1
@@ -293,32 +306,28 @@ class TestShareServerTcp:
     def test_empty_fetch_is_a_valid_push(self, tmp_path):
         with LiveServer(tmp_path) as server:
             ask(server, CreateTable(req_id="c", schema=SCHEMA))
-            sink = socket.create_server(("127.0.0.1", 0))
-            sink.settimeout(5)
-            addr = f"127.0.0.1:{sink.getsockname()[1]}"
-            ask(
-                server,
-                FetchToClient(
-                    req_id="f0", table="patients", attr="pid", indices=[], client_addr=addr
-                ),
-            )
-            conn, _ = sink.accept()
-            conn.settimeout(5)
-            decoder = FrameDecoder(P)
-            msgs = []
-            while not msgs:
-                msgs = decoder.feed(conn.recv(65536))
-            conn.close()
-            sink.close()
-            assert msgs[0].rows == []
+            assert fetch(server, "pid", []).rows == []
+            assert fetch(server, "pid", None).rows == []  # every row of an empty table
 
     def test_restart_replays_from_disk(self, tmp_path):
         with LiveServer(tmp_path) as server:
             ask(server, CreateTable(req_id="c", schema=SCHEMA))
             ask(server, InsertShares(req_id="i", table="patients", index=1, cells=cells(1)))
-            addr = server.address
-        # same data dir, same port, fresh process-equivalent
+        # same data dir, fresh process-equivalent
         with LiveServer(tmp_path) as server2:
-            reply = ask(server2, GetColumn(req_id="g", table="patients", attr="pid"))
-            assert reply.index_list == [1]
-            assert reply.cells == [[101]]
+            push = fetch(server2, "pid", None)
+            assert [(r.index, r.elements) for r in push.rows] == [(1, [101])]
+
+
+def test_daemon_thread_lists_stay_bounded():
+    """Finished connection and push threads are dropped, not kept forever."""
+    with TestCluster.start(3, 2, seed=9) as cluster:
+        cluster.load_fixture_patients()
+        for _ in range(50):
+            rs = cluster.query("SELECT Patientname FROM patient_details WHERE Diagonosis = 'Aids'")
+            assert rs.rows == [["Ann"], ["Dona"]]
+        for sid in cluster.live_server_ids():
+            server = cluster.handles[sid].server
+            assert len(server._service._threads) <= 10, sid
+            assert len(server._push_threads) <= 10, sid
+        assert len(cluster.hub._service._threads) <= 10
