@@ -18,18 +18,11 @@ from .client import (
     parse_query,
 )
 from .encoding import Attribute, AttrType, TableSchema, decode_value, encode_value
-from .field import MERSENNE_61, FieldElement, PrimeField, is_prime
+from .field import MERSENNE_61, is_prime
 from .hub import ClusterConfig, Hub, ServerInfo
 from .protocol import RemoteError, SsdbError
 from .server import ShareServer
-from .shamir import (
-    InsufficientSharesError,
-    SchemeParams,
-    Share,
-    lagrange_weights,
-    reconstruct,
-    split,
-)
+from .shamir import InsufficientSharesError, lagrange_weights, reconstruct, split
 from .testnet import TestCluster
 
 __version__ = "0.1.0"
@@ -40,19 +33,15 @@ __all__ = [
     "AttrType",
     "ClusterConfig",
     "Dealer",
-    "FieldElement",
     "Hub",
     "HubClient",
     "InsufficientSharesError",
     "Predicate",
-    "PrimeField",
     "Query",
     "QuerySyntaxError",
     "RemoteError",
     "ResultSet",
-    "SchemeParams",
     "ServerInfo",
-    "Share",
     "ShareServer",
     "SsdbError",
     "TableSchema",

@@ -17,12 +17,11 @@ import operator
 import socket
 import threading
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import protocol
 from .encoding import AttrType, TableSchema, decode_value, encode_value
-from .field import FieldElement, PrimeField
 from .hub import ClusterConfig
 from .protocol import (
     Ack,
@@ -35,7 +34,7 @@ from .protocol import (
     SchemaResult,
     SsdbError,
 )
-from .shamir import SchemeParams, lagrange_weights, split
+from .shamir import lagrange_weights, split
 
 log = logging.getLogger(__name__)
 
@@ -318,12 +317,7 @@ class Dealer:
         self.hub = hub
         self.config = config
         self.rng = rng
-        self.field = PrimeField(config.p)
-        self.params = SchemeParams(
-            n=config.n,
-            t=config.t,
-            x_coords=tuple(self.field.elem(s.x_coord) for s in config.servers),
-        )
+        self.xs = [s.x_coord for s in config.servers]
         self._next_index: dict[str, int] = {}
 
     def _write_all(self, build) -> None:
@@ -360,14 +354,14 @@ class Dealer:
         return self.hub.get_schema(schema.table_name).rows + 1
 
     def insert_row(self, schema: TableSchema, values) -> int:
-        """Share one row out to every server; returns the row index."""
+        """Split one row and write each server its shares; returns the row index."""
         values = list(values)
         if len(values) != len(schema.attributes):
             raise ValueError(
                 f"{schema.table_name!r} has {len(schema.attributes)} attributes, "
                 f"got {len(values)} values"
             )
-        cells = []  # (attr name, plain field elements) before splitting
+        cells = []  # (attr name, plain elements mod p) before splitting
         for attr, value in zip(schema.attributes, values):
             cells.append((attr.name, encode_value(attr.type, value, self.config.p)))
 
@@ -379,15 +373,16 @@ class Dealer:
         per_server: dict[str, dict[str, list[int]]] = {
             s.server_id: {} for s in self.config.servers
         }
+        t, p = self.config.t, self.config.p
         for name, elements in cells:
-            vectors: dict[str, list[int]] = {s.server_id: [] for s in self.config.servers}
-            for element in elements:
-                shares = split(self.field.elem(element), self.params, self.rng)
-                for info, share in zip(self.config.servers, shares):
-                    vectors[info.server_id].append(share.y.value)
+            columns = [split(element, self.xs, t, p, self.rng) for element in elements]
+            vectors = {
+                info.server_id: [ys[k] for ys in columns]
+                for k, info in enumerate(self.config.servers)
+            }
             for sid, vec in vectors.items():
                 per_server[sid][name] = vec
-            if self.config.t >= 2 and self.config.p > (1 << 32):
+            if t >= 2 and p > (1 << 32):
                 # near-zero odds of a share vector matching the plaintext
                 assert all(vec != elements for vec in vectors.values()), (
                     "refusing to send a share vector equal to the plaintext encoding"
@@ -413,8 +408,8 @@ class Dealer:
 class _PendingFetch:
     req_id: str
     needed: int
-    pushes: dict[int, DeliverShares] = dc_field(default_factory=dict)  # by server x
-    done: threading.Event = dc_field(default_factory=threading.Event)
+    pushes: dict[int, DeliverShares] = field(default_factory=dict)  # by server x
+    done: threading.Event = field(default_factory=threading.Event)
     error: Optional[SsdbError] = None
 
     def fail(self, error: SsdbError) -> None:
@@ -536,7 +531,7 @@ class ResultListener:
 
 
 def _reconstruct_matrix(
-    field: PrimeField,
+    p: int,
     tagged: list[tuple[int, list[list[int]]]],
     table: str,
     attr: str,
@@ -547,34 +542,24 @@ def _reconstruct_matrix(
     each row is the share vector for one cell. Returns plain element
     vectors in the same row order.
     """
-    xs = [field.elem(x) for x, _ in tagged]
     try:
-        weights = lagrange_weights(xs)
-    except ZeroDivisionError as exc:
-        raise SsdbError(protocol.DATA_CORRUPTION, f"duplicate share x-coordinates: {exc}") from exc
-    n_rows = len(tagged[0][1])
-    for x, rows in tagged:
-        if len(rows) != n_rows:
+        weights = lagrange_weights([x for x, _ in tagged], p)
+    except ValueError as exc:
+        raise SsdbError(protocol.DATA_CORRUPTION, f"{table!r}.{attr!r}: {exc}") from exc
+    columns = [rows for _, rows in tagged]
+    if any(len(rows) != len(columns[0]) for rows in columns):
+        raise SsdbError(
+            protocol.DATA_CORRUPTION,
+            f"{table!r}.{attr!r}: servers returned different row counts",
+        )
+    out = []
+    for cell in zip(*columns):  # one share vector per server
+        if any(len(vec) != len(cell[0]) for vec in cell):
             raise SsdbError(
                 protocol.DATA_CORRUPTION,
-                f"{table!r}.{attr!r}: servers returned different row counts",
+                f"{table!r}.{attr!r}: share vectors disagree on element count",
             )
-    out = []
-    for r in range(n_rows):
-        width = len(tagged[0][1][r])
-        for x, rows in tagged:
-            if len(rows[r]) != width:
-                raise SsdbError(
-                    protocol.DATA_CORRUPTION,
-                    f"{table!r}.{attr!r}: share vectors disagree on element count",
-                )
-        plain = []
-        for j in range(width):
-            acc = field.zero
-            for weight, (x, rows) in zip(weights, tagged):
-                acc = acc + weight * field.elem(rows[r][j])
-            plain.append(acc.value)
-        out.append(plain)
+        out.append([sum(map(operator.mul, weights, ys)) % p for ys in zip(*cell)])
     return out
 
 
@@ -611,7 +596,6 @@ def execute_query(
     """
     if isinstance(query, str):
         query = parse_query(query)
-    field = PrimeField(config.p)
     deadline = time.monotonic() + timeout
 
     schema = hub.get_schema(query.table).schema
@@ -654,7 +638,7 @@ def execute_query(
         # (a)+(b): t servers push every row of the condition column,
         # reconstructed locally
         pushes = listener.wait(fetch(0, cond_attr, None), deadline)
-        by_index = _assemble_pushes(field, schema, query.table, cond_attr, None, pushes)
+        by_index = _assemble_pushes(config, schema, query.table, cond_attr, None, pushes)
 
         # (c): plaintext predicate evaluation
         matched = evaluate_predicate(list(by_index.items()), predicate, cond_type)
@@ -668,7 +652,7 @@ def execute_query(
         for attr, pf in pending:
             pushes = listener.wait(pf, deadline)
             values_by_attr[attr] = _assemble_pushes(
-                field, schema, query.table, attr, matched, pushes
+                config, schema, query.table, attr, matched, pushes
             )
     finally:
         listener.close()
@@ -678,7 +662,7 @@ def execute_query(
 
 
 def _assemble_pushes(
-    field: PrimeField,
+    config: ClusterConfig,
     schema: TableSchema,
     table: str,
     attr: str,
@@ -687,9 +671,16 @@ def _assemble_pushes(
 ) -> dict[int, Value]:
     """Reconstruct one attribute from t delivery pushes, keyed by row index.
 
-    Every push must hold exactly the requested rows; for an every-row
-    fetch (matched None) they must all hold the same rows.
+    Every push must come from a configured x-coordinate and hold exactly
+    the requested rows; for an every-row fetch (matched None) they must
+    all hold the same rows.
     """
+    stray = sorted(set(pushes) - {s.x_coord for s in config.servers})
+    if stray:
+        raise SsdbError(
+            protocol.DATA_CORRUPTION,
+            f"{table!r}.{attr!r}: pushes from x={stray}, which no configured server has",
+        )
     if matched is None:
         matched = sorted(row.index for row in pushes[min(pushes)].rows)
     expected = set(matched)
@@ -705,7 +696,7 @@ def _assemble_pushes(
         by_idx = {row.index: list(row.elements) for row in msg.rows}
         tagged.append((x, [by_idx[i] for i in matched]))
     if matched:
-        plain = _reconstruct_matrix(field, tagged, table, attr)
+        plain = _reconstruct_matrix(config.p, tagged, table, attr)
     else:
         plain = []
     values = _decode_column(schema.attr_type(attr), plain, table, attr)

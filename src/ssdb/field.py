@@ -1,15 +1,12 @@
-"""Prime-field arithmetic underlying all shares.
+"""The default prime modulus and the primality check.
 
-Secrets and share values are residues mod a public prime p. The default
+Secrets and share values are plain ints mod a public prime p. The default
 modulus is the Mersenne prime 2^61 - 1: large enough that any 7-byte
 chunk (< 2^56) is a valid element, small enough that arithmetic stays in
 native-speed Python ints.
 """
 
 from __future__ import annotations
-
-import secrets
-from dataclasses import dataclass
 
 MERSENNE_61 = (1 << 61) - 1
 
@@ -41,91 +38,3 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-@dataclass(frozen=True, slots=True)
-class FieldElement:
-    """A canonical residue in GF(p).
-
-    Operators keep results canonical and refuse to mix moduli; inversion
-    of zero raises ZeroDivisionError.
-    """
-
-    value: int
-    p: int
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.p:
-            raise ValueError(f"{self.value} is not canonical mod {self.p}")
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.p != self.p:
-            raise ValueError(f"mixed moduli: {self.p} vs {other.p}")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        s = self.value + other.value
-        if s >= self.p:
-            s -= self.p
-        return FieldElement(s, self.p)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        s = self.value - other.value
-        if s < 0:
-            s += self.p
-        return FieldElement(s, self.p)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.value * other.value % self.p, self.p)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.p - self.value if self.value else 0, self.p)
-
-    def inv(self) -> "FieldElement":
-        """Multiplicative inverse via Fermat: a^(p-2) mod p."""
-        if self.value == 0:
-            raise ZeroDivisionError(f"no inverse of 0 in GF({self.p})")
-        return FieldElement(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-
-class PrimeField:
-    """GF(p) with p validated prime at construction."""
-
-    def __init__(self, p: int = MERSENNE_61):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-
-    def elem(self, value: int) -> FieldElement:
-        """Embed an integer, reducing mod p."""
-        return FieldElement(value % self.p, self.p)
-
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(0, self.p)
-
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(1 % self.p, self.p)
-
-    def random_element(self, rng=None) -> FieldElement:
-        """Uniform element; rng is any random.Random-alike (OS entropy if None)."""
-        if rng is None:
-            return FieldElement(secrets.randbelow(self.p), self.p)
-        return FieldElement(rng.randrange(self.p), self.p)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.p})"

@@ -1,13 +1,13 @@
 """Framed wire protocol spoken by dealer, hub, share servers, and client.
 
-Share values cross only two kinds of link: dealer to one server
+The values of shares cross only two kinds of link: dealer to one server
 (INSERT_SHARES, that server's cut of a row) and server to client
 (DELIVER_SHARES, pushed after a FETCH_TO_CLIENT). The hub carries
 control messages only.
 
 A frame is a 4-byte big-endian length followed by that many bytes of
 UTF-8 JSON; the JSON is an object carrying a "type" tag and a "req_id"
-that every response echoes verbatim. Share values travel as base-10
+that every response echoes verbatim. Those values travel as base-10
 decimal strings because 61-bit integers overflow the float64 range some
 JSON consumers use.
 """

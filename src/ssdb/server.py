@@ -1,4 +1,4 @@
-"""Share server: stores one coordinate's worth of every cell.
+"""The share server: stores one coordinate's worth of every cell.
 
 Holds the replicated schema, the plaintext index column, and for each
 cell the share vector evaluated at this server's x-coordinate. Rows are
@@ -42,7 +42,8 @@ _META_FILE = "server.json"
 class StoredTable:
     schema: TableSchema
     directory: Path
-    rows: list[dict[str, list[int]]] = field(default_factory=list)  # row i is rows[i - 1]
+    # row i is rows[i - 1]; each cell is its shares packed by ServerStore._pack
+    rows: list[dict[str, bytes]] = field(default_factory=list)
     log_file: Optional[object] = None
 
     @property
@@ -71,6 +72,7 @@ class ServerStore:
         self.server_id = server_id
         self.x_coord = x_coord
         self.p = p
+        self._width = (p.bit_length() + 7) // 8  # bytes per packed share
         self.tables: dict[str, StoredTable] = {}
         self._lock = threading.RLock()
 
@@ -118,7 +120,7 @@ class ServerStore:
                 record = json.loads(line)
                 index = record["index"]
                 cells = {
-                    attr: [self._parse_share(s) for s in vec]
+                    attr: self._pack([self._parse_share(s) for s in vec])
                     for attr, vec in record["cells"].items()
                 }
                 if index != len(table.rows) + 1:
@@ -145,6 +147,14 @@ class ServerStore:
         if v >= self.p:
             raise ValueError(f"share value {s} not below modulus {self.p}")
         return v
+
+    def _pack(self, vec: list[int]) -> bytes:
+        """Fixed-width big-endian shares: far less memory than a list of ints."""
+        return b"".join(v.to_bytes(self._width, "big") for v in vec)
+
+    def _unpack(self, packed: bytes) -> list[int]:
+        w = self._width
+        return [int.from_bytes(packed[i : i + w], "big") for i in range(0, len(packed), w)]
 
     def create_table(self, schema: TableSchema) -> None:
         with self._lock:
@@ -202,7 +212,7 @@ class ServerStore:
             table.log_file.write(line.encode("utf-8"))
             table.log_file.flush()
             os.fsync(table.log_file.fileno())
-            table.rows.append(cells)
+            table.rows.append({attr: self._pack(vec) for attr, vec in cells.items()})
 
     def rows_for(
         self, table_name: str, attr: str, indices: Optional[list[int]]
@@ -218,7 +228,8 @@ class ServerStore:
             for index in indices:
                 if not 1 <= index <= len(table.rows):
                     raise SsdbError(protocol.VALUE_RANGE, f"no row with index {index}")
-                rows.append(DeliveredRow(index=index, elements=table.rows[index - 1][attr]))
+                elements = self._unpack(table.rows[index - 1][attr])
+                rows.append(DeliveredRow(index=index, elements=elements))
             return rows
 
     def schema(self, table_name: str) -> tuple[TableSchema, int]:

@@ -1,138 +1,93 @@
-"""Threshold secret sharing over a prime field.
+"""Threshold secret sharing over the integers mod a prime p.
 
 A secret s becomes n points on a random polynomial of degree t-1 with
 constant term s. Any t points recover s exactly by Lagrange interpolation
 at zero; any t-1 points are statistically independent of s.
+
+Every value is a plain int. p, t and the holders' x-coordinates are
+validated once, by ClusterConfig; these functions trust them, except
+that lagrange_weights checks the x-coordinates it is handed, which at
+read time come from servers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import secrets
 from typing import Sequence
-
-from .field import FieldElement, PrimeField
 
 
 class InsufficientSharesError(ValueError):
     """Fewer shares supplied than the reconstruction threshold."""
 
 
-@dataclass(frozen=True, slots=True)
-class Share:
-    """One point (x, y) on a secret polynomial; x identifies the holder."""
-
-    x: FieldElement
-    y: FieldElement
-
-    def __post_init__(self):
-        if self.x.p != self.y.p:
-            raise ValueError(f"mixed moduli: {self.x.p} vs {self.y.p}")
-        if self.x.value == 0:
-            raise ValueError("share x must be nonzero (the secret lives at x=0)")
-
-
-@dataclass(frozen=True)
-class SchemeParams:
-    """(t, n) scheme over fixed x-coordinates, one per share holder.
-
-    Defaults assign x = 1..n so holder k always evaluates at its own
-    identity; reconstruction is then self-describing.
-    """
-
-    n: int
-    t: int
-    x_coords: tuple[FieldElement, ...]
-
-    def __post_init__(self):
-        if not 1 <= self.t <= self.n:
-            raise ValueError(f"need 1 <= t <= n, got t={self.t}, n={self.n}")
-        if len(self.x_coords) != self.n:
-            raise ValueError(f"expected {self.n} x-coordinates, got {len(self.x_coords)}")
-        p = self.x_coords[0].p
-        if self.n >= p:
-            raise ValueError(f"n={self.n} does not fit in GF({p})")
-        values = [x.value for x in self.x_coords]
-        if len(set(values)) != self.n:
-            raise ValueError("x-coordinates must be distinct")
-        if any(v == 0 for v in values):
-            raise ValueError("x-coordinates must be nonzero")
-        if any(x.p != p for x in self.x_coords):
-            raise ValueError("x-coordinates must share one modulus")
-
-    @classmethod
-    def with_default_coords(cls, n: int, t: int, field: PrimeField) -> "SchemeParams":
-        return cls(n=n, t=t, x_coords=tuple(field.elem(i) for i in range(1, n + 1)))
-
-
-def split(secret: FieldElement, params: SchemeParams, rng=None) -> list[Share]:
-    """Split a secret into n shares, one per params.x_coords entry.
+def split(secret: int, xs: Sequence[int], t: int, p: int, rng=None) -> list[int]:
+    """Split a secret into one share per x-coordinate.
 
     Args:
-        secret: Element of the scheme's field.
-        params: Validated (t, n) parameters.
+        secret: An int in [0, p).
+        xs: The holders' x-coordinates, distinct and nonzero mod p.
+        t: Reconstruction threshold; the polynomial has degree t-1.
+        p: The prime modulus.
         rng: random.Random-alike for the t-1 blinding coefficients;
             OS entropy when None.
 
     Returns:
-        Shares [(x_1, f(x_1)), ..., (x_n, f(x_n))] for a fresh polynomial
-        f of degree t-1 with f(0) = secret.
+        [f(x) for x in xs] for a fresh polynomial f of degree t-1 with
+        f(0) = secret.
     """
-    p = params.x_coords[0].p
-    if secret.p != p:
-        raise ValueError(f"secret modulus {secret.p} does not match scheme modulus {p}")
-    field = PrimeField(p)
-    coeffs = [secret] + [field.random_element(rng) for _ in range(params.t - 1)]
-    shares = []
-    for x in params.x_coords:
-        # Horner, highest degree first
-        y = field.zero
-        for c in reversed(coeffs):
-            y = y * x + c
-        shares.append(Share(x=x, y=y))
-    return shares
+    if not 0 <= secret < p:
+        raise ValueError(f"secret {secret} is not in [0, {p})")
+    draw = secrets.randbelow if rng is None else rng.randrange
+    coeffs = [secret] + [draw(p) for _ in range(t - 1)]
+    coeffs.reverse()  # Horner, highest degree first
+    ys = []
+    for x in xs:
+        y = 0
+        for c in coeffs:
+            y = (y * x + c) % p
+        ys.append(y)
+    return ys
 
 
-def lagrange_weights(x_coords: Sequence[FieldElement]) -> list[FieldElement]:
+def lagrange_weights(xs: Sequence[int], p: int) -> list[int]:
     """Lagrange basis evaluated at zero for the given x-coordinates.
 
     Applied to matching y values these weights yield f(0). They sum to 1
-    (they interpolate the constant polynomial 1 exactly).
+    mod p (they interpolate the constant polynomial 1 exactly).
+
+    Raises:
+        ValueError: no x-coordinates, or two equal or one zero mod p.
     """
-    if not x_coords:
+    if not xs:
         raise ValueError("need at least one x-coordinate")
-    values = [x.value for x in x_coords]
-    if len(set(values)) != len(values):
-        raise ValueError("duplicate x-coordinates")
+    xs = [x % p for x in xs]
+    if len(set(xs)) != len(xs):
+        raise ValueError(f"duplicate x-coordinates mod {p}")
+    if 0 in xs:
+        raise ValueError(f"x-coordinate is 0 mod {p} (the secret lives at x=0)")
     weights = []
-    for i, xi in enumerate(x_coords):
-        num = den = FieldElement(1 % xi.p, xi.p)
-        for j, xj in enumerate(x_coords):
-            if j == i:
-                continue
-            num = num * xj
-            den = den * (xj - xi)
-        weights.append(num * den.inv())
+    for i, xi in enumerate(xs):
+        num = den = 1
+        for j, xj in enumerate(xs):
+            if j != i:
+                num = num * xj % p
+                den = den * (xj - xi) % p
+        weights.append(num * pow(den, p - 2, p) % p)
     return weights
 
 
-def reconstruct(shares: Sequence[Share], params: SchemeParams) -> FieldElement:
-    """Recover f(0) from the first t of the supplied shares.
+def reconstruct(points: Sequence[tuple[int, int]], t: int, p: int) -> int:
+    """Recover f(0) from the first t of the supplied (x, y) points.
 
-    Exactly the first t shares are used, deterministically; extra shares
+    Exactly the first t points are used, deterministically; extra points
     are ignored and never cross-checked (there is no verifiability).
 
     Raises:
-        InsufficientSharesError: fewer than t shares.
-        ValueError: duplicate x-coordinates among the shares used.
+        InsufficientSharesError: fewer than t points.
+        ValueError: duplicate or zero x-coordinates among the points used.
     """
-    if len(shares) < params.t:
-        raise InsufficientSharesError(
-            f"got {len(shares)} shares, threshold is {params.t}"
-        )
-    used = list(shares[: params.t])
-    weights = lagrange_weights([s.x for s in used])
-    p = used[0].x.p
-    acc = FieldElement(0, p)
-    for w, s in zip(weights, used):
-        acc = acc + w * s.y
-    return acc
+    if len(points) < t:
+        raise InsufficientSharesError(f"got {len(points)} shares, threshold is {t}")
+    used = points[:t]
+    weights = lagrange_weights([x for x, _ in used], p)
+    return sum(w * y for w, (_, y) in zip(weights, used)) % p

@@ -15,7 +15,7 @@ import pytest
 from ssdb import protocol
 from ssdb.client import parse_query
 from ssdb.encoding import Attribute, AttrType, TableSchema
-from ssdb.field import MERSENNE_61, PrimeField
+from ssdb.field import MERSENNE_61
 from ssdb.protocol import (
     Ack,
     CreateTable,
@@ -32,7 +32,7 @@ from ssdb.protocol import (
     SsdbError,
     encode_frame,
 )
-from ssdb.shamir import SchemeParams, split, reconstruct
+from ssdb.shamir import split, reconstruct
 from ssdb.testnet import TestCluster
 
 P = MERSENNE_61
@@ -93,13 +93,11 @@ class ScriptedRng:
 @pytest.mark.acceptance(criterion=3, name="below-threshold shares reveal nothing")
 def test_one_share_is_independent_of_the_secret():
     started = time.monotonic()
-    field = PrimeField(17)
-    params = SchemeParams.with_default_coords(2, 2, field)
     counts = Counter()
     for secret in range(17):
         for coeff in range(17):
-            shares = split(field.elem(secret), params, ScriptedRng([coeff]))
-            counts[(shares[0].y.value, secret)] += 1
+            ys = split(secret, [1, 2], 2, 17, ScriptedRng([coeff]))
+            counts[(ys[0], secret)] += 1
     # every (observed share, candidate secret) pair comes from exactly one
     # polynomial: seeing y at x=1 leaves all 17 secrets equally likely
     assert len(counts) == 17 * 17
@@ -110,15 +108,13 @@ def test_one_share_is_independent_of_the_secret():
 @pytest.mark.acceptance(criterion=4, name="every share subset reconstructs alike")
 def test_all_subsets_reconstruct_identically():
     started = time.monotonic()
-    field = PrimeField(P)
-    params = SchemeParams.with_default_coords(5, 3, field)
+    xs = [1, 2, 3, 4, 5]
     rng = random.Random(2024)
     for _ in range(200):
         secret = rng.randrange(P)
-        shares = split(field.elem(secret), params, rng)
+        shares = list(zip(xs, split(secret, xs, 3, P, rng)))
         results = {
-            reconstruct(list(subset), params).value
-            for subset in itertools.combinations(shares, 3)
+            reconstruct(list(subset), 3, P) for subset in itertools.combinations(shares, 3)
         }
         assert results == {secret}
     assert time.monotonic() - started < 5.0

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from ssdb import protocol
+from ssdb import field, protocol
 from ssdb.client import (
     Dealer,
     HubClient,
@@ -19,7 +19,7 @@ from ssdb.client import (
     parse_query,
 )
 from ssdb.encoding import Attribute, AttrType, TableSchema, encode_value
-from ssdb.field import MERSENNE_61, PrimeField
+from ssdb.field import MERSENNE_61
 from ssdb.hub import ClusterConfig, ServerInfo
 from ssdb.protocol import (
     Ack,
@@ -29,7 +29,7 @@ from ssdb.protocol import (
     SchemaResult,
     SsdbError,
 )
-from ssdb.shamir import SchemeParams, Share, reconstruct
+from ssdb.shamir import reconstruct, split
 from ssdb.testnet import PATIENTS_SCHEMA, TestCluster
 
 P = MERSENNE_61
@@ -231,19 +231,15 @@ class TestDealer:
         (table, index, per_server) = hub.bundles()[0]
         assert table == "t" and index == 1
 
-        field = PrimeField(P)
-        params = SchemeParams.with_default_coords(3, 2, field)
         for attr, value in zip(SCHEMA2.attributes, values):
             plain = encode_value(attr.type, value, P)
             vectors = {sid: per_server[sid][attr.name] for sid in per_server}
             assert all(len(vec) == len(plain) for vec in vectors.values())
             # independent check: the shares really interpolate back
             for j, element in enumerate(plain):
-                shares = [
-                    Share(field.elem(k), field.elem(vectors[f"s{k}"][j])) for k in (1, 2, 3)
-                ]
-                assert reconstruct(shares[:2], params).value == element
-                assert reconstruct(shares[1:], params).value == element
+                shares = [(k, vectors[f"s{k}"][j]) for k in (1, 2, 3)]
+                assert reconstruct(shares[:2], 2, P) == element
+                assert reconstruct(shares[1:], 2, P) == element
 
     def test_no_plaintext_encoding_leaves_the_dealer(self, fake):
         hub, dealer = fake
@@ -503,3 +499,40 @@ class TestQueryFailureModes:
             with pytest.raises(SsdbError) as e:
                 cluster.query("SELECT v FROM w")
             assert e.value.code == protocol.DATA_CORRUPTION
+
+    @pytest.mark.parametrize("stray_x", [P + 1, 7], ids=["x=p+1", "x=7"])
+    def test_push_from_unconfigured_x_is_corruption(self, patients, stray_x):
+        # two well-formed pushes whose shares interpolate cleanly: one from
+        # s1's x=1, one from an x no configured server has (p+1 is 1 mod p)
+        ys = [split(e, [1, stray_x], 2, P) for e in encode_value(AttrType.INTEGER, 101, P)]
+
+        class StrayHub(HubClient):
+            def fetch_to_client(self, table, attr, indices, client_addr, req_id):
+                addr = protocol.parse_addr(client_addr)
+                for k, x in enumerate((1, stray_x)):  # one row, every-row fetch
+                    rows = [DeliveredRow(1, [y[k] for y in ys])]
+                    protocol.push(addr, DeliverShares(
+                        req_id=req_id, table=table, attr=attr, server_x=x, rows=rows,
+                    ))
+
+        hub = StrayHub(patients.hub.addr_str, p=P)
+        with pytest.raises(SsdbError) as e:
+            execute_query("SELECT Patientid FROM patient_details", hub, patients.config)
+        assert e.value.code == protocol.DATA_CORRUPTION
+
+
+def test_hot_path_never_tests_primality(monkeypatch):
+    """p is checked once, by ClusterConfig; inserts and queries never re-check it."""
+    with TestCluster.start(3, 2, seed=19) as cluster:
+        cluster.create_table(PATIENTS_SCHEMA)
+        calls = []
+        real = field.is_prime
+        monkeypatch.setattr(field, "is_prime", lambda n: calls.append(n) or real(n))
+        for row in ((1, "Ann", 5, "Aids"), (2, "Bo", 6, "Flu"), (3, "Cy", 5, "Aids")):
+            cluster.dealer.insert_row(PATIENTS_SCHEMA, row)
+        rs = execute_query(
+            "SELECT Patientname FROM patient_details WHERE Doctorid = 5",
+            cluster.hub_client, cluster.config,
+        )
+        assert rs.rows == [["Ann"], ["Cy"]]
+        assert calls == []

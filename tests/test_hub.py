@@ -11,7 +11,7 @@ import pytest
 from ssdb import protocol
 from ssdb.client import Dealer, HubClient, execute_query
 from ssdb.encoding import Attribute, AttrType, TableSchema
-from ssdb.field import MERSENNE_61, PrimeField
+from ssdb.field import MERSENNE_61
 from ssdb.hub import ClusterConfig, Hub, ServerInfo
 from ssdb.protocol import (
     Ack,
@@ -27,7 +27,7 @@ from ssdb.protocol import (
     SsdbError,
 )
 from ssdb.server import ShareServer
-from ssdb.shamir import SchemeParams, Share, reconstruct
+from ssdb.shamir import reconstruct
 from ssdb.testnet import PATIENTS_TABLE, TestCluster
 
 P = MERSENNE_61
@@ -191,11 +191,9 @@ class TestHubRouting:
             assert [[index for index, _ in cut] for cut in cuts] == [[1], [1], [1]]
             ys = [cut[0][1][0] for cut in cuts]
             assert len(set(ys)) == 3  # each server holds only its own share
-            field = PrimeField(P)
-            params = SchemeParams.with_default_coords(3, 2, field)
-            shares = [Share(field.elem(x), field.elem(y)) for x, y in zip((1, 2, 3), ys)]
+            shares = list(zip((1, 2, 3), ys))
             for pair in ((0, 1), (1, 2), (0, 2)):
-                assert reconstruct([shares[i] for i in pair], params).value == 7
+                assert reconstruct([shares[i] for i in pair], 2, P) == 7
 
     def test_get_column_returns_t_tagged_columns(self, tmp_path):
         with MiniCluster(tmp_path) as mini:
