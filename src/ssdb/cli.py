@@ -38,10 +38,6 @@ def _load_config(args) -> ClusterConfig:
     return ClusterConfig.load(path)
 
 
-def _hub_client(args, config: ClusterConfig) -> HubClient:
-    return HubClient(args.hub, p=config.p)
-
-
 def _parse_values(schema: TableSchema, raw: list[str]) -> list:
     if len(raw) != len(schema.attributes):
         raise ValueError(
@@ -94,8 +90,7 @@ def _cmd_server(args) -> int:
         raise ValueError(f"server id {args.id!r} is not in the cluster file") from None
     listen = protocol.parse_addr(args.listen or info.address)
     server = ShareServer(
-        info.server_id, info.x_coord, args.data_dir, listen=listen,
-        p=config.p, hub_addr=args.hub,
+        info.server_id, info.x_coord, args.data_dir, listen=listen, p=config.p,
     )
     server.start()
     print(f"server {info.server_id} (x={info.x_coord}) listening on {server.addr_str}", flush=True)
@@ -137,7 +132,7 @@ def _cmd_create_table(args) -> int:
 
 def _cmd_insert(args) -> int:
     config = _load_config(args)
-    hub = _hub_client(args, config)
+    hub = HubClient(args.hub, p=config.p)
     schema = hub.get_schema(args.table).schema
     values = _parse_values(schema, args.values)
     index = Dealer(hub, config).insert_row(schema, values)
@@ -147,7 +142,7 @@ def _cmd_insert(args) -> int:
 
 def _cmd_load_csv(args) -> int:
     config = _load_config(args)
-    hub = _hub_client(args, config)
+    hub = HubClient(args.hub, p=config.p)
     schema = hub.get_schema(args.table).schema
     with open(args.file, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -170,7 +165,7 @@ def _cmd_load_csv(args) -> int:
 
 def _cmd_query(args) -> int:
     config = _load_config(args)
-    hub = _hub_client(args, config)
+    hub = HubClient(args.hub, p=config.p)
     listen = protocol.parse_addr(args.listen)
     result = execute_query(
         args.query, hub, config,
@@ -215,7 +210,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--id", required=True, help="server id from the cluster file")
     p.add_argument("--data-dir", required=True)
     p.add_argument("--listen", help="host:port (default: the configured address)")
-    p.add_argument("--hub", help="announce to this hub on startup")
     p.set_defaults(func=_cmd_server)
 
     p = sub.add_parser("hub", help="run the routing hub")

@@ -293,12 +293,6 @@ class HubClient:
         )
         self._call(msg, Ack)
 
-    def server_list(self) -> list[dict]:
-        reply = self._call(
-            protocol.ServerList(req_id=protocol.new_req_id()), protocol.ServerList
-        )
-        return reply.servers
-
 
 # --- dealer (insert path) ---------------------------------------------------
 
@@ -489,8 +483,7 @@ class ResultListener:
             previous = pf.pushes.get(msg.server_x)
             if previous is not None:
                 # a resend must agree with itself, otherwise someone is lying
-                same = protocol.encode_message(previous) == protocol.encode_message(msg)
-                if not same:
+                if previous != msg:
                     pf.fail(
                         SsdbError(
                             protocol.DATA_CORRUPTION,

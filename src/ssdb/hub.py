@@ -1,31 +1,26 @@
 """Control-plane hub for the share servers, and the cluster topology.
 
-Knows every server's address and x-coordinate and tracks liveness. It
-answers schema reads from the first live server and relays each
-FETCH_TO_CLIENT to the first t live servers, which push their shares
-straight to the client. Writes go from the dealer to each server
-directly, so no share value ever passes through the hub.
+Knows every server's address and x-coordinate. It answers schema reads
+from the first reachable server and relays each FETCH_TO_CLIENT to the
+first t reachable servers, which push their shares straight to the
+client. Writes go from the dealer to each server directly, so no share
+value ever passes through the hub.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from . import protocol
-from .field import MERSENNE_61, is_prime
+from .field import is_prime
 from .protocol import (
     Ack,
     FetchToClient,
     GetSchema,
-    Register,
     SchemaResult,
-    ServerList,
     SsdbError,
     TcpService,
 )
@@ -105,7 +100,7 @@ class ClusterConfig:
 
 
 class Hub:
-    """Single-process control plane; holds addresses and liveness, never shares."""
+    """Single-process control plane; holds server addresses, never shares."""
 
     def __init__(
         self,
@@ -118,9 +113,7 @@ class Hub:
         self.config = config
         self.connect_timeout = connect_timeout
         self.response_timeout = response_timeout
-        self.last_seen: dict[str, Optional[float]] = {s.server_id: None for s in config.servers}
         self._service = TcpService(listen[0], listen[1], self.handle, p=config.p, name="hub")
-        self._lock = threading.Lock()
 
     def start(self) -> None:
         self._service.start()
@@ -139,16 +132,14 @@ class Hub:
     # --- server RPC --------------------------------------------------------
 
     def _ask(self, info: ServerInfo, msg):
-        """One exchange with one server; updates liveness on the way."""
-        reply = protocol.request(
+        """One exchange with one server."""
+        return protocol.request(
             protocol.parse_addr(info.address),
             msg,
             p=self.config.p,
             connect_timeout=self.connect_timeout,
             response_timeout=self.response_timeout,
         )
-        self.last_seen[info.server_id] = time.time()
-        return reply
 
     # --- handlers -----------------------------------------------------------
 
@@ -157,10 +148,6 @@ class Hub:
             return self.fetch_schema(msg)
         if isinstance(msg, FetchToClient):
             return self.relay_fetch_to_client(msg)
-        if isinstance(msg, Register):
-            return self.register(msg)
-        if isinstance(msg, ServerList):
-            return self.server_list(msg)
         raise SsdbError(protocol.INTERNAL, f"{msg.type} is not handled by the hub")
 
     def _ask_until(self, msg, needed: int) -> list:
@@ -175,7 +162,6 @@ class Hub:
                 replies.append(self._ask(info, msg))
             except OSError as exc:
                 log.info("hub: server %s unreachable: %s", info.server_id, exc)
-                self.last_seen[info.server_id] = None
                 continue
             if len(replies) == needed:
                 return replies
@@ -194,31 +180,3 @@ class Hub:
         """Instruct t live servers to push the requested cells to the client."""
         self._ask_until(msg, self.config.t)
         return Ack()
-
-    def register(self, msg: Register) -> Ack:
-        try:
-            info = self.config.server_by_id(msg.server_id)
-        except KeyError:
-            raise SsdbError(
-                protocol.SCHEMA_MISMATCH, f"server id {msg.server_id!r} is not in the cluster"
-            ) from None
-        if info.x_coord != msg.x_coord:
-            raise SsdbError(
-                protocol.SCHEMA_MISMATCH,
-                f"server {msg.server_id!r} registered x={msg.x_coord}, config says {info.x_coord}",
-            )
-        self.last_seen[msg.server_id] = time.time()
-        return Ack()
-
-    def server_list(self, msg: ServerList) -> ServerList:
-        return ServerList(
-            servers=[
-                {
-                    "server_id": s.server_id,
-                    "x_coord": s.x_coord,
-                    "address": s.address,
-                    "last_seen": self.last_seen[s.server_id],
-                }
-                for s in self.config.servers
-            ]
-        )

@@ -1,19 +1,24 @@
 """Framed wire protocol spoken by dealer, hub, share servers, and client.
 
-The values of shares cross only two kinds of link: dealer to one server
-(INSERT_SHARES, that server's cut of a row) and server to client
-(DELIVER_SHARES, pushed after a FETCH_TO_CLIENT). The hub carries
-control messages only.
+Eight message types make up the whole contract. The values of shares
+cross only two kinds of link: dealer to one server (INSERT_SHARES, that
+server's cut of a row) and server to client (DELIVER_SHARES, pushed
+after a FETCH_TO_CLIENT). The hub carries control messages only.
 
 A frame is a 4-byte big-endian length followed by that many bytes of
 UTF-8 JSON; the JSON is an object carrying a "type" tag and a "req_id"
-that every response echoes verbatim. Those values travel as base-10
+that every response echoes verbatim. Share values travel as base-10
 decimal strings because 61-bit integers overflow the float64 range some
 JSON consumers use.
+
+Each message type is a dataclass that declares its payload fields once,
+each with a `Kind`: the field's JSON type, encoding, checks and error
+code. One generic encode_message/decode_message walks those fields.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import secrets
@@ -75,26 +80,33 @@ def parse_addr(addr: str) -> tuple[str, int]:
     return host, int(port)
 
 
-# --- payload field helpers -------------------------------------------------
+# --- field kinds -----------------------------------------------------------
 
-def _get(fields: dict, key: str, kind, code: str = INTERNAL):
-    if key not in fields:
-        raise ProtocolError(code, f"missing field {key!r}")
-    value = fields[key]
-    if kind is int and isinstance(value, bool):
-        raise ProtocolError(code, f"field {key!r} must be an integer")
-    if not isinstance(value, kind):
-        raise ProtocolError(code, f"field {key!r} has wrong type {type(value).__name__}")
-    return value
+@dataclass(frozen=True)
+class Kind:
+    """How one payload field travels: its JSON type, encoding and checks.
+
+    A field that is missing or arrives as another JSON type fails with
+    `code`; `load` converts the JSON value and checks its content.
+    """
+
+    json_type: type
+    empty: Callable  # builds the field's default value
+    dump: Callable = lambda value: value  # value -> JSON
+    load: Callable = lambda value, p: value  # (JSON, p) -> value
+    code: str = INTERNAL
+    nullable: bool = False  # null or absent decodes to None
 
 
-def _shares_out(values: list[int]) -> list[str]:
-    return [str(v) for v in values]
+def _at_least(low: int) -> Callable:
+    def load(value: int, p: int) -> int:
+        if value < low:
+            raise ProtocolError(VALUE_RANGE, f"{value} must be >= {low}")
+        return value
+    return load
 
 
-def _shares_in(values, p: int) -> list[int]:
-    if not isinstance(values, list):
-        raise ProtocolError(INTERNAL, "share vector must be a list")
+def _shares_in(values: list, p: int) -> list[int]:
     out = []
     for s in values:
         if not isinstance(s, str) or not s.isascii() or not s.isdigit():
@@ -106,43 +118,96 @@ def _shares_in(values, p: int) -> list[int]:
     return out
 
 
-def _cells_out(cells: dict[str, list[int]]) -> dict[str, list[str]]:
-    return {attr: _shares_out(vec) for attr, vec in cells.items()}
-
-
-def _cells_in(cells, p: int) -> dict[str, list[int]]:
-    if not isinstance(cells, dict):
-        raise ProtocolError(INTERNAL, "cells must be an object")
-    out = {}
-    for attr, vec in cells.items():
-        if not isinstance(attr, str):
-            raise ProtocolError(INTERNAL, "cell keys must be attribute names")
-        out[attr] = _shares_in(vec, p)
-    return out
-
-
-def _indices_in(values) -> list[int]:
-    if not isinstance(values, list):
-        raise ProtocolError(INTERNAL, "index list must be a list")
+def _indices_in(values: list, p: int) -> list[int]:
     for v in values:
         if isinstance(v, bool) or not isinstance(v, int) or v < 1:
             raise ProtocolError(VALUE_RANGE, f"row index {v!r} must be a positive integer")
     return list(values)
 
 
-def _schema_in(obj) -> TableSchema:
+def _schema_in(obj: dict, p: int) -> TableSchema:
     try:
         return TableSchema.from_json_dict(obj)
     except ValueError as exc:
         raise ProtocolError(SCHEMA_MISMATCH, str(exc)) from exc
 
 
-# --- message kinds ---------------------------------------------------------
+STR = Kind(str, empty=str)
+COUNT = Kind(int, empty=int, load=_at_least(0))
+POSITIVE = Kind(int, empty=int, load=_at_least(1))
+SHARES = Kind(list, empty=list, dump=lambda vec: [str(v) for v in vec], load=_shares_in)
+CELLS = Kind(
+    dict,
+    empty=dict,
+    dump=lambda cells: {attr: SHARES.dump(vec) for attr, vec in cells.items()},
+    load=lambda cells, p: {attr: read_field(cells, attr, SHARES, p) for attr in cells},
+)
+INDICES = Kind(list, empty=lambda: None, load=_indices_in, nullable=True)
+SCHEMA = Kind(
+    dict,
+    empty=lambda: None,
+    dump=TableSchema.to_json_dict,
+    load=_schema_in,
+    code=SCHEMA_MISMATCH,
+)
+
+
+def _wire(kind: Kind, default=None):
+    """Declare one payload field; its kind encodes and checks it."""
+    empty = kind.empty if default is None else lambda: default
+    return field(default_factory=empty, metadata={"kind": kind})
+
+
+def read_field(obj: dict, name: str, kind: Kind, p: int):
+    """Decode obj[name] as `kind`, or raise ProtocolError."""
+    value = obj.get(name)
+    if value is None:
+        if kind.nullable:
+            return None
+        if name not in obj:
+            raise ProtocolError(kind.code, f"missing field {name!r}")
+    if isinstance(value, bool) or not isinstance(value, kind.json_type):
+        raise ProtocolError(kind.code, f"field {name!r} has wrong type {type(value).__name__}")
+    try:
+        return kind.load(value, p)
+    except ProtocolError as exc:
+        raise ProtocolError(exc.code, f"field {name!r}: {exc.detail}") from None
+
+
+@dataclass
+class DeliveredRow:
+    index: int
+    elements: list[int]
+
+
+def _rows_in(entries: list, p: int) -> list[DeliveredRow]:
+    rows = []
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise ProtocolError(INTERNAL, "row entry must be an object")
+        index = read_field(entry, "index", POSITIVE, p)
+        rows.append(DeliveredRow(index, read_field(entry, "elements", SHARES, p)))
+    return rows
+
+
+ROWS = Kind(
+    list,
+    empty=list,
+    dump=lambda rows: [{"index": r.index, "elements": [str(v) for v in r.elements]} for r in rows],
+    load=_rows_in,
+)
+
+
+# --- message types ---------------------------------------------------------
 
 _MESSAGE_TYPES: dict[str, type] = {}
 
 
 def _register(cls):
+    """Record a message type and its declared payload fields, in wire order."""
+    cls.wire = tuple(
+        (f.name, f.metadata["kind"]) for f in dataclasses.fields(cls) if "kind" in f.metadata
+    )
     _MESSAGE_TYPES[cls.type] = cls
     return cls
 
@@ -151,45 +216,24 @@ def _register(cls):
 @dataclass
 class Ack:
     type: ClassVar[str] = "ACK"
-    req_id: str = ""
-
-    def payload_fields(self) -> dict:
-        return {}
-
-    @classmethod
-    def from_payload(cls, fields: dict, p: int) -> "Ack":
-        return cls()
+    req_id: str = _wire(STR)
 
 
 @_register
 @dataclass
 class Error:
     type: ClassVar[str] = "ERROR"
-    req_id: str = ""
-    code: str = INTERNAL
-    detail: str = ""
-
-    def payload_fields(self) -> dict:
-        return {"code": self.code, "detail": self.detail}
-
-    @classmethod
-    def from_payload(cls, fields: dict, p: int) -> "Error":
-        return cls(code=_get(fields, "code", str), detail=_get(fields, "detail", str))
+    req_id: str = _wire(STR)
+    code: str = _wire(STR, INTERNAL)
+    detail: str = _wire(STR)
 
 
 @_register
 @dataclass
 class CreateTable:
     type: ClassVar[str] = "CREATE_TABLE"
-    req_id: str = ""
-    schema: TableSchema = None
-
-    def payload_fields(self) -> dict:
-        return {"schema": self.schema.to_json_dict()}
-
-    @classmethod
-    def from_payload(cls, fields: dict, p: int) -> "CreateTable":
-        return cls(schema=_schema_in(_get(fields, "schema", dict, SCHEMA_MISMATCH)))
+    req_id: str = _wire(STR)
+    schema: TableSchema = _wire(SCHEMA)
 
 
 @_register
@@ -198,39 +242,18 @@ class InsertShares:
     """One server's cut of a row: attr -> share vector at that server's x."""
 
     type: ClassVar[str] = "INSERT_SHARES"
-    req_id: str = ""
-    table: str = ""
-    index: int = 0
-    cells: dict[str, list[int]] = field(default_factory=dict)
-
-    def payload_fields(self) -> dict:
-        return {"table": self.table, "index": self.index, "cells": _cells_out(self.cells)}
-
-    @classmethod
-    def from_payload(cls, fields: dict, p: int) -> "InsertShares":
-        index = _get(fields, "index", int)
-        if index < 1:
-            raise ProtocolError(VALUE_RANGE, f"row index {index} must be >= 1")
-        return cls(
-            table=_get(fields, "table", str),
-            index=index,
-            cells=_cells_in(_get(fields, "cells", dict), p),
-        )
+    req_id: str = _wire(STR)
+    table: str = _wire(STR)
+    index: int = _wire(POSITIVE)
+    cells: dict[str, list[int]] = _wire(CELLS)
 
 
 @_register
 @dataclass
 class GetSchema:
     type: ClassVar[str] = "GET_SCHEMA"
-    req_id: str = ""
-    table: str = ""
-
-    def payload_fields(self) -> dict:
-        return {"table": self.table}
-
-    @classmethod
-    def from_payload(cls, fields: dict, p: int) -> "GetSchema":
-        return cls(table=_get(fields, "table", str))
+    req_id: str = _wire(STR)
+    table: str = _wire(STR)
 
 
 @_register
@@ -239,19 +262,9 @@ class SchemaResult:
     """A table's schema and its stored row count; both are public."""
 
     type: ClassVar[str] = "SCHEMA_RESULT"
-    req_id: str = ""
-    schema: TableSchema = None
-    rows: int = 0
-
-    def payload_fields(self) -> dict:
-        return {"schema": self.schema.to_json_dict(), "rows": self.rows}
-
-    @classmethod
-    def from_payload(cls, fields: dict, p: int) -> "SchemaResult":
-        rows = _get(fields, "rows", int)
-        if rows < 0:
-            raise ProtocolError(VALUE_RANGE, f"row count {rows} must be >= 0")
-        return cls(schema=_schema_in(_get(fields, "schema", dict, SCHEMA_MISMATCH)), rows=rows)
+    req_id: str = _wire(STR)
+    schema: TableSchema = _wire(SCHEMA)
+    rows: int = _wire(COUNT)
 
 
 @_register
@@ -265,34 +278,11 @@ class FetchToClient:
     """
 
     type: ClassVar[str] = "FETCH_TO_CLIENT"
-    req_id: str = ""
-    table: str = ""
-    attr: str = ""
-    indices: Optional[list[int]] = None
-    client_addr: str = ""
-
-    def payload_fields(self) -> dict:
-        return {
-            "table": self.table,
-            "attr": self.attr,
-            "indices": self.indices,
-            "client_addr": self.client_addr,
-        }
-
-    @classmethod
-    def from_payload(cls, fields: dict, p: int) -> "FetchToClient":
-        return cls(
-            table=_get(fields, "table", str),
-            attr=_get(fields, "attr", str),
-            indices=None if fields.get("indices") is None else _indices_in(fields["indices"]),
-            client_addr=_get(fields, "client_addr", str),
-        )
-
-
-@dataclass
-class DeliveredRow:
-    index: int
-    elements: list[int]
+    req_id: str = _wire(STR)
+    table: str = _wire(STR)
+    attr: str = _wire(STR)
+    indices: Optional[list[int]] = _wire(INDICES)
+    client_addr: str = _wire(STR)
 
 
 @_register
@@ -301,82 +291,17 @@ class DeliverShares:
     """Server push to the client listener: its share of the requested cells."""
 
     type: ClassVar[str] = "DELIVER_SHARES"
-    req_id: str = ""
-    table: str = ""
-    attr: str = ""
-    server_x: int = 0
-    rows: list[DeliveredRow] = field(default_factory=list)
-
-    def payload_fields(self) -> dict:
-        return {
-            "table": self.table,
-            "attr": self.attr,
-            "server_x": self.server_x,
-            "rows": [{"index": r.index, "elements": _shares_out(r.elements)} for r in self.rows],
-        }
-
-    @classmethod
-    def from_payload(cls, fields: dict, p: int) -> "DeliverShares":
-        server_x = _get(fields, "server_x", int)
-        if server_x < 1:
-            raise ProtocolError(VALUE_RANGE, f"server_x {server_x} must be >= 1")
-        raw = _get(fields, "rows", list)
-        rows = []
-        for entry in raw:
-            if not isinstance(entry, dict):
-                raise ProtocolError(INTERNAL, "row entry must be an object")
-            index = _get(entry, "index", int)
-            if index < 1:
-                raise ProtocolError(VALUE_RANGE, f"row index {index} must be >= 1")
-            rows.append(DeliveredRow(index=index, elements=_shares_in(_get(entry, "elements", list), p)))
-        return cls(
-            table=_get(fields, "table", str),
-            attr=_get(fields, "attr", str),
-            server_x=server_x,
-            rows=rows,
-        )
-
-
-@_register
-@dataclass
-class Register:
-    type: ClassVar[str] = "REGISTER"
-    req_id: str = ""
-    server_id: str = ""
-    x_coord: int = 0
-
-    def payload_fields(self) -> dict:
-        return {"server_id": self.server_id, "x_coord": self.x_coord}
-
-    @classmethod
-    def from_payload(cls, fields: dict, p: int) -> "Register":
-        return cls(server_id=_get(fields, "server_id", str), x_coord=_get(fields, "x_coord", int))
-
-
-@_register
-@dataclass
-class ServerList:
-    """Hub bookkeeping; empty as a request, populated as the reply."""
-
-    type: ClassVar[str] = "SERVER_LIST"
-    req_id: str = ""
-    servers: list[dict] = field(default_factory=list)
-
-    def payload_fields(self) -> dict:
-        return {"servers": self.servers}
-
-    @classmethod
-    def from_payload(cls, fields: dict, p: int) -> "ServerList":
-        servers = fields.get("servers", [])
-        if not isinstance(servers, list):
-            raise ProtocolError(INTERNAL, "servers must be a list")
-        return cls(servers=servers)
+    req_id: str = _wire(STR)
+    table: str = _wire(STR)
+    attr: str = _wire(STR)
+    server_x: int = _wire(POSITIVE)
+    rows: list[DeliveredRow] = _wire(ROWS)
 
 
 # --- frame codec -----------------------------------------------------------
 
 def encode_message(msg) -> dict:
-    return {"type": msg.type, "req_id": msg.req_id, **msg.payload_fields()}
+    return {"type": msg.type, **{name: kind.dump(getattr(msg, name)) for name, kind in msg.wire}}
 
 
 def decode_message(obj: dict, p: int = MERSENNE_61):
@@ -388,12 +313,7 @@ def decode_message(obj: dict, p: int = MERSENNE_61):
     cls = _MESSAGE_TYPES.get(msg_type)
     if cls is None:
         raise ProtocolError(UNKNOWN_TYPE, f"unknown message type {msg_type!r}")
-    req_id = obj.get("req_id")
-    if not isinstance(req_id, str):
-        raise ProtocolError(INTERNAL, "payload needs a string 'req_id' field")
-    msg = cls.from_payload(obj, p)
-    msg.req_id = req_id
-    return msg
+    return cls(**{name: read_field(obj, name, kind, p) for name, kind in cls.wire})
 
 
 def encode_frame(msg) -> bytes:

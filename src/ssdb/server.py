@@ -27,7 +27,7 @@ from .protocol import (
     FetchToClient,
     GetSchema,
     InsertShares,
-    Register,
+    ProtocolError,
     SchemaResult,
     SsdbError,
     TcpService,
@@ -119,34 +119,23 @@ class ServerStore:
             try:
                 record = json.loads(line)
                 index = record["index"]
-                cells = {
-                    attr: self._pack([self._parse_share(s) for s in vec])
-                    for attr, vec in record["cells"].items()
-                }
+                cells = protocol.read_field(record, "cells", protocol.CELLS, self.p)
                 if index != len(table.rows) + 1:
                     raise ValueError(f"log index {index} out of order")
                 if set(cells) != set(table.schema.attr_names()):
                     raise ValueError("log record attributes do not match schema")
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, ProtocolError) as exc:
                 log.warning(
                     "%s: corrupt record at byte %d of %s (%s); truncating",
                     self.server_id, pos, log_path, exc,
                 )
                 break
-            table.rows.append(cells)
+            table.rows.append({attr: self._pack(vec) for attr, vec in cells.items()})
             pos = newline + 1
             good_end = pos
         if good_end < len(data):
             with open(log_path, "r+b") as fh:
                 fh.truncate(good_end)
-
-    def _parse_share(self, s) -> int:
-        if not isinstance(s, str) or not s.isascii() or not s.isdigit():
-            raise ValueError(f"share value {s!r} is not a decimal string")
-        v = int(s)
-        if v >= self.p:
-            raise ValueError(f"share value {s} not below modulus {self.p}")
-        return v
 
     def _pack(self, vec: list[int]) -> bytes:
         """Fixed-width big-endian shares: far less memory than a list of ints."""
@@ -255,13 +244,10 @@ class ShareServer:
         listen: tuple[str, int] = ("127.0.0.1", 0),
         *,
         p: int = MERSENNE_61,
-        hub_addr: Optional[str] = None,
     ):
         self.server_id = server_id
         self.x_coord = x_coord
         self.store = ServerStore(data_dir, server_id, x_coord, p)
-        self._p = p
-        self._hub_addr = protocol.parse_addr(hub_addr) if hub_addr else None
         self._service = TcpService(listen[0], listen[1], self.handle, p=p, name=server_id)
         self._push_threads: list[threading.Thread] = []
         self._push_lock = threading.Lock()
@@ -269,17 +255,6 @@ class ShareServer:
     def start(self) -> None:
         self.store.load()
         self._service.start()
-        if self._hub_addr is not None:
-            self._announce()
-
-    def _announce(self) -> None:
-        msg = Register(
-            req_id=protocol.new_req_id(), server_id=self.server_id, x_coord=self.x_coord
-        )
-        try:
-            protocol.request(self._hub_addr, msg, p=self._p, connect_timeout=1.0)
-        except (OSError, SsdbError) as exc:
-            log.warning("%s: could not register with hub: %s", self.server_id, exc)
 
     @property
     def address(self) -> tuple[str, int]:

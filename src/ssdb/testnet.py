@@ -136,7 +136,6 @@ class TestCluster:
             handle.data_dir,
             listen=listen,
             p=self.config.p,
-            hub_addr=self.hub.addr_str,
         )
         server.start()
         handle.server = server

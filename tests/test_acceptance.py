@@ -26,9 +26,7 @@ from ssdb.protocol import (
     FrameDecoder,
     GetSchema,
     InsertShares,
-    Register,
     SchemaResult,
-    ServerList,
     SsdbError,
     encode_frame,
 )
@@ -268,9 +266,6 @@ def random_message(rng):
                               indices=rng.choice((indices, None)), client_addr="127.0.0.1:5555"),
         lambda: DeliverShares(req_id=rid, table=table, attr=attr, server_x=3,
                               rows=[DeliveredRow(i, random_share_vector(rng)) for i in indices]),
-        lambda: Register(req_id=rid, server_id="s1", x_coord=1),
-        lambda: ServerList(req_id=rid, servers=[{"server_id": "s1", "x_coord": 1,
-                                                 "address": "127.0.0.1:1", "last_seen": None}]),
     ]
     return rng.choice(builders)()
 

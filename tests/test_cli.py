@@ -66,6 +66,8 @@ class TestArgumentErrors:
         assert run(capsys, "insert", "t", "1")[0] == 1  # no --hub
         # create-table writes to the servers directly and takes no --hub
         assert run(capsys, "create-table", "--hub", "127.0.0.1:1", "schema.json")[0] == 1
+        # servers announce themselves to nobody; the hub reads the cluster file
+        assert run(capsys, "server", "--id", "s1", "--data-dir", "d", "--hub", "127.0.0.1:1")[0] == 1
 
     def test_no_cluster_file_anywhere(self, capsys, monkeypatch, net):
         monkeypatch.delenv(ENV_CLUSTER, raising=False)

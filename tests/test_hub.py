@@ -20,10 +20,8 @@ from ssdb.protocol import (
     FrameDecoder,
     GetSchema,
     InsertShares,
-    Register,
     RemoteError,
     SchemaResult,
-    ServerList,
     SsdbError,
 )
 from ssdb.server import ShareServer
@@ -282,26 +280,6 @@ class TestHubRouting:
             pushes = mini.relay_fetch("v", [1])
             assert [m.server_x for m in pushes] == [1, 2]
             assert all([r.index for r in m.rows] == [1] for m in pushes)
-
-    def test_register_and_server_list(self, tmp_path):
-        with MiniCluster(tmp_path) as mini:
-            listing = mini.ask(ServerList(req_id="l"))
-            assert [s["server_id"] for s in listing.servers] == ["s1", "s2", "s3"]
-            assert all(s["last_seen"] is None for s in listing.servers)
-
-            mini.ask(Register(req_id="r", server_id="s2", x_coord=2))
-            listing = mini.ask(ServerList(req_id="l2"))
-            by_id = {s["server_id"]: s for s in listing.servers}
-            assert by_id["s2"]["last_seen"] is not None
-
-    def test_register_validates_identity(self, tmp_path):
-        with MiniCluster(tmp_path) as mini:
-            with pytest.raises(RemoteError) as e:
-                mini.ask(Register(req_id="r", server_id="s9", x_coord=9))
-            assert e.value.code == protocol.SCHEMA_MISMATCH
-            with pytest.raises(RemoteError) as e:
-                mini.ask(Register(req_id="r", server_id="s2", x_coord=3))
-            assert e.value.code == protocol.SCHEMA_MISMATCH
 
 
 def _leaves(obj):

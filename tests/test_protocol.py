@@ -12,6 +12,9 @@ from ssdb import protocol
 from ssdb.encoding import Attribute, AttrType, TableSchema
 from ssdb.field import MERSENNE_61
 from ssdb.protocol import (
+    INTERNAL,
+    SCHEMA_MISMATCH,
+    VALUE_RANGE,
     Ack,
     CreateTable,
     DeliveredRow,
@@ -22,10 +25,8 @@ from ssdb.protocol import (
     GetSchema,
     InsertShares,
     ProtocolError,
-    Register,
     RemoteError,
     SchemaResult,
-    ServerList,
     SsdbError,
     TcpService,
     decode_frame,
@@ -33,6 +34,7 @@ from ssdb.protocol import (
     encode_frame,
     encode_message,
 )
+from ssdb.testnet import PATIENTS_SCHEMA, TestCluster
 
 P = MERSENNE_61
 
@@ -59,9 +61,78 @@ SAMPLES = [
         server_x=2,
         rows=[DeliveredRow(index=1, elements=[7]), DeliveredRow(index=4, elements=[8, 9])],
     ),
-    Register(req_id="r13", server_id="s1", x_coord=1),
-    ServerList(req_id="r14", servers=[{"server_id": "s1", "x_coord": 1}]),
 ]
+
+# The frames the hand-written per-class codec produced for SAMPLES, byte
+# for byte; the declarative codec must not drift from them.
+GOLDEN_FRAMES = [
+    b'\x00\x00\x00\x1c{"type":"ACK","req_id":"r1"}',
+    b'\x00\x00\x00R{"type":"ERROR","req_id":"r2","code":"NO_SUCH_TABLE",'
+    b'"detail":"no such table \'x\'"}',
+    b'\x00\x00\x00\xa4{"type":"CREATE_TABLE","req_id":"r3","schema":{"table":"patient_details",'
+    b'"attributes":[{"name":"Patientid","type":"INTEGER"},{"name":"Patientname","type":"TEXT"}]}}',
+    b'\x00\x00\x00p{"type":"INSERT_SHARES","req_id":"r4","table":"t","index":1,'
+    b'"cells":{"a":["5","2305843009213693950"],"b":["0"]}}',
+    b'\x00\x00\x00/{"type":"GET_SCHEMA","req_id":"r9","table":"t"}',
+    b'\x00\x00\x00\xaf{"type":"SCHEMA_RESULT","req_id":"r10","schema":{"table":"patient_details",'
+    b'"attributes":[{"name":"Patientid","type":"INTEGER"},{"name":"Patientname","type":"TEXT"}]},'
+    b'"rows":4}',
+    b'\x00\x00\x00l{"type":"FETCH_TO_CLIENT","req_id":"r11","table":"t","attr":"a",'
+    b'"indices":[1,4],"client_addr":"127.0.0.1:9"}',
+    b'\x00\x00\x00l{"type":"FETCH_TO_CLIENT","req_id":"r11b","table":"t","attr":"a",'
+    b'"indices":null,"client_addr":"127.0.0.1:9"}',
+    b'\x00\x00\x00\x93{"type":"DELIVER_SHARES","req_id":"r12","table":"t","attr":"a",'
+    b'"server_x":2,"rows":[{"index":1,"elements":["7"]},{"index":4,"elements":["8","9"]}]}',
+]
+
+# Every declared payload field of every message type, with a value of the
+# wrong JSON type for it and the code a missing or ill-typed field gets.
+FIELD_CASES = {
+    ("ACK", "req_id"): (7, INTERNAL),
+    ("ERROR", "req_id"): (7, INTERNAL),
+    ("ERROR", "code"): (7, INTERNAL),
+    ("ERROR", "detail"): (7, INTERNAL),
+    ("CREATE_TABLE", "req_id"): (7, INTERNAL),
+    ("CREATE_TABLE", "schema"): ([], SCHEMA_MISMATCH),
+    ("INSERT_SHARES", "req_id"): (7, INTERNAL),
+    ("INSERT_SHARES", "table"): (7, INTERNAL),
+    ("INSERT_SHARES", "index"): (True, INTERNAL),
+    ("INSERT_SHARES", "cells"): ([], INTERNAL),
+    ("GET_SCHEMA", "req_id"): (7, INTERNAL),
+    ("GET_SCHEMA", "table"): (7, INTERNAL),
+    ("SCHEMA_RESULT", "req_id"): (7, INTERNAL),
+    ("SCHEMA_RESULT", "schema"): ("t", SCHEMA_MISMATCH),
+    ("SCHEMA_RESULT", "rows"): (True, INTERNAL),
+    ("FETCH_TO_CLIENT", "req_id"): (7, INTERNAL),
+    ("FETCH_TO_CLIENT", "table"): (7, INTERNAL),
+    ("FETCH_TO_CLIENT", "attr"): (7, INTERNAL),
+    ("FETCH_TO_CLIENT", "indices"): ("1,4", INTERNAL),  # missing means every row
+    ("FETCH_TO_CLIENT", "client_addr"): (7, INTERNAL),
+    ("DELIVER_SHARES", "req_id"): (7, INTERNAL),
+    ("DELIVER_SHARES", "table"): (7, INTERNAL),
+    ("DELIVER_SHARES", "attr"): (7, INTERNAL),
+    ("DELIVER_SHARES", "server_x"): (True, INTERNAL),
+    ("DELIVER_SHARES", "rows"): ({"index": 1}, INTERNAL),
+}
+
+# Well-typed values out of their range.
+OUT_OF_RANGE = [
+    ("INSERT_SHARES", "index", 0),
+    ("INSERT_SHARES", "cells", {"a": [str(P)]}),
+    ("SCHEMA_RESULT", "rows", -1),
+    ("FETCH_TO_CLIENT", "indices", [0]),
+    ("DELIVER_SHARES", "server_x", 0),
+    ("DELIVER_SHARES", "rows", [{"index": 0, "elements": ["1"]}]),
+    ("DELIVER_SHARES", "rows", [{"index": 1, "elements": ["1", str(P)]}]),
+]
+
+
+def case_id(msg_type, name, *_):
+    return f"{msg_type}.{name}"
+
+
+def valid_payload(msg_type):
+    return encode_message(next(m for m in SAMPLES if m.type == msg_type))
 
 
 class TestFrameShape:
@@ -116,6 +187,56 @@ class TestMessageCodec:
         decoded, consumed = decode_frame(encode_frame(msg), P)
         assert consumed == len(encode_frame(msg))
         assert decoded == msg
+
+    @pytest.mark.parametrize(
+        "msg, frame", zip(SAMPLES, GOLDEN_FRAMES), ids=[m.req_id for m in SAMPLES]
+    )
+    def test_wire_format_is_pinned(self, msg, frame):
+        assert encode_frame(msg) == frame
+        assert decode_frame(frame, P) == (msg, len(frame))
+
+    def test_field_cases_cover_every_declared_field(self):
+        declared = {
+            (msg_type, name)
+            for msg_type, cls in protocol._MESSAGE_TYPES.items()
+            for name, _ in cls.wire
+        }
+        assert set(FIELD_CASES) == declared
+
+    @pytest.mark.parametrize("msg_type, name", FIELD_CASES, ids=[case_id(*c) for c in FIELD_CASES])
+    def test_missing_field(self, msg_type, name):
+        obj = valid_payload(msg_type)
+        del obj[name]
+        if (msg_type, name) == ("FETCH_TO_CLIENT", "indices"):
+            assert decode_message(obj, P).indices is None
+            return
+        with pytest.raises(ProtocolError) as e:
+            decode_message(obj, P)
+        assert e.value.code == FIELD_CASES[msg_type, name][1]
+
+    @pytest.mark.parametrize("msg_type, name", FIELD_CASES, ids=[case_id(*c) for c in FIELD_CASES])
+    def test_ill_typed_field(self, msg_type, name):
+        wrong, code = FIELD_CASES[msg_type, name]
+        with pytest.raises(ProtocolError) as e:
+            decode_message({**valid_payload(msg_type), name: wrong}, P)
+        assert e.value.code == code
+
+    @pytest.mark.parametrize(
+        "msg_type, name, value", OUT_OF_RANGE, ids=[case_id(*c) for c in OUT_OF_RANGE]
+    )
+    def test_out_of_range_field(self, msg_type, name, value):
+        with pytest.raises(ProtocolError) as e:
+            decode_message({**valid_payload(msg_type), name: value}, P)
+        assert e.value.code == VALUE_RANGE
+
+    @pytest.mark.parametrize("entry", [
+        "row", {"elements": ["1"]}, {"index": 1}, {"index": "1", "elements": ["1"]},
+        {"index": 1, "elements": "1"},
+    ], ids=["not-an-object", "no-index", "no-elements", "string-index", "string-elements"])
+    def test_ill_formed_delivered_row(self, entry):
+        with pytest.raises(ProtocolError) as e:
+            decode_message({**valid_payload("DELIVER_SHARES"), "rows": [entry]}, P)
+        assert e.value.code == INTERNAL
 
     def test_unknown_type(self):
         with pytest.raises(ProtocolError) as e:
@@ -301,14 +422,14 @@ class TestTcpService:
     def test_push_is_one_way(self):
         got = []
         with EchoService(lambda msg: got.append(msg) or Ack()) as svc:
-            protocol.push(svc.address, Register(req_id="r", server_id="s1", x_coord=1))
+            protocol.push(svc.address, GetSchema(req_id="r", table="t"))
             deadline = 50
             while not got and deadline:
                 deadline -= 1
                 import time
 
                 time.sleep(0.01)
-        assert got and got[0].server_id == "s1"
+        assert got and got[0].table == "t"
 
     def test_stop_frees_the_port_immediately(self):
         svc = TcpService("127.0.0.1", 0, lambda m: Ack(), p=P, name="t")
@@ -319,3 +440,27 @@ class TestTcpService:
         again.start()
         assert again.address == addr
         again.stop()
+
+
+def test_every_message_type_is_sent(monkeypatch):
+    """No message type exists that the running system never sends."""
+    sent = set()
+    original = protocol.encode_frame
+
+    def spy(msg):
+        sent.add(msg.type)
+        return original(msg)
+
+    monkeypatch.setattr(protocol, "encode_frame", spy)
+    hospital = "SELECT Patientname FROM patient_details WHERE Diagonosis = 'Aids'"
+    with TestCluster.start(3, 2, seed=41) as cluster:
+        cluster.create_table(PATIENTS_SCHEMA)
+        cluster.load_fixture_patients()
+        assert len(cluster.query("SELECT * FROM patient_details").rows) == 4
+        assert cluster.query(hospital).rows == [["Ann"], ["Dona"]]
+        with pytest.raises(SsdbError):
+            cluster.query("SELECT * FROM ghost")
+        cluster.kill_server("s1")
+        assert cluster.query(hospital).rows == [["Ann"], ["Dona"]]
+        cluster.revive_server("s1")
+    assert sent == set(protocol._MESSAGE_TYPES)

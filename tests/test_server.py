@@ -18,7 +18,6 @@ from ssdb.protocol import (
     InsertShares,
     RemoteError,
     SchemaResult,
-    ServerList,
     SsdbError,
 )
 from ssdb.server import ServerStore, ShareServer
@@ -187,7 +186,9 @@ class TestServerStore:
         assert column(again, "pid")[0] == list(range(1, 101))
         again.close()
 
-    def test_corrupt_middle_record_drops_the_tail(self, tmp_path):
+    @pytest.mark.parametrize("bad", ['["oops"]', '["+1"]', '["١٢٣"]', f'["{P}"]', '"5"'],
+                             ids=["oops", "plus", "arabic-digits", "p", "not-a-list"])
+    def test_corrupt_middle_record_drops_the_tail(self, tmp_path, bad):
         store = make_store(tmp_path)
         store.create_table(SCHEMA)
         for k in range(1, 11):
@@ -196,7 +197,7 @@ class TestServerStore:
 
         log_path = tmp_path / "s1" / "patients" / "rows.log"
         lines = log_path.read_bytes().splitlines(keepends=True)
-        lines[4] = b'{"index":5,"cells":{"pid":["oops"],"name":["1","70"]}}\n'
+        lines[4] = f'{{"index":5,"cells":{{"pid":{bad},"name":["1","70"]}}}}\n'.encode()
         log_path.write_bytes(b"".join(lines))
 
         again = make_store(tmp_path)
@@ -291,7 +292,7 @@ class TestShareServerTcp:
     def test_hub_only_message_rejected(self, tmp_path):
         with LiveServer(tmp_path) as server:
             with pytest.raises(RemoteError) as e:
-                ask(server, ServerList(req_id="l"))
+                ask(server, SchemaResult(req_id="l", schema=SCHEMA, rows=0))
             assert e.value.code == protocol.INTERNAL
 
     def test_fetch_to_client_pushes_shares(self, tmp_path):
