@@ -32,7 +32,9 @@ from .protocol import (
     GetSchema,
     InsertShares,
     SchemaResult,
+    ShareRows,
     SsdbError,
+    split_counts,
 )
 from .shamir import lagrange_weights, split
 
@@ -355,38 +357,36 @@ class Dealer:
                 f"{schema.table_name!r} has {len(schema.attributes)} attributes, "
                 f"got {len(values)} values"
             )
-        cells = []  # (attr name, plain elements mod p) before splitting
-        for attr, value in zip(schema.attributes, values):
-            cells.append((attr.name, encode_value(attr.type, value, self.config.p)))
+        # plain elements mod p of each cell, in schema order, before splitting
+        cells = [
+            encode_value(attr.type, value, self.config.p)
+            for attr, value in zip(schema.attributes, values)
+        ]
 
         table = schema.table_name
         if table not in self._next_index:
             self._next_index[table] = self.next_index_for(schema)
         index = self._next_index[table]
 
-        per_server: dict[str, dict[str, list[int]]] = {
-            s.server_id: {} for s in self.config.servers
-        }
         t, p = self.config.t, self.config.p
-        for name, elements in cells:
+        per_server: dict[str, list[list[int]]] = {s.server_id: [] for s in self.config.servers}
+        for elements in cells:
             columns = [split(element, self.xs, t, p, self.rng) for element in elements]
-            vectors = {
-                info.server_id: [ys[k] for ys in columns]
-                for k, info in enumerate(self.config.servers)
-            }
-            for sid, vec in vectors.items():
-                per_server[sid][name] = vec
-            if t >= 2 and p > (1 << 32):
-                # near-zero odds of a share vector matching the plaintext
-                assert all(vec != elements for vec in vectors.values()), (
-                    "refusing to send a share vector equal to the plaintext encoding"
-                )
+            for k, info in enumerate(self.config.servers):
+                vec = [ys[k] for ys in columns]
+                # near-zero odds unless the rng is broken; checked before any write
+                if t >= 2 and p > (1 << 32) and vec == elements:
+                    raise SsdbError(
+                        protocol.INTERNAL,
+                        "refusing to send a share vector equal to the plaintext encoding",
+                    )
+                per_server[info.server_id].append(vec)
 
+        attrs = schema.attr_names()
+        bodies = {sid: ShareRows.pack((index,), vecs, p) for sid, vecs in per_server.items()}
         try:
             self._write_all(
-                lambda info: InsertShares(
-                    table=table, index=index, cells=per_server[info.server_id]
-                )
+                lambda info: InsertShares(table=table, attrs=attrs, cells=bodies[info.server_id])
             )
         except SsdbError:
             self._next_index.pop(table, None)  # cache may be stale, rediscover
@@ -525,35 +525,24 @@ class ResultListener:
 
 def _reconstruct_matrix(
     p: int,
-    tagged: list[tuple[int, list[list[int]]]],
+    tagged: list[tuple[int, bytes]],
+    counts: tuple[int, ...],
     table: str,
     attr: str,
 ) -> list[list[int]]:
-    """Combine t share columns into one plain column.
+    """Combine t packed share runs into one plain column.
 
-    `tagged` holds (x_coord, rows) per server, rows aligned by position;
-    each row is the share vector for one cell. Returns plain element
-    vectors in the same row order.
+    `tagged` holds (x_coord, packed shares) per server, all laid out by
+    the same `counts`, one per cell (the caller has checked that they
+    agree). Returns each cell's plain elements, in order.
     """
     try:
         weights = lagrange_weights([x for x, _ in tagged], p)
     except ValueError as exc:
         raise SsdbError(protocol.DATA_CORRUPTION, f"{table!r}.{attr!r}: {exc}") from exc
-    columns = [rows for _, rows in tagged]
-    if any(len(rows) != len(columns[0]) for rows in columns):
-        raise SsdbError(
-            protocol.DATA_CORRUPTION,
-            f"{table!r}.{attr!r}: servers returned different row counts",
-        )
-    out = []
-    for cell in zip(*columns):  # one share vector per server
-        if any(len(vec) != len(cell[0]) for vec in cell):
-            raise SsdbError(
-                protocol.DATA_CORRUPTION,
-                f"{table!r}.{attr!r}: share vectors disagree on element count",
-            )
-        out.append([sum(map(operator.mul, weights, ys)) % p for ys in zip(*cell)])
-    return out
+    flats = [protocol.unpack_shares(packed, p) for _, packed in tagged]
+    plain = [sum(map(operator.mul, weights, ys)) % p for ys in zip(*flats)]
+    return split_counts(plain, counts)
 
 
 def _decode_column(
@@ -665,8 +654,8 @@ def _assemble_pushes(
     """Reconstruct one attribute from t delivery pushes, keyed by row index.
 
     Every push must come from a configured x-coordinate and hold exactly
-    the requested rows; for an every-row fetch (matched None) they must
-    all hold the same rows.
+    the requested rows, in order, with the same element count per cell;
+    an every-row fetch (matched None) must hold rows 1..n.
     """
     stray = sorted(set(pushes) - {s.x_coord for s in config.servers})
     if stray:
@@ -674,23 +663,23 @@ def _assemble_pushes(
             protocol.DATA_CORRUPTION,
             f"{table!r}.{attr!r}: pushes from x={stray}, which no configured server has",
         )
+    first = pushes[min(pushes)].rows
     if matched is None:
-        matched = sorted(row.index for row in pushes[min(pushes)].rows)
-    expected = set(matched)
-    tagged = []
+        matched = list(range(1, len(first.indices) + 1))
+    expected = tuple(matched)
     for x in sorted(pushes):
-        msg = pushes[x]
-        got = [row.index for row in msg.rows]
-        if set(got) != expected or len(got) != len(expected):
+        rows = pushes[x].rows
+        if rows.indices != expected:
             raise SsdbError(
                 protocol.DATA_CORRUPTION,
-                f"server x={x} delivered indices {sorted(got)}, expected {sorted(expected)}",
+                f"server x={x} delivered indices {list(rows.indices)}, expected {matched}",
             )
-        by_idx = {row.index: list(row.elements) for row in msg.rows}
-        tagged.append((x, [by_idx[i] for i in matched]))
-    if matched:
-        plain = _reconstruct_matrix(config.p, tagged, table, attr)
-    else:
-        plain = []
+        if rows.counts != first.counts:
+            raise SsdbError(
+                protocol.DATA_CORRUPTION,
+                f"{table!r}.{attr!r}: share vectors disagree on element count",
+            )
+    tagged = [(x, pushes[x].rows.packed) for x in sorted(pushes)]
+    plain = _reconstruct_matrix(config.p, tagged, first.counts, table, attr) if matched else []
     values = _decode_column(schema.attr_type(attr), plain, table, attr)
     return dict(zip(matched, values))

@@ -6,14 +6,19 @@ server's cut of a row) and server to client (DELIVER_SHARES, pushed
 after a FETCH_TO_CLIENT). The hub carries control messages only.
 
 A frame is a 4-byte big-endian length followed by that many bytes of
-UTF-8 JSON; the JSON is an object carrying a "type" tag and a "req_id"
-that every response echoes verbatim. Share values travel as base-10
-decimal strings because 61-bit integers overflow the float64 range some
-JSON consumers use.
+payload. The payload starts with a UTF-8 JSON object carrying a "type"
+tag and a "req_id" that every response echoes verbatim. The two
+share-bearing types follow it with a newline and one binary body (a
+`ShareRows`): the row indices and each cell's element count as 4-byte
+big-endian ints, then every share as w = ceil(p.bit_length() / 8)
+big-endian bytes. Servers keep cells in that form, so a delivery is
+their stored bytes joined, and a receiver checks a body with one length
+test and one range test.
 
 Each message type is a dataclass that declares its payload fields once,
 each with a `Kind`: the field's JSON type, encoding, checks and error
-code. One generic encode_message/decode_message walks those fields.
+code, or, for a body, its shape. One generic encode_message/decode_message
+walks those fields.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import socket
 import struct
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Optional
+from typing import Callable, ClassVar, Optional, Sequence
 
 from .encoding import TableSchema
 from .field import MERSENNE_61
@@ -80,6 +85,94 @@ def parse_addr(addr: str) -> tuple[str, int]:
     return host, int(port)
 
 
+# --- share bodies ----------------------------------------------------------
+
+_FIXED_WIDTH = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct codes for whole-word widths
+
+
+def share_width(p: int) -> int:
+    """Bytes per share on the wire and on disk: enough for any value below p."""
+    return (p.bit_length() + 7) // 8
+
+
+def pack_shares(values: Sequence[int], p: int) -> bytes:
+    w = share_width(p)
+    code = _FIXED_WIDTH.get(w)
+    if code is not None:
+        return struct.pack(f">{len(values)}{code}", *values)
+    return b"".join(v.to_bytes(w, "big") for v in values)
+
+
+def unpack_shares(packed: bytes, p: int) -> Sequence[int]:
+    """The ints of a packed share run; one C-level call at whole-word widths."""
+    w = share_width(p)
+    code = _FIXED_WIDTH.get(w)
+    if code is not None:
+        return struct.unpack(f">{len(packed) // w}{code}", packed)
+    return [int.from_bytes(packed[i : i + w], "big") for i in range(0, len(packed), w)]
+
+
+def split_counts(flat: Sequence, counts: Sequence[int]) -> list:
+    """Cut a flat run into consecutive pieces of the given lengths."""
+    out, pos = [], 0
+    for count in counts:
+        out.append(list(flat[pos : pos + count]))
+        pos += count
+    return out
+
+
+@dataclass(frozen=True)
+class ShareRows:
+    """Share cells as they travel and rest: the body of a share-bearing frame.
+
+    `indices` are row indices, `counts` each cell's element count (row by
+    row), and `packed` all of those cells' shares in order, fixed-width
+    big-endian (`share_width(p)` bytes each).
+    """
+
+    indices: tuple[int, ...] = ()
+    counts: tuple[int, ...] = ()
+    packed: bytes = b""
+
+    @classmethod
+    def pack(cls, indices: Sequence[int], vectors: Sequence[Sequence[int]], p: int) -> ShareRows:
+        flat = [v for vec in vectors for v in vec]
+        return cls(tuple(indices), tuple(map(len, vectors)), pack_shares(flat, p))
+
+    def vectors(self, p: int) -> list[list[int]]:
+        """Each cell's shares as ints."""
+        return split_counts(unpack_shares(self.packed, p), self.counts)
+
+    def body(self) -> bytes:
+        head = struct.pack(f">{len(self.indices) + len(self.counts)}I", *self.indices, *self.counts)
+        return head + self.packed
+
+
+def read_body(body, rows: int, cells: int, p: int) -> ShareRows:
+    """Check a body of `rows` rows of `cells` cells each and return it.
+
+    One width test (the share bytes are exactly counts x w) and one range
+    test (every share is below p); neither loops in Python at whole-word
+    widths.
+    """
+    head = rows * (1 + cells)  # the indices, then one count per cell
+    if len(body) < 4 * head:
+        raise ProtocolError(
+            INTERNAL, f"body of {len(body)} bytes cannot hold {rows} indices and their counts"
+        )
+    numbers = struct.unpack_from(f">{head}I", body)
+    indices, counts = numbers[:rows], numbers[rows:]
+    if rows and min(indices) < 1:
+        raise ProtocolError(VALUE_RANGE, "row index 0 must be >= 1")
+    packed = bytes(body[4 * head :])
+    need = share_width(p) * sum(counts)
+    if len(packed) != need:
+        raise ProtocolError(INTERNAL, f"body holds {len(packed)} share bytes, its counts need {need}")
+    if packed and max(unpack_shares(packed, p)) >= p:
+        raise ProtocolError(VALUE_RANGE, f"a share value is not below modulus {p}")
+    return ShareRows(indices, counts, packed)
+
+
 # --- field kinds -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -87,15 +180,19 @@ class Kind:
     """How one payload field travels: its JSON type, encoding and checks.
 
     A field that is missing or arrives as another JSON type fails with
-    `code`; `load` converts the JSON value and checks its content.
+    `code`; `load` converts the JSON value and checks its content. A kind
+    with a `shape` is a `ShareRows` carried in the binary body; `shape`
+    reads (rows, cells per row) from the header fields decoded so far,
+    and `json_type` None means the field has no header entry.
     """
 
-    json_type: type
+    json_type: Optional[type]
     empty: Callable  # builds the field's default value
     dump: Callable = lambda value: value  # value -> JSON
     load: Callable = lambda value, p: value  # (JSON, p) -> value
     code: str = INTERNAL
     nullable: bool = False  # null or absent decodes to None
+    shape: Optional[Callable[[dict], tuple[int, int]]] = None
 
 
 def _at_least(low: int) -> Callable:
@@ -106,23 +203,17 @@ def _at_least(low: int) -> Callable:
     return load
 
 
-def _shares_in(values: list, p: int) -> list[int]:
-    out = []
-    for s in values:
-        if not isinstance(s, str) or not s.isascii() or not s.isdigit():
-            raise ProtocolError(VALUE_RANGE, f"share value {s!r} is not a decimal string")
-        v = int(s)
-        if v >= p:
-            raise ProtocolError(VALUE_RANGE, f"share value {s} is not below modulus {p}")
-        out.append(v)
-    return out
-
-
 def _indices_in(values: list, p: int) -> list[int]:
     for v in values:
         if isinstance(v, bool) or not isinstance(v, int) or v < 1:
             raise ProtocolError(VALUE_RANGE, f"row index {v!r} must be a positive integer")
     return list(values)
+
+
+def _names_in(values: list, p: int) -> list[str]:
+    if not all(isinstance(v, str) for v in values):
+        raise ProtocolError(INTERNAL, "attribute names must be strings")
+    return values
 
 
 def _schema_in(obj: dict, p: int) -> TableSchema:
@@ -135,13 +226,7 @@ def _schema_in(obj: dict, p: int) -> TableSchema:
 STR = Kind(str, empty=str)
 COUNT = Kind(int, empty=int, load=_at_least(0))
 POSITIVE = Kind(int, empty=int, load=_at_least(1))
-SHARES = Kind(list, empty=list, dump=lambda vec: [str(v) for v in vec], load=_shares_in)
-CELLS = Kind(
-    dict,
-    empty=dict,
-    dump=lambda cells: {attr: SHARES.dump(vec) for attr, vec in cells.items()},
-    load=lambda cells, p: {attr: read_field(cells, attr, SHARES, p) for attr in cells},
-)
+NAMES = Kind(list, empty=list, load=_names_in)
 INDICES = Kind(list, empty=lambda: None, load=_indices_in, nullable=True)
 SCHEMA = Kind(
     dict,
@@ -149,6 +234,16 @@ SCHEMA = Kind(
     dump=TableSchema.to_json_dict,
     load=_schema_in,
     code=SCHEMA_MISMATCH,
+)
+# one row (index in the body) of one cell per attribute named in the header
+CELLS = Kind(None, empty=ShareRows, shape=lambda fields: (1, len(fields["attrs"])))
+# rows of one cell each; the header carries the row count
+ROWS = Kind(
+    int,
+    empty=ShareRows,
+    dump=lambda rows: len(rows.indices),
+    load=_at_least(0),
+    shape=lambda fields: (fields["rows"], 1),
 )
 
 
@@ -174,30 +269,6 @@ def read_field(obj: dict, name: str, kind: Kind, p: int):
         raise ProtocolError(exc.code, f"field {name!r}: {exc.detail}") from None
 
 
-@dataclass
-class DeliveredRow:
-    index: int
-    elements: list[int]
-
-
-def _rows_in(entries: list, p: int) -> list[DeliveredRow]:
-    rows = []
-    for entry in entries:
-        if not isinstance(entry, dict):
-            raise ProtocolError(INTERNAL, "row entry must be an object")
-        index = read_field(entry, "index", POSITIVE, p)
-        rows.append(DeliveredRow(index, read_field(entry, "elements", SHARES, p)))
-    return rows
-
-
-ROWS = Kind(
-    list,
-    empty=list,
-    dump=lambda rows: [{"index": r.index, "elements": [str(v) for v in r.elements]} for r in rows],
-    load=_rows_in,
-)
-
-
 # --- message types ---------------------------------------------------------
 
 _MESSAGE_TYPES: dict[str, type] = {}
@@ -208,6 +279,7 @@ def _register(cls):
     cls.wire = tuple(
         (f.name, f.metadata["kind"]) for f in dataclasses.fields(cls) if "kind" in f.metadata
     )
+    cls.has_body = any(kind.shape is not None for _, kind in cls.wire)
     _MESSAGE_TYPES[cls.type] = cls
     return cls
 
@@ -239,13 +311,17 @@ class CreateTable:
 @_register
 @dataclass
 class InsertShares:
-    """One server's cut of a row: attr -> share vector at that server's x."""
+    """One server's cut of a row: its index and one share vector per attribute.
+
+    `attrs` names the cells in body order; the body is what the server
+    appends to its log.
+    """
 
     type: ClassVar[str] = "INSERT_SHARES"
     req_id: str = _wire(STR)
     table: str = _wire(STR)
-    index: int = _wire(POSITIVE)
-    cells: dict[str, list[int]] = _wire(CELLS)
+    attrs: list[str] = _wire(NAMES)
+    cells: ShareRows = _wire(CELLS)
 
 
 @_register
@@ -295,16 +371,24 @@ class DeliverShares:
     table: str = _wire(STR)
     attr: str = _wire(STR)
     server_x: int = _wire(POSITIVE)
-    rows: list[DeliveredRow] = _wire(ROWS)
+    rows: ShareRows = _wire(ROWS)
 
 
 # --- frame codec -----------------------------------------------------------
 
-def encode_message(msg) -> dict:
-    return {"type": msg.type, **{name: kind.dump(getattr(msg, name)) for name, kind in msg.wire}}
+def encode_message(msg) -> tuple[dict, Optional[bytes]]:
+    """The message's JSON header, and its binary body if its type has one."""
+    header, body = {"type": msg.type}, None
+    for name, kind in msg.wire:
+        value = getattr(msg, name)
+        if kind.json_type is not None:
+            header[name] = kind.dump(value)
+        if kind.shape is not None:
+            body = value.body()
+    return header, body
 
 
-def decode_message(obj: dict, p: int = MERSENNE_61):
+def decode_message(obj: dict, p: int = MERSENNE_61, body=None):
     if not isinstance(obj, dict):
         raise ProtocolError(INTERNAL, "payload must be a JSON object")
     msg_type = obj.get("type")
@@ -313,21 +397,36 @@ def decode_message(obj: dict, p: int = MERSENNE_61):
     cls = _MESSAGE_TYPES.get(msg_type)
     if cls is None:
         raise ProtocolError(UNKNOWN_TYPE, f"unknown message type {msg_type!r}")
-    return cls(**{name: read_field(obj, name, kind, p) for name, kind in cls.wire})
+    if cls.has_body != (body is not None):
+        raise ProtocolError(
+            INTERNAL, f"{msg_type} {'needs' if cls.has_body else 'takes no'} binary body"
+        )
+    fields = {}
+    for name, kind in cls.wire:
+        if kind.json_type is not None:
+            fields[name] = read_field(obj, name, kind, p)
+        if kind.shape is not None:
+            fields[name] = read_body(body, *kind.shape(fields), p)
+    return cls(**fields)
 
 
 def encode_frame(msg) -> bytes:
-    payload = json.dumps(encode_message(msg), separators=(",", ":")).encode("utf-8")
-    if len(payload) > MAX_FRAME_BYTES:
-        raise ProtocolError(INTERNAL, f"frame of {len(payload)} bytes exceeds {MAX_FRAME_BYTES}")
-    return _HEADER.pack(len(payload)) + payload
+    header, body = encode_message(msg)
+    parts = [json.dumps(header, separators=(",", ":")).encode("utf-8")]
+    if body is not None:
+        parts += [b"\n", body]  # compact JSON never holds a raw newline
+    length = sum(map(len, parts))
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(INTERNAL, f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
+    return b"".join([_HEADER.pack(length), *parts])
 
 
 def decode_frame(buf, p: int = MERSENNE_61) -> Optional[tuple[object, int]]:
     """Decode one frame from the head of buf.
 
     Returns (message, bytes_consumed), or None when the buffer does not
-    yet hold a complete frame.
+    yet hold a complete frame. A declared length above MAX_FRAME_BYTES
+    is rejected as soon as the length itself has arrived.
     """
     if len(buf) < _HEADER.size:
         return None
@@ -337,11 +436,16 @@ def decode_frame(buf, p: int = MERSENNE_61) -> Optional[tuple[object, int]]:
     end = _HEADER.size + length
     if len(buf) < end:
         return None
+    payload = bytes(buf[_HEADER.size : end])
+    newline = payload.find(b"\n")
+    header, body = (payload, None) if newline < 0 else (
+        payload[:newline], memoryview(payload)[newline + 1 :]
+    )
     try:
-        obj = json.loads(bytes(buf[_HEADER.size : end]).decode("utf-8"))
+        obj = json.loads(header.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(INTERNAL, f"malformed frame payload: {exc}") from exc
-    return decode_message(obj, p), end
+    return decode_message(obj, p, body), end
 
 
 class FrameDecoder:

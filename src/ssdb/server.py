@@ -11,7 +11,9 @@ from __future__ import annotations
 import json
 import logging
 import os
+import struct
 import threading
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -22,13 +24,12 @@ from .field import MERSENNE_61
 from .protocol import (
     Ack,
     CreateTable,
-    DeliveredRow,
     DeliverShares,
     FetchToClient,
     GetSchema,
     InsertShares,
-    ProtocolError,
     SchemaResult,
+    ShareRows,
     SsdbError,
     TcpService,
 )
@@ -36,19 +37,31 @@ from .protocol import (
 log = logging.getLogger(__name__)
 
 _META_FILE = "server.json"
+# a log record: payload length, zlib.crc32 of the payload, then the payload
+_RECORD = struct.Struct(">II")
 
 
 @dataclass
 class StoredTable:
     schema: TableSchema
     directory: Path
-    # row i is rows[i - 1]; each cell is its shares packed by ServerStore._pack
-    rows: list[dict[str, bytes]] = field(default_factory=list)
+    # attr -> its cells in row order (row i at [i - 1]), each cell's shares
+    # packed as on the wire; attrs in schema order
+    columns: dict[str, list[bytes]] = field(init=False)
     log_file: Optional[object] = None
 
+    def __post_init__(self):
+        self.columns = {name: [] for name in self.schema.attr_names()}
+
     @property
-    def next_index(self) -> int:
-        return len(self.rows) + 1
+    def row_count(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+    def add_row(self, row: ShareRows, width: int) -> None:
+        pos = 0
+        for cells, count in zip(self.columns.values(), row.counts):
+            cells.append(row.packed[pos : pos + count * width])
+            pos += count * width
 
     def open_log(self) -> None:
         self.log_file = open(self.directory / "rows.log", "ab")
@@ -63,8 +76,11 @@ class ServerStore:
     """Durable per-server state under one data directory.
 
     Layout: <data_dir>/server.json pins identity; each table gets
-    <data_dir>/<table>/schema.json plus rows.log with one JSON record
-    per line. Replay is deterministic: same log, same state.
+    <data_dir>/<table>/schema.json plus rows.log, one binary record per
+    row: `_RECORD` (payload length, crc32) and then the INSERT_SHARES
+    body as received, i.e. the row index, the element count of each
+    cell in schema order, and the shares. Replay is deterministic: same
+    log, same state.
     """
 
     def __init__(self, data_dir, server_id: str, x_coord: int, p: int = MERSENNE_61):
@@ -72,7 +88,7 @@ class ServerStore:
         self.server_id = server_id
         self.x_coord = x_coord
         self.p = p
-        self._width = (p.bit_length() + 7) // 8  # bytes per packed share
+        self._width = protocol.share_width(p)
         self.tables: dict[str, StoredTable] = {}
         self._lock = threading.RLock()
 
@@ -107,43 +123,49 @@ class ServerStore:
         log_path = table.directory / "rows.log"
         if not log_path.exists():
             return
-        good_end = 0
         with open(log_path, "rb") as fh:
             data = fh.read()
+        if data.startswith(b"{"):
+            # a binary record starts with a length far below 0x7b000000
+            raise ValueError(
+                f"{log_path} is a JSON-lines log from an older ssdb, not binary records; "
+                "refusing to start rather than truncate it"
+            )
         pos = 0
         while pos < len(data):
-            newline = data.find(b"\n", pos)
-            if newline == -1:
-                break  # torn trailing record
-            line = data[pos : newline]
             try:
-                record = json.loads(line)
-                index = record["index"]
-                cells = protocol.read_field(record, "cells", protocol.CELLS, self.p)
-                if index != len(table.rows) + 1:
-                    raise ValueError(f"log index {index} out of order")
-                if set(cells) != set(table.schema.attr_names()):
-                    raise ValueError("log record attributes do not match schema")
-            except (ValueError, KeyError, TypeError, ProtocolError) as exc:
+                if len(data) - pos < _RECORD.size:
+                    raise ValueError("torn record header")
+                length, crc = _RECORD.unpack_from(data, pos)
+                payload = data[pos + _RECORD.size : pos + _RECORD.size + length]
+                if len(payload) != length:
+                    raise ValueError("torn record")
+                if zlib.crc32(payload) != crc:
+                    raise ValueError("checksum mismatch")
+                row = self._check_record(table, payload)
+            except (ValueError, SsdbError) as exc:
                 log.warning(
                     "%s: corrupt record at byte %d of %s (%s); truncating",
                     self.server_id, pos, log_path, exc,
                 )
                 break
-            table.rows.append({attr: self._pack(vec) for attr, vec in cells.items()})
-            pos = newline + 1
-            good_end = pos
-        if good_end < len(data):
+            table.add_row(row, self._width)
+            pos += _RECORD.size + length
+        if pos < len(data):
             with open(log_path, "r+b") as fh:
-                fh.truncate(good_end)
+                fh.truncate(pos)
 
-    def _pack(self, vec: list[int]) -> bytes:
-        """Fixed-width big-endian shares: far less memory than a list of ints."""
-        return b"".join(v.to_bytes(self._width, "big") for v in vec)
-
-    def _unpack(self, packed: bytes) -> list[int]:
-        w = self._width
-        return [int.from_bytes(packed[i : i + w], "big") for i in range(0, len(packed), w)]
+    def _check_record(self, table: StoredTable, payload) -> ShareRows:
+        """The one row a log record or an insert holds, if it may come next."""
+        row = protocol.read_body(payload, 1, len(table.columns), self.p)
+        if row.indices[0] != table.row_count + 1:
+            raise SsdbError(
+                protocol.SCHEMA_MISMATCH,
+                f"row index {row.indices[0]} out of order; expected {table.row_count + 1}",
+            )
+        if 0 in row.counts:
+            raise SsdbError(protocol.SCHEMA_MISMATCH, "empty share vector")
+        return row
 
     def create_table(self, schema: TableSchema) -> None:
         with self._lock:
@@ -171,61 +193,49 @@ class ServerStore:
             raise SsdbError(protocol.NO_SUCH_TABLE, f"no table {name!r}")
         return table
 
-    def append_row(self, table_name: str, index: int, cells: dict[str, list[int]]) -> None:
+    def append_row(self, table_name: str, attrs: list[str], row: ShareRows) -> None:
+        """Log and keep one row whose cells `attrs` names, in schema order."""
         with self._lock:
             table = self._table(table_name)
-            if index != table.next_index:
+            if list(attrs) != list(table.columns) or len(row.counts) != len(attrs):
                 raise SsdbError(
                     protocol.SCHEMA_MISMATCH,
-                    f"row index {index} out of order; expected {table.next_index}",
+                    f"cells {list(attrs)} do not match schema of {table_name!r}",
                 )
-            if set(cells) != set(table.schema.attr_names()):
-                raise SsdbError(
-                    protocol.SCHEMA_MISMATCH,
-                    f"cells do not match schema of {table_name!r}",
-                )
-            if any(not vec for vec in cells.values()):
-                raise SsdbError(protocol.SCHEMA_MISMATCH, "empty share vector")
-            for vec in cells.values():
-                for v in vec:
-                    # replay re-validates; rejecting here keeps them in step
-                    if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < self.p:
-                        raise SsdbError(
-                            protocol.VALUE_RANGE, f"share value {v!r} not in [0, {self.p})"
-                        )
-            record = {
-                "index": index,
-                "cells": {attr: [str(v) for v in vec] for attr, vec in cells.items()},
-            }
-            line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-            table.log_file.write(line.encode("utf-8"))
+            payload = row.body()
+            # the same check replay makes, so every logged record replays
+            self._check_record(table, payload)
+            table.log_file.write(_RECORD.pack(len(payload), zlib.crc32(payload)) + payload)
             table.log_file.flush()
             os.fsync(table.log_file.fileno())
-            table.rows.append({attr: self._pack(vec) for attr, vec in cells.items()})
+            table.add_row(row, self._width)
 
-    def rows_for(
-        self, table_name: str, attr: str, indices: Optional[list[int]]
-    ) -> list[DeliveredRow]:
-        """This server's shares of `attr` at the given rows; None means every row."""
+    def rows_for(self, table_name: str, attr: str, indices: Optional[list[int]]) -> ShareRows:
+        """This server's shares of `attr` at the given rows; None means every row.
+
+        The stored cells are joined as they are: no share is unpacked.
+        """
         with self._lock:
             table = self._table(table_name)
-            if not table.schema.has_attr(attr):
+            cells = table.columns.get(attr)
+            if cells is None:
                 raise SsdbError(protocol.NO_SUCH_ATTR, f"no attribute {attr!r} in {table_name!r}")
             if indices is None:
-                indices = range(1, len(table.rows) + 1)
-            rows = []
-            for index in indices:
-                if not 1 <= index <= len(table.rows):
-                    raise SsdbError(protocol.VALUE_RANGE, f"no row with index {index}")
-                elements = self._unpack(table.rows[index - 1][attr])
-                rows.append(DeliveredRow(index=index, elements=elements))
-            return rows
+                indices = range(1, len(cells) + 1)
+                picked = cells
+            else:
+                if indices and not (min(indices) >= 1 and max(indices) <= len(cells)):
+                    bad = next(i for i in indices if not 1 <= i <= len(cells))
+                    raise SsdbError(protocol.VALUE_RANGE, f"no row with index {bad}")
+                picked = [cells[i - 1] for i in indices]
+            w = self._width
+            return ShareRows(tuple(indices), tuple(len(c) // w for c in picked), b"".join(picked))
 
     def schema(self, table_name: str) -> tuple[TableSchema, int]:
         """The table's schema and its stored row count."""
         with self._lock:
             table = self._table(table_name)
-            return table.schema, len(table.rows)
+            return table.schema, table.row_count
 
     def close(self) -> None:
         with self._lock:
@@ -269,7 +279,7 @@ class ShareServer:
             self.store.create_table(msg.schema)
             return Ack()
         if isinstance(msg, InsertShares):
-            self.store.append_row(msg.table, msg.index, msg.cells)
+            self.store.append_row(msg.table, msg.attrs, msg.cells)
             return Ack()
         if isinstance(msg, GetSchema):
             schema, rows = self.store.schema(msg.table)

@@ -19,7 +19,6 @@ from ssdb.field import MERSENNE_61
 from ssdb.protocol import (
     Ack,
     CreateTable,
-    DeliveredRow,
     DeliverShares,
     Error,
     FetchToClient,
@@ -27,6 +26,7 @@ from ssdb.protocol import (
     GetSchema,
     InsertShares,
     SchemaResult,
+    ShareRows,
     SsdbError,
     encode_frame,
 )
@@ -253,19 +253,19 @@ def random_message(rng):
     attr = rng.choice(("a", "Patientname", "snake_case_3"))
     schema = TableSchema(table, (Attribute(attr, AttrType.INTEGER),))
     indices = sorted(rng.sample(range(1, 1000), rng.randint(0, 5)))
-    cells = {attr: random_share_vector(rng)}
+    cells = ShareRows.pack([rng.randint(1, 10**6)], [random_share_vector(rng)], P)
     builders = [
         lambda: Ack(req_id=rid),
         lambda: Error(req_id=rid, code=protocol.INTERNAL,
                       detail="boom 😀 émigré " * rng.randint(0, 5)),
         lambda: CreateTable(req_id=rid, schema=schema),
-        lambda: InsertShares(req_id=rid, table=table, index=rng.randint(1, 10**6), cells=cells),
+        lambda: InsertShares(req_id=rid, table=table, attrs=[attr], cells=cells),
         lambda: GetSchema(req_id=rid, table=table),
         lambda: SchemaResult(req_id=rid, schema=schema, rows=rng.randint(0, 10**6)),
         lambda: FetchToClient(req_id=rid, table=table, attr=attr,  # None: every row
                               indices=rng.choice((indices, None)), client_addr="127.0.0.1:5555"),
-        lambda: DeliverShares(req_id=rid, table=table, attr=attr, server_x=3,
-                              rows=[DeliveredRow(i, random_share_vector(rng)) for i in indices]),
+        lambda: DeliverShares(req_id=rid, table=table, attr=attr, server_x=3, rows=ShareRows.pack(
+            indices, [random_share_vector(rng) for _ in indices], P)),
     ]
     return rng.choice(builders)()
 

@@ -1,7 +1,7 @@
 """Query language, dealer writes, delivery listener, and the pipeline."""
 
-import json
 import time
+import zlib
 
 import pytest
 
@@ -23,10 +23,10 @@ from ssdb.field import MERSENNE_61
 from ssdb.hub import ClusterConfig, ServerInfo
 from ssdb.protocol import (
     Ack,
-    DeliveredRow,
     DeliverShares,
     InsertShares,
     SchemaResult,
+    ShareRows,
     SsdbError,
 )
 from ssdb.shamir import reconstruct, split
@@ -191,7 +191,10 @@ class FakeCluster:
         out = {}
         for sid, msg in self.writes:
             assert isinstance(msg, InsertShares)
-            out.setdefault((msg.table, msg.index), {})[sid] = msg.cells
+            (index,) = msg.cells.indices
+            out.setdefault((msg.table, index), {})[sid] = dict(
+                zip(msg.attrs, msg.cells.vectors(self.config.p))
+            )
         return [(table, index, per_server) for (table, index), per_server in out.items()]
 
 
@@ -251,6 +254,20 @@ class TestDealer:
             for sid in per_server:
                 assert per_server[sid][attr.name] != plain
 
+    def test_plaintext_share_vector_refused_before_any_write(self):
+        class ZeroRng:
+            def randrange(self, n):
+                return 0  # every blinding coefficient 0: each share equals its secret
+
+        with TestCluster.start(3, 2, seed=23) as cluster:
+            cluster.create_table(SCHEMA2)
+            dealer = Dealer(cluster.hub_client, cluster.config, rng=ZeroRng())
+            with pytest.raises(SsdbError) as e:
+                dealer.insert_row(SCHEMA2, (12345, "Aids"))
+            assert e.value.code == protocol.INTERNAL
+            for sid in ("s1", "s2", "s3"):
+                assert cluster.rows_log_bytes(sid, "t") == b""
+
     def test_next_index_discovered_then_cached(self, fake):
         hub, dealer = fake
         hub.row_count = 3
@@ -272,15 +289,19 @@ class TestDealer:
 
 class TestResultListener:
     def push(self, req_id, x, rows):
-        return DeliverShares(req_id=req_id, table="t", attr="a", server_x=x, rows=rows)
+        """A delivery of {index: share vector}."""
+        return DeliverShares(
+            req_id=req_id, table="t", attr="a", server_x=x,
+            rows=ShareRows.pack(list(rows), list(rows.values()), P),
+        )
 
     def test_completes_after_t_distinct_servers(self):
         listener = ResultListener(p=P)
         try:
             pf = listener.register("r1", 2)
-            listener._route(self.push("r1", 1, [DeliveredRow(1, [5])]))
+            listener._route(self.push("r1", 1, {1: [5]}))
             assert not pf.done.is_set()
-            listener._route(self.push("r1", 2, [DeliveredRow(1, [6])]))
+            listener._route(self.push("r1", 2, {1: [6]}))
             pushes = listener.wait(pf, time.monotonic() + 1)
             assert sorted(pushes) == [1, 2]
         finally:
@@ -290,9 +311,9 @@ class TestResultListener:
         listener = ResultListener(p=P)
         try:
             pf = listener.register("r1", 2)
-            msg = self.push("r1", 1, [DeliveredRow(1, [5])])
+            msg = self.push("r1", 1, {1: [5]})
             listener._route(msg)
-            listener._route(self.push("r1", 1, [DeliveredRow(1, [5])]))
+            listener._route(self.push("r1", 1, {1: [5]}))
             assert not pf.done.is_set()  # still only one distinct server
         finally:
             listener.close()
@@ -301,8 +322,8 @@ class TestResultListener:
         listener = ResultListener(p=P)
         try:
             pf = listener.register("r1", 2)
-            listener._route(self.push("r1", 1, [DeliveredRow(1, [5])]))
-            listener._route(self.push("r1", 1, [DeliveredRow(1, [999])]))
+            listener._route(self.push("r1", 1, {1: [5]}))
+            listener._route(self.push("r1", 1, {1: [999]}))
             with pytest.raises(SsdbError) as e:
                 listener.wait(pf, time.monotonic() + 1)
             assert e.value.code == protocol.DATA_CORRUPTION
@@ -312,7 +333,7 @@ class TestResultListener:
     def test_unknown_req_id_ignored(self):
         listener = ResultListener(p=P)
         try:
-            listener._route(self.push("mystery", 1, []))  # must not raise
+            listener._route(self.push("mystery", 1, {}))  # must not raise
         finally:
             listener.close()
 
@@ -331,8 +352,8 @@ class TestResultListener:
         try:
             pf = listener.register("r9", 2)
             addr = protocol.parse_addr(listener.addr_str)
-            protocol.push(addr, self.push("r9", 1, [DeliveredRow(1, [5])]))
-            protocol.push(addr, self.push("r9", 3, [DeliveredRow(1, [7])]))
+            protocol.push(addr, self.push("r9", 1, {1: [5]}))
+            protocol.push(addr, self.push("r9", 3, {1: [7]}))
             pushes = listener.wait(pf, time.monotonic() + 5)
             assert sorted(pushes) == [1, 3]
         finally:
@@ -471,13 +492,16 @@ class TestQueryFailureModes:
             cluster.load_fixture_patients()
             cluster.kill_server("s1")
             log_path = cluster.handles["s1"].data_dir / "patient_details" / "rows.log"
-            lines = log_path.read_text().splitlines()
-            record = json.loads(lines[0])
-            # blow up the reconstructed length prefix of a TEXT cell
-            tampered = (int(record["cells"]["Diagonosis"][0]) + (1 << 40)) % P
-            record["cells"]["Diagonosis"][0] = str(tampered)
-            lines[0] = json.dumps(record, sort_keys=True, separators=(",", ":"))
-            log_path.write_text("\n".join(lines) + "\n")
+            raw = bytearray(log_path.read_bytes())
+            # row 1's record: length, crc32, index, 4 counts, then the shares
+            length = int.from_bytes(raw[:4], "big")
+            counts = [int.from_bytes(raw[12 + 4 * k : 16 + 4 * k], "big") for k in range(4)]
+            # blow up the reconstructed length prefix of the TEXT cell Diagonosis
+            at = 8 + 4 + 16 + 8 * sum(counts[:3])
+            share = int.from_bytes(raw[at : at + 8], "big")
+            raw[at : at + 8] = ((share + (1 << 40)) % P).to_bytes(8, "big")
+            raw[4:8] = zlib.crc32(raw[8 : 8 + length]).to_bytes(4, "big")  # still a valid record
+            log_path.write_bytes(bytes(raw))
             cluster.revive_server("s1")
             with pytest.raises(SsdbError) as e:
                 cluster.query("SELECT Patientname FROM patient_details WHERE Diagonosis = 'Aids'")
@@ -493,7 +517,10 @@ class TestQueryFailureModes:
                 addr = protocol.parse_addr(cluster.handles[sid].info.address)
                 protocol.request(
                     addr,
-                    InsertShares(req_id=f"x-{sid}", table="w", index=1, cells={"v": vec}),
+                    InsertShares(
+                        req_id=f"x-{sid}", table="w", attrs=["v"],
+                        cells=ShareRows.pack([1], [vec], P),
+                    ),
                     p=P,
                 )
             with pytest.raises(SsdbError) as e:
@@ -510,7 +537,7 @@ class TestQueryFailureModes:
             def fetch_to_client(self, table, attr, indices, client_addr, req_id):
                 addr = protocol.parse_addr(client_addr)
                 for k, x in enumerate((1, stray_x)):  # one row, every-row fetch
-                    rows = [DeliveredRow(1, [y[k] for y in ys])]
+                    rows = ShareRows.pack([1], [[y[k] for y in ys]], P)
                     protocol.push(addr, DeliverShares(
                         req_id=req_id, table=table, attr=attr, server_x=x, rows=rows,
                     ))

@@ -22,11 +22,12 @@ from ssdb.protocol import (
     InsertShares,
     RemoteError,
     SchemaResult,
+    ShareRows,
     SsdbError,
 )
-from ssdb.server import ShareServer
+from ssdb.server import ServerStore, ShareServer
 from ssdb.shamir import reconstruct
-from ssdb.testnet import PATIENTS_TABLE, TestCluster
+from ssdb.testnet import PATIENTS_SCHEMA, PATIENTS_TABLE, TestCluster
 
 P = MERSENNE_61
 
@@ -163,8 +164,13 @@ class MiniCluster:
         self.stop()
 
 
+def pairs(rows):
+    """(index, share vector) of each row of a ShareRows."""
+    return list(zip(rows.indices, rows.vectors(P)))
+
+
 def stored(server, attr="k"):
-    return [(r.index, r.elements) for r in server.store.rows_for("records", attr, None)]
+    return pairs(server.store.rows_for("records", attr, None))
 
 
 class TestHubRouting:
@@ -176,7 +182,8 @@ class TestHubRouting:
                 assert reply.schema == SCHEMA
             # the hub takes no writes at all
             for msg in (CreateTable(req_id="c", schema=SCHEMA),
-                        InsertShares(req_id="i", table="records", index=1, cells={})):
+                        InsertShares(req_id="i", table="records", attrs=["k", "v"],
+                                     cells=ShareRows.pack([1], [[1], [2]], P))):
                 with pytest.raises(RemoteError) as e:
                     mini.ask(msg)
                 assert e.value.code == protocol.INTERNAL
@@ -201,7 +208,7 @@ class TestHubRouting:
             pushes = mini.relay_fetch("k", None)  # every row
             assert [m.server_x for m in pushes] == [1, 2]  # exactly t, in configured order
             for push, server in zip(pushes, mini.servers):
-                assert [(r.index, r.elements) for r in push.rows] == stored(server)
+                assert pairs(push.rows) == stored(server)
 
     def test_read_skips_dead_servers(self, tmp_path):
         with MiniCluster(tmp_path) as mini:
@@ -250,8 +257,8 @@ class TestHubRouting:
             mini.dealer.insert_row(SCHEMA, (7, "A"))
             # sneak an extra row into s1 behind the dealer's back
             mini.ask_server(
-                1, InsertShares(req_id="x", table="records", index=2,
-                                cells={"k": [5], "v": [1, 70]})
+                1, InsertShares(req_id="x", table="records", attrs=["k", "v"],
+                                cells=ShareRows.pack([2], [[5], [1, 70]], P))
             )
             # the client's check on the condition column's pushes catches it
             with pytest.raises(SsdbError) as e:
@@ -279,39 +286,30 @@ class TestHubRouting:
             mini.dealer.insert_row(SCHEMA, (7, "A"))
             pushes = mini.relay_fetch("v", [1])
             assert [m.server_x for m in pushes] == [1, 2]
-            assert all([r.index for r in m.rows] == [1] for m in pushes)
-
-
-def _leaves(obj):
-    if isinstance(obj, dict):
-        for value in obj.values():
-            yield from _leaves(value)
-    elif isinstance(obj, list):
-        for value in obj:
-            yield from _leaves(value)
-    else:
-        yield str(obj)
+            assert all(m.rows.indices == (1,) for m in pushes)
 
 
 def test_no_share_value_crosses_the_hub(monkeypatch):
     """Information flow: every share stored on a server stays off the hub's wire.
 
-    Records every message the hub receives and answers, and every
-    request and reply it exchanges with a server, across a fixture load,
-    queries with all servers up, and a query with one server down.
+    Records the frame of every message the hub receives and answers, and
+    of every request and reply it exchanges with a server, across a
+    fixture load, queries with all servers up, and a query with one
+    server down. No stored share may appear in them, neither as a
+    decimal string nor as its packed bytes.
     """
     recorded = []
 
     def spy(original):
         def wrapper(self, *args):
             msg = args[-1]
-            recorded.append(protocol.encode_message(msg))
+            recorded.append(protocol.encode_frame(msg))
             try:
                 reply = original(self, *args)
             except Exception as exc:
-                recorded.append({"error": str(exc)})
+                recorded.append(str(exc).encode())
                 raise
-            recorded.append(protocol.encode_message(reply))
+            recorded.append(protocol.encode_frame(reply))
             return reply
         return wrapper
 
@@ -325,16 +323,25 @@ def test_no_share_value_crosses_the_hub(monkeypatch):
         cluster.kill_server("s1")
         assert cluster.query(hospital).rows == [["Ann"], ["Dona"]]
         shares = set()
-        for sid in ("s1", "s2", "s3"):
-            for line in cluster.rows_log_bytes(sid, PATIENTS_TABLE).splitlines():
-                for vector in json.loads(line)["cells"].values():
-                    shares.update(vector)
+        for handle in cluster.handles.values():  # what a replay of each log holds
+            store = ServerStore(handle.data_dir, handle.info.server_id, handle.info.x_coord, P)
+            store.load()
+            for attr in PATIENTS_SCHEMA.attr_names():
+                shares.update(protocol.unpack_shares(
+                    store.rows_for(PATIENTS_TABLE, attr, None).packed, P
+                ))
+            store.close()
 
-    assert shares and recorded
-    assert {"GET_SCHEMA", "FETCH_TO_CLIENT"} <= {m.get("type") for m in recorded}
-    seen = {leaf for msg in recorded for leaf in _leaves(msg)}
-    leaked = shares & seen
-    assert not leaked, f"{len(leaked)} of {len(shares)} stored share strings crossed the hub"
+    assert len(shares) > 60 and recorded
+    assert {b"GET_SCHEMA", b"FETCH_TO_CLIENT"} <= {
+        json.loads(frame[4:].partition(b"\n")[0])["type"].encode()
+        for frame in recorded if frame[4:5] == b"{"
+    }
+    leaked = {
+        v for v in shares
+        if any(str(v).encode() in frame or v.to_bytes(8, "big") in frame for frame in recorded)
+    }
+    assert not leaked, f"{len(leaked)} of {len(shares)} stored shares crossed the hub"
 
 
 def test_hub_module_never_touches_share_math():

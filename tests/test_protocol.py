@@ -17,7 +17,6 @@ from ssdb.protocol import (
     VALUE_RANGE,
     Ack,
     CreateTable,
-    DeliveredRow,
     DeliverShares,
     Error,
     FetchToClient,
@@ -27,6 +26,7 @@ from ssdb.protocol import (
     ProtocolError,
     RemoteError,
     SchemaResult,
+    ShareRows,
     SsdbError,
     TcpService,
     decode_frame,
@@ -47,7 +47,9 @@ SAMPLES = [
     Ack(req_id="r1"),
     Error(req_id="r2", code=protocol.NO_SUCH_TABLE, detail="no such table 'x'"),
     CreateTable(req_id="r3", schema=SCHEMA),
-    InsertShares(req_id="r4", table="t", index=1, cells={"a": [5, P - 1], "b": [0]}),
+    InsertShares(
+        req_id="r4", table="t", attrs=["a", "b"], cells=ShareRows.pack([1], [[5, P - 1], [0]], P)
+    ),
     GetSchema(req_id="r9", table="t"),
     SchemaResult(req_id="r10", schema=SCHEMA, rows=4),
     FetchToClient(
@@ -59,20 +61,31 @@ SAMPLES = [
         table="t",
         attr="a",
         server_x=2,
-        rows=[DeliveredRow(index=1, elements=[7]), DeliveredRow(index=4, elements=[8, 9])],
+        rows=ShareRows.pack([1, 4], [[7], [8, 9]], P),
     ),
 ]
 
+
+def u32(*values):
+    return b"".join(v.to_bytes(4, "big") for v in values)
+
+
+def u64(*values):
+    return b"".join(v.to_bytes(8, "big") for v in values)
+
+
 # The frames the hand-written per-class codec produced for SAMPLES, byte
-# for byte; the declarative codec must not drift from them.
+# for byte; the declarative codec must not drift from them. The two
+# share-bearing frames (r4, r12) were re-pinned when shares moved from
+# decimal JSON strings to a binary body after the JSON header.
 GOLDEN_FRAMES = [
     b'\x00\x00\x00\x1c{"type":"ACK","req_id":"r1"}',
     b'\x00\x00\x00R{"type":"ERROR","req_id":"r2","code":"NO_SUCH_TABLE",'
     b'"detail":"no such table \'x\'"}',
     b'\x00\x00\x00\xa4{"type":"CREATE_TABLE","req_id":"r3","schema":{"table":"patient_details",'
     b'"attributes":[{"name":"Patientid","type":"INTEGER"},{"name":"Patientname","type":"TEXT"}]}}',
-    b'\x00\x00\x00p{"type":"INSERT_SHARES","req_id":"r4","table":"t","index":1,'
-    b'"cells":{"a":["5","2305843009213693950"],"b":["0"]}}',
+    b'\x00\x00\x00i{"type":"INSERT_SHARES","req_id":"r4","table":"t","attrs":["a","b"]}\n'
+    + u32(1) + u32(2, 1) + u64(5, P - 1, 0),
     b'\x00\x00\x00/{"type":"GET_SCHEMA","req_id":"r9","table":"t"}',
     b'\x00\x00\x00\xaf{"type":"SCHEMA_RESULT","req_id":"r10","schema":{"table":"patient_details",'
     b'"attributes":[{"name":"Patientid","type":"INTEGER"},{"name":"Patientname","type":"TEXT"}]},'
@@ -81,12 +94,15 @@ GOLDEN_FRAMES = [
     b'"indices":[1,4],"client_addr":"127.0.0.1:9"}',
     b'\x00\x00\x00l{"type":"FETCH_TO_CLIENT","req_id":"r11b","table":"t","attr":"a",'
     b'"indices":null,"client_addr":"127.0.0.1:9"}',
-    b'\x00\x00\x00\x93{"type":"DELIVER_SHARES","req_id":"r12","table":"t","attr":"a",'
-    b'"server_x":2,"rows":[{"index":1,"elements":["7"]},{"index":4,"elements":["8","9"]}]}',
+    b'\x00\x00\x00~{"type":"DELIVER_SHARES","req_id":"r12","table":"t","attr":"a",'
+    b'"server_x":2,"rows":2}\n' + u32(1, 4) + u32(1, 2) + u64(7, 8, 9),
 ]
 
 # Every declared payload field of every message type, with a value of the
 # wrong JSON type for it and the code a missing or ill-typed field gets.
+# INSERT_SHARES.cells has no header entry: it is the binary body, missing
+# when the frame has none and ill-typed when the bytes are not its layout.
+BODY_ONLY = {("INSERT_SHARES", "cells")}
 FIELD_CASES = {
     ("ACK", "req_id"): (7, INTERNAL),
     ("ERROR", "req_id"): (7, INTERNAL),
@@ -96,8 +112,8 @@ FIELD_CASES = {
     ("CREATE_TABLE", "schema"): ([], SCHEMA_MISMATCH),
     ("INSERT_SHARES", "req_id"): (7, INTERNAL),
     ("INSERT_SHARES", "table"): (7, INTERNAL),
-    ("INSERT_SHARES", "index"): (True, INTERNAL),
-    ("INSERT_SHARES", "cells"): ([], INTERNAL),
+    ("INSERT_SHARES", "attrs"): (["a", 7], INTERNAL),
+    ("INSERT_SHARES", "cells"): (u32(1), INTERNAL),  # no room for the two counts
     ("GET_SCHEMA", "req_id"): (7, INTERNAL),
     ("GET_SCHEMA", "table"): (7, INTERNAL),
     ("SCHEMA_RESULT", "req_id"): (7, INTERNAL),
@@ -112,18 +128,17 @@ FIELD_CASES = {
     ("DELIVER_SHARES", "table"): (7, INTERNAL),
     ("DELIVER_SHARES", "attr"): (7, INTERNAL),
     ("DELIVER_SHARES", "server_x"): (True, INTERNAL),
-    ("DELIVER_SHARES", "rows"): ({"index": 1}, INTERNAL),
+    ("DELIVER_SHARES", "rows"): ("2", INTERNAL),  # the header's row count
 }
 
-# Well-typed values out of their range.
+# Well-typed values out of their range; bytes stand in for the sample's body.
 OUT_OF_RANGE = [
-    ("INSERT_SHARES", "index", 0),
-    ("INSERT_SHARES", "cells", {"a": [str(P)]}),
+    ("INSERT_SHARES", "cells", u32(1) + u32(2, 1) + u64(5, P, 0)),
     ("SCHEMA_RESULT", "rows", -1),
     ("FETCH_TO_CLIENT", "indices", [0]),
     ("DELIVER_SHARES", "server_x", 0),
-    ("DELIVER_SHARES", "rows", [{"index": 0, "elements": ["1"]}]),
-    ("DELIVER_SHARES", "rows", [{"index": 1, "elements": ["1", str(P)]}]),
+    ("DELIVER_SHARES", "rows", u32(0, 4) + u32(1, 2) + u64(7, 8, 9)),
+    ("DELIVER_SHARES", "rows", u32(1, 4) + u32(1, 2) + u64(7, P, 9)),
 ]
 
 
@@ -132,7 +147,16 @@ def case_id(msg_type, name, *_):
 
 
 def valid_payload(msg_type):
+    """A sample's JSON header and binary body (None for a bodyless type)."""
     return encode_message(next(m for m in SAMPLES if m.type == msg_type))
+
+
+def insert_body(*shares, p=P):
+    """A one-row INSERT_SHARES body: index 1, one cell holding `shares`."""
+    return u32(1, len(shares)) + protocol.pack_shares(shares, p)
+
+
+INSERT_HEADER = {"type": "INSERT_SHARES", "req_id": "r", "table": "t", "attrs": ["a"]}
 
 
 class TestFrameShape:
@@ -147,14 +171,28 @@ class TestFrameShape:
         assert obj["req_id"] == "r"
         assert obj["table"] == "t"
 
-    def test_share_values_travel_as_decimal_strings(self):
-        msg = InsertShares(req_id="r", table="t", index=1, cells={"a": [P - 1]})
-        obj = encode_message(msg)
-        assert obj["cells"]["a"] == [str(P - 1)]
+    def test_share_values_travel_as_fixed_width_binary(self):
+        # body: the row indices, each cell's element count (4-byte big-endian
+        # ints), then every share in `width` big-endian bytes
+        for p, width in ((17, 1), (P, 8), (2**127 - 1, 16)):
+            msg = DeliverShares(
+                req_id="r", table="t", attr="a", server_x=1,
+                rows=ShareRows.pack([3, 9], [[p - 1, 5], [0]], p),
+            )
+            frame = encode_frame(msg)
+            header, _, body = frame[4:].partition(b"\n")
+            assert json.loads(header)["rows"] == 2
+            shares = b"".join(v.to_bytes(width, "big") for v in (p - 1, 5, 0))
+            assert body == u32(3, 9) + u32(2, 1) + shares
+            assert protocol.share_width(p) == width
+            assert decode_frame(frame, p) == (msg, len(frame))
 
     def test_oversized_frame_rejected_on_encode(self):
-        # ~22 bytes of JSON per share string, so 1M of them tops 16 MiB
-        huge = InsertShares(req_id="r", table="t", index=1, cells={"a": [P - 1] * 1_000_000})
+        # 8 bytes per share, so 3M of them top 16 MiB
+        huge = InsertShares(
+            req_id="r", table="t", attrs=["a"],
+            cells=ShareRows((1,), (3_000_000,), bytes(8 * 3_000_000)),
+        )
         with pytest.raises(ProtocolError) as e:
             encode_frame(huge)
         assert e.value.code == protocol.INTERNAL
@@ -163,6 +201,19 @@ class TestFrameShape:
         bogus = (protocol.MAX_FRAME_BYTES + 1).to_bytes(4, "big") + b"x"
         with pytest.raises(ProtocolError):
             decode_frame(bogus, P)
+
+    def test_oversized_length_rejected_before_its_bytes_are_buffered(self):
+        # the 4-byte length alone is enough to refuse the frame
+        header = (protocol.MAX_FRAME_BYTES + 1).to_bytes(4, "big")
+        with pytest.raises(ProtocolError) as e:
+            FrameDecoder(P).feed(header)
+        assert e.value.code == protocol.INTERNAL
+        with EchoService(lambda msg: Ack()) as svc:
+            with socket.create_connection(svc.address, timeout=5) as sock:
+                sock.sendall(header)  # and never the payload
+                reply = protocol.recv_message(sock, P)
+                assert isinstance(reply, Error) and reply.code == protocol.INTERNAL
+                assert sock.recv(1) == b""
 
     def test_incomplete_frames_return_none(self):
         frame = encode_frame(Ack(req_id="abc"))
@@ -205,38 +256,69 @@ class TestMessageCodec:
 
     @pytest.mark.parametrize("msg_type, name", FIELD_CASES, ids=[case_id(*c) for c in FIELD_CASES])
     def test_missing_field(self, msg_type, name):
-        obj = valid_payload(msg_type)
-        del obj[name]
+        obj, body = valid_payload(msg_type)
+        if (msg_type, name) in BODY_ONLY:
+            body = None
+        else:
+            del obj[name]
         if (msg_type, name) == ("FETCH_TO_CLIENT", "indices"):
             assert decode_message(obj, P).indices is None
             return
         with pytest.raises(ProtocolError) as e:
-            decode_message(obj, P)
+            decode_message(obj, P, body)
         assert e.value.code == FIELD_CASES[msg_type, name][1]
 
     @pytest.mark.parametrize("msg_type, name", FIELD_CASES, ids=[case_id(*c) for c in FIELD_CASES])
     def test_ill_typed_field(self, msg_type, name):
         wrong, code = FIELD_CASES[msg_type, name]
+        obj, body = valid_payload(msg_type)
+        if (msg_type, name) in BODY_ONLY:
+            body = wrong
+        else:
+            obj = {**obj, name: wrong}
         with pytest.raises(ProtocolError) as e:
-            decode_message({**valid_payload(msg_type), name: wrong}, P)
+            decode_message(obj, P, body)
         assert e.value.code == code
 
     @pytest.mark.parametrize(
         "msg_type, name, value", OUT_OF_RANGE, ids=[case_id(*c) for c in OUT_OF_RANGE]
     )
     def test_out_of_range_field(self, msg_type, name, value):
+        obj, body = valid_payload(msg_type)
+        if isinstance(value, bytes):
+            body = value
+        else:
+            obj = {**obj, name: value}
         with pytest.raises(ProtocolError) as e:
-            decode_message({**valid_payload(msg_type), name: value}, P)
+            decode_message(obj, P, body)
         assert e.value.code == VALUE_RANGE
 
-    @pytest.mark.parametrize("entry", [
-        "row", {"elements": ["1"]}, {"index": 1}, {"index": "1", "elements": ["1"]},
-        {"index": 1, "elements": "1"},
-    ], ids=["not-an-object", "no-index", "no-elements", "string-index", "string-elements"])
-    def test_ill_formed_delivered_row(self, entry):
+    @pytest.mark.parametrize("body", [
+        u32(1),  # one of its two row indices
+        u32(1, 4) + u32(1),  # one of its two counts
+        u32(1, 4) + u32(1, 2),  # the counts, then no shares
+        u32(1, 4) + u32(1, 2) + u64(7, 8),  # one share short of the counts
+        u32(1, 4) + u32(1, 2) + u64(7, 8, 9)[:-1],  # a torn share
+        u32(1, 4) + u32(1, 2) + u64(7, 8, 9) + b"\x00",  # a byte past the counts
+    ], ids=["no-index", "no-counts", "no-elements", "short", "torn-share", "extra-byte"])
+    def test_ill_formed_delivered_row(self, body):
+        # the body's length must be exactly what its header and counts give
+        header, _ = valid_payload("DELIVER_SHARES")
         with pytest.raises(ProtocolError) as e:
-            decode_message({**valid_payload("DELIVER_SHARES"), "rows": [entry]}, P)
+            decode_message(header, P, body)
         assert e.value.code == INTERNAL
+
+    def test_body_only_where_the_type_declares_one(self):
+        with pytest.raises(ProtocolError) as e:
+            decode_message(INSERT_HEADER, P)  # no body
+        assert e.value.code == INTERNAL
+        with pytest.raises(ProtocolError) as e:
+            decode_message({"type": "ACK", "req_id": "r"}, P, b"")
+        assert e.value.code == INTERNAL
+        # a newline in the payload starts a body, which ACK does not take
+        payload = b'{"type":"ACK","req_id":"r"}\n'
+        with pytest.raises(ProtocolError):
+            decode_frame(len(payload).to_bytes(4, "big") + payload, P)
 
     def test_unknown_type(self):
         with pytest.raises(ProtocolError) as e:
@@ -251,31 +333,16 @@ class TestMessageCodec:
         with pytest.raises(ProtocolError):
             decode_message({"type": "ACK", "req_id": 7}, P)
 
-    def test_share_string_validation(self):
-        for bad in ("+1", "-1", "1e3", "", " 1", "١٢٣", "0x10", "1.0"):
-            with pytest.raises(ProtocolError) as e:
-                decode_message(
-                    {"type": "INSERT_SHARES", "req_id": "r", "table": "t", "index": 1,
-                     "cells": {"a": [bad]}},
-                    P,
-                )
-            assert e.value.code == protocol.VALUE_RANGE, bad
-
     def test_share_value_must_be_below_modulus(self):
+        assert decode_message(INSERT_HEADER, P, insert_body(P - 1)).cells.vectors(P) == [[P - 1]]
         with pytest.raises(ProtocolError) as e:
-            decode_message(
-                {"type": "INSERT_SHARES", "req_id": "r", "table": "t", "index": 1,
-                 "cells": {"a": [str(P)]}},
-                P,
-            )
+            decode_message(INSERT_HEADER, P, insert_body(P))
         assert e.value.code == protocol.VALUE_RANGE
 
     def test_small_modulus_tightens_validation(self):
-        obj = {"type": "INSERT_SHARES", "req_id": "r", "table": "t", "index": 1,
-               "cells": {"a": ["16"]}}
-        assert decode_message(obj, 17).cells == {"a": [16]}
+        assert decode_message(INSERT_HEADER, 17, insert_body(16, p=17)).cells.vectors(17) == [[16]]
         with pytest.raises(ProtocolError):
-            decode_message({**obj, "cells": {"a": ["17"]}}, 17)
+            decode_message(INSERT_HEADER, 17, insert_body(17, p=17))
 
     def test_row_index_validation(self):
         base = {"type": "FETCH_TO_CLIENT", "req_id": "r", "table": "t", "attr": "a",
@@ -289,12 +356,9 @@ class TestMessageCodec:
         assert decode_message(base, P).indices is None
 
     def test_bool_rejected_where_int_expected(self):
+        obj, body = valid_payload("DELIVER_SHARES")
         with pytest.raises(ProtocolError):
-            decode_message(
-                {"type": "INSERT_SHARES", "req_id": "r", "table": "t", "index": True,
-                 "cells": {}},
-                P,
-            )
+            decode_message({**obj, "server_x": True}, P, body)
 
     def test_schema_row_count_validation(self):
         base = {"type": "SCHEMA_RESULT", "req_id": "r", "schema": SCHEMA.to_json_dict()}
@@ -334,8 +398,10 @@ class TestFrameDecoder:
             InsertShares(
                 req_id=f"r{k}",
                 table="t",
-                index=k + 1,
-                cells={"a": [rng.randrange(P) for _ in range(rng.randrange(4))]},
+                attrs=["a"],
+                cells=ShareRows.pack(
+                    [k + 1], [[rng.randrange(P) for _ in range(rng.randrange(4))]], P
+                ),
             )
             for k in range(6)
         ]

@@ -1,13 +1,12 @@
 """Share server storage, durability, and its TCP dispatch."""
 
-import json
 import socket
-import time
+import zlib
 
 import pytest
 
 from ssdb import protocol
-from ssdb.encoding import Attribute, AttrType, TableSchema
+from ssdb.encoding import Attribute, AttrType, TableSchema, encode_value
 from ssdb.field import MERSENNE_61
 from ssdb.protocol import (
     Ack,
@@ -18,10 +17,11 @@ from ssdb.protocol import (
     InsertShares,
     RemoteError,
     SchemaResult,
+    ShareRows,
     SsdbError,
 )
 from ssdb.server import ServerStore, ShareServer
-from ssdb.testnet import TestCluster
+from ssdb.testnet import PATIENT_ROWS, PATIENTS_SCHEMA, PATIENTS_TABLE, TestCluster
 
 P = MERSENNE_61
 
@@ -29,6 +29,7 @@ SCHEMA = TableSchema(
     "patients",
     (Attribute("pid", AttrType.INTEGER), Attribute("name", AttrType.TEXT)),
 )
+ATTRS = SCHEMA.attr_names()
 
 
 def make_store(tmp_path, **kw):
@@ -37,22 +38,54 @@ def make_store(tmp_path, **kw):
     return store
 
 
-def cells(k: int) -> dict:
-    return {"pid": [100 + k], "name": [1, 65 + k]}
+def cells(k: int) -> list:
+    """Row k's share vectors, in schema order."""
+    return [[100 + k], [1, 65 + k]]
+
+
+def append(store, k, vectors=None, attrs=ATTRS):
+    store.append_row("patients", attrs, ShareRows.pack([k], vectors or cells(k), store.p))
+
+
+def insert(req_id, k):
+    return InsertShares(
+        req_id=req_id, table="patients", attrs=ATTRS, cells=ShareRows.pack([k], cells(k), P)
+    )
+
+
+def pairs(rows, p=P):
+    """(index, share vector) of each row of a ShareRows."""
+    return list(zip(rows.indices, rows.vectors(p)))
 
 
 def column(store, attr):
     """(indices, share vectors) of every stored row."""
     rows = store.rows_for("patients", attr, None)
-    return [r.index for r in rows], [r.elements for r in rows]
+    return list(rows.indices), rows.vectors(store.p)
+
+
+def u32(*values):
+    return b"".join(v.to_bytes(4, "big") for v in values)
+
+
+def u64(*values):
+    return b"".join(v.to_bytes(8, "big") for v in values)
+
+
+def record(payload: bytes) -> bytes:
+    """A log record: payload length, its crc32, the payload."""
+    return u32(len(payload), zlib.crc32(payload)) + payload
+
+
+RECORD_BYTES = len(record(ShareRows.pack([1], cells(1), P).body()))  # 44: 8 + 4 + 8 + 24
 
 
 class TestServerStore:
     def test_create_append_read(self, tmp_path):
         store = make_store(tmp_path)
         store.create_table(SCHEMA)
-        store.append_row("patients", 1, cells(1))
-        store.append_row("patients", 2, cells(2))
+        append(store, 1)
+        append(store, 2)
         indices, col = column(store, "pid")
         assert indices == [1, 2]
         assert col == [[101], [102]]
@@ -62,7 +95,7 @@ class TestServerStore:
         store = make_store(tmp_path)
         store.create_table(SCHEMA)
         for k in range(1, 6):
-            store.append_row("patients", k, cells(k))
+            append(store, k)
         store.close()
 
         again = make_store(tmp_path)
@@ -70,41 +103,48 @@ class TestServerStore:
         assert indices == [1, 2, 3, 4, 5]
         assert col == [[1, 65 + k] for k in range(1, 6)]
         # appends continue at the right index
-        again.append_row("patients", 6, cells(6))
+        append(again, 6)
         again.close()
 
     @pytest.mark.parametrize("p", [17, P, 2**127 - 1])
     def test_shares_round_trip_at_any_modulus_width(self, tmp_path, p):
-        # cells are kept packed in memory; every width of p must read back
+        # cells are kept and logged packed; every width of p must read back
         # exactly, before and after a replay
         vec = [0, 1, p // 2, p - 1]
         store = make_store(tmp_path, p=p)
         store.create_table(SCHEMA)
-        store.append_row("patients", 1, {"pid": [p - 1], "name": vec})
+        append(store, 1, [[p - 1], vec])
         assert column(store, "name") == ([1], [vec])
         store.close()
+        size = (tmp_path / "s1" / "patients" / "rows.log").stat().st_size
+        assert size == 8 + 4 + 2 * 4 + 5 * protocol.share_width(p)
         again = make_store(tmp_path, p=p)
         assert column(again, "name") == ([1], [vec])
         assert column(again, "pid") == ([1], [[p - 1]])
         again.close()
 
-    def test_log_is_one_sorted_json_record_per_line(self, tmp_path):
+    def test_log_is_one_checksummed_binary_record_per_row(self, tmp_path):
         store = make_store(tmp_path)
         store.create_table(SCHEMA)
-        store.append_row("patients", 1, cells(1))
+        append(store, 1)
+        store.close()
         raw = (tmp_path / "s1" / "patients" / "rows.log").read_bytes()
-        lines = raw.decode().splitlines()
-        assert len(lines) == 1
-        record = json.loads(lines[0])
-        assert record["index"] == 1
-        assert record["cells"]["pid"] == ["101"]
-        # canonical form: sorted keys, no spaces
-        assert lines[0] == json.dumps(record, sort_keys=True, separators=(",", ":"))
+        # index 1; counts 1 (pid) and 2 (name), in schema order; then the
+        # shares 101 | 1, 66 as 8-byte big-endian ints; no attribute names
+        payload = u32(1) + u32(1, 2) + u64(101, 1, 66)
+        assert raw == record(payload)
+        assert raw == (
+            b"\x00\x00\x00\x24\xa7\xc7\x52\x22"
+            b"\x00\x00\x00\x01\x00\x00\x00\x01\x00\x00\x00\x02"
+            b"\x00\x00\x00\x00\x00\x00\x00\x65"
+            b"\x00\x00\x00\x00\x00\x00\x00\x01"
+            b"\x00\x00\x00\x00\x00\x00\x00\x42"
+        )
 
     def test_create_is_idempotent_for_equal_schema(self, tmp_path):
         store = make_store(tmp_path)
         store.create_table(SCHEMA)
-        store.append_row("patients", 1, cells(1))
+        append(store, 1)
         store.create_table(SCHEMA)  # no-op
         assert column(store, "pid")[0] == [1]
 
@@ -120,22 +160,29 @@ class TestServerStore:
         store = make_store(tmp_path)
         store.create_table(SCHEMA)
         with pytest.raises(SsdbError) as e:
-            store.append_row("patients", 2, cells(2))
+            append(store, 2)
         assert e.value.code == protocol.SCHEMA_MISMATCH
-        store.append_row("patients", 1, cells(1))
+        append(store, 1)
         with pytest.raises(SsdbError):
-            store.append_row("patients", 1, cells(1))
+            append(store, 1)
 
     def test_attr_set_must_match_schema(self, tmp_path):
         store = make_store(tmp_path)
         store.create_table(SCHEMA)
         with pytest.raises(SsdbError) as e:
-            store.append_row("patients", 1, {"pid": [1]})
+            append(store, 1, [[1]], attrs=["pid"])
         assert e.value.code == protocol.SCHEMA_MISMATCH
-        with pytest.raises(SsdbError):
-            store.append_row("patients", 1, {**cells(1), "extra": [1]})
-        with pytest.raises(SsdbError):
-            store.append_row("patients", 1, {"pid": [1], "name": []})
+        for attrs, vectors in (
+            (ATTRS + ["extra"], cells(1) + [[1]]),
+            (["name", "pid"], cells(1)[::-1]),  # cells travel in schema order
+            (ATTRS, [[1]]),  # one count for two names
+            (ATTRS, [[1], []]),  # an empty share vector
+        ):
+            with pytest.raises(SsdbError) as e:
+                append(store, 1, vectors, attrs=attrs)
+            assert e.value.code == protocol.SCHEMA_MISMATCH
+        store.close()
+        assert (tmp_path / "s1" / "patients" / "rows.log").read_bytes() == b""
 
     def test_unknown_table_and_attr(self, tmp_path):
         store = make_store(tmp_path)
@@ -154,55 +201,74 @@ class TestServerStore:
         store = make_store(tmp_path)
         store.create_table(SCHEMA)
         for k in range(1, 4):
-            store.append_row("patients", k, cells(k))
-        rows = store.rows_for("patients", "pid", [3, 1])
-        assert [(r.index, r.elements) for r in rows] == [(3, [103]), (1, [101])]
-        assert store.rows_for("patients", "pid", []) == []
+            append(store, k)
+        assert pairs(store.rows_for("patients", "pid", [3, 1])) == [(3, [103]), (1, [101])]
+        assert store.rows_for("patients", "name", [2]) == ShareRows.pack([2], [[1, 67]], P)
+        assert store.rows_for("patients", "pid", []) == ShareRows()
         for bad in (0, 4, 9):
             with pytest.raises(SsdbError) as e:
-                store.rows_for("patients", "pid", [bad])
+                store.rows_for("patients", "pid", [1, bad])
             assert e.value.code == protocol.VALUE_RANGE
         every = store.rows_for("patients", "pid", None)
-        assert [(r.index, r.elements) for r in every] == [(1, [101]), (2, [102]), (3, [103])]
+        assert pairs(every) == [(1, [101]), (2, [102]), (3, [103])]
 
     def test_torn_trailing_record_is_truncated(self, tmp_path):
         store = make_store(tmp_path)
         store.create_table(SCHEMA)
         for k in range(1, 101):
-            store.append_row("patients", k, cells(k))
+            append(store, k)
         store.close()
 
         log_path = tmp_path / "s1" / "patients" / "rows.log"
         raw = log_path.read_bytes()
-        log_path.write_bytes(raw[:-10])  # tear the last record mid-line
+        log_path.write_bytes(raw[:-10])  # tear the last record
 
         again = make_store(tmp_path)
         indices, _ = column(again, "pid")
         assert indices == list(range(1, 100))  # 99 rows survive
-        # the torn bytes are gone from disk: 99 whole lines remain
-        on_disk = log_path.read_bytes()
-        assert on_disk.endswith(b"\n") and on_disk.count(b"\n") == 99
-        again.append_row("patients", 100, cells(100))
+        # the torn bytes are gone from disk: 99 whole records remain
+        assert log_path.read_bytes() == raw[: 99 * RECORD_BYTES]
+        append(again, 100)
         assert column(again, "pid")[0] == list(range(1, 101))
         again.close()
 
-    @pytest.mark.parametrize("bad", ['["oops"]', '["+1"]', '["١٢٣"]', f'["{P}"]', '"5"'],
-                             ids=["oops", "plus", "arabic-digits", "p", "not-a-list"])
+    @pytest.mark.parametrize("bad", [
+        lambda good, payload: good[:-3],  # torn: later records read misaligned
+        lambda good, payload: good[:4] + bytes(4) + payload,  # checksum does not match
+        lambda good, payload: record(payload[:12] + u64(P) + payload[20:]),  # share >= p
+        lambda good, payload: record(payload + u64(1)),  # 4 shares where counts say 3
+        lambda good, payload: record(u32(6) + payload[4:]),  # index 6 in row 5's place
+    ], ids=["torn", "checksum", "p", "length", "order"])
     def test_corrupt_middle_record_drops_the_tail(self, tmp_path, bad):
         store = make_store(tmp_path)
         store.create_table(SCHEMA)
         for k in range(1, 11):
-            store.append_row("patients", k, cells(k))
+            append(store, k)
         store.close()
 
         log_path = tmp_path / "s1" / "patients" / "rows.log"
-        lines = log_path.read_bytes().splitlines(keepends=True)
-        lines[4] = f'{{"index":5,"cells":{{"pid":{bad},"name":["1","70"]}}}}\n'.encode()
-        log_path.write_bytes(b"".join(lines))
+        raw = log_path.read_bytes()
+        records = [raw[i : i + RECORD_BYTES] for i in range(0, len(raw), RECORD_BYTES)]
+        assert len(records) == 10
+        records[4] = bad(records[4], records[4][8:])
+        log_path.write_bytes(b"".join(records))
 
         again = make_store(tmp_path)
         assert column(again, "pid")[0] == [1, 2, 3, 4]
         again.close()
+        assert log_path.read_bytes() == raw[: 4 * RECORD_BYTES]
+
+    def test_json_log_is_refused_not_truncated(self, tmp_path):
+        store = make_store(tmp_path)
+        store.create_table(SCHEMA)
+        store.close()
+        log_path = tmp_path / "s1" / "patients" / "rows.log"
+        old = b'{"cells":{"name":["1","66"],"pid":["101"]},"index":1}\n'
+        log_path.write_bytes(old)
+        with pytest.raises(ValueError) as e:
+            make_store(tmp_path)
+        assert str(log_path) in str(e.value)
+        assert log_path.read_bytes() == old
 
     def test_meta_file_pins_identity(self, tmp_path):
         store = make_store(tmp_path)
@@ -217,11 +283,26 @@ class TestServerStore:
     def test_share_values_validated_against_modulus(self, tmp_path):
         store = make_store(tmp_path, p=17)
         store.create_table(SCHEMA)
-        store.append_row("patients", 1, {"pid": [16], "name": [1, 2]})
+        append(store, 1, [[16], [1, 2]])
         with pytest.raises(SsdbError) as e:
             # 17 is not a valid share under p=17
-            store.append_row("patients", 2, {"pid": [17], "name": [1, 2]})
+            append(store, 2, [[17], [1, 2]])
         assert e.value.code == protocol.VALUE_RANGE
+
+
+def test_fixture_log_size_is_what_the_record_layout_gives():
+    """rows.log holds per row 8 bytes of framing, the index, a count per
+    attribute and 8 bytes per share, and nothing else."""
+    expected = 0
+    for row in PATIENT_ROWS:
+        elements = sum(
+            len(encode_value(a.type, v, P)) for a, v in zip(PATIENTS_SCHEMA.attributes, row)
+        )
+        expected += 8 + 4 + 4 * len(PATIENTS_SCHEMA.attributes) + 8 * elements
+    with TestCluster.start(3, 2, seed=5) as cluster:
+        cluster.load_fixture_patients()
+        for sid in ("s1", "s2", "s3"):
+            assert len(cluster.rows_log_bytes(sid, PATIENTS_TABLE)) == expected, sid
 
 
 class LiveServer:
@@ -266,10 +347,10 @@ class TestShareServerTcp:
     def test_insert_and_get_column(self, tmp_path):
         with LiveServer(tmp_path) as server:
             ask(server, CreateTable(req_id="c", schema=SCHEMA))
-            ask(server, InsertShares(req_id="i1", table="patients", index=1, cells=cells(1)))
-            ask(server, InsertShares(req_id="i2", table="patients", index=2, cells=cells(2)))
+            ask(server, insert("i1", 1))
+            ask(server, insert("i2", 2))
             push = fetch(server, "pid", None)  # the whole column
-            assert [(r.index, r.elements) for r in push.rows] == [(1, [101]), (2, [102])]
+            assert pairs(push.rows) == [(1, [101]), (2, [102])]
             schema_reply = ask(server, GetSchema(req_id="s", table="patients"))
             assert isinstance(schema_reply, SchemaResult)
             assert schema_reply.schema == SCHEMA
@@ -286,7 +367,7 @@ class TestShareServerTcp:
                                           client_addr="127.0.0.1:1"))
             assert e.value.code == protocol.NO_SUCH_ATTR
             with pytest.raises(RemoteError) as e:
-                ask(server, InsertShares(req_id="i", table="patients", index=5, cells=cells(1)))
+                ask(server, insert("i", 5))
             assert e.value.code == protocol.SCHEMA_MISMATCH
 
     def test_hub_only_message_rejected(self, tmp_path):
@@ -299,12 +380,12 @@ class TestShareServerTcp:
         with LiveServer(tmp_path) as server:
             ask(server, CreateTable(req_id="c", schema=SCHEMA))
             for k in range(1, 4):
-                ask(server, InsertShares(req_id=f"i{k}", table="patients", index=k, cells=cells(k)))
+                ask(server, insert(f"i{k}", k))
             push = fetch(server, "name", [3, 1], req_id="f1")
             assert push.type == "DELIVER_SHARES"
             assert push.req_id == "f1"
             assert push.server_x == 1
-            assert [(r.index, r.elements) for r in push.rows] == [(3, [1, 68]), (1, [1, 66])]
+            assert pairs(push.rows) == [(3, [1, 68]), (1, [1, 66])]
 
     def test_fetch_validation_errors_are_synchronous(self, tmp_path):
         with LiveServer(tmp_path) as server:
@@ -322,17 +403,17 @@ class TestShareServerTcp:
     def test_empty_fetch_is_a_valid_push(self, tmp_path):
         with LiveServer(tmp_path) as server:
             ask(server, CreateTable(req_id="c", schema=SCHEMA))
-            assert fetch(server, "pid", []).rows == []
-            assert fetch(server, "pid", None).rows == []  # every row of an empty table
+            assert fetch(server, "pid", []).rows == ShareRows()
+            assert fetch(server, "pid", None).rows == ShareRows()  # every row of an empty table
 
     def test_restart_replays_from_disk(self, tmp_path):
         with LiveServer(tmp_path) as server:
             ask(server, CreateTable(req_id="c", schema=SCHEMA))
-            ask(server, InsertShares(req_id="i", table="patients", index=1, cells=cells(1)))
+            ask(server, insert("i", 1))
         # same data dir, fresh process-equivalent
         with LiveServer(tmp_path) as server2:
             push = fetch(server2, "pid", None)
-            assert [(r.index, r.elements) for r in push.rows] == [(1, [101])]
+            assert pairs(push.rows) == [(1, [101])]
 
 
 def test_daemon_thread_lists_stay_bounded():
