@@ -131,8 +131,20 @@ FIELD_CASES = {
     ("DELIVER_SHARES", "rows"): ("2", INTERNAL),  # the header's row count
 }
 
+# Fields of the INSERT_SHARES body rather than of the header: the bytes
+# of the sample's body with the field left out, and with it ill-formed.
+BODY_FIELD_CASES = {
+    ("INSERT_SHARES", "index"): (
+        u32(2, 1) + u64(5, P - 1, 0),  # starts at the counts
+        b"\x00\x01",  # two bytes, not a 4-byte int
+        INTERNAL,
+    ),
+}
+ALL_FIELD_CASES = [*FIELD_CASES, *BODY_FIELD_CASES]
+
 # Well-typed values out of their range; bytes stand in for the sample's body.
 OUT_OF_RANGE = [
+    ("INSERT_SHARES", "index", u32(0) + u32(2, 1) + u64(5, P - 1, 0)),
     ("INSERT_SHARES", "cells", u32(1) + u32(2, 1) + u64(5, P, 0)),
     ("SCHEMA_RESULT", "rows", -1),
     ("FETCH_TO_CLIENT", "indices", [0]),
@@ -254,27 +266,36 @@ class TestMessageCodec:
         }
         assert set(FIELD_CASES) == declared
 
-    @pytest.mark.parametrize("msg_type, name", FIELD_CASES, ids=[case_id(*c) for c in FIELD_CASES])
+    @pytest.mark.parametrize(
+        "msg_type, name", ALL_FIELD_CASES, ids=[case_id(*c) for c in ALL_FIELD_CASES]
+    )
     def test_missing_field(self, msg_type, name):
         obj, body = valid_payload(msg_type)
-        if (msg_type, name) in BODY_ONLY:
-            body = None
+        if (msg_type, name) in BODY_FIELD_CASES:
+            body, _, code = BODY_FIELD_CASES[msg_type, name]
+        elif (msg_type, name) in BODY_ONLY:
+            body, code = None, FIELD_CASES[msg_type, name][1]
         else:
             del obj[name]
+            code = FIELD_CASES[msg_type, name][1]
         if (msg_type, name) == ("FETCH_TO_CLIENT", "indices"):
             assert decode_message(obj, P).indices is None
             return
         with pytest.raises(ProtocolError) as e:
             decode_message(obj, P, body)
-        assert e.value.code == FIELD_CASES[msg_type, name][1]
+        assert e.value.code == code
 
-    @pytest.mark.parametrize("msg_type, name", FIELD_CASES, ids=[case_id(*c) for c in FIELD_CASES])
+    @pytest.mark.parametrize(
+        "msg_type, name", ALL_FIELD_CASES, ids=[case_id(*c) for c in ALL_FIELD_CASES]
+    )
     def test_ill_typed_field(self, msg_type, name):
-        wrong, code = FIELD_CASES[msg_type, name]
         obj, body = valid_payload(msg_type)
-        if (msg_type, name) in BODY_ONLY:
-            body = wrong
+        if (msg_type, name) in BODY_FIELD_CASES:
+            _, body, code = BODY_FIELD_CASES[msg_type, name]
+        elif (msg_type, name) in BODY_ONLY:
+            body, code = FIELD_CASES[msg_type, name]
         else:
+            wrong, code = FIELD_CASES[msg_type, name]
             obj = {**obj, name: wrong}
         with pytest.raises(ProtocolError) as e:
             decode_message(obj, P, body)
@@ -332,6 +353,20 @@ class TestMessageCodec:
             decode_message({"type": "ACK"}, P)
         with pytest.raises(ProtocolError):
             decode_message({"type": "ACK", "req_id": 7}, P)
+
+    def test_share_string_validation(self):
+        # shares are never read from decimal strings: a header in the layout
+        # before the binary body, share strings under "cells", is refused
+        # whatever the strings hold, well-formed or not
+        for s in ("1", str(P - 1), "+1", "-1", "1e3", "", " 1", "١٢٣", "0x10", "1.0"):
+            obj = {"type": "INSERT_SHARES", "req_id": "r", "table": "t", "index": 1,
+                   "cells": {"a": [s]}}
+            with pytest.raises(ProtocolError) as e:
+                decode_message(obj, P)
+            assert e.value.code == INTERNAL, s
+            payload = json.dumps(obj).encode("utf-8")
+            with pytest.raises(ProtocolError):
+                decode_frame(len(payload).to_bytes(4, "big") + payload, P)
 
     def test_share_value_must_be_below_modulus(self):
         assert decode_message(INSERT_HEADER, P, insert_body(P - 1)).cells.vectors(P) == [[P - 1]]
