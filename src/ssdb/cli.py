@@ -166,11 +166,7 @@ def _cmd_load_csv(args) -> int:
 def _cmd_query(args) -> int:
     config = _load_config(args)
     hub = HubClient(args.hub, p=config.p)
-    listen = protocol.parse_addr(args.listen)
-    result = execute_query(
-        args.query, hub, config,
-        listen_host=listen[0], listen_port=listen[1], timeout=args.timeout,
-    )
+    result = execute_query(args.query, hub, config, timeout=args.timeout)
     if args.format == "json":
         print(json.dumps(result.to_json_rows(), indent=2))
         return 0
@@ -239,7 +235,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("query", help="run a SELECT and print the rows")
     common(p)
     p.add_argument("query", help="SELECT attrs FROM table [WHERE attr OP literal]")
-    p.add_argument("--listen", default="127.0.0.1:0", help="address servers push results to")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--timeout", type=float, default=10.0)
     p.set_defaults(func=_cmd_query)

@@ -2,12 +2,11 @@
 
 All secret-bearing computation happens here. Inserts encode each value,
 split every field element into n shares, and send each server only its
-own cut, directly. Queries read only through server pushes: t servers
-push every row of the condition column to a throwaway listener socket
-owned by the query, the client reconstructs it and evaluates the
-predicate on plaintext, then the servers push the matching cells of each
-other selected attribute the same way. The hub only relays the fetch
-requests.
+own cut, directly. Queries fetch shares from t servers directly, one
+request and one reply per server: every row of the condition column
+first, which the client reconstructs to evaluate the predicate on
+plaintext, then the matching cells of each other selected attribute.
+The hub only answers schema reads.
 """
 
 from __future__ import annotations
@@ -15,20 +14,17 @@ from __future__ import annotations
 import logging
 import operator
 import socket
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import protocol
 from .encoding import AttrType, TableSchema, decode_value, encode_value
-from .hub import ClusterConfig
+from .hub import ClusterConfig, ServerInfo
 from .protocol import (
-    Ack,
     CreateTable,
     DeliverShares,
     FetchToClient,
-    FrameDecoder,
     GetSchema,
     InsertShares,
     SchemaResult,
@@ -286,15 +282,6 @@ class HubClient:
         """The table's schema and stored row count."""
         return self._call(GetSchema(req_id=protocol.new_req_id(), table=table), SchemaResult)
 
-    def fetch_to_client(
-        self, table: str, attr: str, indices: Optional[list[int]], client_addr: str, req_id: str
-    ) -> None:
-        """Have t servers push their shares of `attr` at `indices` (None: every row)."""
-        msg = FetchToClient(
-            req_id=req_id, table=table, attr=attr, indices=indices, client_addr=client_addr
-        )
-        self._call(msg, Ack)
-
 
 # --- dealer (insert path) ---------------------------------------------------
 
@@ -395,129 +382,101 @@ class Dealer:
         return index
 
 
-# --- delivery listener ------------------------------------------------------
-
-
-@dataclass
-class _PendingFetch:
-    req_id: str
-    needed: int
-    pushes: dict[int, DeliverShares] = field(default_factory=dict)  # by server x
-    done: threading.Event = field(default_factory=threading.Event)
-    error: Optional[SsdbError] = None
-
-    def fail(self, error: SsdbError) -> None:
-        self.error = error
-        self.done.set()
+# --- fetching shares --------------------------------------------------------
 
 
 class ResultListener:
-    """One-shot TCP sink for DELIVER_SHARES pushes during a query.
+    """One fetch: FETCH_TO_CLIENT to t servers, one DELIVER_SHARES back from each.
 
-    Lives only for the duration of a query; servers connect, push one
-    message, and hang up. Pushes are matched to fetches by req_id and a
-    fetch completes after `needed` distinct servers have delivered.
+    Construction connects to servers in configured order and sends the
+    request to the first t that accept, so several fetches can be in
+    flight before any is waited on. `wait` reads one reply per
+    connection; a server that fails before it replies is replaced by the
+    next server not yet tried. (It listens on nothing; the name is kept
+    for the benchmark, which wraps `ResultListener.wait`.)
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0, *, p: int):
-        self.p = p
-        self._sock = socket.create_server((host, port))
-        self._host = host
-        self._port = self._sock.getsockname()[1]
-        self._pending: dict[str, _PendingFetch] = {}
-        self._lock = threading.Lock()
-        self._threads: list[threading.Thread] = []
-        self._stopping = False
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="ssdb-listener", daemon=True
+    CONNECT_TIMEOUT = 2.0
+
+    def __init__(self, config: ClusterConfig, msg: FetchToClient, deadline: float):
+        self.config = config
+        self.msg = msg
+        self.deadline = deadline
+        self._untried = iter(config.servers)
+        self._asked: list[tuple[ServerInfo, socket.socket]] = []
+        while len(self._asked) < config.t and self._ask_next():
+            pass
+
+    def _timed_out(self) -> SsdbError:
+        return SsdbError(
+            protocol.QUERY_TIMEOUT,
+            f"no {self.config.t} deliveries of {self.msg.attr!r} for {self.msg.req_id!r} in time",
         )
-        self._accept_thread.start()
 
-    @property
-    def addr_str(self) -> str:
-        return protocol.format_addr(self._host, self._port)
-
-    def register(self, req_id: str, needed: int) -> _PendingFetch:
-        pf = _PendingFetch(req_id=req_id, needed=needed)
-        with self._lock:
-            self._pending[req_id] = pf
-        return pf
-
-    def _accept_loop(self) -> None:
-        while True:
+    def _ask_next(self) -> bool:
+        """Send the request to the next untried server that takes it; False if none is left."""
+        for info in self._untried:
+            sock = None
             try:
-                conn, _ = self._sock.accept()
-            except OSError:
-                return  # listener closed
-            th = threading.Thread(target=self._drain, args=(conn,), daemon=True)
-            th.start()
-            self._threads.append(th)
+                sock = socket.create_connection(
+                    protocol.parse_addr(info.address), timeout=self.CONNECT_TIMEOUT
+                )
+                protocol.send_message(sock, self.msg)
+            except OSError as exc:
+                if sock is not None:
+                    sock.close()
+                log.info("fetch: server %s unreachable: %s", info.server_id, exc)
+                continue
+            self._asked.append((info, sock))
+            return True
+        return False
 
-    def _drain(self, conn: socket.socket) -> None:
-        decoder = FrameDecoder(self.p)
+    def wait(self) -> dict[int, ShareRows]:
+        """The rows t servers delivered, keyed by each server's x-coordinate.
+
+        An ERROR reply propagates at once; fewer than t answering servers
+        is THRESHOLD_UNAVAILABLE and the deadline passing QUERY_TIMEOUT.
+        """
+        delivered: dict[int, ShareRows] = {}
         try:
-            with conn:
-                conn.settimeout(10.0)
-                while True:
-                    data = conn.recv(65536)
-                    if not data:
-                        return
-                    for msg in decoder.feed(data):
-                        self._route(msg)
-        except (OSError, SsdbError) as exc:
-            if not self._stopping:
-                log.warning("listener: dropped a delivery connection: %s", exc)
-
-    def _route(self, msg) -> None:
-        if not isinstance(msg, DeliverShares):
-            log.warning("listener: ignoring unexpected %s push", msg.type)
-            return
-        with self._lock:
-            pf = self._pending.get(msg.req_id)
-        if pf is None:
-            log.warning("listener: push for unknown req_id %r", msg.req_id)
-            return
-        with self._lock:
-            if pf.done.is_set():
-                return
-            previous = pf.pushes.get(msg.server_x)
-            if previous is not None:
-                # a resend must agree with itself, otherwise someone is lying
-                if previous != msg:
-                    pf.fail(
-                        SsdbError(
-                            protocol.DATA_CORRUPTION,
-                            f"server x={msg.server_x} delivered conflicting shares",
-                        )
+            while len(delivered) < self.config.t:
+                if not self._asked:
+                    raise SsdbError(
+                        protocol.THRESHOLD_UNAVAILABLE,
+                        f"only {len(delivered)} of {self.config.n} servers delivered "
+                        f"{self.msg.attr!r}, need {self.config.t}",
                     )
-                return
-            pf.pushes[msg.server_x] = msg
-            if len(pf.pushes) >= pf.needed:
-                pf.done.set()
-
-    def wait(self, pf: _PendingFetch, deadline: float) -> dict[int, DeliverShares]:
-        remaining = deadline - time.monotonic()
-        if not pf.done.wait(timeout=max(0.0, remaining)):
-            raise SsdbError(
-                protocol.QUERY_TIMEOUT,
-                f"got {len(pf.pushes)} of {pf.needed} share deliveries for {pf.req_id!r}",
-            )
-        if pf.error is not None:
-            raise pf.error
-        return dict(pf.pushes)
+                remaining = self.deadline - time.monotonic()
+                if remaining <= 0:
+                    raise self._timed_out()
+                info, sock = self._asked.pop(0)
+                with sock:
+                    try:
+                        sock.settimeout(remaining)
+                        reply = protocol.recv_reply(sock, self.config.p)
+                    except TimeoutError as exc:
+                        raise self._timed_out() from exc
+                    except OSError as exc:
+                        log.info("fetch: server %s failed before replying: %s", info.server_id, exc)
+                        self._ask_next()
+                        continue
+                if not isinstance(reply, DeliverShares):
+                    raise SsdbError(protocol.INTERNAL, f"unexpected reply {reply.type}")
+                if reply.server_x != info.x_coord:
+                    raise SsdbError(
+                        protocol.DATA_CORRUPTION,
+                        f"server {info.server_id} (x={info.x_coord}) delivered shares "
+                        f"as x={reply.server_x}",
+                    )
+                delivered[info.x_coord] = reply.rows
+        finally:
+            self.close()
+        return delivered
 
     def close(self) -> None:
-        self._stopping = True
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)  # wake the blocked accept()
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-        for th in self._threads:
-            th.join(timeout=2.0)
+        for _, sock in self._asked:
+            sock.close()
+        self._asked.clear()
 
 
 # --- reconstruction helpers -------------------------------------------------
@@ -567,8 +526,6 @@ def execute_query(
     hub: HubClient,
     config: ClusterConfig,
     *,
-    listen_host: str = "127.0.0.1",
-    listen_port: int = 0,
     timeout: float = 10.0,
 ) -> ResultSet:
     """Run one SELECT against the cluster and return plaintext rows.
@@ -607,68 +564,63 @@ def execute_query(
         if cond_type is AttrType.TEXT and not isinstance(predicate.literal, str):
             raise ValueError(f"{cond_attr!r} is TEXT but the literal is an integer")
 
-    listener = ResultListener(listen_host, listen_port, p=config.p)
+    base = protocol.new_req_id()
+    listeners: list[ResultListener] = []
+
+    def fetch(k: int, attr: str, indices: Optional[list[int]]) -> ResultListener:
+        msg = FetchToClient(req_id=f"{base}:{k}", table=query.table, attr=attr, indices=indices)
+        listeners.append(ResultListener(config, msg, deadline))
+        return listeners[-1]
+
     try:
-        base = protocol.new_req_id()
-
-        def fetch(k: int, attr: str, indices: Optional[list[int]]) -> _PendingFetch:
-            req_id = f"{base}:{k}"
-            pf = listener.register(req_id, config.t)
-            hub.fetch_to_client(query.table, attr, indices, listener.addr_str, req_id)
-            return pf
-
-        # (a)+(b): t servers push every row of the condition column,
+        # (a)+(b): t servers deliver every row of the condition column,
         # reconstructed locally
-        pushes = listener.wait(fetch(0, cond_attr, None), deadline)
-        by_index = _assemble_pushes(config, schema, query.table, cond_attr, None, pushes)
+        delivered = fetch(0, cond_attr, None).wait()
+        by_index = _assemble(config, schema, query.table, cond_attr, None, delivered)
 
         # (c): plaintext predicate evaluation
         matched = evaluate_predicate(list(by_index.items()), predicate, cond_type)
 
-        # (d)+(e): servers push the selected cells straight to our listener
+        # (d)+(e): every other selected attribute at the matched rows, all
+        # fetches sent before any is waited on
         values_by_attr: dict[str, dict[int, Value]] = {}
         if cond_attr in select_attrs:
             values_by_attr[cond_attr] = {i: by_index[i] for i in matched}
         fetch_attrs = [a for a in dict.fromkeys(select_attrs) if a != cond_attr]
         pending = [(attr, fetch(k, attr, matched)) for k, attr in enumerate(fetch_attrs, 1)]
-        for attr, pf in pending:
-            pushes = listener.wait(pf, deadline)
-            values_by_attr[attr] = _assemble_pushes(
-                config, schema, query.table, attr, matched, pushes
+        for attr, listener in pending:
+            values_by_attr[attr] = _assemble(
+                config, schema, query.table, attr, matched, listener.wait()
             )
     finally:
-        listener.close()
+        for listener in listeners:
+            listener.close()
 
     rows = [[values_by_attr[a][i] for a in select_attrs] for i in matched]
     return ResultSet(columns=select_attrs, indices=matched, rows=rows)
 
 
-def _assemble_pushes(
+def _assemble(
     config: ClusterConfig,
     schema: TableSchema,
     table: str,
     attr: str,
     matched: Optional[list[int]],
-    pushes: dict[int, DeliverShares],
+    delivered: dict[int, ShareRows],
 ) -> dict[int, Value]:
-    """Reconstruct one attribute from t delivery pushes, keyed by row index.
+    """Reconstruct one attribute from t servers' deliveries, keyed by row index.
 
-    Every push must come from a configured x-coordinate and hold exactly
-    the requested rows, in order, with the same element count per cell;
-    an every-row fetch (matched None) must hold rows 1..n.
+    `delivered` maps each server's x-coordinate to its rows. Every
+    delivery must hold exactly the requested rows, in order, with the
+    same element count per cell; an every-row fetch (matched None) must
+    hold rows 1..n.
     """
-    stray = sorted(set(pushes) - {s.x_coord for s in config.servers})
-    if stray:
-        raise SsdbError(
-            protocol.DATA_CORRUPTION,
-            f"{table!r}.{attr!r}: pushes from x={stray}, which no configured server has",
-        )
-    first = pushes[min(pushes)].rows
+    first = delivered[min(delivered)]
     if matched is None:
         matched = list(range(1, len(first.indices) + 1))
     expected = tuple(matched)
-    for x in sorted(pushes):
-        rows = pushes[x].rows
+    for x in sorted(delivered):
+        rows = delivered[x]
         if rows.indices != expected:
             raise SsdbError(
                 protocol.DATA_CORRUPTION,
@@ -679,7 +631,7 @@ def _assemble_pushes(
                 protocol.DATA_CORRUPTION,
                 f"{table!r}.{attr!r}: share vectors disagree on element count",
             )
-    tagged = [(x, pushes[x].rows.packed) for x in sorted(pushes)]
+    tagged = [(x, delivered[x].packed) for x in sorted(delivered)]
     plain = _reconstruct_matrix(config.p, tagged, first.counts, table, attr) if matched else []
     values = _decode_column(schema.attr_type(attr), plain, table, attr)
     return dict(zip(matched, values))

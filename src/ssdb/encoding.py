@@ -156,10 +156,3 @@ def decode_value(attr_type: AttrType, elements: list[int]):
     except UnicodeDecodeError as exc:
         raise ValueError(f"decoded bytes are not UTF-8: {exc}") from exc
 
-
-def encoded_length(attr_type: AttrType, value) -> int:
-    """Element count of a value's encoding without building it."""
-    if attr_type is AttrType.INTEGER:
-        return 1
-    raw_len = len(value.encode("utf-8"))
-    return 1 + (raw_len + CHUNK_BYTES - 1) // CHUNK_BYTES

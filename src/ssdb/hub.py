@@ -1,10 +1,9 @@
 """Control-plane hub for the share servers, and the cluster topology.
 
-Knows every server's address and x-coordinate. It answers schema reads
-from the first reachable server and relays each FETCH_TO_CLIENT to the
-first t reachable servers, which push their shares straight to the
-client. Writes go from the dealer to each server directly, so no share
-value ever passes through the hub.
+Knows every server's address and x-coordinate, and answers schema reads
+from the first reachable server. Nothing else: the dealer writes to each
+server directly, and the client fetches shares from t servers directly,
+so no share value ever passes through the hub.
 """
 
 from __future__ import annotations
@@ -16,14 +15,7 @@ from pathlib import Path
 
 from . import protocol
 from .field import is_prime
-from .protocol import (
-    Ack,
-    FetchToClient,
-    GetSchema,
-    SchemaResult,
-    SsdbError,
-    TcpService,
-)
+from .protocol import GetSchema, SchemaResult, SsdbError, TcpService
 
 log = logging.getLogger(__name__)
 
@@ -146,37 +138,23 @@ class Hub:
     def handle(self, msg):
         if isinstance(msg, GetSchema):
             return self.fetch_schema(msg)
-        if isinstance(msg, FetchToClient):
-            return self.relay_fetch_to_client(msg)
         raise SsdbError(protocol.INTERNAL, f"{msg.type} is not handled by the hub")
 
-    def _ask_until(self, msg, needed: int) -> list:
-        """Send msg to servers in configured order until `needed` have answered.
+    def fetch_schema(self, msg: GetSchema) -> SchemaResult:
+        """Ask servers in configured order until one answers.
 
         Transport failures skip to the next server; an ERROR reply is a
         data-level answer and propagates immediately.
         """
-        replies = []
         for info in self.config.servers:
             try:
-                replies.append(self._ask(info, msg))
+                reply = self._ask(info, msg)
             except OSError as exc:
                 log.info("hub: server %s unreachable: %s", info.server_id, exc)
                 continue
-            if len(replies) == needed:
-                return replies
+            if not isinstance(reply, SchemaResult):
+                raise SsdbError(protocol.INTERNAL, f"unexpected reply {reply.type}")
+            return reply
         raise SsdbError(
-            protocol.THRESHOLD_UNAVAILABLE,
-            f"only {len(replies)} of {self.config.n} servers reachable, need {needed}",
+            protocol.THRESHOLD_UNAVAILABLE, f"none of {self.config.n} servers reachable"
         )
-
-    def fetch_schema(self, msg: GetSchema) -> SchemaResult:
-        (reply,) = self._ask_until(msg, 1)
-        if not isinstance(reply, SchemaResult):
-            raise SsdbError(protocol.INTERNAL, f"unexpected reply {reply.type}")
-        return reply
-
-    def relay_fetch_to_client(self, msg: FetchToClient) -> Ack:
-        """Instruct t live servers to push the requested cells to the client."""
-        self._ask_until(msg, self.config.t)
-        return Ack()

@@ -1,9 +1,10 @@
 """Framed wire protocol spoken by dealer, hub, share servers, and client.
 
-Eight message types make up the whole contract. The values of shares
-cross only two kinds of link: dealer to one server (INSERT_SHARES, that
-server's cut of a row) and server to client (DELIVER_SHARES, pushed
-after a FETCH_TO_CLIENT). The hub carries control messages only.
+Eight message types make up the whole contract, and every exchange is
+a request and its reply on the same connection. The values of shares cross
+only two kinds of link: dealer to one server (INSERT_SHARES, that
+server's cut of a row) and server to client (DELIVER_SHARES, the reply
+to the client's FETCH_TO_CLIENT). The hub carries control messages only.
 
 A frame is a 4-byte big-endian length followed by that many bytes of
 payload. The payload starts with a UTF-8 JSON object carrying a "type"
@@ -346,11 +347,11 @@ class SchemaResult:
 @_register
 @dataclass
 class FetchToClient:
-    """Result-delivery request: row indices, attribute, and where to push.
+    """Retrieval request from the client to one server: table, attribute, rows.
 
-    Carries exactly the three semantic fields of the retrieval packet;
-    the table name and req_id are routing plumbing. Indices that are
-    null (or absent on the wire) ask for every stored row.
+    The server replies on the same connection with DELIVER_SHARES.
+    Indices that are null (or absent on the wire) ask for every stored
+    row.
     """
 
     type: ClassVar[str] = "FETCH_TO_CLIENT"
@@ -358,18 +359,15 @@ class FetchToClient:
     table: str = _wire(STR)
     attr: str = _wire(STR)
     indices: Optional[list[int]] = _wire(INDICES)
-    client_addr: str = _wire(STR)
 
 
 @_register
 @dataclass
 class DeliverShares:
-    """Server push to the client listener: its share of the requested cells."""
+    """A server's reply to FETCH_TO_CLIENT: its shares of the requested cells."""
 
     type: ClassVar[str] = "DELIVER_SHARES"
     req_id: str = _wire(STR)
-    table: str = _wire(STR)
-    attr: str = _wire(STR)
     server_x: int = _wire(POSITIVE)
     rows: ShareRows = _wire(ROWS)
 
@@ -506,6 +504,20 @@ def recv_message(sock: socket.socket, p: int = MERSENNE_61):
     return result[0]
 
 
+def recv_reply(sock: socket.socket, p: int = MERSENNE_61):
+    """Blocking read of the one reply to a request sent on sock.
+
+    Raises RemoteError if the peer answers with an ERROR frame, and
+    ConnectionError if it hangs up without answering.
+    """
+    reply = recv_message(sock, p)
+    if reply is None:
+        raise ConnectionError("peer closed the connection without replying")
+    if isinstance(reply, Error):
+        raise RemoteError(reply.code, reply.detail)
+    return reply
+
+
 def request(
     addr: tuple[str, int],
     msg,
@@ -522,18 +534,7 @@ def request(
     with socket.create_connection(addr, timeout=connect_timeout) as sock:
         sock.settimeout(response_timeout)
         send_message(sock, msg)
-        reply = recv_message(sock, p)
-    if reply is None:
-        raise ConnectionError(f"{format_addr(*addr)} closed the connection without replying")
-    if isinstance(reply, Error):
-        raise RemoteError(reply.code, reply.detail)
-    return reply
-
-
-def push(addr: tuple[str, int], msg, *, connect_timeout: float = 2.0) -> None:
-    """One-way delivery: connect, send a single frame, close."""
-    with socket.create_connection(addr, timeout=connect_timeout) as sock:
-        send_message(sock, msg)
+        return recv_reply(sock, p)
 
 
 def start_daemon(threads: list, target: Callable, *args, name: str) -> None:

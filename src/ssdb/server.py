@@ -3,7 +3,9 @@
 Holds the replicated schema, the plaintext index column, and for each
 cell the share vector evaluated at this server's x-coordinate. Rows are
 persisted to an append-only log before they are acknowledged; startup
-replays the log, truncating a torn trailing record.
+replays the log, truncating a torn trailing record. The metadata files
+are replaced whole through an fsynced temporary file, and every new
+directory entry is fsynced.
 """
 
 from __future__ import annotations
@@ -41,6 +43,35 @@ _META_FILE = "server.json"
 _RECORD = struct.Struct(">II")
 
 
+def _fsync_dir(path: Path) -> None:
+    """Make the entries of directory `path` durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _write_durably(path: Path, text: str) -> None:
+    """Replace `path` by `text`; a crash leaves either the old file or the new one."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    _fsync_dir(path.parent)
+
+
+def _read_json(path: Path, parse=lambda obj: obj):
+    """parse() of a metadata file's JSON; an empty or torn file names itself."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except ValueError as exc:
+        raise ValueError(f"{path} is unreadable ({exc}); refusing to start") from exc
+
+
 @dataclass
 class StoredTable:
     schema: TableSchema
@@ -64,7 +95,10 @@ class StoredTable:
             pos += count * width
 
     def open_log(self) -> None:
+        created = not (self.directory / "rows.log").exists()
         self.log_file = open(self.directory / "rows.log", "ab")
+        if created:
+            _fsync_dir(self.directory)
 
     def close(self) -> None:
         if self.log_file is not None:
@@ -98,8 +132,7 @@ class ServerStore:
         for entry in sorted(self.data_dir.iterdir()):
             if not entry.is_dir() or not (entry / "schema.json").exists():
                 continue
-            with open(entry / "schema.json", encoding="utf-8") as fh:
-                schema = TableSchema.from_json_dict(json.load(fh))
+            schema = _read_json(entry / "schema.json", TableSchema.from_json_dict)
             table = StoredTable(schema=schema, directory=entry)
             self._replay_log(table)
             table.open_log()
@@ -109,15 +142,13 @@ class ServerStore:
         meta_path = self.data_dir / _META_FILE
         meta = {"server_id": self.server_id, "x_coord": self.x_coord, "p": str(self.p)}
         if meta_path.exists():
-            with open(meta_path, encoding="utf-8") as fh:
-                stored = json.load(fh)
+            stored = _read_json(meta_path)
             if stored != meta:
                 raise ValueError(
                     f"data dir {self.data_dir} belongs to {stored}, refusing to run as {meta}"
                 )
         else:
-            with open(meta_path, "w", encoding="utf-8") as fh:
-                json.dump(meta, fh, sort_keys=True)
+            _write_durably(meta_path, json.dumps(meta, sort_keys=True))
 
     def _replay_log(self, table: StoredTable) -> None:
         log_path = table.directory / "rows.log"
@@ -179,10 +210,8 @@ class ServerStore:
                 return  # idempotent
             directory = self.data_dir / schema.table_name
             directory.mkdir(parents=True, exist_ok=True)
-            with open(directory / "schema.json", "w", encoding="utf-8") as fh:
-                fh.write(schema.canonical_json())
-                fh.flush()
-                os.fsync(fh.fileno())
+            _fsync_dir(self.data_dir)
+            _write_durably(directory / "schema.json", schema.canonical_json())
             table = StoredTable(schema=schema, directory=directory)
             table.open_log()
             self.tables[schema.table_name] = table
@@ -259,8 +288,6 @@ class ShareServer:
         self.x_coord = x_coord
         self.store = ServerStore(data_dir, server_id, x_coord, p)
         self._service = TcpService(listen[0], listen[1], self.handle, p=p, name=server_id)
-        self._push_threads: list[threading.Thread] = []
-        self._push_lock = threading.Lock()
 
     def start(self) -> None:
         self.store.load()
@@ -285,41 +312,10 @@ class ShareServer:
             schema, rows = self.store.schema(msg.table)
             return SchemaResult(schema=schema, rows=rows)
         if isinstance(msg, FetchToClient):
-            deliver = self._prepare_deliver(msg)
-            client_addr = protocol.parse_addr(msg.client_addr)
-            with self._push_lock:
-                protocol.start_daemon(
-                    self._push_threads, self._push, client_addr, deliver,
-                    name=f"{self.server_id}-push",
-                )
-            return Ack()
+            rows = self.store.rows_for(msg.table, msg.attr, msg.indices)
+            return DeliverShares(server_x=self.x_coord, rows=rows)
         raise SsdbError(protocol.INTERNAL, f"{msg.type} is not handled by a share server")
-
-    def _prepare_deliver(self, msg: FetchToClient) -> DeliverShares:
-        rows = self.store.rows_for(msg.table, msg.attr, msg.indices)
-        return DeliverShares(
-            req_id=msg.req_id,
-            table=msg.table,
-            attr=msg.attr,
-            server_x=self.x_coord,
-            rows=rows,
-        )
-
-    def _push(self, client_addr: tuple[str, int], deliver: DeliverShares) -> None:
-        try:
-            protocol.push(client_addr, deliver)
-        except OSError as exc:
-            # No retry: the client times out and re-queries.
-            log.warning(
-                "%s: could not push %s to %s: %s",
-                self.server_id, deliver.attr, protocol.format_addr(*client_addr), exc,
-            )
 
     def stop(self) -> None:
         self._service.stop()
-        with self._push_lock:
-            threads = list(self._push_threads)
-            self._push_threads.clear()
-        for thread in threads:
-            thread.join(timeout=2)
         self.store.close()

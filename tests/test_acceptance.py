@@ -263,8 +263,8 @@ def random_message(rng):
         lambda: GetSchema(req_id=rid, table=table),
         lambda: SchemaResult(req_id=rid, schema=schema, rows=rng.randint(0, 10**6)),
         lambda: FetchToClient(req_id=rid, table=table, attr=attr,  # None: every row
-                              indices=rng.choice((indices, None)), client_addr="127.0.0.1:5555"),
-        lambda: DeliverShares(req_id=rid, table=table, attr=attr, server_x=3, rows=ShareRows.pack(
+                              indices=rng.choice((indices, None))),
+        lambda: DeliverShares(req_id=rid, server_x=3, rows=ShareRows.pack(
             indices, [random_share_vector(rng) for _ in indices], P)),
     ]
     return rng.choice(builders)()

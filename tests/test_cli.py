@@ -68,6 +68,9 @@ class TestArgumentErrors:
         assert run(capsys, "create-table", "--hub", "127.0.0.1:1", "schema.json")[0] == 1
         # servers announce themselves to nobody; the hub reads the cluster file
         assert run(capsys, "server", "--id", "s1", "--data-dir", "d", "--hub", "127.0.0.1:1")[0] == 1
+        # a query reads from the servers over its own connections; nothing listens
+        assert run(capsys, "query", "--hub", "127.0.0.1:1", "--listen", "127.0.0.1:0",
+                   "SELECT a FROM t")[0] == 1
 
     def test_no_cluster_file_anywhere(self, capsys, monkeypatch, net):
         monkeypatch.delenv(ENV_CLUSTER, raising=False)

@@ -1,5 +1,8 @@
-"""Query language, dealer writes, delivery listener, and the pipeline."""
+"""Query language, dealer writes, the client's share fetch, and the pipeline."""
 
+import contextlib
+import socket
+import threading
 import time
 import zlib
 
@@ -8,7 +11,6 @@ import pytest
 from ssdb import field, protocol
 from ssdb.client import (
     Dealer,
-    HubClient,
     Predicate,
     Query,
     QuerySyntaxError,
@@ -24,6 +26,7 @@ from ssdb.hub import ClusterConfig, ServerInfo
 from ssdb.protocol import (
     Ack,
     DeliverShares,
+    FetchToClient,
     InsertShares,
     SchemaResult,
     ShareRows,
@@ -287,77 +290,122 @@ class TestDealer:
         assert hub.schema_calls == 2
 
 
+class StubServer:
+    """A listening socket standing in for one share server.
+
+    Each connection gets one request read, then every message
+    `answer(request)` returns, and stays open until the client closes it;
+    an answer of None hangs up at once instead.
+    """
+
+    def __init__(self, answer):
+        self.answer = answer
+        self.requests = []
+        self._sock = socket.create_server(("127.0.0.1", 0))
+        self.addr = protocol.format_addr(*self._sock.getsockname()[:2])
+        threading.Thread(target=self._serve, daemon=True).start()
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self._sock.accept()
+            except OSError:
+                return  # stopped
+            with conn, contextlib.suppress(OSError):
+                msg = protocol.recv_message(conn, P)
+                self.requests.append(msg)
+                replies = self.answer(msg)
+                if replies is None:
+                    continue
+                for reply in replies:
+                    reply.req_id = msg.req_id
+                    protocol.send_message(conn, reply)
+                conn.recv(1)  # until the client hangs up
+
+    def stop(self):
+        with contextlib.suppress(OSError):
+            self._sock.shutdown(socket.SHUT_RDWR)
+        self._sock.close()
+
+
+def delivers(x, shares=(5,)):
+    """An answer: one DELIVER_SHARES as server x, one row holding `shares`."""
+    return lambda msg: [DeliverShares(server_x=x, rows=ShareRows.pack([1], [list(shares)], P))]
+
+
+def silent(msg):
+    return []
+
+
+@pytest.fixture
+def stubs():
+    """stubs(*answers): one running StubServer per answer, stopped after the test."""
+    started = []
+
+    def start(*answers):
+        started.extend(StubServer(answer) for answer in answers)
+        return started[-len(answers):]
+
+    yield start
+    for stub in started:
+        stub.stop()
+
+
+def stub_config(servers, t=2):
+    return ClusterConfig(
+        p=P, n=len(servers), t=t,
+        servers=tuple(ServerInfo(f"s{k}", k, s.addr) for k, s in enumerate(servers, 1)),
+    )
+
+
+def listen(config, timeout=5.0, table="t", attr="a"):
+    msg = FetchToClient(req_id="r1", table=table, attr=attr)
+    return ResultListener(config, msg, time.monotonic() + timeout)
+
+
 class TestResultListener:
-    def push(self, req_id, x, rows):
-        """A delivery of {index: share vector}."""
-        return DeliverShares(
-            req_id=req_id, table="t", attr="a", server_x=x,
-            rows=ShareRows.pack(list(rows), list(rows.values()), P),
-        )
+    def test_completes_after_t_distinct_servers(self, stubs):
+        servers = stubs(delivers(1, [5]), delivers(2, [6]), delivers(3, [7]))
+        delivered = listen(stub_config(servers)).wait()
+        assert {x: rows.packed for x, rows in delivered.items()} == {
+            1: protocol.pack_shares([5], P), 2: protocol.pack_shares([6], P),
+        }
+        # exactly t servers, the first in configured order
+        assert [len(s.requests) for s in servers] == [1, 1, 0]
+        assert servers[0].requests[0] == FetchToClient(req_id="r1", table="t", attr="a")
 
-    def test_completes_after_t_distinct_servers(self):
-        listener = ResultListener(p=P)
-        try:
-            pf = listener.register("r1", 2)
-            listener._route(self.push("r1", 1, {1: [5]}))
-            assert not pf.done.is_set()
-            listener._route(self.push("r1", 2, {1: [6]}))
-            pushes = listener.wait(pf, time.monotonic() + 1)
-            assert sorted(pushes) == [1, 2]
-        finally:
-            listener.close()
+    def test_duplicate_identical_push_ignored(self, stubs):
+        def twice(msg):  # s1 sends its one reply two times
+            return delivers(1)(msg) * 2
 
-    def test_duplicate_identical_push_ignored(self):
-        listener = ResultListener(p=P)
-        try:
-            pf = listener.register("r1", 2)
-            msg = self.push("r1", 1, {1: [5]})
-            listener._route(msg)
-            listener._route(self.push("r1", 1, {1: [5]}))
-            assert not pf.done.is_set()  # still only one distinct server
-        finally:
-            listener.close()
+        servers = stubs(twice, delivers(2))
+        assert sorted(listen(stub_config(servers)).wait()) == [1, 2]
 
-    def test_conflicting_duplicate_is_corruption(self):
-        listener = ResultListener(p=P)
-        try:
-            pf = listener.register("r1", 2)
-            listener._route(self.push("r1", 1, {1: [5]}))
-            listener._route(self.push("r1", 1, {1: [999]}))
-            with pytest.raises(SsdbError) as e:
-                listener.wait(pf, time.monotonic() + 1)
-            assert e.value.code == protocol.DATA_CORRUPTION
-        finally:
-            listener.close()
+    def test_conflicting_duplicate_is_corruption(self, stubs):
+        # s2 answers with s1's x-coordinate
+        servers = stubs(delivers(1), delivers(1))
+        with pytest.raises(SsdbError) as e:
+            listen(stub_config(servers)).wait()
+        assert e.value.code == protocol.DATA_CORRUPTION
+        assert "s2" in e.value.detail
 
-    def test_unknown_req_id_ignored(self):
-        listener = ResultListener(p=P)
-        try:
-            listener._route(self.push("mystery", 1, {}))  # must not raise
-        finally:
-            listener.close()
+    def test_timeout(self, stubs):
+        servers = stubs(delivers(1), silent)  # s2 accepts and never answers
+        started = time.monotonic()
+        with pytest.raises(SsdbError) as e:
+            listen(stub_config(servers), timeout=0.2).wait()
+        assert e.value.code == protocol.QUERY_TIMEOUT
+        assert time.monotonic() - started < 2
 
-    def test_timeout(self):
-        listener = ResultListener(p=P)
-        try:
-            pf = listener.register("r1", 2)
-            with pytest.raises(SsdbError) as e:
-                listener.wait(pf, time.monotonic() + 0.05)
-            assert e.value.code == protocol.QUERY_TIMEOUT
-        finally:
-            listener.close()
+    def test_server_failing_before_its_reply_is_replaced(self, stubs):
+        servers = stubs(lambda msg: None, delivers(2), delivers(3))  # s1 hangs up
+        assert sorted(listen(stub_config(servers)).wait()) == [2, 3]
+        assert [len(s.requests) for s in servers] == [1, 1, 1]
 
-    def test_receives_real_pushes_over_tcp(self):
-        listener = ResultListener(p=P)
-        try:
-            pf = listener.register("r9", 2)
-            addr = protocol.parse_addr(listener.addr_str)
-            protocol.push(addr, self.push("r9", 1, {1: [5]}))
-            protocol.push(addr, self.push("r9", 3, {1: [7]}))
-            pushes = listener.wait(pf, time.monotonic() + 5)
-            assert sorted(pushes) == [1, 3]
-        finally:
-            listener.close()
+    def test_receives_real_pushes_over_tcp(self, patients):
+        delivered = listen(patients.config, table="patient_details", attr="Patientid").wait()
+        assert sorted(delivered) == [1, 2]
+        assert all(rows.indices == (1, 2, 3, 4) for rows in delivered.values())
 
 
 @pytest.fixture(scope="module")
@@ -367,17 +415,18 @@ def patients():
         yield cluster
 
 
-def counting_hub(cluster):
-    hub = HubClient(cluster.hub.addr_str, p=P)
+@pytest.fixture
+def fetches(monkeypatch):
+    """(attr, indices) of every fetch a query sends, in order."""
     calls = []
-    original = hub.fetch_to_client
+    init = ResultListener.__init__
 
-    def spy(table, attr, indices, client_addr, req_id):
-        calls.append((attr, indices))
-        return original(table, attr, indices, client_addr, req_id)
+    def spy(self, config, msg, deadline):
+        calls.append((msg.attr, msg.indices))
+        init(self, config, msg, deadline)
 
-    hub.fetch_to_client = spy
-    return hub, calls
+    monkeypatch.setattr(ResultListener, "__init__", spy)
+    return calls
 
 
 class TestExecuteQuery:
@@ -389,46 +438,37 @@ class TestExecuteQuery:
         assert rs.indices == [1, 4]
         assert rs.rows == [["Ann"], ["Dona"]]
 
-    def test_condition_column_is_reused_when_selected(self, patients):
-        hub, calls = counting_hub(patients)
-        rs = execute_query(
-            "SELECT Diagonosis, Patientname FROM patient_details WHERE Diagonosis = 'Aids'",
-            hub, patients.config,
+    def test_condition_column_is_reused_when_selected(self, patients, fetches):
+        rs = patients.query(
+            "SELECT Diagonosis, Patientname FROM patient_details WHERE Diagonosis = 'Aids'"
         )
         assert rs.rows == [["Aids", "Ann"], ["Aids", "Dona"]]
         # Diagonosis is fetched once, as the every-row condition fetch
-        assert calls == [("Diagonosis", None), ("Patientname", [1, 4])]
+        assert fetches == [("Diagonosis", None), ("Patientname", [1, 4])]
 
-    def test_no_predicate_single_attr_needs_one_delivery(self, patients):
-        hub, calls = counting_hub(patients)
-        rs = execute_query("SELECT Patientid FROM patient_details", hub, patients.config)
+    def test_no_predicate_single_attr_needs_one_delivery(self, patients, fetches):
+        rs = patients.query("SELECT Patientid FROM patient_details")
         assert rs.rows == [[101], [102], [103], [104]]
-        assert calls == [("Patientid", None)]  # the condition fetch is the whole answer
+        assert fetches == [("Patientid", None)]  # the condition fetch is the whole answer
 
-    def test_duplicate_select_attr_fetched_once(self, patients):
-        hub, calls = counting_hub(patients)
-        rs = execute_query(
-            "SELECT Patientname, Patientname FROM patient_details WHERE Patientid = 103",
-            hub, patients.config,
+    def test_duplicate_select_attr_fetched_once(self, patients, fetches):
+        rs = patients.query(
+            "SELECT Patientname, Patientname FROM patient_details WHERE Patientid = 103"
         )
         assert rs.rows == [["Cara", "Cara"]]
         # selected twice, delivered once
-        assert calls == [("Patientid", None), ("Patientname", [3])]
+        assert fetches == [("Patientid", None), ("Patientname", [3])]
 
     def test_star_follows_schema_order(self, patients):
         rs = patients.query("SELECT * FROM patient_details WHERE Patientid = 102")
         assert rs.columns == ["Patientid", "Patientname", "Doctorid", "Diagonosis"]
         assert rs.rows == [[102, "Bony", 21, "Cancer"]]
 
-    def test_empty_result(self, patients):
-        hub, calls = counting_hub(patients)
-        rs = execute_query(
-            "SELECT Patientname FROM patient_details WHERE Doctorid > 1000",
-            hub, patients.config,
-        )
+    def test_empty_result(self, patients, fetches):
+        rs = patients.query("SELECT Patientname FROM patient_details WHERE Doctorid > 1000")
         assert rs.rows == [] and rs.indices == []
         # vacuous fetch still happens
-        assert calls == [("Doctorid", None), ("Patientname", [])]
+        assert fetches == [("Doctorid", None), ("Patientname", [])]
 
     def test_unknown_table_and_attr(self, patients):
         with pytest.raises(SsdbError) as e:
@@ -472,20 +512,29 @@ class TestExecuteQuery:
 
 
 class TestQueryFailureModes:
-    def test_dropped_deliveries_time_out(self, patients):
-        class DroppingHub(HubClient):
-            def fetch_to_client(self, *args, **kwargs):
-                pass  # swallow the relay: no server will ever push
-
-        hub = DroppingHub(patients.hub.addr_str, p=P)
+    def test_dropped_deliveries_time_out(self, patients, stubs):
+        # servers that take the fetch and never answer it
+        config = stub_config(stubs(silent, silent, silent))
         started = time.monotonic()
         with pytest.raises(SsdbError) as e:
             execute_query(
                 "SELECT Patientname FROM patient_details WHERE Diagonosis = 'Aids'",
-                hub, patients.config, timeout=0.4,
+                patients.hub_client, config, timeout=0.4,
             )
         assert e.value.code == protocol.QUERY_TIMEOUT
         assert time.monotonic() - started < 5
+
+    def test_queries_need_no_inbound_port(self, monkeypatch):
+        with TestCluster.start(3, 2, seed=29) as cluster:
+            cluster.load_fixture_patients()
+
+            def refuse(*args, **kwargs):
+                raise PermissionError("no listening socket may be opened")
+
+            monkeypatch.setattr(socket, "create_server", refuse)
+            assert len(cluster.query("SELECT * FROM patient_details").rows) == 4
+            rs = cluster.query("SELECT Patientname FROM patient_details WHERE Diagonosis = 'Aids'")
+            assert rs.rows == [["Ann"], ["Dona"]]
 
     def test_tampered_share_detected_on_decode(self):
         with TestCluster.start(3, 2, seed=13) as cluster:
@@ -528,23 +577,15 @@ class TestQueryFailureModes:
             assert e.value.code == protocol.DATA_CORRUPTION
 
     @pytest.mark.parametrize("stray_x", [P + 1, 7], ids=["x=p+1", "x=7"])
-    def test_push_from_unconfigured_x_is_corruption(self, patients, stray_x):
-        # two well-formed pushes whose shares interpolate cleanly: one from
-        # s1's x=1, one from an x no configured server has (p+1 is 1 mod p)
+    def test_push_from_unconfigured_x_is_corruption(self, patients, stubs, stray_x):
+        # two well-formed deliveries whose shares interpolate cleanly: one
+        # as s1's x=1, one as an x no configured server has (p+1 is 1 mod p)
         ys = [split(e, [1, stray_x], 2, P) for e in encode_value(AttrType.INTEGER, 101, P)]
-
-        class StrayHub(HubClient):
-            def fetch_to_client(self, table, attr, indices, client_addr, req_id):
-                addr = protocol.parse_addr(client_addr)
-                for k, x in enumerate((1, stray_x)):  # one row, every-row fetch
-                    rows = ShareRows.pack([1], [[y[k] for y in ys]], P)
-                    protocol.push(addr, DeliverShares(
-                        req_id=req_id, table=table, attr=attr, server_x=x, rows=rows,
-                    ))
-
-        hub = StrayHub(patients.hub.addr_str, p=P)
+        config = stub_config(stubs(
+            delivers(1, [y[0] for y in ys]), delivers(stray_x, [y[1] for y in ys]),
+        ))
         with pytest.raises(SsdbError) as e:
-            execute_query("SELECT Patientid FROM patient_details", hub, patients.config)
+            execute_query("SELECT Patientid FROM patient_details", patients.hub_client, config)
         assert e.value.code == protocol.DATA_CORRUPTION
 
 

@@ -14,7 +14,6 @@ from ssdb.encoding import (
     TableSchema,
     decode_value,
     encode_value,
-    encoded_length,
 )
 from ssdb.field import MERSENNE_61
 
@@ -127,11 +126,6 @@ class TestTextEncoding:
         assert elements == reference_text_encoding(text)
         assert all(0 <= e < P for e in elements)
         assert decode_value(AttrType.TEXT, elements) == text
-
-    @given(st.text(max_size=300))
-    @settings(max_examples=50)
-    def test_encoded_length(self, text):
-        assert encoded_length(AttrType.TEXT, text) == len(encode_value(AttrType.TEXT, text, P))
 
 
 class TestTableSchema:

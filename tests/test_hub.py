@@ -1,23 +1,22 @@
-"""Hub control plane, the dealer's direct writes, and the topology file."""
+"""Hub control plane, the dealer's direct writes, the client's direct
+fetches, and the topology file."""
 
 import ast
 import inspect
 import json
 import random
-import socket
+import time
 
 import pytest
 
 from ssdb import protocol
-from ssdb.client import Dealer, HubClient, execute_query
+from ssdb.client import Dealer, HubClient, ResultListener, execute_query
 from ssdb.encoding import Attribute, AttrType, TableSchema
 from ssdb.field import MERSENNE_61
 from ssdb.hub import ClusterConfig, Hub, ServerInfo
 from ssdb.protocol import (
-    Ack,
     CreateTable,
     FetchToClient,
-    FrameDecoder,
     GetSchema,
     InsertShares,
     RemoteError,
@@ -128,26 +127,10 @@ class MiniCluster:
     def ask_server(self, k, msg):
         return protocol.request(self.servers[k - 1].address, msg, p=P)
 
-    def relay_fetch(self, attr, indices):
-        """FETCH_TO_CLIENT through the hub; returns the pushes, checking no extra one lands."""
-        with socket.create_server(("127.0.0.1", 0)) as sink:
-            sink.settimeout(5)
-            addr = f"127.0.0.1:{sink.getsockname()[1]}"
-            reply = self.ask(FetchToClient(req_id="f", table="records", attr=attr,
-                                           indices=indices, client_addr=addr))
-            assert isinstance(reply, Ack)
-            pushes = []
-            while len(pushes) < self.config.t:
-                conn, _ = sink.accept()
-                with conn:
-                    conn.settimeout(5)
-                    decoder = FrameDecoder(P)
-                    while data := conn.recv(65536):
-                        pushes.extend(decoder.feed(data))
-            sink.settimeout(0.3)
-            with pytest.raises(TimeoutError):
-                sink.accept()  # no push beyond t
-        return sorted(pushes, key=lambda m: m.server_x)
+    def fetch(self, attr, indices):
+        """The client's fetch of `attr` at `indices`: each delivering server's x -> rows."""
+        msg = FetchToClient(req_id="f", table="records", attr=attr, indices=indices)
+        return ResultListener(self.config, msg, time.monotonic() + 5).wait()
 
     def kill(self, k):
         self.servers[k - 1].stop()
@@ -205,26 +188,25 @@ class TestHubRouting:
             mini.dealer.create_table(SCHEMA)
             mini.dealer.insert_row(SCHEMA, (7, "A"))
             mini.dealer.insert_row(SCHEMA, (8, "B"))
-            pushes = mini.relay_fetch("k", None)  # every row
-            assert [m.server_x for m in pushes] == [1, 2]  # exactly t, in configured order
-            for push, server in zip(pushes, mini.servers):
-                assert pairs(push.rows) == stored(server)
+            delivered = mini.fetch("k", None)  # every row
+            assert sorted(delivered) == [1, 2]  # exactly t, in configured order
+            for x, server in zip(sorted(delivered), mini.servers):
+                assert pairs(delivered[x]) == stored(server)
 
     def test_read_skips_dead_servers(self, tmp_path):
         with MiniCluster(tmp_path) as mini:
             mini.dealer.create_table(SCHEMA)
             mini.dealer.insert_row(SCHEMA, (7, "A"))
             mini.kill(1)
-            assert [m.server_x for m in mini.relay_fetch("k", None)] == [2, 3]
+            assert sorted(mini.fetch("k", None)) == [2, 3]
 
     def test_below_threshold_read_fails(self, tmp_path):
         with MiniCluster(tmp_path) as mini:
             mini.dealer.create_table(SCHEMA)
             mini.kill(1)
             mini.kill(3)
-            with pytest.raises(RemoteError) as e:
-                mini.ask(FetchToClient(req_id="f", table="records", attr="k",
-                                       client_addr="127.0.0.1:1"))
+            with pytest.raises(SsdbError) as e:
+                mini.fetch("k", None)
             assert e.value.code == protocol.THRESHOLD_UNAVAILABLE
 
     def test_write_needs_every_server_and_names_the_dead_one(self, tmp_path):
@@ -247,8 +229,7 @@ class TestHubRouting:
             # table never created: the first server's NO_SUCH_TABLE must
             # come back as-is instead of being treated as an outage
             with pytest.raises(RemoteError) as e:
-                mini.ask(FetchToClient(req_id="f", table="records", attr="k",
-                                       client_addr="127.0.0.1:1"))
+                mini.fetch("k", None)
             assert e.value.code == protocol.NO_SUCH_TABLE
 
     def test_index_disagreement_is_reported(self, tmp_path):
@@ -281,12 +262,27 @@ class TestHubRouting:
             assert e.value.code == protocol.THRESHOLD_UNAVAILABLE
 
     def test_fetch_relay_reaches_exactly_t_servers(self, tmp_path):
+        # the client sends each fetch itself; no server beyond the first t hears of it
         with MiniCluster(tmp_path) as mini:
             mini.dealer.create_table(SCHEMA)
             mini.dealer.insert_row(SCHEMA, (7, "A"))
-            pushes = mini.relay_fetch("v", [1])
-            assert [m.server_x for m in pushes] == [1, 2]
-            assert all(m.rows.indices == (1,) for m in pushes)
+            asked = []
+            for server in mini.servers:
+                rows_for = server.store.rows_for
+                server.store.rows_for = (
+                    lambda *args, x=server.x_coord, rows_for=rows_for: asked.append(x)
+                    or rows_for(*args)
+                )
+            delivered = mini.fetch("v", [1])
+            assert sorted(delivered) == sorted(asked) == [1, 2]
+            assert all(rows.indices == (1,) for rows in delivered.values())
+
+    def test_hub_refuses_fetches(self, tmp_path):
+        with MiniCluster(tmp_path) as mini:
+            mini.dealer.create_table(SCHEMA)
+            with pytest.raises(RemoteError) as e:
+                mini.ask(FetchToClient(req_id="f", table="records", attr="k"))
+            assert e.value.code == protocol.INTERNAL
 
 
 def test_no_share_value_crosses_the_hub(monkeypatch):
@@ -333,7 +329,8 @@ def test_no_share_value_crosses_the_hub(monkeypatch):
             store.close()
 
     assert len(shares) > 60 and recorded
-    assert {b"GET_SCHEMA", b"FETCH_TO_CLIENT"} <= {
+    # the hub serves schema reads and nothing else; fetches go to the servers
+    assert {b"GET_SCHEMA", b"SCHEMA_RESULT"} == {
         json.loads(frame[4:].partition(b"\n")[0])["type"].encode()
         for frame in recorded if frame[4:5] == b"{"
     }

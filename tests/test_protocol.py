@@ -52,17 +52,9 @@ SAMPLES = [
     ),
     GetSchema(req_id="r9", table="t"),
     SchemaResult(req_id="r10", schema=SCHEMA, rows=4),
-    FetchToClient(
-        req_id="r11", table="t", attr="a", indices=[1, 4], client_addr="127.0.0.1:9"
-    ),
-    FetchToClient(req_id="r11b", table="t", attr="a", indices=None, client_addr="127.0.0.1:9"),
-    DeliverShares(
-        req_id="r12",
-        table="t",
-        attr="a",
-        server_x=2,
-        rows=ShareRows.pack([1, 4], [[7], [8, 9]], P),
-    ),
+    FetchToClient(req_id="r11", table="t", attr="a", indices=[1, 4]),
+    FetchToClient(req_id="r11b", table="t", attr="a", indices=None),
+    DeliverShares(req_id="r12", server_x=2, rows=ShareRows.pack([1, 4], [[7], [8, 9]], P)),
 ]
 
 
@@ -77,7 +69,9 @@ def u64(*values):
 # The frames the hand-written per-class codec produced for SAMPLES, byte
 # for byte; the declarative codec must not drift from them. The two
 # share-bearing frames (r4, r12) were re-pinned when shares moved from
-# decimal JSON strings to a binary body after the JSON header.
+# decimal JSON strings to a binary body after the JSON header. The fetch
+# frames (r11, r11b, r12) were re-pinned when a fetch became one request
+# and its reply, dropping the fields that only routed server pushes.
 GOLDEN_FRAMES = [
     b'\x00\x00\x00\x1c{"type":"ACK","req_id":"r1"}',
     b'\x00\x00\x00R{"type":"ERROR","req_id":"r2","code":"NO_SUCH_TABLE",'
@@ -90,12 +84,12 @@ GOLDEN_FRAMES = [
     b'\x00\x00\x00\xaf{"type":"SCHEMA_RESULT","req_id":"r10","schema":{"table":"patient_details",'
     b'"attributes":[{"name":"Patientid","type":"INTEGER"},{"name":"Patientname","type":"TEXT"}]},'
     b'"rows":4}',
-    b'\x00\x00\x00l{"type":"FETCH_TO_CLIENT","req_id":"r11","table":"t","attr":"a",'
-    b'"indices":[1,4],"client_addr":"127.0.0.1:9"}',
-    b'\x00\x00\x00l{"type":"FETCH_TO_CLIENT","req_id":"r11b","table":"t","attr":"a",'
-    b'"indices":null,"client_addr":"127.0.0.1:9"}',
-    b'\x00\x00\x00~{"type":"DELIVER_SHARES","req_id":"r12","table":"t","attr":"a",'
-    b'"server_x":2,"rows":2}\n' + u32(1, 4) + u32(1, 2) + u64(7, 8, 9),
+    b'\x00\x00\x00P{"type":"FETCH_TO_CLIENT","req_id":"r11","table":"t","attr":"a",'
+    b'"indices":[1,4]}',
+    b'\x00\x00\x00P{"type":"FETCH_TO_CLIENT","req_id":"r11b","table":"t","attr":"a",'
+    b'"indices":null}',
+    b'\x00\x00\x00g{"type":"DELIVER_SHARES","req_id":"r12","server_x":2,"rows":2}\n'
+    + u32(1, 4) + u32(1, 2) + u64(7, 8, 9),
 ]
 
 # Every declared payload field of every message type, with a value of the
@@ -123,10 +117,7 @@ FIELD_CASES = {
     ("FETCH_TO_CLIENT", "table"): (7, INTERNAL),
     ("FETCH_TO_CLIENT", "attr"): (7, INTERNAL),
     ("FETCH_TO_CLIENT", "indices"): ("1,4", INTERNAL),  # missing means every row
-    ("FETCH_TO_CLIENT", "client_addr"): (7, INTERNAL),
     ("DELIVER_SHARES", "req_id"): (7, INTERNAL),
-    ("DELIVER_SHARES", "table"): (7, INTERNAL),
-    ("DELIVER_SHARES", "attr"): (7, INTERNAL),
     ("DELIVER_SHARES", "server_x"): (True, INTERNAL),
     ("DELIVER_SHARES", "rows"): ("2", INTERNAL),  # the header's row count
 }
@@ -188,8 +179,7 @@ class TestFrameShape:
         # ints), then every share in `width` big-endian bytes
         for p, width in ((17, 1), (P, 8), (2**127 - 1, 16)):
             msg = DeliverShares(
-                req_id="r", table="t", attr="a", server_x=1,
-                rows=ShareRows.pack([3, 9], [[p - 1, 5], [0]], p),
+                req_id="r", server_x=1, rows=ShareRows.pack([3, 9], [[p - 1, 5], [0]], p),
             )
             frame = encode_frame(msg)
             header, _, body = frame[4:].partition(b"\n")
@@ -380,8 +370,7 @@ class TestMessageCodec:
             decode_message(INSERT_HEADER, 17, insert_body(17, p=17))
 
     def test_row_index_validation(self):
-        base = {"type": "FETCH_TO_CLIENT", "req_id": "r", "table": "t", "attr": "a",
-                "client_addr": "h:1"}
+        base = {"type": "FETCH_TO_CLIENT", "req_id": "r", "table": "t", "attr": "a"}
         for bad in ([0], [-3], [True], [1.5], ["2"]):
             with pytest.raises(ProtocolError):
                 decode_message({**base, "indices": bad}, P)
@@ -519,18 +508,6 @@ class TestTcpService:
             addr = svc.address
         with pytest.raises(OSError):
             protocol.request(addr, Ack(req_id="r"), p=P, connect_timeout=0.5)
-
-    def test_push_is_one_way(self):
-        got = []
-        with EchoService(lambda msg: got.append(msg) or Ack()) as svc:
-            protocol.push(svc.address, GetSchema(req_id="r", table="t"))
-            deadline = 50
-            while not got and deadline:
-                deadline -= 1
-                import time
-
-                time.sleep(0.01)
-        assert got and got[0].table == "t"
 
     def test_stop_frees_the_port_immediately(self):
         svc = TcpService("127.0.0.1", 0, lambda m: Ack(), p=P, name="t")

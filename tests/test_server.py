@@ -1,18 +1,16 @@
 """Share server storage, durability, and its TCP dispatch."""
 
-import socket
 import zlib
 
 import pytest
 
-from ssdb import protocol
+from ssdb import protocol, server as server_module
 from ssdb.encoding import Attribute, AttrType, TableSchema, encode_value
 from ssdb.field import MERSENNE_61
 from ssdb.protocol import (
-    Ack,
     CreateTable,
+    DeliverShares,
     FetchToClient,
-    FrameDecoder,
     GetSchema,
     InsertShares,
     RemoteError,
@@ -270,6 +268,37 @@ class TestServerStore:
         assert str(log_path) in str(e.value)
         assert log_path.read_bytes() == old
 
+    @pytest.mark.parametrize("name", ["schema.json", "server.json"])
+    @pytest.mark.parametrize("content", [b"", b'{"table": "pat'], ids=["empty", "torn"])
+    def test_unreadable_metadata_refuses_start_and_names_the_file(self, tmp_path, name, content):
+        store = make_store(tmp_path)
+        store.create_table(SCHEMA)
+        store.close()
+        path = tmp_path / "s1" / ("patients" if name == "schema.json" else "") / name
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as e:
+            make_store(tmp_path)
+        assert str(path) in str(e.value)
+
+    def test_metadata_is_replaced_whole_and_every_new_entry_synced(self, tmp_path, monkeypatch):
+        synced = []
+        real = server_module._fsync_dir
+        monkeypatch.setattr(server_module, "_fsync_dir", lambda d: synced.append(d) or real(d))
+        store = make_store(tmp_path)
+        store.create_table(SCHEMA)
+        store.close()
+        data_dir, table_dir = tmp_path / "s1", tmp_path / "s1" / "patients"
+        # server.json's rename, the table directory, schema.json's rename, rows.log
+        assert synced == [data_dir, data_dir, table_dir, table_dir]
+        assert sorted(p.name for p in table_dir.iterdir()) == ["rows.log", "schema.json"]
+        assert sorted(p.name for p in data_dir.iterdir()) == ["patients", "server.json"]
+        # a crash after writing the temporary file but before the rename
+        # leaves the old schema whole
+        (table_dir / "schema.json.tmp").write_text("{", encoding="utf-8")
+        again = make_store(tmp_path)
+        assert again.schema("patients") == (SCHEMA, 0)
+        again.close()
+
     def test_meta_file_pins_identity(self, tmp_path):
         store = make_store(tmp_path)
         store.close()
@@ -322,25 +351,10 @@ def ask(server, msg):
 
 
 def fetch(server, attr, indices, req_id="f"):
-    """Ask for a push of `attr` at `indices` and return the one push that lands."""
-    with socket.create_server(("127.0.0.1", 0)) as sink:
-        sink.settimeout(5)
-        addr = f"127.0.0.1:{sink.getsockname()[1]}"
-        reply = ask(
-            server,
-            FetchToClient(req_id=req_id, table="patients", attr=attr, indices=indices,
-                          client_addr=addr),
-        )
-        assert isinstance(reply, Ack)  # ack comes before the push lands
-        conn, _ = sink.accept()
-        with conn:
-            conn.settimeout(5)
-            decoder = FrameDecoder(P)
-            msgs = []
-            while not msgs:
-                msgs = decoder.feed(conn.recv(65536))
-    (push,) = msgs
-    return push
+    """The server's reply to a fetch of `attr` at `indices`."""
+    reply = ask(server, FetchToClient(req_id=req_id, table="patients", attr=attr, indices=indices))
+    assert isinstance(reply, DeliverShares)
+    return reply
 
 
 class TestShareServerTcp:
@@ -363,8 +377,7 @@ class TestShareServerTcp:
             assert e.value.code == protocol.NO_SUCH_TABLE
             ask(server, CreateTable(req_id="c", schema=SCHEMA))
             with pytest.raises(RemoteError) as e:
-                ask(server, FetchToClient(req_id="g", table="patients", attr="ghost",
-                                          client_addr="127.0.0.1:1"))
+                ask(server, FetchToClient(req_id="g", table="patients", attr="ghost"))
             assert e.value.code == protocol.NO_SUCH_ATTR
             with pytest.raises(RemoteError) as e:
                 ask(server, insert("i", 5))
@@ -393,10 +406,7 @@ class TestShareServerTcp:
             with pytest.raises(RemoteError) as e:
                 ask(
                     server,
-                    FetchToClient(
-                        req_id="f", table="patients", attr="name", indices=[7],
-                        client_addr="127.0.0.1:1",
-                    ),
+                    FetchToClient(req_id="f", table="patients", attr="name", indices=[7]),
                 )
             assert e.value.code == protocol.VALUE_RANGE
 
@@ -417,7 +427,7 @@ class TestShareServerTcp:
 
 
 def test_daemon_thread_lists_stay_bounded():
-    """Finished connection and push threads are dropped, not kept forever."""
+    """Finished connection threads are dropped, not kept forever."""
     with TestCluster.start(3, 2, seed=9) as cluster:
         cluster.load_fixture_patients()
         for _ in range(50):
@@ -426,5 +436,4 @@ def test_daemon_thread_lists_stay_bounded():
         for sid in cluster.live_server_ids():
             server = cluster.handles[sid].server
             assert len(server._service._threads) <= 10, sid
-            assert len(server._push_threads) <= 10, sid
         assert len(cluster.hub._service._threads) <= 10
