@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 import operator
-import socket
 import time
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -304,28 +303,45 @@ class Dealer:
         self._next_index: dict[str, int] = {}
 
     def _write_all(self, build) -> None:
-        """Send build(server) to every server in turn; all n must acknowledge.
+        """Send build(server) to every server, then read every acknowledgement.
 
-        Stops at the first failure, so at most the servers already
-        written diverge (there is no rollback message), and names the
-        server that failed.
+        All n must acknowledge. A server that fails does not stop the
+        others, so a failed write leaves the row on whichever servers took
+        it (there is no rollback message). The error names every server
+        that failed and carries the code of the first in configured order
+        (THRESHOLD_UNAVAILABLE for one that could not be reached).
         """
         req_id = protocol.new_req_id()
+        sent: list[tuple[ServerInfo, protocol.Exchange]] = []
+        failed: dict[ServerInfo, Exception] = {}
         for info in self.config.servers:
             msg = build(info)
             msg.req_id = req_id
             try:
-                protocol.request(protocol.parse_addr(info.address), msg, p=self.config.p)
-            except OSError as exc:
-                raise SsdbError(
-                    protocol.THRESHOLD_UNAVAILABLE,
-                    f"write failed at server {info.server_id} ({info.address}): {exc}",
-                ) from exc
-            except SsdbError as exc:
-                raise SsdbError(
-                    exc.code,
-                    f"write failed at server {info.server_id} ({info.address}): {exc.detail}",
-                ) from exc
+                exchange = protocol.Exchange(
+                    protocol.parse_addr(info.address), msg, p=self.config.p
+                )
+            except (OSError, SsdbError) as exc:
+                failed[info] = exc
+                continue
+            sent.append((info, exchange))
+        for info, exchange in sent:
+            try:
+                exchange.reply()
+            except (OSError, SsdbError) as exc:
+                failed[info] = exc
+        if not failed:
+            return
+        errors = [(info, failed[info]) for info in self.config.servers if info in failed]
+        first = errors[0][1]
+        raise SsdbError(
+            first.code if isinstance(first, SsdbError) else protocol.THRESHOLD_UNAVAILABLE,
+            "write failed at " + "; ".join(
+                f"server {info.server_id} ({info.address}): "
+                f"{exc.detail if isinstance(exc, SsdbError) else exc}"
+                for info, exc in errors
+            ),
+        ) from first
 
     def create_table(self, schema: TableSchema) -> None:
         # no index-cache seeding: create is idempotent, the table may
@@ -388,22 +404,20 @@ class Dealer:
 class ResultListener:
     """One fetch: FETCH_TO_CLIENT to t servers, one DELIVER_SHARES back from each.
 
-    Construction connects to servers in configured order and sends the
-    request to the first t that accept, so several fetches can be in
-    flight before any is waited on. `wait` reads one reply per
-    connection; a server that fails before it replies is replaced by the
-    next server not yet tried. (It listens on nothing; the name is kept
-    for the benchmark, which wraps `ResultListener.wait`.)
+    Construction sends the request, on pooled connections, to the first t
+    servers in configured order that take it, so several fetches can be
+    in flight before any is waited on. `wait` reads one reply per server;
+    a server that fails before it replies is replaced by the next server
+    not yet tried. (It listens on nothing; the name is kept for the
+    benchmark, which wraps `ResultListener.wait`.)
     """
-
-    CONNECT_TIMEOUT = 2.0
 
     def __init__(self, config: ClusterConfig, msg: FetchToClient, deadline: float):
         self.config = config
         self.msg = msg
         self.deadline = deadline
         self._untried = iter(config.servers)
-        self._asked: list[tuple[ServerInfo, socket.socket]] = []
+        self._asked: list[tuple[ServerInfo, protocol.Exchange]] = []
         while len(self._asked) < config.t and self._ask_next():
             pass
 
@@ -416,18 +430,14 @@ class ResultListener:
     def _ask_next(self) -> bool:
         """Send the request to the next untried server that takes it; False if none is left."""
         for info in self._untried:
-            sock = None
             try:
-                sock = socket.create_connection(
-                    protocol.parse_addr(info.address), timeout=self.CONNECT_TIMEOUT
+                exchange = protocol.Exchange(
+                    protocol.parse_addr(info.address), self.msg, p=self.config.p
                 )
-                protocol.send_message(sock, self.msg)
             except OSError as exc:
-                if sock is not None:
-                    sock.close()
                 log.info("fetch: server %s unreachable: %s", info.server_id, exc)
                 continue
-            self._asked.append((info, sock))
+            self._asked.append((info, exchange))
             return True
         return False
 
@@ -449,17 +459,15 @@ class ResultListener:
                 remaining = self.deadline - time.monotonic()
                 if remaining <= 0:
                     raise self._timed_out()
-                info, sock = self._asked.pop(0)
-                with sock:
-                    try:
-                        sock.settimeout(remaining)
-                        reply = protocol.recv_reply(sock, self.config.p)
-                    except TimeoutError as exc:
-                        raise self._timed_out() from exc
-                    except OSError as exc:
-                        log.info("fetch: server %s failed before replying: %s", info.server_id, exc)
-                        self._ask_next()
-                        continue
+                info, exchange = self._asked.pop(0)
+                try:
+                    reply = exchange.reply(remaining)
+                except TimeoutError as exc:
+                    raise self._timed_out() from exc
+                except OSError as exc:
+                    log.info("fetch: server %s failed before replying: %s", info.server_id, exc)
+                    self._ask_next()
+                    continue
                 if not isinstance(reply, DeliverShares):
                     raise SsdbError(protocol.INTERNAL, f"unexpected reply {reply.type}")
                 if reply.server_x != info.x_coord:
@@ -474,8 +482,9 @@ class ResultListener:
         return delivered
 
     def close(self) -> None:
-        for _, sock in self._asked:
-            sock.close()
+        """Drop every fetch not yet answered; their connections are closed."""
+        for _, exchange in self._asked:
+            exchange.close()
         self._asked.clear()
 
 

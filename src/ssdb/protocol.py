@@ -20,6 +20,11 @@ Each message type is a dataclass that declares its payload fields once,
 each with a `Kind`: the field's JSON type, encoding, checks and error
 code, or, for a body, its shape. One generic encode_message/decode_message
 walks those fields.
+
+Connections are kept open. Every request goes out as an `Exchange` on a
+connection taken from the process's `ConnectionPool`, which gets it back
+once its one reply has been read, and reuses it only if it is still
+quiet. `close_idle` closes the idle ones.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import secrets
 import socket
 import struct
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Optional, Sequence
 
@@ -504,18 +510,169 @@ def recv_message(sock: socket.socket, p: int = MERSENNE_61):
     return result[0]
 
 
-def recv_reply(sock: socket.socket, p: int = MERSENNE_61):
-    """Blocking read of the one reply to a request sent on sock.
+# --- kept-open connections --------------------------------------------------
 
-    Raises RemoteError if the peer answers with an ERROR frame, and
-    ConnectionError if it hangs up without answering.
+CONNECT_TIMEOUT = 2.0
+RESPONSE_TIMEOUT = 5.0
+MAX_IDLE_PER_ADDR = 8  # idle connections kept per address; more are closed when handed back
+
+
+def _connect(addr: tuple[str, int], timeout: float) -> socket.socket:
+    sock = socket.create_connection(addr, timeout=timeout)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
+def _is_quiet(sock: socket.socket) -> bool:
+    """True if the peer has neither hung up nor sent bytes nobody asked for."""
+    try:
+        sock.settimeout(0.0)
+        sock.recv(1, socket.MSG_PEEK)
+    except BlockingIOError:
+        return True  # nothing to read
+    except OSError:
+        pass
+    return False
+
+
+class ConnectionPool:
+    """Idle connections kept open per address, for later requests to reuse.
+
+    A connection is handed back only after exactly one complete reply was
+    read from it, so an idle one has nothing in flight; at most
+    MAX_IDLE_PER_ADDR are kept per address. Before reuse, a non-blocking
+    peek must find it quiet: a peer that hung up, or bytes nobody asked
+    for, get it closed instead.
     """
-    reply = recv_message(sock, p)
-    if reply is None:
-        raise ConnectionError("peer closed the connection without replying")
-    if isinstance(reply, Error):
-        raise RemoteError(reply.code, reply.detail)
-    return reply
+
+    def __init__(self):
+        self._idle: dict[tuple[str, int], list[socket.socket]] = {}
+        self._lock = threading.Lock()
+
+    def take(self, addr: tuple[str, int], connect_timeout: float) -> tuple[socket.socket, bool]:
+        """A quiet idle connection to addr, else a new one; and whether it is reused."""
+        while True:
+            with self._lock:
+                idle = self._idle.get(addr)
+                sock = idle.pop() if idle else None
+            if sock is None:
+                return _connect(addr, connect_timeout), False
+            if _is_quiet(sock):
+                return sock, True
+            sock.close()
+
+    def give(self, addr: tuple[str, int], sock: socket.socket) -> None:
+        with self._lock:
+            idle = self._idle.setdefault(addr, [])
+            if len(idle) < MAX_IDLE_PER_ADDR:
+                idle.append(sock)
+                return
+        sock.close()
+
+    def close_idle(self) -> None:
+        with self._lock:
+            idle = [sock for socks in self._idle.values() for sock in socks]
+            self._idle.clear()
+        for sock in idle:
+            sock.close()
+
+
+POOL = ConnectionPool()
+
+
+def close_idle() -> None:
+    """Close every idle kept-open connection of this process."""
+    POOL.close_idle()
+
+
+class Exchange:
+    """One request sent on a pooled connection; `reply` reads its answer.
+
+    Several exchanges can be in flight at once, each on its own
+    connection. Connecting and sending each wait at most
+    `connect_timeout`. The connection goes back to the pool only after
+    exactly one complete reply frame (an ERROR frame counts) was read;
+    any failure, or `close` before that, closes it. A request that fails
+    on a reused connection before any reply byte arrives is sent once
+    more on a fresh one. Nothing else is retried.
+    """
+
+    def __init__(
+        self,
+        addr: tuple[str, int],
+        msg,
+        *,
+        p: int = MERSENNE_61,
+        connect_timeout: float = CONNECT_TIMEOUT,
+    ):
+        self.addr = addr
+        self.p = p
+        self.req_id = msg.req_id
+        self._frame = encode_frame(msg)
+        self._connect_timeout = connect_timeout
+        self._sock, self._reused = POOL.take(addr, connect_timeout)
+        self._send()
+
+    def _send(self) -> None:
+        try:
+            self._sock.settimeout(self._connect_timeout)
+            self._sock.sendall(self._frame)
+        except OSError as exc:
+            self.close()
+            if not self._reused or isinstance(exc, TimeoutError):
+                raise
+            self._send_fresh()
+
+    def _send_fresh(self) -> None:
+        self._sock, self._reused = _connect(self.addr, self._connect_timeout), False
+        self._send()
+
+    def _reply_started(self, timeout: float) -> bool:
+        """Wait for the first reply byte; False if the peer hung up before it."""
+        self._sock.settimeout(max(timeout, 0.001))  # 0 would mean non-blocking
+        try:
+            return bool(self._sock.recv(1, socket.MSG_PEEK))
+        except TimeoutError:
+            raise
+        except OSError:
+            return False
+
+    def reply(self, timeout: float = RESPONSE_TIMEOUT):
+        """Read the one reply within `timeout` seconds.
+
+        Raises RemoteError if the peer answers with an ERROR frame,
+        TimeoutError if no whole reply arrives in time, and the rest of
+        the OSError family if the peer hangs up without answering.
+        """
+        deadline = time.monotonic() + timeout
+        try:
+            started = self._reply_started(timeout)
+            if not started and self._reused:
+                self.close()
+                self._send_fresh()
+                started = self._reply_started(deadline - time.monotonic())
+            reply = recv_message(self._sock, self.p) if started else None
+            if reply is None:
+                raise ConnectionError("peer closed the connection without replying")
+            # an ERROR about an unreadable frame carries no req_id
+            if reply.req_id not in (self.req_id, ""):
+                raise ProtocolError(
+                    INTERNAL, f"reply for {reply.req_id!r} to request {self.req_id!r}"
+                )
+        except BaseException:
+            self.close()
+            raise
+        POOL.give(self.addr, self._sock)
+        self._sock = None
+        if isinstance(reply, Error):
+            raise RemoteError(reply.code, reply.detail)
+        return reply
+
+    def close(self) -> None:
+        """Close the connection, unless its reply was read and it went back to the pool."""
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
 
 
 def request(
@@ -523,18 +680,15 @@ def request(
     msg,
     *,
     p: int = MERSENNE_61,
-    connect_timeout: float = 2.0,
-    response_timeout: float = 5.0,
+    connect_timeout: float = CONNECT_TIMEOUT,
+    response_timeout: float = RESPONSE_TIMEOUT,
 ):
-    """One request/response exchange on a fresh connection.
+    """One request/reply exchange on a kept-open connection from the pool.
 
     Raises RemoteError if the peer answers with an ERROR frame, and the
     usual OSError family on transport trouble.
     """
-    with socket.create_connection(addr, timeout=connect_timeout) as sock:
-        sock.settimeout(response_timeout)
-        send_message(sock, msg)
-        return recv_reply(sock, p)
+    return Exchange(addr, msg, p=p, connect_timeout=connect_timeout).reply(response_timeout)
 
 
 def start_daemon(threads: list, target: Callable, *args, name: str) -> None:

@@ -144,11 +144,13 @@ class TestCluster:
         return [sid for sid, h in self.handles.items() if h.server is not None]
 
     def stop(self) -> None:
+        """Stop every process piece and close this process's idle connections."""
         self.hub.stop()
         for handle in self.handles.values():
             if handle.server is not None:
                 handle.server.stop()
                 handle.server = None
+        protocol.close_idle()
         if self._owns_root:
             shutil.rmtree(self.root, ignore_errors=True)
 

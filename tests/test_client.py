@@ -5,6 +5,7 @@ import socket
 import threading
 import time
 import zlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -167,7 +168,7 @@ class FakeCluster:
     """Answers the dealer's row-count reads and records its direct writes.
 
     Stands in for the hub (get_schema) and, through a patched
-    protocol.request, for every share server; nothing touches the network.
+    protocol.Exchange, for every share server; nothing touches the network.
     """
 
     def __init__(self, monkeypatch, config, row_count=0):
@@ -176,18 +177,19 @@ class FakeCluster:
         self.schema_calls = 0
         self.writes = []  # (server id, message) in send order
         self.down = set()  # server ids that refuse connections
-        monkeypatch.setattr(protocol, "request", self._request)
+        monkeypatch.setattr(protocol, "Exchange", self._exchange)
 
     def get_schema(self, table):
         self.schema_calls += 1
         return SchemaResult(schema=SCHEMA2, rows=self.row_count)
 
-    def _request(self, addr, msg, **kwargs):
+    def _exchange(self, addr, msg, **kwargs):
+        """A sent request: recorded now, acknowledged when its reply is read."""
         (info,) = [s for s in self.config.servers if protocol.parse_addr(s.address) == addr]
         if info.server_id in self.down:
             raise ConnectionRefusedError(f"{info.address} refused")
         self.writes.append((info.server_id, msg))
-        return Ack()
+        return SimpleNamespace(reply=lambda timeout=None: Ack(), close=lambda: None)
 
     def bundles(self):
         """Each insert's (table, index, per-server cells), rebuilt from the writes."""

@@ -1,8 +1,11 @@
 """Wire framing, message codec, and the threaded TCP service."""
 
+import contextlib
 import json
 import random
 import socket
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -518,6 +521,215 @@ class TestTcpService:
         again.start()
         assert again.address == addr
         again.stop()
+
+
+class ScriptedServer:
+    """A bare listening socket whose k-th accepted connection (from 0) runs serve(conn, k).
+
+    Counts the connections it accepts, so a test can tell a reused
+    connection from a new one.
+    """
+
+    def __init__(self, serve):
+        self.serve = serve
+        self.conns = []
+        self._sock = socket.create_server(("127.0.0.1", 0))
+        self.address = self._sock.getsockname()[:2]
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    @property
+    def accepted(self):
+        return len(self.conns)
+
+    def _accept(self):
+        while True:
+            try:
+                conn, _ = self._sock.accept()
+            except OSError:
+                return  # stopped
+            self.conns.append(conn)
+            threading.Thread(target=self._run, args=(conn, len(self.conns) - 1), daemon=True).start()
+
+    def _run(self, conn, k):
+        with conn, contextlib.suppress(OSError):
+            self.serve(conn, k)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for sock in [self._sock, *self.conns]:
+            with contextlib.suppress(OSError):
+                sock.shutdown(socket.SHUT_RDWR)
+            sock.close()
+
+
+def requests_in(conn):
+    """Each request arriving on conn, until the peer hangs up."""
+    while (msg := protocol.recv_message(conn, P)) is not None:
+        yield msg
+
+
+HOSPITAL = "SELECT Patientname FROM patient_details WHERE Diagonosis = 'Aids'"
+
+
+class TestKeptOpenConnections:
+    @pytest.fixture(autouse=True)
+    def empty_pool(self):
+        protocol.close_idle()
+        yield
+        protocol.close_idle()
+
+    def idle(self, addr):
+        return protocol.POOL._idle.get(tuple(addr), [])
+
+    def test_one_connection_serves_request_after_request(self):
+        with EchoService(lambda msg: Ack()) as svc:
+            for k in range(5):
+                assert protocol.request(svc.address, Ack(req_id=f"r{k}"), p=P).req_id == f"r{k}"
+            assert len(self.idle(svc.address)) == 1
+            assert len(svc._conns) == 1
+
+    def test_revived_server_on_the_same_address_is_reached_again(self):
+        with TestCluster.start(3, 2, seed=43) as cluster:
+            cluster.load_fixture_patients()
+            assert cluster.query(HOSPITAL).rows == [["Ann"], ["Dona"]]
+            s2 = protocol.parse_addr(cluster.handles["s2"].info.address)
+            assert self.idle(s2)  # kept-open connections to the old s2
+            cluster.kill_server("s2")
+            cluster.revive_server("s2")
+            assert cluster.insert_row(PATIENTS_SCHEMA, (105, "Eve", 33, "Aids")) == 5
+            assert cluster.query(HOSPITAL).rows == [["Ann"], ["Dona"], ["Eve"]]
+
+    def test_duplicate_reply_is_never_read_as_the_next_one(self):
+        def serve(conn, k):  # every reply sent twice, in one write
+            for msg in requests_in(conn):
+                conn.sendall(encode_frame(Ack(req_id=msg.req_id)) * 2)
+
+        with ScriptedServer(serve) as server:
+            assert protocol.request(server.address, Ack(req_id="first"), p=P).req_id == "first"
+            assert protocol.request(server.address, Ack(req_id="second"), p=P).req_id == "second"
+            assert server.accepted == 2  # the connection holding the duplicate was dropped
+
+    def test_reply_to_another_request_is_refused(self):
+        def serve(conn, k):  # answers every request as if it were "first"
+            for _ in requests_in(conn):
+                conn.sendall(encode_frame(Ack(req_id="first")))
+
+        with ScriptedServer(serve) as server:
+            protocol.request(server.address, Ack(req_id="first"), p=P)
+            with pytest.raises(ProtocolError):
+                protocol.request(server.address, Ack(req_id="second"), p=P)
+            assert self.idle(server.address) == []
+
+    def test_timed_out_connection_is_never_reused(self):
+        release = threading.Event()
+
+        def serve(conn, k):
+            for msg in requests_in(conn):
+                if msg.req_id == "slow":
+                    release.wait(5)
+                conn.sendall(encode_frame(Ack(req_id=msg.req_id)))
+
+        with ScriptedServer(serve) as server:
+            with pytest.raises(TimeoutError):
+                protocol.request(server.address, Ack(req_id="slow"), p=P, response_timeout=0.2)
+            assert self.idle(server.address) == []
+            release.set()  # the late reply goes to a closed connection
+            assert protocol.request(server.address, Ack(req_id="next"), p=P).req_id == "next"
+            assert server.accepted == 2
+
+    def test_error_reply_leaves_the_connection_reusable(self):
+        def handler(msg):
+            if msg.table == "ghost":
+                raise SsdbError(protocol.NO_SUCH_TABLE, "no such table 'ghost'")
+            return Ack()
+
+        with EchoService(handler) as svc:
+            with pytest.raises(RemoteError) as e:
+                protocol.request(svc.address, GetSchema(req_id="r1", table="ghost"), p=P)
+            assert e.value.code == protocol.NO_SUCH_TABLE
+            (sock,) = self.idle(svc.address)
+            reply = protocol.request(svc.address, GetSchema(req_id="r2", table="t"), p=P)
+            assert isinstance(reply, Ack) and reply.req_id == "r2"
+            assert self.idle(svc.address) == [sock]
+
+    def test_peer_closing_after_the_peek_gets_one_retry(self, monkeypatch):
+        seen = []
+
+        def serve(conn, k):
+            for msg in requests_in(conn):
+                seen.append((k, msg.req_id))
+                conn.sendall(encode_frame(Ack(req_id=msg.req_id)))
+
+        with ScriptedServer(serve) as server:
+            assert protocol.request(server.address, Ack(req_id="a"), p=P).req_id == "a"
+            is_quiet = protocol._is_quiet
+
+            def quiet_then_peer_closes(sock):
+                quiet = is_quiet(sock)
+                server.conns[0].shutdown(socket.SHUT_RDWR)
+                return quiet
+
+            monkeypatch.setattr(protocol, "_is_quiet", quiet_then_peer_closes)
+            assert protocol.request(server.address, Ack(req_id="b"), p=P).req_id == "b"
+        assert seen == [(0, "a"), (1, "b")]
+
+    def test_fresh_connection_is_not_retried(self):
+        seen = []
+
+        def serve(conn, k):  # hang up without answering
+            seen.append(protocol.recv_message(conn, P).req_id)
+
+        with ScriptedServer(serve) as server:
+            with pytest.raises(ConnectionError):
+                protocol.request(server.address, Ack(req_id="once"), p=P)
+            assert seen == ["once"] and server.accepted == 1
+
+    def test_threads_sharing_the_pool_each_get_their_own_reply(self):
+        errors = []
+
+        def client(name):
+            try:
+                for k in range(100):
+                    req_id = f"{name}-{k}"
+                    assert protocol.request(svc.address, Ack(req_id=req_id), p=P).req_id == req_id
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with EchoService(lambda msg: Ack()) as svc:
+                threads = [
+                    threading.Thread(target=client, args=(f"c{n}",), daemon=True) for n in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                idle = self.idle(svc.address)
+                assert len(set(idle)) == len(idle) <= protocol.MAX_IDLE_PER_ADDR
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+
+    def test_idle_connections_are_capped_per_address(self):
+        pool = protocol.ConnectionPool()
+        addr = ("127.0.0.1", 1)
+        pairs = [socket.socketpair() for _ in range(protocol.MAX_IDLE_PER_ADDR + 2)]
+        try:
+            for ours, _ in pairs:
+                pool.give(addr, ours)
+            assert pool._idle[addr] == [ours for ours, _ in pairs[: protocol.MAX_IDLE_PER_ADDR]]
+            assert all(ours.fileno() == -1 for ours, _ in pairs[protocol.MAX_IDLE_PER_ADDR :])
+            pool.close_idle()
+            assert pool._idle == {} and all(ours.fileno() == -1 for ours, _ in pairs)
+        finally:
+            for ours, theirs in pairs:
+                ours.close()
+                theirs.close()
 
 
 def test_every_message_type_is_sent(monkeypatch):

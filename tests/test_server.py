@@ -437,3 +437,31 @@ def test_daemon_thread_lists_stay_bounded():
             server = cluster.handles[sid].server
             assert len(server._service._threads) <= 10, sid
         assert len(cluster.hub._service._threads) <= 10
+
+
+def test_kept_open_connections_stay_bounded():
+    """200 mixed inserts and queries, with a kill and a revive among them."""
+    with TestCluster.start(3, 2, seed=37) as cluster:
+        cluster.load_fixture_patients()
+        addrs = [protocol.parse_addr(h.info.address) for h in cluster.handles.values()]
+        addrs.append(cluster.hub.address)
+        expected = [list(row) for row in PATIENT_ROWS]
+        most = 0
+        for k in range(200):
+            if k == 80:
+                cluster.kill_server("s2")
+            elif k == 120:
+                cluster.revive_server("s2")
+            if k % 2 and not 80 <= k < 120:  # writes need every server
+                row = [200 + k, f"P{k}", k % 7, "Flu"]
+                cluster.insert_row(PATIENTS_SCHEMA, row)
+                expected.append(row)
+            else:
+                assert cluster.query("SELECT * FROM patient_details").rows == expected
+            idle = [len(protocol.POOL._idle.get(addr, [])) for addr in addrs]
+            assert max(idle) <= protocol.MAX_IDLE_PER_ADDR, idle
+            most = max(most, *idle)
+        assert most > 1  # connections really were kept open
+        for sid in cluster.live_server_ids():
+            assert len(cluster.handles[sid].server._service._threads) <= 10, sid
+    assert not any(protocol.POOL._idle.get(addr) for addr in addrs)
