@@ -103,12 +103,7 @@ def _cmd_server(args) -> int:
 
 def _cmd_hub(args) -> int:
     config = _load_config(args)
-    hub = Hub(
-        config,
-        listen=protocol.parse_addr(args.listen),
-        connect_timeout=args.connect_timeout,
-        response_timeout=args.response_timeout,
-    )
+    hub = Hub(config, listen=protocol.parse_addr(args.listen))
     hub.start()
     print(f"hub for {config.n} servers (t={config.t}) listening on {hub.addr_str}", flush=True)
     try:
@@ -211,8 +206,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("hub", help="run the routing hub")
     common(p, hub=False)
     p.add_argument("--listen", default="127.0.0.1:7100", help="host:port")
-    p.add_argument("--connect-timeout", type=float, default=2.0)
-    p.add_argument("--response-timeout", type=float, default=5.0)
     p.set_defaults(func=_cmd_hub)
 
     p = sub.add_parser("create-table", help="create a table on every server")

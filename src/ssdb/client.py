@@ -2,11 +2,12 @@
 
 All secret-bearing computation happens here. Inserts encode each value,
 split every field element into n shares, and send each server only its
-own cut, directly. Queries fetch shares from t servers directly, one
-request and one reply per server: every row of the condition column
+own cut, directly. A query is two fetches, each one request and one
+reply per server from t servers: every row of the condition column
 first, which the client reconstructs to evaluate the predicate on
-plaintext, then the matching cells of each other selected attribute.
-The hub only answers schema reads.
+plaintext, then the matching rows of every other selected attribute.
+Writes and fetches share one fan-out, `ResultListener`, and so one
+failure rule. The hub only answers schema reads.
 """
 
 from __future__ import annotations
@@ -247,27 +248,18 @@ class ResultSet:
 class HubClient:
     """Thin request/reply wrapper around one hub address."""
 
-    def __init__(
-        self,
-        address: str,
-        *,
-        p: int,
-        connect_timeout: float = 2.0,
-        response_timeout: float = 10.0,
-    ):
+    def __init__(self, address: str, *, p: int):
         self.address = address
         self.p = p
-        self.connect_timeout = connect_timeout
-        self.response_timeout = response_timeout
 
     def _call(self, msg, expect):
         try:
+            # twice a server's limit, so that the hub can fail over once
             reply = protocol.request(
                 protocol.parse_addr(self.address),
                 msg,
                 p=self.p,
-                connect_timeout=self.connect_timeout,
-                response_timeout=self.response_timeout,
+                response_timeout=2 * protocol.RESPONSE_TIMEOUT,
             )
         except OSError as exc:
             raise SsdbError(
@@ -303,45 +295,14 @@ class Dealer:
         self._next_index: dict[str, int] = {}
 
     def _write_all(self, build) -> None:
-        """Send build(server) to every server, then read every acknowledgement.
+        """Send build(server) to every server; all n must acknowledge.
 
-        All n must acknowledge. A server that fails does not stop the
-        others, so a failed write leaves the row on whichever servers took
-        it (there is no rollback message). The error names every server
-        that failed and carries the code of the first in configured order
-        (THRESHOLD_UNAVAILABLE for one that could not be reached).
+        A server that fails does not stop the others, so a failed write
+        leaves the row on whichever servers took it (there is no rollback
+        message).
         """
-        req_id = protocol.new_req_id()
-        sent: list[tuple[ServerInfo, protocol.Exchange]] = []
-        failed: dict[ServerInfo, Exception] = {}
-        for info in self.config.servers:
-            msg = build(info)
-            msg.req_id = req_id
-            try:
-                exchange = protocol.Exchange(
-                    protocol.parse_addr(info.address), msg, p=self.config.p
-                )
-            except (OSError, SsdbError) as exc:
-                failed[info] = exc
-                continue
-            sent.append((info, exchange))
-        for info, exchange in sent:
-            try:
-                exchange.reply()
-            except (OSError, SsdbError) as exc:
-                failed[info] = exc
-        if not failed:
-            return
-        errors = [(info, failed[info]) for info in self.config.servers if info in failed]
-        first = errors[0][1]
-        raise SsdbError(
-            first.code if isinstance(first, SsdbError) else protocol.THRESHOLD_UNAVAILABLE,
-            "write failed at " + "; ".join(
-                f"server {info.server_id} ({info.address}): "
-                f"{exc.detail if isinstance(exc, SsdbError) else exc}"
-                for info, exc in errors
-            ),
-        ) from first
+        deadline = time.monotonic() + protocol.RESPONSE_TIMEOUT
+        ResultListener(self.config, build, self.config.n, deadline).wait()
 
     def create_table(self, schema: TableSchema) -> None:
         # no index-cache seeding: create is idempotent, the table may
@@ -402,90 +363,95 @@ class Dealer:
 
 
 class ResultListener:
-    """One fetch: FETCH_TO_CLIENT to t servers, one DELIVER_SHARES back from each.
+    """One request to several servers, and one reply from each.
 
-    Construction sends the request, on pooled connections, to the first t
-    servers in configured order that take it, so several fetches can be
-    in flight before any is waited on. `wait` reads one reply per server;
-    a server that fails before it replies is replaced by the next server
-    not yet tried. (It listens on nothing; the name is kept for the
-    benchmark, which wraps `ResultListener.wait`.)
+    Construction sends build(server), under one fresh req_id, on pooled
+    connections to the first `need` servers in configured order that
+    take the connection. `wait` reads one reply from each. One rule
+    covers every caller:
+
+    * a transport failure before a reply is replaced by the next server
+      not yet tried;
+    * an ERROR reply counts against its server and is not replaced;
+    * no reply by the deadline counts as QUERY_TIMEOUT;
+    * with fewer than `need` replies, the error takes the class and code
+      of the first failure in configured order (RemoteError for an ERROR
+      reply, THRESHOLD_UNAVAILABLE for a transport failure) and names
+      every server that failed.
+
+    (It listens on nothing; the name is kept for the benchmark, which
+    wraps `ResultListener.wait`.)
     """
 
-    def __init__(self, config: ClusterConfig, msg: FetchToClient, deadline: float):
+    def __init__(self, config: ClusterConfig, build, need: int, deadline: float):
         self.config = config
-        self.msg = msg
+        self.build = build
+        self.need = need
         self.deadline = deadline
+        self.req_id = protocol.new_req_id()
         self._untried = iter(config.servers)
         self._asked: list[tuple[ServerInfo, protocol.Exchange]] = []
-        while len(self._asked) < config.t and self._ask_next():
-            pass
+        self._failed: dict[ServerInfo, SsdbError] = {}
+        for _ in range(need):
+            self._ask_next()
 
-    def _timed_out(self) -> SsdbError:
-        return SsdbError(
-            protocol.QUERY_TIMEOUT,
-            f"no {self.config.t} deliveries of {self.msg.attr!r} for {self.msg.req_id!r} in time",
-        )
+    def _fail(self, info: ServerInfo, exc: Exception) -> None:
+        log.info("%s: server %s failed: %s", self.req_id, info.server_id, exc)
+        if not isinstance(exc, SsdbError):  # a transport failure
+            exc = SsdbError(protocol.THRESHOLD_UNAVAILABLE, str(exc))
+        self._failed[info] = exc
 
-    def _ask_next(self) -> bool:
-        """Send the request to the next untried server that takes it; False if none is left."""
+    def _ask_next(self) -> None:
+        """Send the request to the next untried server that takes the connection."""
         for info in self._untried:
+            msg = self.build(info)
+            msg.req_id = self.req_id
             try:
                 exchange = protocol.Exchange(
-                    protocol.parse_addr(info.address), self.msg, p=self.config.p
+                    protocol.parse_addr(info.address), msg, p=self.config.p
                 )
             except OSError as exc:
-                log.info("fetch: server %s unreachable: %s", info.server_id, exc)
+                self._fail(info, exc)
                 continue
+            except SsdbError as exc:
+                self._fail(info, exc)
+                return
             self._asked.append((info, exchange))
-            return True
-        return False
+            return
 
-    def wait(self) -> dict[int, ShareRows]:
-        """The rows t servers delivered, keyed by each server's x-coordinate.
+    def wait(self) -> list[tuple[ServerInfo, object]]:
+        """(server, reply) of `need` servers, in configured order.
 
-        An ERROR reply propagates at once; fewer than t answering servers
-        is THRESHOLD_UNAVAILABLE and the deadline passing QUERY_TIMEOUT.
+        Servers are asked, and so read, in configured order: a
+        replacement comes after every server asked before it.
         """
-        delivered: dict[int, ShareRows] = {}
+        replies: list[tuple[ServerInfo, object]] = []
         try:
-            while len(delivered) < self.config.t:
-                if not self._asked:
-                    raise SsdbError(
-                        protocol.THRESHOLD_UNAVAILABLE,
-                        f"only {len(delivered)} of {self.config.n} servers delivered "
-                        f"{self.msg.attr!r}, need {self.config.t}",
-                    )
-                remaining = self.deadline - time.monotonic()
-                if remaining <= 0:
-                    raise self._timed_out()
+            while self._asked:
                 info, exchange = self._asked.pop(0)
                 try:
-                    reply = exchange.reply(remaining)
-                except TimeoutError as exc:
-                    raise self._timed_out() from exc
+                    replies.append((info, exchange.reply(self.deadline - time.monotonic())))
+                except TimeoutError:
+                    self._fail(info, SsdbError(protocol.QUERY_TIMEOUT, "no reply in time"))
+                except SsdbError as exc:
+                    self._fail(info, exc)
                 except OSError as exc:
-                    log.info("fetch: server %s failed before replying: %s", info.server_id, exc)
+                    self._fail(info, exc)
                     self._ask_next()
-                    continue
-                if not isinstance(reply, DeliverShares):
-                    raise SsdbError(protocol.INTERNAL, f"unexpected reply {reply.type}")
-                if reply.server_x != info.x_coord:
-                    raise SsdbError(
-                        protocol.DATA_CORRUPTION,
-                        f"server {info.server_id} (x={info.x_coord}) delivered shares "
-                        f"as x={reply.server_x}",
-                    )
-                delivered[info.x_coord] = reply.rows
         finally:
-            self.close()
-        return delivered
+            for _, exchange in self._asked:
+                exchange.close()
+        if len(replies) < self.need:
+            self._raise(len(replies))
+        return replies
 
-    def close(self) -> None:
-        """Drop every fetch not yet answered; their connections are closed."""
-        for _, exchange in self._asked:
-            exchange.close()
-        self._asked.clear()
+    def _raise(self, replied: int) -> None:
+        failed = [(s, self._failed[s]) for s in self.config.servers if s in self._failed]
+        first = failed[0][1]
+        detail = f"{self.req_id}: {replied} of {self.need} servers replied; " + "; ".join(
+            f"server {info.server_id} ({info.address}): {exc.detail}" for info, exc in failed
+        )
+        raise type(first)(first.code, detail) from first
 
 
 # --- reconstruction helpers -------------------------------------------------
@@ -496,9 +462,9 @@ def _reconstruct_matrix(
     tagged: list[tuple[int, bytes]],
     counts: tuple[int, ...],
     table: str,
-    attr: str,
+    attrs: list[str],
 ) -> list[list[int]]:
-    """Combine t packed share runs into one plain column.
+    """Combine t packed share runs into plain cells.
 
     `tagged` holds (x_coord, packed shares) per server, all laid out by
     the same `counts`, one per cell (the caller has checked that they
@@ -507,7 +473,7 @@ def _reconstruct_matrix(
     try:
         weights = lagrange_weights([x for x, _ in tagged], p)
     except ValueError as exc:
-        raise SsdbError(protocol.DATA_CORRUPTION, f"{table!r}.{attr!r}: {exc}") from exc
+        raise SsdbError(protocol.DATA_CORRUPTION, f"{table!r} {attrs}: {exc}") from exc
     flats = [protocol.unpack_shares(packed, p) for _, packed in tagged]
     plain = [sum(map(operator.mul, weights, ys)) % p for ys in zip(*flats)]
     return split_counts(plain, counts)
@@ -566,65 +532,49 @@ def execute_query(
         cond_attr = predicate.attr
     else:
         cond_attr = select_attrs[0]
-    cond_type = schema.attr_type(cond_attr)
-    if predicate is not None:
-        if cond_type is AttrType.INTEGER and not isinstance(predicate.literal, int):
-            raise ValueError(f"{cond_attr!r} is INTEGER but the literal is a string")
-        if cond_type is AttrType.TEXT and not isinstance(predicate.literal, str):
-            raise ValueError(f"{cond_attr!r} is TEXT but the literal is an integer")
 
-    base = protocol.new_req_id()
-    listeners: list[ResultListener] = []
+    # (a)+(b): t servers deliver every row of the condition column,
+    # reconstructed locally
+    values = _fetch(config, schema, FetchToClient(table=query.table, attrs=[cond_attr]), deadline)
 
-    def fetch(k: int, attr: str, indices: Optional[list[int]]) -> ResultListener:
-        msg = FetchToClient(req_id=f"{base}:{k}", table=query.table, attr=attr, indices=indices)
-        listeners.append(ResultListener(config, msg, deadline))
-        return listeners[-1]
+    # (c): plaintext predicate evaluation
+    matched = evaluate_predicate(
+        list(values[cond_attr].items()), predicate, schema.attr_type(cond_attr)
+    )
 
-    try:
-        # (a)+(b): t servers deliver every row of the condition column,
-        # reconstructed locally
-        delivered = fetch(0, cond_attr, None).wait()
-        by_index = _assemble(config, schema, query.table, cond_attr, None, delivered)
+    # (d)+(e): every other selected attribute at the matched rows, in one fetch
+    others = [a for a in dict.fromkeys(select_attrs) if a != cond_attr]
+    if others:
+        msg = FetchToClient(table=query.table, attrs=others, indices=matched)
+        values.update(_fetch(config, schema, msg, deadline))
 
-        # (c): plaintext predicate evaluation
-        matched = evaluate_predicate(list(by_index.items()), predicate, cond_type)
-
-        # (d)+(e): every other selected attribute at the matched rows, all
-        # fetches sent before any is waited on
-        values_by_attr: dict[str, dict[int, Value]] = {}
-        if cond_attr in select_attrs:
-            values_by_attr[cond_attr] = {i: by_index[i] for i in matched}
-        fetch_attrs = [a for a in dict.fromkeys(select_attrs) if a != cond_attr]
-        pending = [(attr, fetch(k, attr, matched)) for k, attr in enumerate(fetch_attrs, 1)]
-        for attr, listener in pending:
-            values_by_attr[attr] = _assemble(
-                config, schema, query.table, attr, matched, listener.wait()
-            )
-    finally:
-        for listener in listeners:
-            listener.close()
-
-    rows = [[values_by_attr[a][i] for a in select_attrs] for i in matched]
+    rows = [[values[a][i] for a in select_attrs] for i in matched]
     return ResultSet(columns=select_attrs, indices=matched, rows=rows)
 
 
-def _assemble(
-    config: ClusterConfig,
-    schema: TableSchema,
-    table: str,
-    attr: str,
-    matched: Optional[list[int]],
-    delivered: dict[int, ShareRows],
-) -> dict[int, Value]:
-    """Reconstruct one attribute from t servers' deliveries, keyed by row index.
+def _fetch(
+    config: ClusterConfig, schema: TableSchema, msg: FetchToClient, deadline: float
+) -> dict[str, dict[int, Value]]:
+    """Send `msg` to t servers and reconstruct each attribute it names, keyed by row index.
 
-    `delivered` maps each server's x-coordinate to its rows. Every
-    delivery must hold exactly the requested rows, in order, with the
-    same element count per cell; an every-row fetch (matched None) must
-    hold rows 1..n.
+    Every delivery must come from the server's own x-coordinate and hold
+    exactly the requested rows, in order, with the same element count
+    per cell; an every-row fetch (indices None) must hold rows 1..n.
     """
+    delivered: dict[int, ShareRows] = {}
+    for info, reply in ResultListener(config, lambda info: msg, config.t, deadline).wait():
+        if not isinstance(reply, DeliverShares):
+            raise SsdbError(protocol.INTERNAL, f"unexpected reply {reply.type}")
+        if reply.server_x != info.x_coord or reply.attrs != msg.attrs:
+            raise SsdbError(
+                protocol.DATA_CORRUPTION,
+                f"server {info.server_id} (x={info.x_coord}) delivered {reply.attrs} "
+                f"as x={reply.server_x}, asked for {msg.attrs}",
+            )
+        delivered[info.x_coord] = reply.rows
+
     first = delivered[min(delivered)]
+    matched = msg.indices
     if matched is None:
         matched = list(range(1, len(first.indices) + 1))
     expected = tuple(matched)
@@ -638,9 +588,16 @@ def _assemble(
         if rows.counts != first.counts:
             raise SsdbError(
                 protocol.DATA_CORRUPTION,
-                f"{table!r}.{attr!r}: share vectors disagree on element count",
+                f"{msg.table!r} {msg.attrs}: share vectors disagree on element count",
             )
     tagged = [(x, delivered[x].packed) for x in sorted(delivered)]
-    plain = _reconstruct_matrix(config.p, tagged, first.counts, table, attr) if matched else []
-    values = _decode_column(schema.attr_type(attr), plain, table, attr)
-    return dict(zip(matched, values))
+    cells = []
+    if matched:
+        cells = _reconstruct_matrix(config.p, tagged, first.counts, msg.table, msg.attrs)
+    # row by row, so attribute k's cells sit at k, k + width, ...
+    width = len(msg.attrs)
+    values = {}
+    for k, attr in enumerate(msg.attrs):
+        decoded = _decode_column(schema.attr_type(attr), cells[k::width], msg.table, attr)
+        values[attr] = dict(zip(matched, decoded))
+    return values

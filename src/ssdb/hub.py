@@ -94,17 +94,8 @@ class ClusterConfig:
 class Hub:
     """Single-process control plane; holds server addresses, never shares."""
 
-    def __init__(
-        self,
-        config: ClusterConfig,
-        listen: tuple[str, int] = ("127.0.0.1", 0),
-        *,
-        connect_timeout: float = 2.0,
-        response_timeout: float = 5.0,
-    ):
+    def __init__(self, config: ClusterConfig, listen: tuple[str, int] = ("127.0.0.1", 0)):
         self.config = config
-        self.connect_timeout = connect_timeout
-        self.response_timeout = response_timeout
         self._service = TcpService(listen[0], listen[1], self.handle, p=config.p, name="hub")
 
     def start(self) -> None:
@@ -125,13 +116,7 @@ class Hub:
 
     def _ask(self, info: ServerInfo, msg):
         """One exchange with one server."""
-        return protocol.request(
-            protocol.parse_addr(info.address),
-            msg,
-            p=self.config.p,
-            connect_timeout=self.connect_timeout,
-            response_timeout=self.response_timeout,
-        )
+        return protocol.request(protocol.parse_addr(info.address), msg, p=self.config.p)
 
     # --- handlers -----------------------------------------------------------
 

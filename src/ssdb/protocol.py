@@ -4,17 +4,19 @@ Eight message types make up the whole contract, and every exchange is
 a request and its reply on the same connection. The values of shares cross
 only two kinds of link: dealer to one server (INSERT_SHARES, that
 server's cut of a row) and server to client (DELIVER_SHARES, the reply
-to the client's FETCH_TO_CLIENT). The hub carries control messages only.
+to the client's FETCH_TO_CLIENT, which names every attribute it wants).
+The hub carries control messages only.
 
 A frame is a 4-byte big-endian length followed by that many bytes of
 payload. The payload starts with a UTF-8 JSON object carrying a "type"
 tag and a "req_id" that every response echoes verbatim. The two
 share-bearing types follow it with a newline and one binary body (a
-`ShareRows`): the row indices and each cell's element count as 4-byte
-big-endian ints, then every share as w = ceil(p.bit_length() / 8)
-big-endian bytes. Servers keep cells in that form, so a delivery is
-their stored bytes joined, and a receiver checks a body with one length
-test and one range test.
+`ShareRows`) of one cell per named attribute in each row, row by row:
+the row indices and each cell's element count as 4-byte big-endian ints,
+then every share as w = ceil(p.bit_length() / 8) big-endian bytes.
+Servers keep cells in that form, so a delivery is their stored bytes
+joined, and a receiver checks a body with one length test and one range
+test.
 
 Each message type is a dataclass that declares its payload fields once,
 each with a `Kind`: the field's JSON type, encoding, checks and error
@@ -146,10 +148,6 @@ class ShareRows:
         flat = [v for vec in vectors for v in vec]
         return cls(tuple(indices), tuple(map(len, vectors)), pack_shares(flat, p))
 
-    def vectors(self, p: int) -> list[list[int]]:
-        """Each cell's shares as ints."""
-        return split_counts(unpack_shares(self.packed, p), self.counts)
-
     def body(self) -> bytes:
         head = struct.pack(f">{len(self.indices) + len(self.counts)}I", *self.indices, *self.counts)
         return head + self.packed
@@ -242,15 +240,22 @@ SCHEMA = Kind(
     load=_schema_in,
     code=SCHEMA_MISMATCH,
 )
-# one row (index in the body) of one cell per attribute named in the header
-CELLS = Kind(None, empty=ShareRows, shape=lambda fields: (1, len(fields["attrs"])))
-# rows of one cell each; the header carries the row count
+
+
+def _cells_shape(fields: dict) -> tuple[int, int]:
+    """Rows (one, unless the header counts them) of one cell per named attribute."""
+    return fields.get("rows", 1), len(fields["attrs"])
+
+
+# one row, its index in the body
+CELLS = Kind(None, empty=ShareRows, shape=_cells_shape)
+# the header carries the row count
 ROWS = Kind(
     int,
     empty=ShareRows,
     dump=lambda rows: len(rows.indices),
     load=_at_least(0),
-    shape=lambda fields: (fields["rows"], 1),
+    shape=_cells_shape,
 )
 
 
@@ -353,7 +358,7 @@ class SchemaResult:
 @_register
 @dataclass
 class FetchToClient:
-    """Retrieval request from the client to one server: table, attribute, rows.
+    """Retrieval request from the client to one server: table, attributes, rows.
 
     The server replies on the same connection with DELIVER_SHARES.
     Indices that are null (or absent on the wire) ask for every stored
@@ -363,18 +368,22 @@ class FetchToClient:
     type: ClassVar[str] = "FETCH_TO_CLIENT"
     req_id: str = _wire(STR)
     table: str = _wire(STR)
-    attr: str = _wire(STR)
+    attrs: list[str] = _wire(NAMES)
     indices: Optional[list[int]] = _wire(INDICES)
 
 
 @_register
 @dataclass
 class DeliverShares:
-    """A server's reply to FETCH_TO_CLIENT: its shares of the requested cells."""
+    """A server's reply to FETCH_TO_CLIENT: its shares of the requested cells.
+
+    `attrs` names the cells of each row in body order, as in INSERT_SHARES.
+    """
 
     type: ClassVar[str] = "DELIVER_SHARES"
     req_id: str = _wire(STR)
     server_x: int = _wire(POSITIVE)
+    attrs: list[str] = _wire(NAMES)
     rows: ShareRows = _wire(ROWS)
 
 

@@ -239,24 +239,29 @@ class ServerStore:
             os.fsync(table.log_file.fileno())
             table.add_row(row, self._width)
 
-    def rows_for(self, table_name: str, attr: str, indices: Optional[list[int]]) -> ShareRows:
-        """This server's shares of `attr` at the given rows; None means every row.
+    def rows_for(
+        self, table_name: str, attrs: list[str], indices: Optional[list[int]]
+    ) -> ShareRows:
+        """This server's shares of `attrs` at the given rows; None means every row.
 
-        The stored cells are joined as they are: no share is unpacked.
+        The stored cells are joined row by row, one per attribute in
+        `attrs` order: no share is unpacked.
         """
         with self._lock:
             table = self._table(table_name)
-            cells = table.columns.get(attr)
-            if cells is None:
-                raise SsdbError(protocol.NO_SUCH_ATTR, f"no attribute {attr!r} in {table_name!r}")
+            missing = [attr for attr in attrs if attr not in table.columns]
+            if missing:
+                raise SsdbError(
+                    protocol.NO_SUCH_ATTR, f"no attribute {missing[0]!r} in {table_name!r}"
+                )
+            columns = [table.columns[attr] for attr in attrs]
+            rows = table.row_count
             if indices is None:
-                indices = range(1, len(cells) + 1)
-                picked = cells
-            else:
-                if indices and not (min(indices) >= 1 and max(indices) <= len(cells)):
-                    bad = next(i for i in indices if not 1 <= i <= len(cells))
-                    raise SsdbError(protocol.VALUE_RANGE, f"no row with index {bad}")
-                picked = [cells[i - 1] for i in indices]
+                indices = range(1, rows + 1)
+            elif indices and not (min(indices) >= 1 and max(indices) <= rows):
+                bad = next(i for i in indices if not 1 <= i <= rows)
+                raise SsdbError(protocol.VALUE_RANGE, f"no row with index {bad}")
+            picked = [cells[i - 1] for i in indices for cells in columns]
             w = self._width
             return ShareRows(tuple(indices), tuple(len(c) // w for c in picked), b"".join(picked))
 
@@ -312,8 +317,8 @@ class ShareServer:
             schema, rows = self.store.schema(msg.table)
             return SchemaResult(schema=schema, rows=rows)
         if isinstance(msg, FetchToClient):
-            rows = self.store.rows_for(msg.table, msg.attr, msg.indices)
-            return DeliverShares(server_x=self.x_coord, rows=rows)
+            rows = self.store.rows_for(msg.table, msg.attrs, msg.indices)
+            return DeliverShares(server_x=self.x_coord, attrs=msg.attrs, rows=rows)
         raise SsdbError(protocol.INTERNAL, f"{msg.type} is not handled by a share server")
 
     def stop(self) -> None:

@@ -262,9 +262,9 @@ def random_message(rng):
         lambda: InsertShares(req_id=rid, table=table, attrs=[attr], cells=cells),
         lambda: GetSchema(req_id=rid, table=table),
         lambda: SchemaResult(req_id=rid, schema=schema, rows=rng.randint(0, 10**6)),
-        lambda: FetchToClient(req_id=rid, table=table, attr=attr,  # None: every row
+        lambda: FetchToClient(req_id=rid, table=table, attrs=[attr],  # None: every row
                               indices=rng.choice((indices, None))),
-        lambda: DeliverShares(req_id=rid, server_x=3, rows=ShareRows.pack(
+        lambda: DeliverShares(req_id=rid, server_x=3, attrs=[attr], rows=ShareRows.pack(
             indices, [random_share_vector(rng) for _ in indices], P)),
     ]
     return rng.choice(builders)()

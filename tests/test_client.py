@@ -36,6 +36,8 @@ from ssdb.protocol import (
 from ssdb.shamir import reconstruct, split
 from ssdb.testnet import PATIENTS_SCHEMA, TestCluster
 
+from helpers import vectors
+
 P = MERSENNE_61
 
 
@@ -198,7 +200,7 @@ class FakeCluster:
             assert isinstance(msg, InsertShares)
             (index,) = msg.cells.indices
             out.setdefault((msg.table, index), {})[sid] = dict(
-                zip(msg.attrs, msg.cells.vectors(self.config.p))
+                zip(msg.attrs, vectors(msg.cells, self.config.p))
             )
         return [(table, index, per_server) for (table, index), per_server in out.items()]
 
@@ -332,7 +334,9 @@ class StubServer:
 
 def delivers(x, shares=(5,)):
     """An answer: one DELIVER_SHARES as server x, one row holding `shares`."""
-    return lambda msg: [DeliverShares(server_x=x, rows=ShareRows.pack([1], [list(shares)], P))]
+    return lambda msg: [
+        DeliverShares(server_x=x, attrs=msg.attrs, rows=ShareRows.pack([1], [list(shares)], P))
+    ]
 
 
 def silent(msg):
@@ -361,33 +365,41 @@ def stub_config(servers, t=2):
 
 
 def listen(config, timeout=5.0, table="t", attr="a"):
-    msg = FetchToClient(req_id="r1", table=table, attr=attr)
-    return ResultListener(config, msg, time.monotonic() + timeout)
+    """A fetch of `attr` sent to t servers, as the client's read path sends it."""
+    msg = FetchToClient(table=table, attrs=[attr])
+    return ResultListener(config, lambda info: msg, config.t, time.monotonic() + timeout)
+
+
+def by_x(replies):
+    """Each replying server's x-coordinate -> its delivered rows."""
+    return {info.x_coord: reply.rows for info, reply in replies}
 
 
 class TestResultListener:
     def test_completes_after_t_distinct_servers(self, stubs):
         servers = stubs(delivers(1, [5]), delivers(2, [6]), delivers(3, [7]))
-        delivered = listen(stub_config(servers)).wait()
+        listener = listen(stub_config(servers))
+        delivered = by_x(listener.wait())
         assert {x: rows.packed for x, rows in delivered.items()} == {
             1: protocol.pack_shares([5], P), 2: protocol.pack_shares([6], P),
         }
-        # exactly t servers, the first in configured order
+        # exactly t servers, the first in configured order, under one req_id
         assert [len(s.requests) for s in servers] == [1, 1, 0]
-        assert servers[0].requests[0] == FetchToClient(req_id="r1", table="t", attr="a")
+        request = FetchToClient(req_id=listener.req_id, table="t", attrs=["a"])
+        assert servers[0].requests == servers[1].requests == [request]
 
     def test_duplicate_identical_push_ignored(self, stubs):
         def twice(msg):  # s1 sends its one reply two times
             return delivers(1)(msg) * 2
 
         servers = stubs(twice, delivers(2))
-        assert sorted(listen(stub_config(servers)).wait()) == [1, 2]
+        assert sorted(by_x(listen(stub_config(servers)).wait())) == [1, 2]
 
-    def test_conflicting_duplicate_is_corruption(self, stubs):
-        # s2 answers with s1's x-coordinate
-        servers = stubs(delivers(1), delivers(1))
+    def test_conflicting_duplicate_is_corruption(self, patients, stubs):
+        # s2 answers with s1's x-coordinate; the read path checks each sender
+        config = stub_config(stubs(delivers(1), delivers(1)))
         with pytest.raises(SsdbError) as e:
-            listen(stub_config(servers)).wait()
+            execute_query("SELECT Patientid FROM patient_details", patients.hub_client, config)
         assert e.value.code == protocol.DATA_CORRUPTION
         assert "s2" in e.value.detail
 
@@ -401,13 +413,27 @@ class TestResultListener:
 
     def test_server_failing_before_its_reply_is_replaced(self, stubs):
         servers = stubs(lambda msg: None, delivers(2), delivers(3))  # s1 hangs up
-        assert sorted(listen(stub_config(servers)).wait()) == [2, 3]
+        assert sorted(by_x(listen(stub_config(servers)).wait())) == [2, 3]
         assert [len(s.requests) for s in servers] == [1, 1, 1]
 
     def test_receives_real_pushes_over_tcp(self, patients):
-        delivered = listen(patients.config, table="patient_details", attr="Patientid").wait()
+        delivered = by_x(
+            listen(patients.config, table="patient_details", attr="Patientid").wait()
+        )
         assert sorted(delivered) == [1, 2]
         assert all(rows.indices == (1, 2, 3, 4) for rows in delivered.values())
+
+    def test_write_timeout_is_query_timeout(self, stubs, monkeypatch):
+        # writes wait for every acknowledgement under the same rule as reads
+        monkeypatch.setattr(protocol, "RESPONSE_TIMEOUT", 0.2)
+        servers = stubs(lambda msg: [Ack()], silent, lambda msg: [Ack()])
+        config = stub_config(servers)
+        with pytest.raises(SsdbError) as e:
+            Dealer(None, config).create_table(SCHEMA2)
+        assert e.value.code == protocol.QUERY_TIMEOUT
+        assert "s2" in e.value.detail
+        assert "s1" not in e.value.detail and "s3" not in e.value.detail
+        assert [len(s.requests) for s in servers] == [1, 1, 1]
 
 
 @pytest.fixture(scope="module")
@@ -419,13 +445,15 @@ def patients():
 
 @pytest.fixture
 def fetches(monkeypatch):
-    """(attr, indices) of every fetch a query sends, in order."""
+    """(attrs, indices) of every FETCH_TO_CLIENT a query sends, in order."""
     calls = []
     init = ResultListener.__init__
 
-    def spy(self, config, msg, deadline):
-        calls.append((msg.attr, msg.indices))
-        init(self, config, msg, deadline)
+    def spy(self, config, build, need, deadline):
+        msg = build(config.servers[0])
+        if isinstance(msg, FetchToClient):
+            calls.append((msg.attrs, msg.indices))
+        init(self, config, build, need, deadline)
 
     monkeypatch.setattr(ResultListener, "__init__", spy)
     return calls
@@ -446,12 +474,12 @@ class TestExecuteQuery:
         )
         assert rs.rows == [["Aids", "Ann"], ["Aids", "Dona"]]
         # Diagonosis is fetched once, as the every-row condition fetch
-        assert fetches == [("Diagonosis", None), ("Patientname", [1, 4])]
+        assert fetches == [(["Diagonosis"], None), (["Patientname"], [1, 4])]
 
     def test_no_predicate_single_attr_needs_one_delivery(self, patients, fetches):
         rs = patients.query("SELECT Patientid FROM patient_details")
         assert rs.rows == [[101], [102], [103], [104]]
-        assert fetches == [("Patientid", None)]  # the condition fetch is the whole answer
+        assert fetches == [(["Patientid"], None)]  # the condition fetch is the whole answer
 
     def test_duplicate_select_attr_fetched_once(self, patients, fetches):
         rs = patients.query(
@@ -459,18 +487,26 @@ class TestExecuteQuery:
         )
         assert rs.rows == [["Cara", "Cara"]]
         # selected twice, delivered once
-        assert fetches == [("Patientid", None), ("Patientname", [3])]
+        assert fetches == [(["Patientid"], None), (["Patientname"], [3])]
 
     def test_star_follows_schema_order(self, patients):
         rs = patients.query("SELECT * FROM patient_details WHERE Patientid = 102")
         assert rs.columns == ["Patientid", "Patientname", "Doctorid", "Diagonosis"]
         assert rs.rows == [[102, "Bony", 21, "Cancer"]]
 
+    def test_every_other_attribute_comes_in_one_fetch(self, patients, fetches):
+        rs = patients.query("SELECT * FROM patient_details WHERE Patientid = 102")
+        assert rs.rows == [[102, "Bony", 21, "Cancer"]]
+        # the condition column, then the rest together: two fetches, whatever the width
+        assert fetches == [
+            (["Patientid"], None), (["Patientname", "Doctorid", "Diagonosis"], [2]),
+        ]
+
     def test_empty_result(self, patients, fetches):
         rs = patients.query("SELECT Patientname FROM patient_details WHERE Doctorid > 1000")
         assert rs.rows == [] and rs.indices == []
         # vacuous fetch still happens
-        assert fetches == [("Doctorid", None), ("Patientname", [])]
+        assert fetches == [(["Doctorid"], None), (["Patientname"], [])]
 
     def test_unknown_table_and_attr(self, patients):
         with pytest.raises(SsdbError) as e:

@@ -28,6 +28,8 @@ from ssdb.server import ServerStore, ShareServer
 from ssdb.shamir import reconstruct
 from ssdb.testnet import PATIENTS_SCHEMA, PATIENTS_TABLE, TestCluster
 
+from helpers import vectors
+
 P = MERSENNE_61
 
 SCHEMA = TableSchema(
@@ -116,7 +118,7 @@ class MiniCluster:
             self.servers.append(server)
             infos.append(ServerInfo(f"s{k}", k, server.addr_str))
         self.config = ClusterConfig(p=P, n=3, t=t, servers=tuple(infos))
-        self.hub = Hub(self.config, listen=("127.0.0.1", 0), connect_timeout=0.5)
+        self.hub = Hub(self.config, listen=("127.0.0.1", 0))
         self.hub.start()
         self.hub_client = HubClient(self.hub.addr_str, p=P)
         self.dealer = Dealer(self.hub_client, self.config, rng=random.Random(0))
@@ -129,8 +131,10 @@ class MiniCluster:
 
     def fetch(self, attr, indices):
         """The client's fetch of `attr` at `indices`: each delivering server's x -> rows."""
-        msg = FetchToClient(req_id="f", table="records", attr=attr, indices=indices)
-        return ResultListener(self.config, msg, time.monotonic() + 5).wait()
+        msg = FetchToClient(table="records", attrs=[attr], indices=indices)
+        deadline = time.monotonic() + 5
+        listener = ResultListener(self.config, lambda info: msg, self.config.t, deadline)
+        return {info.x_coord: reply.rows for info, reply in listener.wait()}
 
     def kill(self, k):
         self.servers[k - 1].stop()
@@ -149,11 +153,11 @@ class MiniCluster:
 
 def pairs(rows):
     """(index, share vector) of each row of a ShareRows."""
-    return list(zip(rows.indices, rows.vectors(P)))
+    return list(zip(rows.indices, vectors(rows, P)))
 
 
 def stored(server, attr="k"):
-    return pairs(server.store.rows_for("records", attr, None))
+    return pairs(server.store.rows_for("records", [attr], None))
 
 
 class TestHubRouting:
@@ -228,6 +232,24 @@ class TestHubRouting:
             with pytest.raises(SsdbError) as e:
                 mini.dealer.insert_row(SCHEMA, (8, "B"))
             assert "s2" in e.value.detail and "s3" in e.value.detail  # every failed server
+            assert "s1" not in e.value.detail
+
+    def test_write_failures_follow_the_read_rule(self, tmp_path):
+        # s2 answers ERROR, s3 is down: the error takes s2's code, as the
+        # first failure in configured order, and names both
+        with MiniCluster(tmp_path) as mini:
+            mini.dealer.create_table(SCHEMA)
+            mini.ask_server(
+                2, InsertShares(req_id="x", table="records", attrs=["k", "v"],
+                                cells=ShareRows.pack([1], [[5], [1, 70]], P))
+            )
+            mini.kill(3)
+            with pytest.raises(RemoteError) as e:
+                mini.dealer.insert_row(SCHEMA, (7, "A"))  # row 1 again on s2
+            assert e.value.code == protocol.SCHEMA_MISMATCH
+            for sid in ("s2", "s3"):
+                assert sid in e.value.detail
+                assert mini.config.server_by_id(sid).address in e.value.detail
             assert "s1" not in e.value.detail
 
     def test_failed_write_lands_on_every_live_server(self):
@@ -308,7 +330,7 @@ class TestHubRouting:
         with MiniCluster(tmp_path) as mini:
             mini.dealer.create_table(SCHEMA)
             with pytest.raises(RemoteError) as e:
-                mini.ask(FetchToClient(req_id="f", table="records", attr="k"))
+                mini.ask(FetchToClient(req_id="f", table="records", attrs=["k"]))
             assert e.value.code == protocol.INTERNAL
 
 
@@ -351,7 +373,7 @@ def test_no_share_value_crosses_the_hub(monkeypatch):
             store.load()
             for attr in PATIENTS_SCHEMA.attr_names():
                 shares.update(protocol.unpack_shares(
-                    store.rows_for(PATIENTS_TABLE, attr, None).packed, P
+                    store.rows_for(PATIENTS_TABLE, [attr], None).packed, P
                 ))
             store.close()
 

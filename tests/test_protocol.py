@@ -39,6 +39,8 @@ from ssdb.protocol import (
 )
 from ssdb.testnet import PATIENTS_SCHEMA, TestCluster
 
+from helpers import vectors
+
 P = MERSENNE_61
 
 SCHEMA = TableSchema(
@@ -55,9 +57,11 @@ SAMPLES = [
     ),
     GetSchema(req_id="r9", table="t"),
     SchemaResult(req_id="r10", schema=SCHEMA, rows=4),
-    FetchToClient(req_id="r11", table="t", attr="a", indices=[1, 4]),
-    FetchToClient(req_id="r11b", table="t", attr="a", indices=None),
-    DeliverShares(req_id="r12", server_x=2, rows=ShareRows.pack([1, 4], [[7], [8, 9]], P)),
+    FetchToClient(req_id="r11", table="t", attrs=["a", "b"], indices=[1, 4]),
+    FetchToClient(req_id="r11b", table="t", attrs=["a"], indices=None),
+    DeliverShares(
+        req_id="r12", server_x=2, attrs=["a"], rows=ShareRows.pack([1, 4], [[7], [8, 9]], P)
+    ),
 ]
 
 
@@ -74,7 +78,8 @@ def u64(*values):
 # share-bearing frames (r4, r12) were re-pinned when shares moved from
 # decimal JSON strings to a binary body after the JSON header. The fetch
 # frames (r11, r11b, r12) were re-pinned when a fetch became one request
-# and its reply, dropping the fields that only routed server pushes.
+# and its reply, dropping the fields that only routed server pushes, and
+# again when one fetch came to name several attributes (`attrs`).
 GOLDEN_FRAMES = [
     b'\x00\x00\x00\x1c{"type":"ACK","req_id":"r1"}',
     b'\x00\x00\x00R{"type":"ERROR","req_id":"r2","code":"NO_SUCH_TABLE",'
@@ -87,11 +92,12 @@ GOLDEN_FRAMES = [
     b'\x00\x00\x00\xaf{"type":"SCHEMA_RESULT","req_id":"r10","schema":{"table":"patient_details",'
     b'"attributes":[{"name":"Patientid","type":"INTEGER"},{"name":"Patientname","type":"TEXT"}]},'
     b'"rows":4}',
-    b'\x00\x00\x00P{"type":"FETCH_TO_CLIENT","req_id":"r11","table":"t","attr":"a",'
+    b'\x00\x00\x00W{"type":"FETCH_TO_CLIENT","req_id":"r11","table":"t","attrs":["a","b"],'
     b'"indices":[1,4]}',
-    b'\x00\x00\x00P{"type":"FETCH_TO_CLIENT","req_id":"r11b","table":"t","attr":"a",'
+    b'\x00\x00\x00S{"type":"FETCH_TO_CLIENT","req_id":"r11b","table":"t","attrs":["a"],'
     b'"indices":null}',
-    b'\x00\x00\x00g{"type":"DELIVER_SHARES","req_id":"r12","server_x":2,"rows":2}\n'
+    b'\x00\x00\x00u{"type":"DELIVER_SHARES","req_id":"r12","server_x":2,"attrs":["a"],'
+    b'"rows":2}\n'
     + u32(1, 4) + u32(1, 2) + u64(7, 8, 9),
 ]
 
@@ -118,10 +124,11 @@ FIELD_CASES = {
     ("SCHEMA_RESULT", "rows"): (True, INTERNAL),
     ("FETCH_TO_CLIENT", "req_id"): (7, INTERNAL),
     ("FETCH_TO_CLIENT", "table"): (7, INTERNAL),
-    ("FETCH_TO_CLIENT", "attr"): (7, INTERNAL),
+    ("FETCH_TO_CLIENT", "attrs"): (["a", 7], INTERNAL),
     ("FETCH_TO_CLIENT", "indices"): ("1,4", INTERNAL),  # missing means every row
     ("DELIVER_SHARES", "req_id"): (7, INTERNAL),
     ("DELIVER_SHARES", "server_x"): (True, INTERNAL),
+    ("DELIVER_SHARES", "attrs"): ("a", INTERNAL),
     ("DELIVER_SHARES", "rows"): ("2", INTERNAL),  # the header's row count
 }
 
@@ -182,7 +189,8 @@ class TestFrameShape:
         # ints), then every share in `width` big-endian bytes
         for p, width in ((17, 1), (P, 8), (2**127 - 1, 16)):
             msg = DeliverShares(
-                req_id="r", server_x=1, rows=ShareRows.pack([3, 9], [[p - 1, 5], [0]], p),
+                req_id="r", server_x=1, attrs=["a"],
+                rows=ShareRows.pack([3, 9], [[p - 1, 5], [0]], p),
             )
             frame = encode_frame(msg)
             header, _, body = frame[4:].partition(b"\n")
@@ -362,18 +370,19 @@ class TestMessageCodec:
                 decode_frame(len(payload).to_bytes(4, "big") + payload, P)
 
     def test_share_value_must_be_below_modulus(self):
-        assert decode_message(INSERT_HEADER, P, insert_body(P - 1)).cells.vectors(P) == [[P - 1]]
+        assert vectors(decode_message(INSERT_HEADER, P, insert_body(P - 1)).cells, P) == [[P - 1]]
         with pytest.raises(ProtocolError) as e:
             decode_message(INSERT_HEADER, P, insert_body(P))
         assert e.value.code == protocol.VALUE_RANGE
 
     def test_small_modulus_tightens_validation(self):
-        assert decode_message(INSERT_HEADER, 17, insert_body(16, p=17)).cells.vectors(17) == [[16]]
+        decoded = decode_message(INSERT_HEADER, 17, insert_body(16, p=17))
+        assert vectors(decoded.cells, 17) == [[16]]
         with pytest.raises(ProtocolError):
             decode_message(INSERT_HEADER, 17, insert_body(17, p=17))
 
     def test_row_index_validation(self):
-        base = {"type": "FETCH_TO_CLIENT", "req_id": "r", "table": "t", "attr": "a"}
+        base = {"type": "FETCH_TO_CLIENT", "req_id": "r", "table": "t", "attrs": ["a"]}
         for bad in ([0], [-3], [True], [1.5], ["2"]):
             with pytest.raises(ProtocolError):
                 decode_message({**base, "indices": bad}, P)
