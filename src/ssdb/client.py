@@ -8,6 +8,11 @@ first, which the client reconstructs to evaluate the predicate on
 plaintext, then the matching rows of every other selected attribute.
 Writes and fetches share one fan-out, `ResultListener`, and so one
 failure rule. The hub only answers schema reads.
+
+A delivery is reconstructed and decoded a column at a time, not an
+element at a time: `_reconstruct_matrix` combines whole packed share
+runs as big ints, and `encoding.decode_cells` decodes each attribute's
+cells from the plain bytes that gives.
 """
 
 from __future__ import annotations
@@ -16,10 +21,11 @@ import logging
 import operator
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Union
 
 from . import protocol
-from .encoding import AttrType, TableSchema, decode_value, encode_value
+from .encoding import AttrType, TableSchema, decode_cells, encode_value
 from .hub import ClusterConfig, ServerInfo
 from .protocol import (
     CreateTable,
@@ -30,7 +36,6 @@ from .protocol import (
     SchemaResult,
     ShareRows,
     SsdbError,
-    split_counts,
 )
 from .shamir import lagrange_weights, split
 
@@ -463,34 +468,43 @@ def _reconstruct_matrix(
     counts: tuple[int, ...],
     table: str,
     attrs: list[str],
-) -> list[list[int]]:
-    """Combine t packed share runs into plain cells.
+) -> list[bytes]:
+    """Combine t packed share runs into plain cells, every element at once.
 
     `tagged` holds (x_coord, packed shares) per server, all laid out by
     the same `counts`, one per cell (the caller has checked that they
-    agree). Returns each cell's plain elements, in order.
+    agree). Each run is read as one big int of w-byte elements and cut
+    into m phases, each element in a zero-padded slot of m*w bytes wide
+    enough for t * (p-1)^2. Then sum(weight_j * Y_j) is t multiply-adds,
+    and every slot is reduced mod p = 2^k - 1 at once by Mersenne folding
+    (SWAR: Fisher & Dietz, LCPC 1998). Returns each cell's plain elements,
+    packed w bytes each as the shares were.
     """
     try:
         weights = lagrange_weights([x for x, _ in tagged], p)
     except ValueError as exc:
         raise SsdbError(protocol.DATA_CORRUPTION, f"{table!r} {attrs}: {exc}") from exc
-    flats = [protocol.unpack_shares(packed, p) for _, packed in tagged]
-    plain = [sum(map(operator.mul, weights, ys)) % p for ys in zip(*flats)]
-    return split_counts(plain, counts)
+    w, k = protocol.share_width(p), p.bit_length()
+    size = len(tagged[0][1]) // w
+    m = -(-(2 * k + len(tagged).bit_length()) // (8 * w))  # elements per slot
+    slots = -(-size // m)
 
+    def repeat(value: int) -> int:  # value in every slot
+        return int.from_bytes(value.to_bytes(m * w, "big") * slots, "big")
 
-def _decode_column(
-    attr_type: AttrType, vectors: list[list[int]], table: str, attr: str
-) -> list[Value]:
-    values = []
-    for vec in vectors:
-        try:
-            values.append(decode_value(attr_type, vec))
-        except ValueError as exc:
-            raise SsdbError(
-                protocol.DATA_CORRUPTION, f"{table!r}.{attr!r} failed to decode: {exc}"
-            ) from exc
-    return values
+    element, low, ones = repeat((1 << (8 * w)) - 1), repeat(p), repeat(1)
+    high = repeat((1 << (8 * m * w - k)) - 1)
+    runs = [int.from_bytes(packed, "big") for _, packed in tagged]
+    plain = 0
+    for phase in range(0, 8 * m * w, 8 * w):
+        v = sum(weight * ((run >> phase) & element) for weight, run in zip(weights, runs))
+        for _ in range(2):  # each slot below (t+1) * 2^k, then below p + t
+            v = (v & low) + ((v >> k) & high)
+        v = (v + (((v + ones) >> k) & ones)) & low  # p + t < 2p: subtract p once if due
+        plain |= v << phase
+    flat = plain.to_bytes(size * w, "big")
+    bounds = list(accumulate(counts, initial=0))
+    return [flat[w * a : w * b] for a, b in zip(bounds, bounds[1:])]
 
 
 # --- the query pipeline -----------------------------------------------------
@@ -591,13 +605,16 @@ def _fetch(
                 f"{msg.table!r} {msg.attrs}: share vectors disagree on element count",
             )
     tagged = [(x, delivered[x].packed) for x in sorted(delivered)]
-    cells = []
-    if matched:
-        cells = _reconstruct_matrix(config.p, tagged, first.counts, msg.table, msg.attrs)
+    cells = _reconstruct_matrix(config.p, tagged, first.counts, msg.table, msg.attrs)
     # row by row, so attribute k's cells sit at k, k + width, ...
-    width = len(msg.attrs)
+    width, w = len(msg.attrs), protocol.share_width(config.p)
     values = {}
     for k, attr in enumerate(msg.attrs):
-        decoded = _decode_column(schema.attr_type(attr), cells[k::width], msg.table, attr)
+        try:
+            decoded = decode_cells(schema.attr_type(attr), cells[k::width], w)
+        except ValueError as exc:
+            raise SsdbError(
+                protocol.DATA_CORRUPTION, f"{msg.table!r}.{attr!r} failed to decode: {exc}"
+            ) from exc
         values[attr] = dict(zip(matched, decoded))
     return values

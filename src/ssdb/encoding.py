@@ -11,7 +11,9 @@ from __future__ import annotations
 import enum
 import json
 import re
+import struct
 from dataclasses import dataclass
+from typing import Sequence
 
 from .field import MERSENNE_61
 
@@ -127,32 +129,58 @@ def encode_value(attr_type: AttrType, value, p: int = MERSENNE_61) -> list[int]:
 
 def decode_value(attr_type: AttrType, elements: list[int]):
     """Exact inverse of encode_value; rejects malformed encodings."""
-    if not elements:
+    if min(elements, default=0) < 0:
+        raise ValueError("negative element")
+    w = max([8] + [(e.bit_length() + 7) // 8 for e in elements])
+    return decode_cells(attr_type, [b"".join(e.to_bytes(w, "big") for e in elements)], w)[0]
+
+
+def decode_cells(attr_type: AttrType, cells: Sequence[bytes], w: int) -> list:
+    """Decode a column whose cells are their plain elements, `w` big-endian bytes each.
+
+    INTEGER cells are unpacked together. TEXT cells are joined, every
+    element's top w-7 bytes are tested for zero at once and cut, and each
+    cell is then one slice and one UTF-8 decode of the 7-byte chunks.
+    """
+    lengths = set(map(len, cells))
+    if 0 in lengths:
         raise ValueError("empty encoding")
     if attr_type is AttrType.INTEGER:
-        if len(elements) != 1:
-            raise ValueError(f"INTEGER encodes to 1 element, got {len(elements)}")
-        return elements[0]
+        if lengths - {w}:
+            raise ValueError(f"INTEGER encodes to 1 element, got {max(lengths) // w}")
+        if w == 8:
+            return list(struct.unpack(f">{len(cells)}Q", b"".join(cells)))
+        return [int.from_bytes(cell, "big") for cell in cells]
 
-    byte_len = elements[0]
-    if byte_len < 0 or byte_len > MAX_TEXT_BYTES:
-        raise ValueError(f"bad TEXT length prefix {byte_len}")
-    chunks = elements[1:]
-    expected = (byte_len + CHUNK_BYTES - 1) // CHUNK_BYTES
-    if len(chunks) != expected:
-        raise ValueError(
-            f"length prefix {byte_len} implies {expected} chunks, got {len(chunks)}"
-        )
-    raw = bytearray()
-    remaining = byte_len
-    for chunk in chunks:
-        width = min(CHUNK_BYTES, remaining)
-        if chunk < 0 or chunk >> (8 * width):
-            raise ValueError(f"chunk {chunk} exceeds its {width}-byte capacity")
-        raw += chunk.to_bytes(width, "big")
-        remaining -= width
+    raw = bytearray().join(cells)
+    n = len(raw) // w
+    for i in range(w - CHUNK_BYTES):
+        if raw[i::w].count(0) != n:
+            raise ValueError("a length prefix or chunk is 2^56 or more")
+    chunked = bytearray(n * CHUNK_BYTES)  # every element in 7 bytes, at any w
+    for i in range(1, min(w, CHUNK_BYTES) + 1):
+        chunked[CHUNK_BYTES - i :: CHUNK_BYTES] = raw[w - i :: w]
+    raw = bytes(chunked)
+    values = []
+    end = 0
     try:
-        return raw.decode("utf-8")
+        for cell in cells:
+            start = end
+            end += len(cell) // w * CHUNK_BYTES
+            byte_len = int.from_bytes(raw[start : start + CHUNK_BYTES], "big")
+            # the last chunk holds the last bytes right-aligned, `pad` zeros in front
+            pad = end - start - CHUNK_BYTES - byte_len
+            if byte_len > MAX_TEXT_BYTES:
+                raise ValueError(f"bad TEXT length prefix {byte_len}")
+            if not 0 <= pad < CHUNK_BYTES:
+                raise ValueError(
+                    f"length prefix {byte_len} implies {-(-byte_len // CHUNK_BYTES)} chunks, "
+                    f"got {(end - start) // CHUNK_BYTES - 1}"
+                )
+            last = end - CHUNK_BYTES if byte_len else end  # an empty TEXT has no chunk
+            if raw.count(0, last, last + pad) != pad:
+                raise ValueError(f"last chunk exceeds its {CHUNK_BYTES - pad}-byte capacity")
+            values.append((raw[start + CHUNK_BYTES : last] + raw[last + pad : end]).decode())
     except UnicodeDecodeError as exc:
         raise ValueError(f"decoded bytes are not UTF-8: {exc}") from exc
-
+    return values

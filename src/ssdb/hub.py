@@ -43,6 +43,8 @@ class ClusterConfig:
             raise ValueError(f"need 1 <= t <= n, got t={self.t}, n={self.n}")
         if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
+        if self.p & (self.p + 1):  # reads reduce mod p by folding at 2^k
+            raise ValueError(f"modulus {self.p} is not a Mersenne prime 2^k - 1")
         ids = [s.server_id for s in self.servers]
         xs = [s.x_coord for s in self.servers]
         addrs = [s.address for s in self.servers]

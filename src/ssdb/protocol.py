@@ -121,15 +121,6 @@ def unpack_shares(packed: bytes, p: int) -> Sequence[int]:
     return [int.from_bytes(packed[i : i + w], "big") for i in range(0, len(packed), w)]
 
 
-def split_counts(flat: Sequence, counts: Sequence[int]) -> list:
-    """Cut a flat run into consecutive pieces of the given lengths."""
-    out, pos = [], 0
-    for count in counts:
-        out.append(list(flat[pos : pos + count]))
-        pos += count
-    return out
-
-
 @dataclass(frozen=True)
 class ShareRows:
     """Share cells as they travel and rest: the body of a share-bearing frame.

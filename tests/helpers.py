@@ -1,6 +1,15 @@
 """Helpers shared by the test modules."""
 
-from ssdb.protocol import split_counts, unpack_shares
+from ssdb.protocol import unpack_shares
+
+
+def split_counts(flat, counts):
+    """Cut a flat run into consecutive pieces of the given lengths."""
+    out, pos = [], 0
+    for count in counts:
+        out.append(list(flat[pos : pos + count]))
+        pos += count
+    return out
 
 
 def vectors(rows, p):

@@ -8,6 +8,8 @@ import zlib
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssdb import field, protocol
 from ssdb.client import (
@@ -17,11 +19,12 @@ from ssdb.client import (
     QuerySyntaxError,
     ResultListener,
     ResultSet,
+    _reconstruct_matrix,
     evaluate_predicate,
     execute_query,
     parse_query,
 )
-from ssdb.encoding import Attribute, AttrType, TableSchema, encode_value
+from ssdb.encoding import MAX_TEXT_BYTES, Attribute, AttrType, TableSchema, encode_value
 from ssdb.field import MERSENNE_61
 from ssdb.hub import ClusterConfig, ServerInfo
 from ssdb.protocol import (
@@ -39,6 +42,8 @@ from ssdb.testnet import PATIENTS_SCHEMA, TestCluster
 from helpers import vectors
 
 P = MERSENNE_61
+# every share width the read path is tested at: 8, 12 and 16 bytes
+MERSENNES = (P, (1 << 89) - 1, (1 << 127) - 1)
 
 
 class TestParseQuery:
@@ -625,6 +630,91 @@ class TestQueryFailureModes:
         with pytest.raises(SsdbError) as e:
             execute_query("SELECT Patientid FROM patient_details", patients.hub_client, config)
         assert e.value.code == protocol.DATA_CORRUPTION
+
+    @pytest.mark.parametrize("attr, elements, reason", [
+        ("Patientname", [MAX_TEXT_BYTES + 1, 0], "length prefix"),
+        ("Patientname", [1 << 56], "2^56"),  # a prefix past 7 bytes
+        ("Patientname", [4], "implies 1 chunks, got 0"),
+        ("Patientname", [4, 1, 2], "implies 1 chunks, got 2"),
+        ("Patientname", [7, 1 << 56], "2^56"),
+        ("Patientname", [1, 256], "1-byte capacity"),  # 1 byte left, the chunk needs 2
+        ("Patientname", [8, int.from_bytes(b"abcdefg", "big"), 0x1FF], "1-byte capacity"),
+        ("Patientname", [1, 0xFF], "UTF-8"),
+        ("Patientid", [1, 2], "got 2"),
+    ], ids=[
+        "prefix-above-max", "prefix-past-7-bytes", "prefix-short-of-count",
+        "prefix-above-count", "chunk-past-7-bytes", "last-chunk-too-wide",
+        "last-of-two-chunks-too-wide", "not-utf8", "integer-of-2-elements",
+    ])
+    def test_corrupt_cell_names_table_and_attribute(
+        self, patients, stubs, attr, elements, reason
+    ):
+        # t = 1, so the one delivered share vector is the plain encoding
+        config = stub_config(stubs(delivers(1, elements)), t=1)
+        with pytest.raises(SsdbError) as e:
+            execute_query(f"SELECT {attr} FROM patient_details", patients.hub_client, config)
+        assert e.value.code == protocol.DATA_CORRUPTION
+        assert f"'patient_details'.'{attr}'" in e.value.detail
+        assert reason in e.value.detail
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_reconstruct_matrix_equals_shamir_reconstruct(data):
+    p = data.draw(st.sampled_from(MERSENNES), label="p")
+    n = data.draw(st.integers(1, 16), label="n")  # the CLI's limit
+    t = data.draw(st.integers(1, n), label="t")
+    xs = data.draw(st.lists(st.integers(1, p - 1), min_size=t, max_size=t, unique=True))
+    counts = data.draw(st.one_of(
+        st.just([]), st.lists(st.integers(1, 4), min_size=1, max_size=1),
+        st.lists(st.integers(1, 4), min_size=2, max_size=60),
+    ), label="counts")
+    share = st.one_of(st.sampled_from([0, p - 1]), st.integers(0, p - 1))
+    runs = [data.draw(st.lists(share, min_size=sum(counts), max_size=sum(counts))) for _ in xs]
+    tagged = [(x, protocol.pack_shares(ys, p)) for x, ys in zip(xs, runs)]
+
+    cells = _reconstruct_matrix(p, tagged, tuple(counts), "t", ["a"])
+
+    w = protocol.share_width(p)
+    assert [len(cell) for cell in cells] == [w * count for count in counts]
+    want = [reconstruct(list(zip(xs, ys)), t, p) for ys in zip(*runs)]
+    assert list(protocol.unpack_shares(b"".join(cells), p)) == want
+
+
+@pytest.mark.parametrize("p", MERSENNES, ids=["p=2^61-1", "p=2^89-1", "p=2^127-1"])
+@pytest.mark.parametrize("t", [1, 2, 16])
+def test_reconstruct_matrix_at_the_slot_bound(p, t):
+    # every share p-1 and the weights of x = 1..t: the slot sums come near t * (p-1)^2
+    xs = list(range(1, t + 1))
+    runs = [[p - 1] * 5 for _ in xs]
+    tagged = [(x, protocol.pack_shares(ys, p)) for x, ys in zip(xs, runs)]
+    cells = _reconstruct_matrix(p, tagged, (2, 3), "t", ["a"])
+    want = reconstruct([(x, p - 1) for x in xs], t, p)
+    assert list(protocol.unpack_shares(b"".join(cells), p)) == [want] * 5
+
+
+@pytest.mark.parametrize("p", MERSENNES[1:], ids=["p=2^89-1", "p=2^127-1"])
+def test_round_trip_at_wider_share_widths(p):
+    schema = TableSchema("wide", (Attribute("k", AttrType.INTEGER), Attribute("v", AttrType.TEXT)))
+    rows = [
+        (0, ""),
+        (p - 1, "sevenby"),  # 7 bytes: exactly one chunk
+        (1 << 70, "Grüße"),  # 7 bytes, non-ASCII
+        (5, "fourteen bytes"),
+        (6, "日本語のテキスト"),  # 24 bytes
+        (7, "x" * 70),
+    ]
+    with TestCluster.start(3, 2, p=p, seed=23) as cluster:
+        cluster.create_table(schema)
+        for row in rows:
+            cluster.insert_row(schema, row)
+        assert cluster.query("SELECT * FROM wide").rows == [list(row) for row in rows]
+        assert cluster.query("SELECT v FROM wide WHERE k < 7").rows == [
+            [""], ["fourteen bytes"], ["日本語のテキスト"],
+        ]
+        assert cluster.query("SELECT k FROM wide WHERE v >= 'sevenby'").rows == [
+            [p - 1], [6], [7],
+        ]
 
 
 def test_hot_path_never_tests_primality(monkeypatch):

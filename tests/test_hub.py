@@ -99,7 +99,13 @@ class TestClusterConfig:
         with pytest.raises(ValueError):
             ClusterConfig(p=P, n=1, t=1, servers=(ServerInfo("s1", 0, "h:1"),))
         with pytest.raises(ValueError):
-            ClusterConfig(p=17, n=1, t=1, servers=(ServerInfo("s1", 17, "h:1"),))
+            ClusterConfig(p=31, n=1, t=1, servers=(ServerInfo("s1", 31, "h:1"),))
+
+    def test_modulus_must_be_a_mersenne_prime(self):
+        with pytest.raises(ValueError, match="Mersenne"):
+            ClusterConfig(p=17, n=1, t=1, servers=(ServerInfo("s1", 1, "h:1"),))
+        for p in (31, (1 << 89) - 1, (1 << 127) - 1):
+            assert ClusterConfig(p=p, n=1, t=1, servers=(ServerInfo("s1", 1, "h:1"),)).p == p
 
     def test_malformed_json_rejected(self):
         with pytest.raises(ValueError):
