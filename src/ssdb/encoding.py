@@ -1,9 +1,13 @@
 """Reversible mapping between typed attribute values and field elements.
 
-INTEGER embeds as a single element. TEXT becomes a length prefix followed
-by 7-byte big-endian chunks of its UTF-8 bytes, so every chunk is < 2^56
-and fits any modulus above that. Also holds the table-schema model shared
-by dealer, servers, and query engine.
+INTEGER embeds as a single element. TEXT becomes the base-2^56 digits,
+most significant first, of `int.from_bytes(b"\x01" + utf8, "big")`: zero
+bytes in front pad a start byte and the value to whole 7-byte chunks
+(ISO/IEC 9797-1 padding method 2, marker in front), and the start byte
+keeps the value's leading NUL bytes. A value of b bytes takes
+ceil((b + 1) / 7) elements, each < 2^56, so it fits any modulus above
+that. Also holds the table-schema model shared by dealer, servers, and
+query engine.
 """
 
 from __future__ import annotations
@@ -116,14 +120,13 @@ def encode_value(attr_type: AttrType, value, p: int = MERSENNE_61) -> list[int]:
     raw = value.encode("utf-8")
     if len(raw) > MAX_TEXT_BYTES:
         raise ValueError(f"TEXT value of {len(raw)} bytes exceeds {MAX_TEXT_BYTES}")
-    if len(raw) >= p:
-        raise ValueError(f"length prefix {len(raw)} does not fit in GF({p})")
-    elements = [len(raw)]
-    for off in range(0, len(raw), CHUNK_BYTES):
-        chunk = int.from_bytes(raw[off : off + CHUNK_BYTES], "big")
-        if chunk >= p:
-            raise ValueError(f"chunk {chunk} does not fit in GF({p})")
-        elements.append(chunk)
+    padded = (b"\x01" + raw).rjust((len(raw) // CHUNK_BYTES + 1) * CHUNK_BYTES, b"\0")
+    elements = [
+        int.from_bytes(padded[off : off + CHUNK_BYTES], "big")
+        for off in range(0, len(padded), CHUNK_BYTES)
+    ]
+    if max(elements) >= p:
+        raise ValueError(f"chunk {max(elements)} does not fit in GF({p})")
     return elements
 
 
@@ -140,7 +143,8 @@ def decode_cells(attr_type: AttrType, cells: Sequence[bytes], w: int) -> list:
 
     INTEGER cells are unpacked together. TEXT cells are joined, every
     element's top w-7 bytes are tested for zero at once and cut, and each
-    cell is then one slice and one UTF-8 decode of the 7-byte chunks.
+    cell is then one start-byte check and one UTF-8 decode of the bytes
+    after it.
     """
     lengths = set(map(len, cells))
     if 0 in lengths:
@@ -156,7 +160,7 @@ def decode_cells(attr_type: AttrType, cells: Sequence[bytes], w: int) -> list:
     n = len(raw) // w
     for i in range(w - CHUNK_BYTES):
         if raw[i::w].count(0) != n:
-            raise ValueError("a length prefix or chunk is 2^56 or more")
+            raise ValueError("an element is 2^56 or more")
     chunked = bytearray(n * CHUNK_BYTES)  # every element in 7 bytes, at any w
     for i in range(1, min(w, CHUNK_BYTES) + 1):
         chunked[CHUNK_BYTES - i :: CHUNK_BYTES] = raw[w - i :: w]
@@ -167,20 +171,13 @@ def decode_cells(attr_type: AttrType, cells: Sequence[bytes], w: int) -> list:
         for cell in cells:
             start = end
             end += len(cell) // w * CHUNK_BYTES
-            byte_len = int.from_bytes(raw[start : start + CHUNK_BYTES], "big")
-            # the last chunk holds the last bytes right-aligned, `pad` zeros in front
-            pad = end - start - CHUNK_BYTES - byte_len
-            if byte_len > MAX_TEXT_BYTES:
-                raise ValueError(f"bad TEXT length prefix {byte_len}")
-            if not 0 <= pad < CHUNK_BYTES:
-                raise ValueError(
-                    f"length prefix {byte_len} implies {-(-byte_len // CHUNK_BYTES)} chunks, "
-                    f"got {(end - start) // CHUNK_BYTES - 1}"
-                )
-            last = end - CHUNK_BYTES if byte_len else end  # an empty TEXT has no chunk
-            if raw.count(0, last, last + pad) != pad:
-                raise ValueError(f"last chunk exceeds its {CHUNK_BYTES - pad}-byte capacity")
-            values.append((raw[start + CHUNK_BYTES : last] + raw[last + pad : end]).decode())
+            head = raw[start : start + CHUNK_BYTES].lstrip(b"\0")
+            if head[:1] != b"\x01":
+                raise ValueError(f"no start byte 0x01 after fewer than {CHUNK_BYTES} zero bytes")
+            start += CHUNK_BYTES - len(head) + 1  # the value's first byte
+            if end - start > MAX_TEXT_BYTES:
+                raise ValueError(f"TEXT value of {end - start} bytes exceeds {MAX_TEXT_BYTES}")
+            values.append(raw[start:end].decode())
     except UnicodeDecodeError as exc:
         raise ValueError(f"decoded bytes are not UTF-8: {exc}") from exc
     return values

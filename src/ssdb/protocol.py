@@ -517,8 +517,8 @@ RESPONSE_TIMEOUT = 5.0
 MAX_IDLE_PER_ADDR = 8  # idle connections kept per address; more are closed when handed back
 
 
-def _connect(addr: tuple[str, int], timeout: float) -> socket.socket:
-    sock = socket.create_connection(addr, timeout=timeout)
+def _connect(addr: tuple[str, int]) -> socket.socket:
+    sock = socket.create_connection(addr, timeout=CONNECT_TIMEOUT)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     return sock
 
@@ -549,14 +549,14 @@ class ConnectionPool:
         self._idle: dict[tuple[str, int], list[socket.socket]] = {}
         self._lock = threading.Lock()
 
-    def take(self, addr: tuple[str, int], connect_timeout: float) -> tuple[socket.socket, bool]:
+    def take(self, addr: tuple[str, int]) -> tuple[socket.socket, bool]:
         """A quiet idle connection to addr, else a new one; and whether it is reused."""
         while True:
             with self._lock:
                 idle = self._idle.get(addr)
                 sock = idle.pop() if idle else None
             if sock is None:
-                return _connect(addr, connect_timeout), False
+                return _connect(addr), False
             if _is_quiet(sock):
                 return sock, True
             sock.close()
@@ -590,32 +590,24 @@ class Exchange:
 
     Several exchanges can be in flight at once, each on its own
     connection. Connecting and sending each wait at most
-    `connect_timeout`. The connection goes back to the pool only after
+    CONNECT_TIMEOUT. The connection goes back to the pool only after
     exactly one complete reply frame (an ERROR frame counts) was read;
     any failure, or `close` before that, closes it. A request that fails
     on a reused connection before any reply byte arrives is sent once
     more on a fresh one. Nothing else is retried.
     """
 
-    def __init__(
-        self,
-        addr: tuple[str, int],
-        msg,
-        *,
-        p: int = MERSENNE_61,
-        connect_timeout: float = CONNECT_TIMEOUT,
-    ):
+    def __init__(self, addr: tuple[str, int], msg, *, p: int = MERSENNE_61):
         self.addr = addr
         self.p = p
         self.req_id = msg.req_id
         self._frame = encode_frame(msg)
-        self._connect_timeout = connect_timeout
-        self._sock, self._reused = POOL.take(addr, connect_timeout)
+        self._sock, self._reused = POOL.take(addr)
         self._send()
 
     def _send(self) -> None:
         try:
-            self._sock.settimeout(self._connect_timeout)
+            self._sock.settimeout(CONNECT_TIMEOUT)
             self._sock.sendall(self._frame)
         except OSError as exc:
             self.close()
@@ -624,7 +616,7 @@ class Exchange:
             self._send_fresh()
 
     def _send_fresh(self) -> None:
-        self._sock, self._reused = _connect(self.addr, self._connect_timeout), False
+        self._sock, self._reused = _connect(self.addr), False
         self._send()
 
     def _reply_started(self, timeout: float) -> bool:
@@ -680,7 +672,6 @@ def request(
     msg,
     *,
     p: int = MERSENNE_61,
-    connect_timeout: float = CONNECT_TIMEOUT,
     response_timeout: float = RESPONSE_TIMEOUT,
 ):
     """One request/reply exchange on a kept-open connection from the pool.
@@ -688,7 +679,7 @@ def request(
     Raises RemoteError if the peer answers with an ERROR frame, and the
     usual OSError family on transport trouble.
     """
-    return Exchange(addr, msg, p=p, connect_timeout=connect_timeout).reply(response_timeout)
+    return Exchange(addr, msg, p=p).reply(response_timeout)
 
 
 def start_daemon(threads: list, target: Callable, *args, name: str) -> None:

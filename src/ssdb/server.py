@@ -39,6 +39,9 @@ from .protocol import (
 log = logging.getLogger(__name__)
 
 _META_FILE = "server.json"
+# the cell layout, pinned in server.json: a dir of another layout would be
+# misread (2: TEXT cells begin with a start byte, see encoding.py)
+_FORMAT = 2
 # a log record: payload length, zlib.crc32 of the payload, then the payload
 _RECORD = struct.Struct(">II")
 
@@ -109,12 +112,12 @@ class StoredTable:
 class ServerStore:
     """Durable per-server state under one data directory.
 
-    Layout: <data_dir>/server.json pins identity; each table gets
-    <data_dir>/<table>/schema.json plus rows.log, one binary record per
-    row: `_RECORD` (payload length, crc32) and then the INSERT_SHARES
-    body as received, i.e. the row index, the element count of each
-    cell in schema order, and the shares. Replay is deterministic: same
-    log, same state.
+    Layout: <data_dir>/server.json pins identity and the cell format;
+    each table gets <data_dir>/<table>/schema.json plus rows.log, one
+    binary record per row: `_RECORD` (payload length, crc32) and then
+    the INSERT_SHARES body as received, i.e. the row index, the element
+    count of each cell in schema order, and the shares. Replay is
+    deterministic: same log, same state.
     """
 
     def __init__(self, data_dir, server_id: str, x_coord: int, p: int = MERSENNE_61):
@@ -140,13 +143,14 @@ class ServerStore:
 
     def _check_meta(self) -> None:
         meta_path = self.data_dir / _META_FILE
-        meta = {"server_id": self.server_id, "x_coord": self.x_coord, "p": str(self.p)}
+        meta = {
+            "server_id": self.server_id, "x_coord": self.x_coord, "p": str(self.p),
+            "format": _FORMAT,
+        }
         if meta_path.exists():
             stored = _read_json(meta_path)
             if stored != meta:
-                raise ValueError(
-                    f"data dir {self.data_dir} belongs to {stored}, refusing to run as {meta}"
-                )
+                raise ValueError(f"{meta_path} records {stored}, refusing to run as {meta}")
         else:
             _write_durably(meta_path, json.dumps(meta, sort_keys=True))
 

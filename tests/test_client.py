@@ -588,7 +588,7 @@ class TestQueryFailureModes:
             # row 1's record: length, crc32, index, 4 counts, then the shares
             length = int.from_bytes(raw[:4], "big")
             counts = [int.from_bytes(raw[12 + 4 * k : 16 + 4 * k], "big") for k in range(4)]
-            # blow up the reconstructed length prefix of the TEXT cell Diagonosis
+            # blow up the one reconstructed element of the TEXT cell Diagonosis
             at = 8 + 4 + 16 + 8 * sum(counts[:3])
             share = int.from_bytes(raw[at : at + 8], "big")
             raw[at : at + 8] = ((share + (1 << 40)) % P).to_bytes(8, "big")
@@ -632,19 +632,18 @@ class TestQueryFailureModes:
         assert e.value.code == protocol.DATA_CORRUPTION
 
     @pytest.mark.parametrize("attr, elements, reason", [
-        ("Patientname", [MAX_TEXT_BYTES + 1, 0], "length prefix"),
-        ("Patientname", [1 << 56], "2^56"),  # a prefix past 7 bytes
-        ("Patientname", [4], "implies 1 chunks, got 0"),
-        ("Patientname", [4, 1, 2], "implies 1 chunks, got 2"),
-        ("Patientname", [7, 1 << 56], "2^56"),
-        ("Patientname", [1, 256], "1-byte capacity"),  # 1 byte left, the chunk needs 2
-        ("Patientname", [8, int.from_bytes(b"abcdefg", "big"), 0x1FF], "1-byte capacity"),
+        ("Patientname", [1 << 56], "2^56"),  # the leading element past 7 bytes
+        ("Patientname", [0x141, 1 << 56], "2^56"),
+        ("Patientname", [0x41696473], "start byte"),
+        ("Patientname", [0, 0x141696473], "start byte"),  # 7 zero bytes in front
+        ("Patientname", [1] + [0x61] * (MAX_TEXT_BYTES // 7 + 1), f"exceeds {MAX_TEXT_BYTES}"),
+        ("Patientname", [4, 0x41696473], "start byte"),  # "Aids" under the length prefix
         ("Patientname", [1, 0xFF], "UTF-8"),
         ("Patientid", [1, 2], "got 2"),
     ], ids=[
-        "prefix-above-max", "prefix-past-7-bytes", "prefix-short-of-count",
-        "prefix-above-count", "chunk-past-7-bytes", "last-chunk-too-wide",
-        "last-of-two-chunks-too-wide", "not-utf8", "integer-of-2-elements",
+        "prefix-past-7-bytes", "chunk-past-7-bytes", "no-start-byte",
+        "zero-leading-element", "value-above-max", "old-layout-aids",
+        "not-utf8", "integer-of-2-elements",
     ])
     def test_corrupt_cell_names_table_and_attribute(
         self, patients, stubs, attr, elements, reason

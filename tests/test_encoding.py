@@ -22,12 +22,14 @@ P = MERSENNE_61
 
 
 def reference_text_encoding(text: str) -> list[int]:
-    """Independent re-derivation: length, then big-endian 7-byte chunks."""
-    data = text.encode("utf-8")
-    out = [len(data)]
-    for i in range(0, len(data), 7):
-        out.append(int.from_bytes(data[i : i + 7], "big"))
-    return out
+    """Independent re-derivation: the base-2^56 digits, most significant
+    first, of the integer whose bytes are 0x01 and then the UTF-8 bytes."""
+    v = int.from_bytes(b"\x01" + text.encode("utf-8"), "big")
+    digits = []
+    while v:
+        v, digit = divmod(v, 1 << 56)
+        digits.append(digit)
+    return digits[::-1]
 
 
 class TestIntegerEncoding:
@@ -69,19 +71,20 @@ class TestIntegerEncoding:
 
 class TestTextEncoding:
     def test_frozen_example(self):
-        # "Aids" = 0x41696473
-        assert encode_value(AttrType.TEXT, "Aids", P) == [4, 1097426035]
+        # the start byte, then "Aids" = 0x41696473
+        assert encode_value(AttrType.TEXT, "Aids", P) == [0x141696473]
 
     def test_empty_string(self):
-        assert encode_value(AttrType.TEXT, "", P) == [0]
-        assert decode_value(AttrType.TEXT, [0]) == ""
+        assert encode_value(AttrType.TEXT, "", P) == [1]
+        assert decode_value(AttrType.TEXT, [1]) == ""
 
     def test_chunk_boundaries(self):
+        # with its start byte, a 6-byte value fills one chunk and a 7-byte one spills
+        six = "abcdef"
         seven = "abcdefg"
-        eight = "abcdefgh"
-        assert encode_value(AttrType.TEXT, seven, P) == reference_text_encoding(seven)
+        assert encode_value(AttrType.TEXT, six, P) == reference_text_encoding(six)
+        assert len(encode_value(AttrType.TEXT, six, P)) == 1
         assert len(encode_value(AttrType.TEXT, seven, P)) == 2
-        assert len(encode_value(AttrType.TEXT, eight, P)) == 3
 
     def test_multibyte_utf8(self):
         for text in ("héllo", "日本語のテキスト", "data 🚀 base"):
@@ -101,24 +104,34 @@ class TestTextEncoding:
 
     def test_decode_count_mismatch(self):
         with pytest.raises(ValueError):
-            decode_value(AttrType.TEXT, [4])  # says 4 bytes, no chunks
+            decode_value(AttrType.TEXT, [0x41696473])  # "Aids" with no start byte
         with pytest.raises(ValueError):
-            decode_value(AttrType.TEXT, [4, 1, 2])  # one chunk too many
+            decode_value(AttrType.TEXT, [0, 0x141696473])  # a zero element in front of "Aids"
         with pytest.raises(ValueError):
             decode_value(AttrType.TEXT, [])
 
     def test_decode_chunk_too_wide(self):
-        # 1 byte declared, but the chunk needs 2
-        with pytest.raises(ValueError):
-            decode_value(AttrType.TEXT, [1, 256])
+        # the second chunk needs 8 bytes
+        with pytest.raises(ValueError, match="2\\^56"):
+            decode_value(AttrType.TEXT, [0x161, 1 << 56])
 
     def test_decode_invalid_utf8(self):
         with pytest.raises(ValueError):
             decode_value(AttrType.TEXT, [1, 0xFF])
 
     def test_decode_bad_length_prefix(self):
-        with pytest.raises(ValueError):
-            decode_value(AttrType.TEXT, [MAX_TEXT_BYTES + 1, 0])
+        # a start byte in the first chunk, then 7 * 149,797 value bytes
+        with pytest.raises(ValueError, match="exceeds"):
+            decode_value(AttrType.TEXT, [1] + [0x61] * (MAX_TEXT_BYTES // CHUNK_BYTES + 1))
+
+    @given(st.text(max_size=300))
+    def test_length_leaks_to_7_bytes_and_no_finer(self, text):
+        # a server sees the element count, and it depends on the UTF-8 length alone
+        elements = encode_value(AttrType.TEXT, text, P)
+        assert len(elements) == -(-(len(text.encode("utf-8")) + 1) // CHUNK_BYTES)
+        # a zero element in front is a pad of 7 or more zero bytes
+        with pytest.raises(ValueError, match="start byte"):
+            decode_value(AttrType.TEXT, [0] + elements)
 
     @given(st.text(max_size=300))
     @settings(max_examples=200)

@@ -11,7 +11,7 @@ import pytest
 
 from ssdb import protocol
 from ssdb.client import Dealer, HubClient, ResultListener, execute_query
-from ssdb.encoding import Attribute, AttrType, TableSchema
+from ssdb.encoding import Attribute, AttrType, TableSchema, encode_value
 from ssdb.field import MERSENNE_61
 from ssdb.hub import ClusterConfig, Hub, ServerInfo
 from ssdb.protocol import (
@@ -26,7 +26,7 @@ from ssdb.protocol import (
 )
 from ssdb.server import ServerStore, ShareServer
 from ssdb.shamir import reconstruct
-from ssdb.testnet import PATIENTS_SCHEMA, PATIENTS_TABLE, TestCluster
+from ssdb.testnet import PATIENT_ROWS, PATIENTS_SCHEMA, PATIENTS_TABLE, TestCluster
 
 from helpers import vectors
 
@@ -383,7 +383,12 @@ def test_no_share_value_crosses_the_hub(monkeypatch):
                 ))
             store.close()
 
-    assert len(shares) > 60 and recorded
+    # every element of every cell, once on each of the 3 servers
+    elements = sum(
+        len(encode_value(a.type, v, P))
+        for row in PATIENT_ROWS for a, v in zip(PATIENTS_SCHEMA.attributes, row)
+    )
+    assert len(shares) == 3 * elements and recorded
     # the hub serves schema reads and nothing else; fetches go to the servers
     assert {b"GET_SCHEMA", b"SCHEMA_RESULT"} == {
         json.loads(frame[4:].partition(b"\n")[0])["type"].encode()

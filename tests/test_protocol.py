@@ -519,7 +519,7 @@ class TestTcpService:
         with EchoService(lambda msg: Ack()) as svc:
             addr = svc.address
         with pytest.raises(OSError):
-            protocol.request(addr, Ack(req_id="r"), p=P, connect_timeout=0.5)
+            protocol.request(addr, Ack(req_id="r"), p=P)
 
     def test_stop_frees_the_port_immediately(self):
         svc = TcpService("127.0.0.1", 0, lambda m: Ack(), p=P, name="t")

@@ -1,5 +1,6 @@
 """Share server storage, durability, and its TCP dispatch."""
 
+import json
 import zlib
 
 import pytest
@@ -314,6 +315,19 @@ class TestServerStore:
         wrong_id = ServerStore(tmp_path / "s1", "s9", 1, p=P)
         with pytest.raises(ValueError):
             wrong_id.load()
+
+    def test_data_dir_without_the_format_number_is_refused(self, tmp_path):
+        # a dir written before TEXT cells began with a start byte has none
+        store = make_store(tmp_path)
+        store.close()
+        meta_path = tmp_path / "s1" / "server.json"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        del meta["format"]
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(ValueError) as e:
+            make_store(tmp_path)
+        assert str(meta_path) in str(e.value)
+        assert json.loads(meta_path.read_text(encoding="utf-8")) == meta
 
     def test_share_values_validated_against_modulus(self, tmp_path):
         store = make_store(tmp_path, p=17)
