@@ -7,12 +7,12 @@ reply per server from t servers: every row of the condition column
 first, which the client reconstructs to evaluate the predicate on
 plaintext, then the matching rows of every other selected attribute.
 Writes and fetches share one fan-out, `ResultListener`, and so one
-failure rule. The hub only answers schema reads.
+failure rule. The hub answers a client's first schema read per table.
 
 A delivery is reconstructed and decoded a column at a time, not an
 element at a time: `_reconstruct_matrix` combines whole packed share
-runs as big ints, and `encoding.decode_cells` decodes each attribute's
-cells from the plain bytes that gives.
+runs as big ints, and `encoding.decode_cells` decodes each attribute
+from its one slice of the plain bytes that gives.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import logging
 import operator
 import time
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Optional, Union
 
 from . import protocol
@@ -229,8 +228,9 @@ def evaluate_predicate(
     if attr_type is AttrType.TEXT and not isinstance(literal, str):
         raise ValueError(f"attribute {predicate.attr!r} is TEXT, literal is not")
     if isinstance(literal, str):
-        lit_key = literal.encode("utf-8")
-        return [i for i, v in decoded if cmp(str(v).encode("utf-8"), lit_key)]
+        # raises on a lone surrogate; no decoded value can hold one, and
+        # str order is code-point order, which is UTF-8 byte order
+        literal.encode("utf-8")
     return [i for i, v in decoded if cmp(v, literal)]
 
 
@@ -251,11 +251,17 @@ class ResultSet:
 
 
 class HubClient:
-    """Thin request/reply wrapper around one hub address."""
+    """Thin request/reply wrapper around one hub address.
+
+    Keeps each table's schema after its first successful read. A stored
+    schema never changes: servers refuse another under the same name, and
+    nothing drops or alters a table. `get_schema`'s row count is not kept.
+    """
 
     def __init__(self, address: str, *, p: int):
         self.address = address
         self.p = p
+        self._schemas: dict[str, TableSchema] = {}
 
     def _call(self, msg, expect):
         try:
@@ -275,8 +281,15 @@ class HubClient:
         return reply
 
     def get_schema(self, table: str) -> SchemaResult:
-        """The table's schema and stored row count."""
+        """The table's schema and stored row count, read through the hub."""
         return self._call(GetSchema(req_id=protocol.new_req_id(), table=table), SchemaResult)
+
+    def schema(self, table: str) -> TableSchema:
+        """The table's schema, read through the hub only the first time."""
+        schema = self._schemas.get(table)
+        if schema is None:
+            schema = self._schemas[table] = self.get_schema(table).schema
+        return schema
 
 
 # --- dealer (insert path) ---------------------------------------------------
@@ -465,20 +478,18 @@ class ResultListener:
 def _reconstruct_matrix(
     p: int,
     tagged: list[tuple[int, bytes]],
-    counts: tuple[int, ...],
     table: str,
     attrs: list[str],
-) -> list[bytes]:
-    """Combine t packed share runs into plain cells, every element at once.
+) -> bytes:
+    """Combine t packed share runs into plain elements, all at once.
 
-    `tagged` holds (x_coord, packed shares) per server, all laid out by
-    the same `counts`, one per cell (the caller has checked that they
-    agree). Each run is read as one big int of w-byte elements and cut
-    into m phases, each element in a zero-padded slot of m*w bytes wide
-    enough for t * (p-1)^2. Then sum(weight_j * Y_j) is t multiply-adds,
-    and every slot is reduced mod p = 2^k - 1 at once by Mersenne folding
-    (SWAR: Fisher & Dietz, LCPC 1998). Returns each cell's plain elements,
-    packed w bytes each as the shares were.
+    `tagged` holds (x_coord, packed shares) per server, all laid out alike
+    (the caller has checked that their counts agree). Each run is read as
+    one big int of w-byte elements and cut into m phases, each element in
+    a zero-padded slot of m*w bytes wide enough for t * (p-1)^2. Then
+    sum(weight_j * Y_j) is t multiply-adds, and every slot is reduced mod
+    p = 2^k - 1 at once by Mersenne folding (SWAR: Fisher & Dietz, LCPC
+    1998). Returns the plain elements, packed as the shares were.
     """
     try:
         weights = lagrange_weights([x for x, _ in tagged], p)
@@ -502,9 +513,7 @@ def _reconstruct_matrix(
             v = (v & low) + ((v >> k) & high)
         v = (v + (((v + ones) >> k) & ones)) & low  # p + t < 2p: subtract p once if due
         plain |= v << phase
-    flat = plain.to_bytes(size * w, "big")
-    bounds = list(accumulate(counts, initial=0))
-    return [flat[w * a : w * b] for a, b in zip(bounds, bounds[1:])]
+    return plain.to_bytes(size * w, "big")
 
 
 # --- the query pipeline -----------------------------------------------------
@@ -526,7 +535,7 @@ def execute_query(
         query = parse_query(query)
     deadline = time.monotonic() + timeout
 
-    schema = hub.get_schema(query.table).schema
+    schema = hub.schema(query.table)
     if tuple(query.select_attrs) == ("*",):
         select_attrs = list(schema.attr_names())
     else:
@@ -605,16 +614,19 @@ def _fetch(
                 f"{msg.table!r} {msg.attrs}: share vectors disagree on element count",
             )
     tagged = [(x, delivered[x].packed) for x in sorted(delivered)]
-    cells = _reconstruct_matrix(config.p, tagged, first.counts, msg.table, msg.attrs)
-    # row by row, so attribute k's cells sit at k, k + width, ...
-    width, w = len(msg.attrs), protocol.share_width(config.p)
-    values = {}
+    plain = _reconstruct_matrix(config.p, tagged, msg.table, msg.attrs)
+    # attribute by attribute: each one's counts, and its elements, are one run
+    rows, w = len(matched), protocol.share_width(config.p)
+    values, start = {}, 0
     for k, attr in enumerate(msg.attrs):
+        counts = first.counts[k * rows : (k + 1) * rows]
+        end = start + w * sum(counts)
         try:
-            decoded = decode_cells(schema.attr_type(attr), cells[k::width], w)
+            decoded = decode_cells(schema.attr_type(attr), plain[start:end], counts, w)
         except ValueError as exc:
             raise SsdbError(
                 protocol.DATA_CORRUPTION, f"{msg.table!r}.{attr!r} failed to decode: {exc}"
             ) from exc
         values[attr] = dict(zip(matched, decoded))
+        start = end
     return values

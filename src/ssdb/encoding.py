@@ -135,42 +135,41 @@ def decode_value(attr_type: AttrType, elements: list[int]):
     if min(elements, default=0) < 0:
         raise ValueError("negative element")
     w = max([8] + [(e.bit_length() + 7) // 8 for e in elements])
-    return decode_cells(attr_type, [b"".join(e.to_bytes(w, "big") for e in elements)], w)[0]
+    packed = b"".join(e.to_bytes(w, "big") for e in elements)
+    return decode_cells(attr_type, packed, (len(elements),), w)[0]
 
 
-def decode_cells(attr_type: AttrType, cells: Sequence[bytes], w: int) -> list:
-    """Decode a column whose cells are their plain elements, `w` big-endian bytes each.
+def decode_cells(attr_type: AttrType, packed: bytes, counts: Sequence[int], w: int) -> list:
+    """Decode a column of cells, cell k the next counts[k] of the plain
+    elements in `packed`, `w` big-endian bytes each.
 
-    INTEGER cells are unpacked together. TEXT cells are joined, every
-    element's top w-7 bytes are tested for zero at once and cut, and each
-    cell is then one start-byte check and one UTF-8 decode of the bytes
-    after it.
+    INTEGER cells are unpacked together. For TEXT, every element's top
+    w-7 bytes are tested for zero at once and cut, and each cell is then
+    one start-byte check and one UTF-8 decode of the bytes after it.
     """
-    lengths = set(map(len, cells))
-    if 0 in lengths:
+    if 0 in counts:
         raise ValueError("empty encoding")
     if attr_type is AttrType.INTEGER:
-        if lengths - {w}:
-            raise ValueError(f"INTEGER encodes to 1 element, got {max(lengths) // w}")
+        if counts.count(1) != len(counts):
+            raise ValueError(f"INTEGER encodes to 1 element, got {max(counts)}")
         if w == 8:
-            return list(struct.unpack(f">{len(cells)}Q", b"".join(cells)))
-        return [int.from_bytes(cell, "big") for cell in cells]
+            return list(struct.unpack(f">{len(counts)}Q", packed))
+        return [int.from_bytes(packed[i : i + w], "big") for i in range(0, len(packed), w)]
 
-    raw = bytearray().join(cells)
-    n = len(raw) // w
+    n = len(packed) // w
     for i in range(w - CHUNK_BYTES):
-        if raw[i::w].count(0) != n:
+        if packed[i::w].count(0) != n:
             raise ValueError("an element is 2^56 or more")
     chunked = bytearray(n * CHUNK_BYTES)  # every element in 7 bytes, at any w
     for i in range(1, min(w, CHUNK_BYTES) + 1):
-        chunked[CHUNK_BYTES - i :: CHUNK_BYTES] = raw[w - i :: w]
+        chunked[CHUNK_BYTES - i :: CHUNK_BYTES] = packed[w - i :: w]
     raw = bytes(chunked)
     values = []
     end = 0
     try:
-        for cell in cells:
+        for count in counts:
             start = end
-            end += len(cell) // w * CHUNK_BYTES
+            end += count * CHUNK_BYTES
             head = raw[start : start + CHUNK_BYTES].lstrip(b"\0")
             if head[:1] != b"\x01":
                 raise ValueError(f"no start byte 0x01 after fewer than {CHUNK_BYTES} zero bytes")

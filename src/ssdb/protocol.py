@@ -11,12 +11,12 @@ A frame is a 4-byte big-endian length followed by that many bytes of
 payload. The payload starts with a UTF-8 JSON object carrying a "type"
 tag and a "req_id" that every response echoes verbatim. The two
 share-bearing types follow it with a newline and one binary body (a
-`ShareRows`) of one cell per named attribute in each row, row by row:
-the row indices and each cell's element count as 4-byte big-endian ints,
-then every share as w = ceil(p.bit_length() / 8) big-endian bytes.
-Servers keep cells in that form, so a delivery is their stored bytes
-joined, and a receiver checks a body with one length test and one range
-test.
+`ShareRows`) of one cell per named attribute in each row, attribute by
+attribute: the row indices and each cell's element count as 4-byte
+big-endian ints, then every share as w = ceil(p.bit_length() / 8)
+big-endian bytes. Servers keep cells in that form, so a delivery is
+their stored bytes joined, and a receiver checks a body with one length
+test and one range test.
 
 Each message type is a dataclass that declares its payload fields once,
 each with a `Kind`: the field's JSON type, encoding, checks and error
@@ -125,9 +125,10 @@ def unpack_shares(packed: bytes, p: int) -> Sequence[int]:
 class ShareRows:
     """Share cells as they travel and rest: the body of a share-bearing frame.
 
-    `indices` are row indices, `counts` each cell's element count (row by
-    row), and `packed` all of those cells' shares in order, fixed-width
-    big-endian (`share_width(p)` bytes each).
+    `indices` are row indices, `counts` each cell's element count, and
+    `packed` all of those cells' shares in order, fixed-width big-endian
+    (`share_width(p)` bytes each). Cells come attribute by attribute, each
+    attribute's in `indices` order, so its counts and shares are one run.
     """
 
     indices: tuple[int, ...] = ()
@@ -368,7 +369,7 @@ class FetchToClient:
 class DeliverShares:
     """A server's reply to FETCH_TO_CLIENT: its shares of the requested cells.
 
-    `attrs` names the cells of each row in body order, as in INSERT_SHARES.
+    `attrs` names the body's attributes, in body order (see `ShareRows`).
     """
 
     type: ClassVar[str] = "DELIVER_SHARES"

@@ -248,8 +248,8 @@ class ServerStore:
     ) -> ShareRows:
         """This server's shares of `attrs` at the given rows; None means every row.
 
-        The stored cells are joined row by row, one per attribute in
-        `attrs` order: no share is unpacked.
+        The stored cells are joined attribute by attribute, in `attrs`
+        order, each attribute's cells in row order: no share is unpacked.
         """
         with self._lock:
             table = self._table(table_name)
@@ -265,7 +265,7 @@ class ServerStore:
             elif indices and not (min(indices) >= 1 and max(indices) <= rows):
                 bad = next(i for i in indices if not 1 <= i <= rows)
                 raise SsdbError(protocol.VALUE_RANGE, f"no row with index {bad}")
-            picked = [cells[i - 1] for i in indices for cells in columns]
+            picked = [cells[i - 1] for cells in columns for i in indices]
             w = self._width
             return ShareRows(tuple(indices), tuple(len(c) // w for c in picked), b"".join(picked))
 

@@ -1,6 +1,7 @@
 """Query language, dealer writes, the client's share fetch, and the pipeline."""
 
 import contextlib
+import operator
 import socket
 import threading
 import time
@@ -8,12 +9,13 @@ import zlib
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ssdb import field, protocol
 from ssdb.client import (
     Dealer,
+    HubClient,
     Predicate,
     Query,
     QuerySyntaxError,
@@ -26,7 +28,7 @@ from ssdb.client import (
 )
 from ssdb.encoding import MAX_TEXT_BYTES, Attribute, AttrType, TableSchema, encode_value
 from ssdb.field import MERSENNE_61
-from ssdb.hub import ClusterConfig, ServerInfo
+from ssdb.hub import ClusterConfig, Hub, ServerInfo
 from ssdb.protocol import (
     Ack,
     DeliverShares,
@@ -37,7 +39,7 @@ from ssdb.protocol import (
     SsdbError,
 )
 from ssdb.shamir import reconstruct, split
-from ssdb.testnet import PATIENTS_SCHEMA, TestCluster
+from ssdb.testnet import PATIENTS_SCHEMA, PATIENTS_TABLE, TestCluster
 
 from helpers import vectors
 
@@ -125,6 +127,17 @@ class TestParseQuery:
                 parse_query(text)
 
 
+# every comparison, applied to the values' UTF-8 bytes
+BYTE_ORDER = {
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+# any text that UTF-8 can encode (no lone surrogates), astral characters often
+UNICODE = st.text(
+    st.one_of(st.characters(codec="utf-8"), st.characters(min_codepoint=0x10000)), max_size=8
+)
+
+
 class TestEvaluatePredicate:
     DOCTOR = list(zip([1, 2, 3, 4], [51, 21, 51, 26]))
     DIAG = list(zip([1, 2, 3, 4], ["Aids", "Cancer", "Fever", "Aids"]))
@@ -162,6 +175,19 @@ class TestEvaluatePredicate:
             evaluate_predicate(self.DOCTOR, Predicate("d", "=", "x"), AttrType.INTEGER)
         with pytest.raises(ValueError):
             evaluate_predicate(self.DIAG, Predicate("d", "=", 3), AttrType.TEXT)
+
+    @given(UNICODE, UNICODE, st.sampled_from(list(BYTE_ORDER)))
+    @example("\uff21", "\U0001f600", "<")  # UTF-16 code units would order these the other way
+    @example("a\U0001f600", "a\U0001f600", "=")
+    @example("a", "a\U0001f600", "<=")
+    def test_text_ordering_matches_utf8_bytes_for_any_text(self, value, literal, op):
+        got = evaluate_predicate([(1, value)], Predicate("d", op, literal), AttrType.TEXT)
+        want = BYTE_ORDER[op](value.encode("utf-8"), literal.encode("utf-8"))
+        assert got == ([1] if want else [])
+
+    def test_text_literal_must_be_encodable(self):
+        with pytest.raises(UnicodeEncodeError):
+            evaluate_predicate(self.DIAG, Predicate("d", "=", "\ud800"), AttrType.TEXT)
 
 
 def make_config(n=3, t=2):
@@ -553,6 +579,74 @@ class TestExecuteQuery:
         rs = ResultSet(columns=["a", "b"], indices=[1, 2], rows=[[1, "x"], [2, "y"]])
         assert rs.to_json_rows() == [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
 
+    def test_several_text_attributes_at_scattered_rows(self):
+        # TEXT cells of 1 to 6 elements, fetched together at every third row
+        schema = TableSchema("mixed", (
+            Attribute("k", AttrType.INTEGER), Attribute("a", AttrType.TEXT),
+            Attribute("g", AttrType.INTEGER), Attribute("b", AttrType.TEXT),
+            Attribute("c", AttrType.TEXT),
+        ))
+        rows = [
+            (k, "x" * (5 * k % 37), k % 3, "é" * (k % 9), "日本語" * (k % 4) + "!")
+            for k in range(1, 16)
+        ]
+        with TestCluster.start(3, 2, seed=37) as cluster:
+            cluster.create_table(schema)
+            for row in rows:
+                cluster.insert_row(schema, row)
+            rs = cluster.query("SELECT c, a, k, b FROM mixed WHERE g = 0")
+            assert rs.indices == [3, 6, 9, 12, 15]
+            assert rs.rows == [[c, a, k, b] for k, a, g, b, c in rows if g == 0]
+            counts = {len(encode_value(AttrType.TEXT, row[1], P)) for row in rows if row[2] == 0}
+            assert len(counts) > 1
+
+
+class TestSchemaCache:
+    """A HubClient reads each table's schema through the hub once."""
+
+    AIDS = "SELECT Patientname FROM patient_details WHERE Diagonosis = 'Aids'"
+
+    @pytest.fixture
+    def cluster(self):
+        with TestCluster.start(3, 2, seed=41) as cluster:
+            cluster.load_fixture_patients()
+            yield cluster
+
+    def test_three_queries_cost_one_hub_schema_read(self, cluster, monkeypatch):
+        reads = []
+        fetch_schema = Hub.fetch_schema
+        monkeypatch.setattr(
+            Hub, "fetch_schema", lambda hub, msg: reads.append(msg.table) or fetch_schema(hub, msg)
+        )
+        hub_client = HubClient(cluster.hub.addr_str, p=P)
+        for _ in range(3):
+            assert execute_query(self.AIDS, hub_client, cluster.config).rows == [["Ann"], ["Dona"]]
+        assert reads == [PATIENTS_TABLE]
+
+    def test_cached_table_is_queried_without_the_hub(self, cluster):
+        assert cluster.query(self.AIDS).rows == [["Ann"], ["Dona"]]
+        other = TableSchema("other", (Attribute("v", AttrType.TEXT),))
+        cluster.create_table(other)  # the dealer writes to the servers directly
+        cluster.hub.stop()
+        assert cluster.query(self.AIDS).rows == [["Ann"], ["Dona"]]
+        with pytest.raises(SsdbError) as e:
+            cluster.query("SELECT v FROM other")
+        assert e.value.code == protocol.THRESHOLD_UNAVAILABLE
+
+    def test_rows_inserted_after_the_first_query_are_returned(self, cluster):
+        assert cluster.query(self.AIDS).rows == [["Ann"], ["Dona"]]
+        cluster.insert_row(PATIENTS_SCHEMA, (105, "Eve", 51, "Aids"))
+        assert cluster.query(self.AIDS).rows == [["Ann"], ["Dona"], ["Eve"]]
+
+    def test_missing_table_is_not_cached(self, cluster):
+        with pytest.raises(SsdbError) as e:
+            cluster.query("SELECT v FROM later")
+        assert e.value.code == protocol.NO_SUCH_TABLE
+        later = TableSchema("later", (Attribute("v", AttrType.TEXT),))
+        cluster.create_table(later)
+        cluster.insert_row(later, ("now",))
+        assert cluster.query("SELECT v FROM later").rows == [["now"]]
+
 
 class TestQueryFailureModes:
     def test_dropped_deliveries_time_out(self, patients, stubs):
@@ -672,12 +766,12 @@ def test_reconstruct_matrix_equals_shamir_reconstruct(data):
     runs = [data.draw(st.lists(share, min_size=sum(counts), max_size=sum(counts))) for _ in xs]
     tagged = [(x, protocol.pack_shares(ys, p)) for x, ys in zip(xs, runs)]
 
-    cells = _reconstruct_matrix(p, tagged, tuple(counts), "t", ["a"])
+    plain = _reconstruct_matrix(p, tagged, "t", ["a"])
 
     w = protocol.share_width(p)
-    assert [len(cell) for cell in cells] == [w * count for count in counts]
+    assert len(plain) == w * sum(counts)
     want = [reconstruct(list(zip(xs, ys)), t, p) for ys in zip(*runs)]
-    assert list(protocol.unpack_shares(b"".join(cells), p)) == want
+    assert list(protocol.unpack_shares(plain, p)) == want
 
 
 @pytest.mark.parametrize("p", MERSENNES, ids=["p=2^61-1", "p=2^89-1", "p=2^127-1"])
@@ -687,9 +781,9 @@ def test_reconstruct_matrix_at_the_slot_bound(p, t):
     xs = list(range(1, t + 1))
     runs = [[p - 1] * 5 for _ in xs]
     tagged = [(x, protocol.pack_shares(ys, p)) for x, ys in zip(xs, runs)]
-    cells = _reconstruct_matrix(p, tagged, (2, 3), "t", ["a"])
+    plain = _reconstruct_matrix(p, tagged, "t", ["a"])
     want = reconstruct([(x, p - 1) for x in xs], t, p)
-    assert list(protocol.unpack_shares(b"".join(cells), p)) == [want] * 5
+    assert list(protocol.unpack_shares(plain, p)) == [want] * 5
 
 
 @pytest.mark.parametrize("p", MERSENNES[1:], ids=["p=2^89-1", "p=2^127-1"])

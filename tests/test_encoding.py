@@ -146,28 +146,33 @@ def packed(elements, w):
     return b"".join(e.to_bytes(w, "big") for e in elements)
 
 
+def column(cells, w):
+    """(packed, counts) of a column whose cells hold these elements."""
+    return packed([e for cell in cells for e in cell], w), tuple(map(len, cells))
+
+
 class TestColumnDecode:
-    """decode_cells takes a whole column, each element `w` bytes wide."""
+    """decode_cells takes a whole column: its packed elements, `w` bytes wide, and counts."""
 
     @given(st.lists(st.text(max_size=40), max_size=12), st.sampled_from([8, 12, 16]))
     def test_text_column_round_trip(self, texts, w):
-        cells = [packed(encode_value(AttrType.TEXT, text, P), w) for text in texts]
-        assert decode_cells(AttrType.TEXT, cells, w) == texts
+        cells = [encode_value(AttrType.TEXT, text, P) for text in texts]
+        assert decode_cells(AttrType.TEXT, *column(cells, w), w) == texts
 
     @given(st.lists(st.integers(0, P - 1), max_size=12), st.sampled_from([8, 12, 16]))
     def test_integer_column_round_trip(self, values, w):
-        cells = [packed([v], w) for v in values]
-        assert decode_cells(AttrType.INTEGER, cells, w) == values
+        cells = [[v] for v in values]
+        assert decode_cells(AttrType.INTEGER, *column(cells, w), w) == values
 
     def test_text_narrower_than_a_chunk(self):
         # at p = 2^31 - 1 elements are 4 bytes, so only chunks below 2^31 fit
         texts = ["", "a", "abc", "é"]
-        cells = [packed(encode_value(AttrType.TEXT, text, (1 << 31) - 1), 4) for text in texts]
-        assert decode_cells(AttrType.TEXT, cells, 4) == texts
+        cells = [encode_value(AttrType.TEXT, text, (1 << 31) - 1) for text in texts]
+        assert decode_cells(AttrType.TEXT, *column(cells, 4), 4) == texts
 
     def test_empty_cell_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            decode_cells(AttrType.TEXT, [packed([0], 8), b""], 8)
+            decode_cells(AttrType.TEXT, *column([[0], []], 8), 8)
 
 
 class TestTableSchema:

@@ -33,10 +33,20 @@ SCHEMA = TableSchema(
 ATTRS = SCHEMA.attr_names()
 
 
-def make_store(tmp_path, **kw):
-    store = ServerStore(tmp_path / "s1", "s1", 1, **kw)
-    store.load()
-    return store
+@pytest.fixture
+def make_store(tmp_path):
+    """Loads a store on tmp_path/s1; every store it made is closed after the test."""
+    made = []
+
+    def make(**kw):
+        store = ServerStore(tmp_path / "s1", "s1", 1, **kw)
+        made.append(store)  # before load, which may fail with some logs open
+        store.load()
+        return store
+
+    yield make
+    for store in made:
+        store.close()
 
 
 def cells(k: int) -> list:
@@ -82,8 +92,8 @@ RECORD_BYTES = len(record(ShareRows.pack([1], cells(1), P).body()))  # 44: 8 + 4
 
 
 class TestServerStore:
-    def test_create_append_read(self, tmp_path):
-        store = make_store(tmp_path)
+    def test_create_append_read(self, make_store):
+        store = make_store()
         store.create_table(SCHEMA)
         append(store, 1)
         append(store, 2)
@@ -92,14 +102,14 @@ class TestServerStore:
         assert col == [[101], [102]]
         assert store.schema("patients") == (SCHEMA, 2)
 
-    def test_replay_after_restart(self, tmp_path):
-        store = make_store(tmp_path)
+    def test_replay_after_restart(self, make_store):
+        store = make_store()
         store.create_table(SCHEMA)
         for k in range(1, 6):
             append(store, k)
         store.close()
 
-        again = make_store(tmp_path)
+        again = make_store()
         indices, col = column(again, "name")
         assert indices == [1, 2, 3, 4, 5]
         assert col == [[1, 65 + k] for k in range(1, 6)]
@@ -108,24 +118,24 @@ class TestServerStore:
         again.close()
 
     @pytest.mark.parametrize("p", [17, P, 2**127 - 1])
-    def test_shares_round_trip_at_any_modulus_width(self, tmp_path, p):
+    def test_shares_round_trip_at_any_modulus_width(self, tmp_path, p, make_store):
         # cells are kept and logged packed; every width of p must read back
         # exactly, before and after a replay
         vec = [0, 1, p // 2, p - 1]
-        store = make_store(tmp_path, p=p)
+        store = make_store(p=p)
         store.create_table(SCHEMA)
         append(store, 1, [[p - 1], vec])
         assert column(store, "name") == ([1], [vec])
         store.close()
         size = (tmp_path / "s1" / "patients" / "rows.log").stat().st_size
         assert size == 8 + 4 + 2 * 4 + 5 * protocol.share_width(p)
-        again = make_store(tmp_path, p=p)
+        again = make_store(p=p)
         assert column(again, "name") == ([1], [vec])
         assert column(again, "pid") == ([1], [[p - 1]])
         again.close()
 
-    def test_log_is_one_checksummed_binary_record_per_row(self, tmp_path):
-        store = make_store(tmp_path)
+    def test_log_is_one_checksummed_binary_record_per_row(self, tmp_path, make_store):
+        store = make_store()
         store.create_table(SCHEMA)
         append(store, 1)
         store.close()
@@ -142,23 +152,23 @@ class TestServerStore:
             b"\x00\x00\x00\x00\x00\x00\x00\x42"
         )
 
-    def test_create_is_idempotent_for_equal_schema(self, tmp_path):
-        store = make_store(tmp_path)
+    def test_create_is_idempotent_for_equal_schema(self, make_store):
+        store = make_store()
         store.create_table(SCHEMA)
         append(store, 1)
         store.create_table(SCHEMA)  # no-op
         assert column(store, "pid")[0] == [1]
 
-    def test_create_rejects_different_schema(self, tmp_path):
-        store = make_store(tmp_path)
+    def test_create_rejects_different_schema(self, make_store):
+        store = make_store()
         store.create_table(SCHEMA)
         other = TableSchema("patients", (Attribute("pid", AttrType.TEXT),))
         with pytest.raises(SsdbError) as e:
             store.create_table(other)
         assert e.value.code == protocol.SCHEMA_MISMATCH
 
-    def test_out_of_order_and_duplicate_index_rejected(self, tmp_path):
-        store = make_store(tmp_path)
+    def test_out_of_order_and_duplicate_index_rejected(self, make_store):
+        store = make_store()
         store.create_table(SCHEMA)
         with pytest.raises(SsdbError) as e:
             append(store, 2)
@@ -167,8 +177,8 @@ class TestServerStore:
         with pytest.raises(SsdbError):
             append(store, 1)
 
-    def test_attr_set_must_match_schema(self, tmp_path):
-        store = make_store(tmp_path)
+    def test_attr_set_must_match_schema(self, tmp_path, make_store):
+        store = make_store()
         store.create_table(SCHEMA)
         with pytest.raises(SsdbError) as e:
             append(store, 1, [[1]], attrs=["pid"])
@@ -185,8 +195,8 @@ class TestServerStore:
         store.close()
         assert (tmp_path / "s1" / "patients" / "rows.log").read_bytes() == b""
 
-    def test_unknown_table_and_attr(self, tmp_path):
-        store = make_store(tmp_path)
+    def test_unknown_table_and_attr(self, make_store):
+        store = make_store()
         with pytest.raises(SsdbError) as e:
             store.rows_for("ghost", ["pid"], None)
         assert e.value.code == protocol.NO_SUCH_TABLE
@@ -198,17 +208,18 @@ class TestServerStore:
             store.rows_for("patients", ["ghost"], [])
         assert e.value.code == protocol.NO_SUCH_ATTR
 
-    def test_rows_for(self, tmp_path):
-        store = make_store(tmp_path)
+    def test_rows_for(self, make_store):
+        store = make_store()
         store.create_table(SCHEMA)
         for k in range(1, 4):
             append(store, k)
         assert pairs(store.rows_for("patients", ["pid"], [3, 1])) == [(3, [103]), (1, [101])]
         assert store.rows_for("patients", ["name"], [2]) == ShareRows.pack([2], [[1, 67]], P)
         assert store.rows_for("patients", ["pid"], []) == ShareRows()
-        # several attributes: their cells joined row by row, in the asked order
+        # several attributes: their cells joined attribute by attribute, in
+        # the asked order, each attribute's cells in the asked row order
         assert store.rows_for("patients", ["name", "pid"], [3, 1]) == ShareRows.pack(
-            [3, 1], [[1, 68], [103], [1, 66], [101]], P
+            [3, 1], [[1, 68], [1, 66], [103], [101]], P
         )
         for bad in (0, 4, 9):
             with pytest.raises(SsdbError) as e:
@@ -217,8 +228,8 @@ class TestServerStore:
         every = store.rows_for("patients", ["pid"], None)
         assert pairs(every) == [(1, [101]), (2, [102]), (3, [103])]
 
-    def test_torn_trailing_record_is_truncated(self, tmp_path):
-        store = make_store(tmp_path)
+    def test_torn_trailing_record_is_truncated(self, tmp_path, make_store):
+        store = make_store()
         store.create_table(SCHEMA)
         for k in range(1, 101):
             append(store, k)
@@ -228,7 +239,7 @@ class TestServerStore:
         raw = log_path.read_bytes()
         log_path.write_bytes(raw[:-10])  # tear the last record
 
-        again = make_store(tmp_path)
+        again = make_store()
         indices, _ = column(again, "pid")
         assert indices == list(range(1, 100))  # 99 rows survive
         # the torn bytes are gone from disk: 99 whole records remain
@@ -244,8 +255,8 @@ class TestServerStore:
         lambda good, payload: record(payload + u64(1)),  # 4 shares where counts say 3
         lambda good, payload: record(u32(6) + payload[4:]),  # index 6 in row 5's place
     ], ids=["torn", "checksum", "p", "length", "order"])
-    def test_corrupt_middle_record_drops_the_tail(self, tmp_path, bad):
-        store = make_store(tmp_path)
+    def test_corrupt_middle_record_drops_the_tail(self, tmp_path, bad, make_store):
+        store = make_store()
         store.create_table(SCHEMA)
         for k in range(1, 11):
             append(store, k)
@@ -258,40 +269,44 @@ class TestServerStore:
         records[4] = bad(records[4], records[4][8:])
         log_path.write_bytes(b"".join(records))
 
-        again = make_store(tmp_path)
+        again = make_store()
         assert column(again, "pid")[0] == [1, 2, 3, 4]
         again.close()
         assert log_path.read_bytes() == raw[: 4 * RECORD_BYTES]
 
-    def test_json_log_is_refused_not_truncated(self, tmp_path):
-        store = make_store(tmp_path)
+    def test_json_log_is_refused_not_truncated(self, tmp_path, make_store):
+        store = make_store()
         store.create_table(SCHEMA)
         store.close()
         log_path = tmp_path / "s1" / "patients" / "rows.log"
         old = b'{"cells":{"name":["1","66"],"pid":["101"]},"index":1}\n'
         log_path.write_bytes(old)
         with pytest.raises(ValueError) as e:
-            make_store(tmp_path)
+            make_store()
         assert str(log_path) in str(e.value)
         assert log_path.read_bytes() == old
 
     @pytest.mark.parametrize("name", ["schema.json", "server.json"])
     @pytest.mark.parametrize("content", [b"", b'{"table": "pat'], ids=["empty", "torn"])
-    def test_unreadable_metadata_refuses_start_and_names_the_file(self, tmp_path, name, content):
-        store = make_store(tmp_path)
+    def test_unreadable_metadata_refuses_start_and_names_the_file(
+        self, tmp_path, name, content, make_store
+    ):
+        store = make_store()
         store.create_table(SCHEMA)
         store.close()
         path = tmp_path / "s1" / ("patients" if name == "schema.json" else "") / name
         path.write_bytes(content)
         with pytest.raises(ValueError) as e:
-            make_store(tmp_path)
+            make_store()
         assert str(path) in str(e.value)
 
-    def test_metadata_is_replaced_whole_and_every_new_entry_synced(self, tmp_path, monkeypatch):
+    def test_metadata_is_replaced_whole_and_every_new_entry_synced(
+        self, tmp_path, monkeypatch, make_store
+    ):
         synced = []
         real = server_module._fsync_dir
         monkeypatch.setattr(server_module, "_fsync_dir", lambda d: synced.append(d) or real(d))
-        store = make_store(tmp_path)
+        store = make_store()
         store.create_table(SCHEMA)
         store.close()
         data_dir, table_dir = tmp_path / "s1", tmp_path / "s1" / "patients"
@@ -302,12 +317,12 @@ class TestServerStore:
         # a crash after writing the temporary file but before the rename
         # leaves the old schema whole
         (table_dir / "schema.json.tmp").write_text("{", encoding="utf-8")
-        again = make_store(tmp_path)
+        again = make_store()
         assert again.schema("patients") == (SCHEMA, 0)
         again.close()
 
-    def test_meta_file_pins_identity(self, tmp_path):
-        store = make_store(tmp_path)
+    def test_meta_file_pins_identity(self, tmp_path, make_store):
+        store = make_store()
         store.close()
         wrong_x = ServerStore(tmp_path / "s1", "s1", 2, p=P)
         with pytest.raises(ValueError):
@@ -316,21 +331,21 @@ class TestServerStore:
         with pytest.raises(ValueError):
             wrong_id.load()
 
-    def test_data_dir_without_the_format_number_is_refused(self, tmp_path):
+    def test_data_dir_without_the_format_number_is_refused(self, tmp_path, make_store):
         # a dir written before TEXT cells began with a start byte has none
-        store = make_store(tmp_path)
+        store = make_store()
         store.close()
         meta_path = tmp_path / "s1" / "server.json"
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
         del meta["format"]
         meta_path.write_text(json.dumps(meta), encoding="utf-8")
         with pytest.raises(ValueError) as e:
-            make_store(tmp_path)
+            make_store()
         assert str(meta_path) in str(e.value)
         assert json.loads(meta_path.read_text(encoding="utf-8")) == meta
 
-    def test_share_values_validated_against_modulus(self, tmp_path):
-        store = make_store(tmp_path, p=17)
+    def test_share_values_validated_against_modulus(self, make_store):
+        store = make_store(p=17)
         store.create_table(SCHEMA)
         append(store, 1, [[16], [1, 2]])
         with pytest.raises(SsdbError) as e:
