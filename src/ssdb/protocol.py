@@ -23,10 +23,12 @@ each with a `Kind`: the field's JSON type, encoding, checks and error
 code, or, for a body, its shape. One generic encode_message/decode_message
 walks those fields.
 
+Servers and clients cut frames from a socket with one `FrameDecoder`.
 Connections are kept open. Every request goes out as an `Exchange` on a
 connection taken from the process's `ConnectionPool`, which gets it back
-once its one reply has been read, and reuses it only if it is still
-quiet. `close_idle` closes the idle ones.
+once its one reply, with nothing after it, has been read within the
+reply's deadline, and reuses it only if it is still quiet. `close_idle`
+closes the idle ones.
 """
 
 from __future__ import annotations
@@ -478,37 +480,8 @@ class FrameDecoder:
 
 # --- sockets ---------------------------------------------------------------
 
-def _recv_exact(sock: socket.socket, nbytes: int) -> Optional[bytes]:
-    """Read exactly nbytes; None on clean EOF at a frame boundary."""
-    buf = bytearray()
-    while len(buf) < nbytes:
-        part = sock.recv(nbytes - len(buf))
-        if not part:
-            if not buf:
-                return None
-            raise ConnectionError("peer closed mid-frame")
-        buf += part
-    return bytes(buf)
-
-
 def send_message(sock: socket.socket, msg) -> None:
     sock.sendall(encode_frame(msg))
-
-
-def recv_message(sock: socket.socket, p: int = MERSENNE_61):
-    """Blocking read of one message; None on clean EOF."""
-    header = _recv_exact(sock, _HEADER.size)
-    if header is None:
-        return None
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(INTERNAL, f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
-    payload = _recv_exact(sock, length)
-    if payload is None:
-        raise ConnectionError("peer closed mid-frame")
-    result = decode_frame(header + payload, p)
-    assert result is not None
-    return result[0]
 
 
 # --- kept-open connections --------------------------------------------------
@@ -591,11 +564,14 @@ class Exchange:
 
     Several exchanges can be in flight at once, each on its own
     connection. Connecting and sending each wait at most
-    CONNECT_TIMEOUT. The connection goes back to the pool only after
-    exactly one complete reply frame (an ERROR frame counts) was read;
-    any failure, or `close` before that, closes it. A request that fails
-    on a reused connection before any reply byte arrives is sent once
-    more on a fresh one. Nothing else is retried.
+    CONNECT_TIMEOUT. `reply` cuts its frame with a `FrameDecoder`, and
+    its deadline covers the whole reply, not only the first byte. The
+    connection goes back to the pool only if exactly one complete reply
+    frame (an ERROR frame counts) arrived with no byte after it; bytes
+    nobody asked for, any failure, or `close` before the reply closes
+    it. A request that fails on a reused connection before any reply
+    byte arrives is sent once more on a fresh one. Nothing else is
+    retried.
     """
 
     def __init__(self, addr: tuple[str, int], msg, *, p: int = MERSENNE_61):
@@ -620,15 +596,31 @@ class Exchange:
         self._sock, self._reused = _connect(self.addr), False
         self._send()
 
-    def _reply_started(self, timeout: float) -> bool:
-        """Wait for the first reply byte; False if the peer hung up before it."""
-        self._sock.settimeout(max(timeout, 0.001))  # 0 would mean non-blocking
-        try:
-            return bool(self._sock.recv(1, socket.MSG_PEEK))
-        except TimeoutError:
-            raise
-        except OSError:
-            return False
+    def _read(self, deadline: float):
+        """Read until one whole frame is in, all of it by the deadline.
+
+        Returns that frame and whether nothing came after it, or None if
+        the peer hung up (EOF or a non-timeout OSError) before any byte.
+        """
+        decoder = FrameDecoder(self.p)
+        while True:
+            # past the deadline, 0 reads only the bytes already here
+            self._sock.settimeout(max(deadline - time.monotonic(), 0.0))
+            try:
+                data = self._sock.recv(65536)
+            except (TimeoutError, BlockingIOError):
+                raise TimeoutError("no whole reply by the deadline") from None
+            except OSError:
+                if decoder._buf:
+                    raise
+                data = b""
+            if not data:
+                if decoder._buf:
+                    raise ConnectionError("peer closed mid-frame")
+                return None
+            frames = decoder.feed(data)
+            if frames:
+                return frames[0], len(frames) == 1 and not decoder._buf
 
     def reply(self, timeout: float = RESPONSE_TIMEOUT):
         """Read the one reply within `timeout` seconds.
@@ -639,14 +631,14 @@ class Exchange:
         """
         deadline = time.monotonic() + timeout
         try:
-            started = self._reply_started(timeout)
-            if not started and self._reused:
+            got = self._read(deadline)
+            if got is None and self._reused:
                 self.close()
                 self._send_fresh()
-                started = self._reply_started(deadline - time.monotonic())
-            reply = recv_message(self._sock, self.p) if started else None
-            if reply is None:
+                got = self._read(deadline)
+            if got is None:
                 raise ConnectionError("peer closed the connection without replying")
+            reply, alone = got
             # an ERROR about an unreadable frame carries no req_id
             if reply.req_id not in (self.req_id, ""):
                 raise ProtocolError(
@@ -655,8 +647,11 @@ class Exchange:
         except BaseException:
             self.close()
             raise
-        POOL.give(self.addr, self._sock)
-        self._sock = None
+        if alone:
+            POOL.give(self.addr, self._sock)
+            self._sock = None
+        else:
+            self.close()  # bytes nobody asked for came after the reply
         if isinstance(reply, Error):
             raise RemoteError(reply.code, reply.detail)
         return reply

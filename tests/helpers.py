@@ -1,6 +1,6 @@
 """Helpers shared by the test modules."""
 
-from ssdb.protocol import unpack_shares
+from ssdb.protocol import FrameDecoder, unpack_shares
 
 
 def split_counts(flat, counts):
@@ -15,3 +15,27 @@ def split_counts(flat, counts):
 def vectors(rows, p):
     """Each cell's shares of a ShareRows, as ints, in body order."""
     return split_counts(unpack_shares(rows.packed, p), rows.counts)
+
+
+class FrameReader:
+    """A fake peer's blocking reader: one message of a socket per `read`.
+
+    Bytes that arrive after a frame are kept for the next call, so
+    pipelined frames are read one by one.
+    """
+
+    def __init__(self, sock, p):
+        self.sock = sock
+        self.decoder = FrameDecoder(p)
+        self.ready = []  # decoded and not yet returned
+
+    def read(self):
+        """The next message, or None if the peer hung up between frames."""
+        while not self.ready:
+            data = self.sock.recv(65536)
+            if not data:
+                if self.decoder._buf:
+                    raise ConnectionError("peer closed mid-frame")
+                return None
+            self.ready += self.decoder.feed(data)
+        return self.ready.pop(0)

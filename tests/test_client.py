@@ -41,7 +41,7 @@ from ssdb.protocol import (
 from ssdb.shamir import reconstruct, split
 from ssdb.testnet import PATIENTS_SCHEMA, PATIENTS_TABLE, TestCluster
 
-from helpers import vectors
+from helpers import FrameReader, vectors
 
 P = MERSENNE_61
 # every share width the read path is tested at: 8, 12 and 16 bytes
@@ -330,11 +330,13 @@ class StubServer:
 
     Each connection gets one request read, then every message
     `answer(request)` returns, and stays open until the client closes it;
-    an answer of None hangs up at once instead.
+    an answer of None hangs up at once instead. With `drip` set, the
+    replies go out one byte every `drip` seconds.
     """
 
-    def __init__(self, answer):
+    def __init__(self, answer, drip=0.0):
         self.answer = answer
+        self.drip = drip
         self.requests = []
         self._sock = socket.create_server(("127.0.0.1", 0))
         self.addr = protocol.format_addr(*self._sock.getsockname()[:2])
@@ -347,14 +349,18 @@ class StubServer:
             except OSError:
                 return  # stopped
             with conn, contextlib.suppress(OSError):
-                msg = protocol.recv_message(conn, P)
+                msg = FrameReader(conn, P).read()
                 self.requests.append(msg)
                 replies = self.answer(msg)
                 if replies is None:
                     continue
                 for reply in replies:
                     reply.req_id = msg.req_id
-                    protocol.send_message(conn, reply)
+                    frame = protocol.encode_frame(reply)
+                    step = 1 if self.drip else len(frame)
+                    for at in range(0, len(frame), step):
+                        conn.sendall(frame[at : at + step])
+                        time.sleep(self.drip)
                 conn.recv(1)  # until the client hangs up
 
     def stop(self):
@@ -441,6 +447,24 @@ class TestResultListener:
             listen(stub_config(servers), timeout=0.2).wait()
         assert e.value.code == protocol.QUERY_TIMEOUT
         assert time.monotonic() - started < 2
+
+    def test_reply_dripping_past_the_deadline_is_query_timeout(self, patients, stubs):
+        # s2 sends a valid delivery one byte every 0.1 s: too slow for the deadline
+        s1, s3 = stubs(delivers(1), delivers(3))
+        s2 = StubServer(delivers(2), drip=0.1)
+        try:
+            config = stub_config([s1, s2, s3])
+            started = time.monotonic()
+            with pytest.raises(SsdbError) as e:
+                execute_query(
+                    "SELECT Patientid FROM patient_details", patients.hub_client, config,
+                    timeout=0.3,
+                )
+            assert time.monotonic() - started < 0.3 + 0.2
+        finally:
+            s2.stop()
+        assert e.value.code == protocol.QUERY_TIMEOUT
+        assert "s2" in e.value.detail and "s1" not in e.value.detail
 
     def test_server_failing_before_its_reply_is_replaced(self, stubs):
         servers = stubs(lambda msg: None, delivers(2), delivers(3))  # s1 hangs up

@@ -6,6 +6,7 @@ import random
 import socket
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +40,7 @@ from ssdb.protocol import (
 )
 from ssdb.testnet import PATIENTS_SCHEMA, TestCluster
 
-from helpers import vectors
+from helpers import FrameReader, vectors
 
 P = MERSENNE_61
 
@@ -224,7 +225,7 @@ class TestFrameShape:
         with EchoService(lambda msg: Ack()) as svc:
             with socket.create_connection(svc.address, timeout=5) as sock:
                 sock.sendall(header)  # and never the payload
-                reply = protocol.recv_message(sock, P)
+                reply = FrameReader(sock, P).read()
                 assert isinstance(reply, Error) and reply.code == protocol.INTERNAL
                 assert sock.recv(1) == b""
 
@@ -510,7 +511,7 @@ class TestTcpService:
             with socket.create_connection(svc.address, timeout=5) as sock:
                 payload = json.dumps({"type": "BOGUS", "req_id": "r"}).encode()
                 sock.sendall(len(payload).to_bytes(4, "big") + payload)
-                reply = protocol.recv_message(sock, P)
+                reply = FrameReader(sock, P).read()
                 assert isinstance(reply, Error)
                 assert reply.code == protocol.UNKNOWN_TYPE
                 assert sock.recv(1) == b""  # stream is done
@@ -575,7 +576,8 @@ class ScriptedServer:
 
 def requests_in(conn):
     """Each request arriving on conn, until the peer hangs up."""
-    while (msg := protocol.recv_message(conn, P)) is not None:
+    reader = FrameReader(conn, P)
+    while (msg := reader.read()) is not None:
         yield msg
 
 
@@ -619,6 +621,32 @@ class TestKeptOpenConnections:
             assert protocol.request(server.address, Ack(req_id="first"), p=P).req_id == "first"
             assert protocol.request(server.address, Ack(req_id="second"), p=P).req_id == "second"
             assert server.accepted == 2  # the connection holding the duplicate was dropped
+
+    @pytest.mark.parametrize("extra", [
+        encode_frame(Ack(req_id="unasked")), b"\x00\x00",
+    ], ids=["whole-frame", "partial-frame"])
+    def test_reply_followed_by_unrequested_bytes_is_not_pooled(self, extra):
+        def serve(conn, k):  # the reply and the extra bytes in one write
+            for msg in requests_in(conn):
+                conn.sendall(encode_frame(Ack(req_id=msg.req_id)) + extra)
+
+        with ScriptedServer(serve) as server:
+            assert protocol.request(server.address, Ack(req_id="r"), p=P).req_id == "r"
+            assert self.idle(server.address) == []
+
+    def test_deadline_covers_the_whole_reply(self):
+        def serve(conn, k):  # a valid reply, one byte every 0.1 s
+            for msg in requests_in(conn):
+                for byte in encode_frame(Ack(req_id=msg.req_id)):
+                    conn.sendall(bytes([byte]))
+                    time.sleep(0.1)
+
+        with ScriptedServer(serve) as server:
+            started = time.monotonic()
+            with pytest.raises(TimeoutError):
+                protocol.request(server.address, Ack(req_id="drip"), p=P, response_timeout=0.3)
+            assert time.monotonic() - started < 0.3 + 0.2
+            assert self.idle(server.address) == []
 
     def test_reply_to_another_request_is_refused(self):
         def serve(conn, k):  # answers every request as if it were "first"
@@ -688,12 +716,31 @@ class TestKeptOpenConnections:
         seen = []
 
         def serve(conn, k):  # hang up without answering
-            seen.append(protocol.recv_message(conn, P).req_id)
+            seen.append(FrameReader(conn, P).read().req_id)
 
         with ScriptedServer(serve) as server:
             with pytest.raises(ConnectionError):
                 protocol.request(server.address, Ack(req_id="once"), p=P)
             assert seen == ["once"] and server.accepted == 1
+
+    def test_reused_connection_closing_mid_reply_is_not_retried(self):
+        seen = []
+
+        def serve(conn, k):  # answers "a", then half of the reply to "b" and hangs up
+            for msg in requests_in(conn):
+                seen.append((k, msg.req_id))
+                frame = encode_frame(Ack(req_id=msg.req_id))
+                if msg.req_id == "b":
+                    conn.sendall(frame[:len(frame) // 2])
+                    return
+                conn.sendall(frame)
+
+        with ScriptedServer(serve) as server:
+            assert protocol.request(server.address, Ack(req_id="a"), p=P).req_id == "a"
+            with pytest.raises(ConnectionError):
+                protocol.request(server.address, Ack(req_id="b"), p=P)
+            assert seen == [(0, "a"), (0, "b")] and server.accepted == 1
+            assert self.idle(server.address) == []
 
     def test_threads_sharing_the_pool_each_get_their_own_reply(self):
         errors = []
