@@ -24,8 +24,10 @@ wait_for_port() {  # until 127.0.0.1:$1 takes a connection, at most 10 s
 $SSDB gen-cluster 3 2 --base-port 7601 --out "$WORK/cluster.json"
 export SSDB_CLUSTER="$WORK/cluster.json"
 
+SERVER_PID=()
 for k in 1 2 3; do
   $SSDB server --id "s$k" --data-dir "$WORK/s$k" &
+  SERVER_PID[$k]=$!
 done
 $SSDB hub --listen "$HUB" &
 for port in 7600 7601 7602 7603; do wait_for_port "$port"; done
@@ -46,6 +48,13 @@ echo
 echo '== doctors under 40, as JSON =='
 $SSDB query --hub "$HUB" --format json \
   'SELECT Patientid, Doctorid FROM patient_details WHERE Doctorid < 40'
+
+echo
+echo "== Aids patients again, with server s1 stopped =="
+kill "${SERVER_PID[1]}"
+wait "${SERVER_PID[1]}" || true
+# a fresh CLI run reads the schema through the hub, which fails over to s2
+$SSDB query --hub "$HUB" "SELECT Patientname FROM patient_details WHERE Diagonosis = 'Aids'"
 
 echo
 echo "note: each server's $WORK/s*/patient_details/rows.log holds only"

@@ -6,8 +6,9 @@ own cut, directly. A query is two fetches, each one request and one
 reply per server from t servers: every row of the condition column
 first, which the client reconstructs to evaluate the predicate on
 plaintext, then the matching rows of every other selected attribute.
-Writes and fetches share one fan-out, `ResultListener`, and so one
-failure rule. The hub answers a client's first schema read per table.
+Writes and fetches go through `hub.ResultListener`, the fan-out the
+hub's schema reads use too, and so follow one failure rule. The hub
+answers a client's first schema read per table.
 
 A delivery is reconstructed and decoded a column at a time, not an
 element at a time: `_reconstruct_matrix` combines whole packed share
@@ -25,7 +26,7 @@ from typing import Optional, Union
 
 from . import protocol
 from .encoding import AttrType, TableSchema, decode_cells, encode_value
-from .hub import ClusterConfig, ServerInfo
+from .hub import ClusterConfig, ResultListener
 from .protocol import (
     CreateTable,
     DeliverShares,
@@ -130,9 +131,9 @@ def _tokenize(text: str) -> list[_Token]:
                 parts.append(text[i])
                 i += 1
             tokens.append(_Token("STRING", text[start:i], "".join(parts), start))
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":  # ASCII only: str.isdigit also takes '²' and '٣'
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and "0" <= text[i] <= "9":
                 i += 1
             tokens.append(_Token("INT", text[start:i], int(text[start:i]), start))
         elif ch.isalpha() or ch == "_":
@@ -265,7 +266,8 @@ class HubClient:
 
     def _call(self, msg, expect):
         try:
-            # twice a server's limit, so that the hub can fail over once
+            # twice the hub's deadline for its server read, so that the
+            # hub's error, which names the failed servers, comes first
             reply = protocol.request(
                 protocol.parse_addr(self.address),
                 msg,
@@ -375,101 +377,6 @@ class Dealer:
             raise
         self._next_index[table] = index + 1
         return index
-
-
-# --- fetching shares --------------------------------------------------------
-
-
-class ResultListener:
-    """One request to several servers, and one reply from each.
-
-    Construction sends build(server), under one fresh req_id, on pooled
-    connections to the first `need` servers in configured order that
-    take the connection. `wait` reads one reply from each. One rule
-    covers every caller:
-
-    * a transport failure before a reply is replaced by the next server
-      not yet tried;
-    * an ERROR reply counts against its server and is not replaced;
-    * no reply by the deadline counts as QUERY_TIMEOUT;
-    * with fewer than `need` replies, the error takes the class and code
-      of the first failure in configured order (RemoteError for an ERROR
-      reply, THRESHOLD_UNAVAILABLE for a transport failure) and names
-      every server that failed.
-
-    (It listens on nothing; the name is kept for the benchmark, which
-    wraps `ResultListener.wait`.)
-    """
-
-    def __init__(self, config: ClusterConfig, build, need: int, deadline: float):
-        self.config = config
-        self.build = build
-        self.need = need
-        self.deadline = deadline
-        self.req_id = protocol.new_req_id()
-        self._untried = iter(config.servers)
-        self._asked: list[tuple[ServerInfo, protocol.Exchange]] = []
-        self._failed: dict[ServerInfo, SsdbError] = {}
-        for _ in range(need):
-            self._ask_next()
-
-    def _fail(self, info: ServerInfo, exc: Exception) -> None:
-        log.info("%s: server %s failed: %s", self.req_id, info.server_id, exc)
-        if not isinstance(exc, SsdbError):  # a transport failure
-            exc = SsdbError(protocol.THRESHOLD_UNAVAILABLE, str(exc))
-        self._failed[info] = exc
-
-    def _ask_next(self) -> None:
-        """Send the request to the next untried server that takes the connection."""
-        for info in self._untried:
-            msg = self.build(info)
-            msg.req_id = self.req_id
-            try:
-                exchange = protocol.Exchange(
-                    protocol.parse_addr(info.address), msg, p=self.config.p
-                )
-            except OSError as exc:
-                self._fail(info, exc)
-                continue
-            except SsdbError as exc:
-                self._fail(info, exc)
-                return
-            self._asked.append((info, exchange))
-            return
-
-    def wait(self) -> list[tuple[ServerInfo, object]]:
-        """(server, reply) of `need` servers, in configured order.
-
-        Servers are asked, and so read, in configured order: a
-        replacement comes after every server asked before it.
-        """
-        replies: list[tuple[ServerInfo, object]] = []
-        try:
-            while self._asked:
-                info, exchange = self._asked.pop(0)
-                try:
-                    replies.append((info, exchange.reply(self.deadline - time.monotonic())))
-                except TimeoutError:
-                    self._fail(info, SsdbError(protocol.QUERY_TIMEOUT, "no reply in time"))
-                except SsdbError as exc:
-                    self._fail(info, exc)
-                except OSError as exc:
-                    self._fail(info, exc)
-                    self._ask_next()
-        finally:
-            for _, exchange in self._asked:
-                exchange.close()
-        if len(replies) < self.need:
-            self._raise(len(replies))
-        return replies
-
-    def _raise(self, replied: int) -> None:
-        failed = [(s, self._failed[s]) for s in self.config.servers if s in self._failed]
-        first = failed[0][1]
-        detail = f"{self.req_id}: {replied} of {self.need} servers replied; " + "; ".join(
-            f"server {info.server_id} ({info.address}): {exc.detail}" for info, exc in failed
-        )
-        raise type(first)(first.code, detail) from first
 
 
 # --- reconstruction helpers -------------------------------------------------

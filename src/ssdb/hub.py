@@ -1,15 +1,16 @@
-"""Control-plane hub for the share servers, and the cluster topology.
+"""Cluster topology, the one fan-out to the share servers, and the hub.
 
-Knows every server's address and x-coordinate, and answers schema reads
-from the first reachable server. Nothing else: the dealer writes to each
-server directly, and the client fetches shares from t servers directly,
-so no share value ever passes through the hub.
+`ResultListener` is the only code that sends requests to the servers of
+a `ClusterConfig`: the dealer's writes, the client's fetches and the
+hub's schema reads, all under one failover rule. The hub answers schema
+and row-count reads and nothing else, so no share value passes through it.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -93,6 +94,104 @@ class ClusterConfig:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n", encoding="utf-8")
 
 
+# --- the fan-out to the servers ---------------------------------------------
+
+
+class ResultListener:
+    """One request to several servers, and one reply from each.
+
+    Construction sends build(server) on pooled connections to the first
+    `need` servers in configured order that take the connection, all
+    under one req_id: the first built message's own, or a fresh one if
+    it has none, so a relayed request keeps its sender's. `wait` reads
+    one reply from each. One rule covers every caller, the dealer's
+    writes (need = n), the client's fetches (need = t) and the hub's
+    schema reads (need = 1):
+
+    * a transport failure before a reply is replaced by the next server
+      not yet tried;
+    * an ERROR reply counts against its server and is not replaced;
+    * no reply by the deadline counts as QUERY_TIMEOUT;
+    * with fewer than `need` replies, the error takes the class and code
+      of the first failure in configured order (RemoteError for an ERROR
+      reply, THRESHOLD_UNAVAILABLE for a transport failure) and names
+      every server that failed.
+
+    (It listens on nothing; the name is kept for the benchmark, which
+    wraps `ResultListener.wait`.)
+    """
+
+    def __init__(self, config: ClusterConfig, build, need: int, deadline: float):
+        self.config = config
+        self.build = build
+        self.need = need
+        self.deadline = deadline
+        self.req_id = ""
+        self._untried = iter(config.servers)
+        self._asked: list[tuple[ServerInfo, protocol.Exchange]] = []
+        self._failed: dict[ServerInfo, SsdbError] = {}
+        for _ in range(need):
+            self._ask_next()
+
+    def _fail(self, info: ServerInfo, exc: Exception) -> None:
+        log.info("%s: server %s failed: %s", self.req_id, info.server_id, exc)
+        if not isinstance(exc, SsdbError):  # a transport failure
+            exc = SsdbError(protocol.THRESHOLD_UNAVAILABLE, str(exc))
+        self._failed[info] = exc
+
+    def _ask_next(self) -> None:
+        """Send the request to the next untried server that takes the connection."""
+        for info in self._untried:
+            msg = self.build(info)
+            self.req_id = msg.req_id = self.req_id or msg.req_id or protocol.new_req_id()
+            try:
+                exchange = protocol.Exchange(
+                    protocol.parse_addr(info.address), msg, p=self.config.p
+                )
+            except OSError as exc:
+                self._fail(info, exc)
+                continue
+            except SsdbError as exc:
+                self._fail(info, exc)
+                return
+            self._asked.append((info, exchange))
+            return
+
+    def wait(self) -> list[tuple[ServerInfo, object]]:
+        """(server, reply) of `need` servers, in configured order.
+
+        Servers are asked, and so read, in configured order: a
+        replacement comes after every server asked before it.
+        """
+        replies: list[tuple[ServerInfo, object]] = []
+        try:
+            while self._asked:
+                info, exchange = self._asked.pop(0)
+                try:
+                    replies.append((info, exchange.reply(self.deadline - time.monotonic())))
+                except TimeoutError:
+                    self._fail(info, SsdbError(protocol.QUERY_TIMEOUT, "no reply in time"))
+                except SsdbError as exc:
+                    self._fail(info, exc)
+                except OSError as exc:
+                    self._fail(info, exc)
+                    self._ask_next()
+        finally:
+            for _, exchange in self._asked:
+                exchange.close()
+        if len(replies) < self.need:
+            self._raise(len(replies))
+        return replies
+
+    def _raise(self, replied: int) -> None:
+        failed = [(s, self._failed[s]) for s in self.config.servers if s in self._failed]
+        first = failed[0][1]
+        detail = f"{self.req_id}: {replied} of {self.need} servers replied; " + "; ".join(
+            f"server {info.server_id} ({info.address}): {exc.detail}" for info, exc in failed
+        )
+        raise type(first)(first.code, detail) from first
+
+
 class Hub:
     """Single-process control plane; holds server addresses, never shares."""
 
@@ -114,34 +213,15 @@ class Hub:
     def addr_str(self) -> str:
         return self._service.addr_str
 
-    # --- server RPC --------------------------------------------------------
-
-    def _ask(self, info: ServerInfo, msg):
-        """One exchange with one server."""
-        return protocol.request(protocol.parse_addr(info.address), msg, p=self.config.p)
-
-    # --- handlers -----------------------------------------------------------
-
     def handle(self, msg):
         if isinstance(msg, GetSchema):
             return self.fetch_schema(msg)
         raise SsdbError(protocol.INTERNAL, f"{msg.type} is not handled by the hub")
 
     def fetch_schema(self, msg: GetSchema) -> SchemaResult:
-        """Ask servers in configured order until one answers.
-
-        Transport failures skip to the next server; an ERROR reply is a
-        data-level answer and propagates immediately.
-        """
-        for info in self.config.servers:
-            try:
-                reply = self._ask(info, msg)
-            except OSError as exc:
-                log.info("hub: server %s unreachable: %s", info.server_id, exc)
-                continue
-            if not isinstance(reply, SchemaResult):
-                raise SsdbError(protocol.INTERNAL, f"unexpected reply {reply.type}")
-            return reply
-        raise SsdbError(
-            protocol.THRESHOLD_UNAVAILABLE, f"none of {self.config.n} servers reachable"
-        )
+        """The first server's answer, under `ResultListener`'s rule, within RESPONSE_TIMEOUT."""
+        deadline = time.monotonic() + protocol.RESPONSE_TIMEOUT
+        [(_, reply)] = ResultListener(self.config, lambda info: msg, 1, deadline).wait()
+        if not isinstance(reply, SchemaResult):
+            raise SsdbError(protocol.INTERNAL, f"unexpected reply {reply.type}")
+        return reply

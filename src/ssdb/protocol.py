@@ -782,6 +782,7 @@ class TcpService:
             conn.close()
 
     def _dispatch(self, msg):
+        req_id = msg.req_id  # as received, whatever the handler does to msg
         try:
             reply = self._handler(msg)
         except SsdbError as exc:
@@ -789,7 +790,7 @@ class TcpService:
         except Exception as exc:  # noqa: BLE001 - a handler bug must not kill the connection
             log.exception("%s: handler failed on %s", self._name, msg.type)
             reply = Error(code=INTERNAL, detail=f"unhandled {type(exc).__name__}: {exc}")
-        reply.req_id = msg.req_id
+        reply.req_id = req_id
         return reply
 
     def stop(self) -> None:

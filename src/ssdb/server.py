@@ -3,9 +3,9 @@
 Holds the replicated schema, the plaintext index column, and for each
 cell the share vector evaluated at this server's x-coordinate. Rows are
 persisted to an append-only log before they are acknowledged; startup
-replays the log, truncating a torn trailing record. The metadata files
-are replaced whole through an fsynced temporary file, and every new
-directory entry is fsynced.
+replays the log, truncating a torn last record and refusing to start on
+any other corrupt one. The metadata files are replaced whole through an
+fsynced temporary file, and every new directory entry is fsynced.
 """
 
 from __future__ import annotations
@@ -168,25 +168,34 @@ class ServerStore:
             )
         pos = 0
         while pos < len(data):
+            # only the last append can be torn, and it was never acknowledged: a
+            # short header, an end past EOF, or a bad checksum ending at EOF is cut
+            # off. Any other bad record refuses start-up: cutting it drops acked rows
+            end = pos + _RECORD.size
+            if end > len(data):
+                break
+            length, crc = _RECORD.unpack_from(data, pos)
+            end += length
+            if end > len(data):
+                break
+            payload = data[pos + _RECORD.size : end]
             try:
-                if len(data) - pos < _RECORD.size:
-                    raise ValueError("torn record header")
-                length, crc = _RECORD.unpack_from(data, pos)
-                payload = data[pos + _RECORD.size : pos + _RECORD.size + length]
-                if len(payload) != length:
-                    raise ValueError("torn record")
                 if zlib.crc32(payload) != crc:
+                    if end == len(data):
+                        break
                     raise ValueError("checksum mismatch")
                 row = self._check_record(table, payload)
             except (ValueError, SsdbError) as exc:
-                log.warning(
-                    "%s: corrupt record at byte %d of %s (%s); truncating",
-                    self.server_id, pos, log_path, exc,
-                )
-                break
+                raise ValueError(
+                    f"{log_path}: corrupt record at byte {pos} ({exc}); "
+                    "refusing to start rather than truncate it"
+                ) from exc
             table.add_row(row, self._width)
-            pos += _RECORD.size + length
+            pos = end
         if pos < len(data):
+            log.warning(
+                "%s: torn last record at byte %d of %s; truncating", self.server_id, pos, log_path
+            )
             with open(log_path, "r+b") as fh:
                 fh.truncate(pos)
 

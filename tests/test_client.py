@@ -98,6 +98,14 @@ class TestParseQuery:
             parse_query("SELECT a WHERE")
         assert e.value.pos == 9
 
+    @pytest.mark.parametrize("literal", ["²", "٣", "1٣"], ids=["superscript", "arabic", "mixed"])
+    def test_int_literals_are_ascii_digits(self, literal):
+        # str.isdigit takes both; int() refuses '²' and reads '٣' as 3
+        text = f"SELECT a FROM t WHERE a = {literal}"
+        with pytest.raises(QuerySyntaxError) as e:
+            parse_query(text)
+        assert e.value.pos == text.index(literal[-1])
+
     def test_unterminated_string(self):
         with pytest.raises(QuerySyntaxError) as e:
             parse_query("SELECT a FROM t WHERE d = 'oops")

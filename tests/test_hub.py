@@ -5,6 +5,8 @@ import ast
 import inspect
 import json
 import random
+import socket
+import threading
 import time
 
 import pytest
@@ -315,6 +317,51 @@ class TestHubRouting:
             with pytest.raises(RemoteError) as e:
                 mini.ask(GetSchema(req_id="g2", table="records"))
             assert e.value.code == protocol.THRESHOLD_UNAVAILABLE
+            for info in mini.config.servers:  # the hub names every server it tried
+                assert info.server_id in e.value.detail and info.address in e.value.detail
+
+    def test_schema_read_keeps_the_client_req_id(self, tmp_path, monkeypatch):
+        seen = []  # (service, message type, req_id) of every frame handled and answered
+        dispatch = protocol.TcpService._dispatch
+
+        def spy(service, msg):
+            seen.append((service._name, msg.type, msg.req_id))
+            reply = dispatch(service, msg)
+            seen.append((service._name, reply.type, reply.req_id))
+            return reply
+
+        with MiniCluster(tmp_path) as mini:
+            mini.dealer.create_table(SCHEMA)
+            monkeypatch.setattr(protocol.TcpService, "_dispatch", spy)
+            mini.hub_client.get_schema("records")
+            assert [(name, kind) for name, kind, _ in seen] == [
+                ("hub", "GET_SCHEMA"), ("s1", "GET_SCHEMA"),
+                ("s1", "SCHEMA_RESULT"), ("hub", "SCHEMA_RESULT"),
+            ]
+            assert len({req_id for *_, req_id in seen}) == 1 and seen[0][2]
+            # a request without a req_id still gets back the one it sent
+            assert mini.ask(GetSchema(req_id="", table="records")).req_id == ""
+
+    def test_hung_first_server_times_out_schema_read(self, tmp_path, monkeypatch):
+        # s1 takes the connection and never answers: the schema read fails
+        # within the hub's deadline and names s1, as a fetch or a write would
+        monkeypatch.setattr(protocol, "RESPONSE_TIMEOUT", 0.5)
+        with socket.socket() as hung, MiniCluster(tmp_path) as mini:
+            hung.bind(("127.0.0.1", 0))
+            hung.listen(8)
+            s1 = ServerInfo("s1", 1, protocol.format_addr(*hung.getsockname()))
+            config = ClusterConfig(p=P, n=3, t=2, servers=(s1,) + mini.config.servers[1:])
+            hub = Hub(config, listen=("127.0.0.1", 0))
+            hub.start()
+            try:
+                started = time.monotonic()
+                with pytest.raises(RemoteError) as e:
+                    HubClient(hub.addr_str, p=P).get_schema("records")
+                assert time.monotonic() - started < 0.5 + 0.5
+            finally:
+                hub.stop()
+            assert e.value.code == protocol.QUERY_TIMEOUT
+            assert "s1" in e.value.detail and s1.address in e.value.detail
 
     def test_fetch_relay_reaches_exactly_t_servers(self, tmp_path):
         # the client sends each fetch itself; no server beyond the first t hears of it
@@ -344,28 +391,53 @@ def test_no_share_value_crosses_the_hub(monkeypatch):
     """Information flow: every share stored on a server stays off the hub's wire.
 
     Records the frame of every message the hub receives and answers, and
-    of every request and reply it exchanges with a server, across a
-    fixture load, queries with all servers up, and a query with one
-    server down. No stored share may appear in them, neither as a
-    decimal string nor as its packed bytes.
+    of every request and reply that the hub's threads exchange with a
+    server, across a fixture load, queries with all servers up, and a
+    query with one server down. No stored share may appear in them,
+    neither as a decimal string nor as its packed bytes.
     """
     recorded = []
+    to_servers = []  # the type of every request the hub sent a server
 
-    def spy(original):
-        def wrapper(self, *args):
-            msg = args[-1]
+    def on_hub_thread():
+        return threading.current_thread().name.startswith("hub-")
+
+    def keep(frame):
+        if on_hub_thread():
+            recorded.append(frame)
+
+    handle = Hub.handle
+    open_exchange = protocol.Exchange.__init__
+    read_reply = protocol.Exchange.reply
+
+    def spy_handle(self, msg):
+        keep(protocol.encode_frame(msg))
+        try:
+            reply = handle(self, msg)
+        except Exception as exc:
+            keep(str(exc).encode())
+            raise
+        keep(protocol.encode_frame(reply))
+        return reply
+
+    def spy_open(self, addr, msg, **kwargs):
+        if on_hub_thread():
+            to_servers.append(msg.type)
             recorded.append(protocol.encode_frame(msg))
-            try:
-                reply = original(self, *args)
-            except Exception as exc:
-                recorded.append(str(exc).encode())
-                raise
-            recorded.append(protocol.encode_frame(reply))
-            return reply
-        return wrapper
+        open_exchange(self, addr, msg, **kwargs)
 
-    monkeypatch.setattr(Hub, "handle", spy(Hub.handle))  # before the hub binds it
-    monkeypatch.setattr(Hub, "_ask", spy(Hub._ask))
+    def spy_reply(self, *args):
+        try:
+            reply = read_reply(self, *args)
+        except Exception as exc:
+            keep(str(exc).encode())
+            raise
+        keep(protocol.encode_frame(reply))
+        return reply
+
+    monkeypatch.setattr(Hub, "handle", spy_handle)  # before the hub binds it
+    monkeypatch.setattr(protocol.Exchange, "__init__", spy_open)
+    monkeypatch.setattr(protocol.Exchange, "reply", spy_reply)
     hospital = "SELECT Patientname FROM patient_details WHERE Diagonosis = 'Aids'"
     with TestCluster.start(3, 2, seed=31) as cluster:
         cluster.load_fixture_patients()
@@ -389,6 +461,7 @@ def test_no_share_value_crosses_the_hub(monkeypatch):
         for row in PATIENT_ROWS for a, v in zip(PATIENTS_SCHEMA.attributes, row)
     )
     assert len(shares) == 3 * elements and recorded
+    assert "GET_SCHEMA" in to_servers  # the spy saw the hub's own server reads
     # the hub serves schema reads and nothing else; fetches go to the servers
     assert {b"GET_SCHEMA", b"SCHEMA_RESULT"} == {
         json.loads(frame[4:].partition(b"\n")[0])["type"].encode()

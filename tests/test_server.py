@@ -256,6 +256,8 @@ class TestServerStore:
         lambda good, payload: record(u32(6) + payload[4:]),  # index 6 in row 5's place
     ], ids=["torn", "checksum", "p", "length", "order"])
     def test_corrupt_middle_record_drops_the_tail(self, tmp_path, bad, make_store):
+        """It does not: rows 6-10 were acknowledged, so start-up is refused
+        with an error naming the file and the byte, and the log stays as it is."""
         store = make_store()
         store.create_table(SCHEMA)
         for k in range(1, 11):
@@ -267,12 +269,31 @@ class TestServerStore:
         records = [raw[i : i + RECORD_BYTES] for i in range(0, len(raw), RECORD_BYTES)]
         assert len(records) == 10
         records[4] = bad(records[4], records[4][8:])
-        log_path.write_bytes(b"".join(records))
+        corrupt = b"".join(records)
+        log_path.write_bytes(corrupt)
+
+        with pytest.raises(ValueError) as e:
+            make_store()
+        assert str(log_path) in str(e.value)
+        assert f"at byte {4 * RECORD_BYTES} " in str(e.value)
+        assert log_path.read_bytes() == corrupt
+
+    def test_checksum_failure_in_the_last_record_is_truncated(self, tmp_path, make_store):
+        # a record that ends at EOF may be the last append, torn inside its
+        # declared length (e.g. zero-filled), and so never acknowledged
+        store = make_store()
+        store.create_table(SCHEMA)
+        for k in range(1, 11):
+            append(store, k)
+        store.close()
+
+        log_path = tmp_path / "s1" / "patients" / "rows.log"
+        raw = log_path.read_bytes()
+        log_path.write_bytes(raw[:-RECORD_BYTES] + raw[-RECORD_BYTES:-8] + bytes(8))
 
         again = make_store()
-        assert column(again, "pid")[0] == [1, 2, 3, 4]
-        again.close()
-        assert log_path.read_bytes() == raw[: 4 * RECORD_BYTES]
+        assert column(again, "pid")[0] == list(range(1, 10))
+        assert log_path.read_bytes() == raw[: 9 * RECORD_BYTES]
 
     def test_json_log_is_refused_not_truncated(self, tmp_path, make_store):
         store = make_store()
