@@ -47,8 +47,72 @@ P = MERSENNE_61
 # every share width the read path is tested at: 8, 12 and 16 bytes
 MERSENNES = (P, (1 << 89) - 1, (1 << 127) - 1)
 
+KEYWORDS = ("SELECT", "FROM", "WHERE")
+COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
+# the schema's identifier rule, keywords in any letter case left out
+NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True).filter(
+    lambda name: name.upper() not in KEYWORDS
+)
+LITERALS = st.one_of(
+    st.integers(min_value=0),
+    st.text(st.one_of(st.just("'"), st.characters(), st.characters(min_codepoint=0x10000))),
+)
+
+
+@st.composite
+def written_queries(draw):
+    """A random Query and one way to write it: random keyword case and spacing."""
+
+    def space(least=0):
+        return draw(st.text(st.sampled_from(" \t\n\x0b\xa0\u3000"), min_size=least, max_size=2))
+
+    def keyword(word):
+        return "".join(c.lower() if draw(st.booleans()) else c for c in word)
+
+    def literal(value):
+        return str(value) if isinstance(value, int) else "'" + value.replace("'", "''") + "'"
+
+    select = draw(st.just(("*",)) | st.lists(NAMES, min_size=1, max_size=4).map(tuple))
+    table = draw(NAMES)
+    predicate = draw(
+        st.none() | st.builds(Predicate, NAMES, st.sampled_from(COMPARISONS), LITERALS)
+    )
+    if select == ("*",):
+        text = space() + keyword("SELECT") + space() + "*" + space()
+    else:
+        commas = "".join(space() + "," + space() + name for name in select[1:])
+        text = space() + keyword("SELECT") + space(1) + select[0] + commas + space(1)
+    text += keyword("FROM") + space(1) + table
+    if predicate is not None:
+        text += space(1) + keyword("WHERE") + space(1) + predicate.attr
+        text += space() + predicate.op + space() + literal(predicate.literal)
+    return Query(select, table, predicate), text + space()
+
+
+# pieces of queries, good and bad, for texts that get past the first token
+PIECES = st.sampled_from([
+    "SELECT", "select", "FROM", "WHERE", "*", ",", "a", "t_1", "é", "²", "1", "'", "''", "'x'",
+    "=", "!=", "<=", "!", "~", " ", "\n",
+])
+
 
 class TestParseQuery:
+    @given(written_queries())
+    @settings(max_examples=300)
+    def test_written_query_parses_back(self, written):
+        query, text = written
+        assert parse_query(text) == query
+
+    @given(st.text() | st.lists(PIECES, max_size=12).map("".join))
+    @settings(max_examples=300)
+    @example("SELECT a FROM t WHERE d = 'oops")
+    @example("SELECT a FROM t WHERE a = ")
+    def test_syntax_error_offset_lies_in_the_text(self, text):
+        try:
+            parse_query(text)
+        except QuerySyntaxError as exc:
+            assert 0 <= exc.pos <= len(text)
+
     def test_single_attribute(self):
         q = parse_query("SELECT Patientname FROM patient_details")
         assert q == Query(select_attrs=("Patientname",), table="patient_details")
