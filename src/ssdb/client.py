@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import logging
 import operator
+import re
 import time
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import protocol
-from .encoding import AttrType, TableSchema, decode_cells, encode_value
+from .encoding import IDENT_PATTERN, AttrType, TableSchema, decode_cells, encode_value
 from .hub import ClusterConfig, ResultListener
 from .protocol import (
     CreateTable,
@@ -46,8 +47,6 @@ Value = Union[int, str]
 
 # --- query language ---------------------------------------------------------
 
-COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
-
 _OPS = {
     "=": operator.eq,
     "!=": operator.ne,
@@ -56,8 +55,6 @@ _OPS = {
     ">": operator.gt,
     ">=": operator.ge,
 }
-
-_KEYWORDS = {"SELECT", "FROM", "WHERE"}
 
 
 class QuerySyntaxError(ValueError):
@@ -86,129 +83,87 @@ class Query:
     predicate: Optional[Predicate] = None
 
 
-@dataclass
-class _Token:
-    kind: str  # IDENT, INT, STRING, OP, COMMA, STAR, EOF
-    text: str
-    value: Value
-    pos: int
+# one token and the whitespace after it; the group that matched is its
+# kind. Digits are ASCII only: str.isdigit and \d also take '²' and '٣'
+_TOKEN = re.compile(
+    rf"(?:(?P<name>{IDENT_PATTERN})|(?P<int>[0-9]+)|(?P<text>'[^']*(?:''[^']*)*')"
+    r"|(?P<op>[!<>]=|[=<>])|(?P<star>\*)|(?P<comma>,)|(?P<end>\Z))\s*"
+)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == ",":
-            tokens.append(_Token("COMMA", ",", ",", i))
-            i += 1
-        elif ch == "*":
-            tokens.append(_Token("STAR", "*", "*", i))
-            i += 1
-        elif text.startswith(("!=", "<=", ">="), i):
-            tokens.append(_Token("OP", text[i : i + 2], text[i : i + 2], i))
-            i += 2
-        elif ch in "=<>":
-            tokens.append(_Token("OP", ch, ch, i))
-            i += 1
-        elif ch == "'":
-            start = i
-            i += 1
-            parts = []
-            while True:
-                if i >= n:
-                    raise QuerySyntaxError("unterminated string literal", start)
-                if text[i] == "'":
-                    if i + 1 < n and text[i + 1] == "'":  # '' escapes a quote
-                        parts.append("'")
-                        i += 2
-                        continue
-                    i += 1
-                    break
-                parts.append(text[i])
-                i += 1
-            tokens.append(_Token("STRING", text[start:i], "".join(parts), start))
-        elif "0" <= ch <= "9":  # ASCII only: str.isdigit also takes '²' and '٣'
-            start = i
-            while i < n and "0" <= text[i] <= "9":
-                i += 1
-            tokens.append(_Token("INT", text[start:i], int(text[start:i]), start))
-        elif ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(_Token("IDENT", text[start:i], text[start:i], start))
-        else:
-            raise QuerySyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("EOF", "", "", n))
-    return tokens
+def _tokens(text: str):
+    """Yield (kind, token text, offset) for each token of `text`, scanned on demand.
+
+    A name that spells SELECT, FROM or WHERE in any letter case has that
+    keyword as its kind. After the last token, ("end", "", len(text))
+    repeats.
+    """
+    pos = len(text) - len(text.lstrip())
+    while True:
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            if text[pos] == "'":
+                raise QuerySyntaxError("unterminated string literal", pos)
+            raise QuerySyntaxError(f"unexpected character {text[pos]!r}", pos)
+        kind, word = m.lastgroup, m[m.lastgroup]
+        if kind == "name" and word.upper() in ("SELECT", "FROM", "WHERE"):
+            kind = word.upper()
+        yield kind, word, pos
+        pos = m.end()
+
+
+def _name(kind: str, word: str, pos: int, what: str) -> str:
+    if kind != "name":
+        raise QuerySyntaxError(f"expected {what}, got {word or 'end of input'!r}", pos)
+    return word
 
 
 def parse_query(text: str) -> Query:
     """Parse ``SELECT a, b FROM t [WHERE attr OP literal]``.
 
     Keywords are case-insensitive; attribute and table names keep their
-    case. String literals use single quotes with '' as the escape.
+    case and follow the schema's rule, `encoding.IDENT_PATTERN`. String
+    literals use single quotes with '' as the escape.
     """
-    tokens = _tokenize(text)
-    pos = 0
+    tokens = _tokens(text)
+    kind, word, pos = next(tokens)
+    if kind != "SELECT":
+        raise QuerySyntaxError("query must start with SELECT", pos)
 
-    def peek() -> _Token:
-        return tokens[pos]
-
-    def take() -> _Token:
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def is_keyword(tok: _Token, word: str) -> bool:
-        return tok.kind == "IDENT" and tok.text.upper() == word
-
-    def expect_name(what: str) -> str:
-        tok = take()
-        if tok.kind != "IDENT" or tok.text.upper() in _KEYWORDS:
-            raise QuerySyntaxError(f"expected {what}, got {tok.text or 'end of input'!r}", tok.pos)
-        return tok.text
-
-    tok = take()
-    if not is_keyword(tok, "SELECT"):
-        raise QuerySyntaxError("query must start with SELECT", tok.pos)
-
-    if peek().kind == "STAR":
-        take()
-        select: tuple[str, ...] = ("*",)
+    kind, word, pos = next(tokens)
+    if kind == "star":
+        select = ("*",)
+        kind, word, pos = next(tokens)
     else:
-        attrs = [expect_name("attribute name")]
-        while peek().kind == "COMMA":
-            take()
-            attrs.append(expect_name("attribute name"))
+        attrs = [_name(kind, word, pos, "attribute name")]
+        kind, word, pos = next(tokens)
+        while kind == "comma":
+            attrs.append(_name(*next(tokens), "attribute name"))
+            kind, word, pos = next(tokens)
         select = tuple(attrs)
 
-    tok = take()
-    if not is_keyword(tok, "FROM"):
-        raise QuerySyntaxError("expected FROM", tok.pos)
-    table = expect_name("table name")
+    if kind != "FROM":
+        raise QuerySyntaxError("expected FROM", pos)
+    table = _name(*next(tokens), "table name")
 
     predicate = None
-    if is_keyword(peek(), "WHERE"):
-        take()
-        attr = expect_name("attribute name")
-        tok = take()
-        if tok.kind != "OP":
-            raise QuerySyntaxError(f"expected comparison operator, got {tok.text!r}", tok.pos)
-        op = tok.text
-        lit = take()
-        if lit.kind not in ("INT", "STRING"):
-            raise QuerySyntaxError("expected an integer or 'string' literal", lit.pos)
-        predicate = Predicate(attr, op, lit.value)
+    kind, word, pos = next(tokens)
+    if kind == "WHERE":
+        attr = _name(*next(tokens), "attribute name")
+        kind, op, pos = next(tokens)
+        if kind != "op":
+            raise QuerySyntaxError(f"expected comparison operator, got {op!r}", pos)
+        kind, word, pos = next(tokens)
+        if kind == "int":
+            predicate = Predicate(attr, op, int(word))
+        elif kind == "text":
+            predicate = Predicate(attr, op, word[1:-1].replace("''", "'"))
+        else:
+            raise QuerySyntaxError("expected an integer or 'string' literal", pos)
+        kind, word, pos = next(tokens)
 
-    tok = take()
-    if tok.kind != "EOF":
-        raise QuerySyntaxError(f"unexpected trailing input {tok.text!r}", tok.pos)
+    if kind != "end":
+        raise QuerySyntaxError(f"unexpected trailing input {word!r}", pos)
     return Query(select_attrs=select, table=table, predicate=predicate)
 
 
@@ -443,25 +398,15 @@ def execute_query(
     deadline = time.monotonic() + timeout
 
     schema = hub.schema(query.table)
+    predicate = query.predicate
     if tuple(query.select_attrs) == ("*",):
         select_attrs = list(schema.attr_names())
     else:
         select_attrs = list(query.select_attrs)
-        for name in select_attrs:
-            if not schema.has_attr(name):
-                raise SsdbError(
-                    protocol.NO_SUCH_ATTR, f"{query.table!r} has no attribute {name!r}"
-                )
-
-    predicate = query.predicate
-    if predicate is not None:
-        if not schema.has_attr(predicate.attr):
-            raise SsdbError(
-                protocol.NO_SUCH_ATTR, f"{query.table!r} has no attribute {predicate.attr!r}"
-            )
-        cond_attr = predicate.attr
-    else:
-        cond_attr = select_attrs[0]
+    cond_attr = select_attrs[0] if predicate is None else predicate.attr
+    for name in [*select_attrs, cond_attr]:
+        if not schema.has_attr(name):
+            raise SsdbError(protocol.NO_SUCH_ATTR, f"{query.table!r} has no attribute {name!r}")
 
     # (a)+(b): t servers deliver every row of the condition column,
     # reconstructed locally

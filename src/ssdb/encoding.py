@@ -24,7 +24,9 @@ from .field import MERSENNE_61
 CHUNK_BYTES = 7
 MAX_TEXT_BYTES = 1 << 20
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# the one rule for table and attribute names, in schemas and in queries
+IDENT_PATTERN = "[A-Za-z_][A-Za-z0-9_]*"
+_IDENT_RE = re.compile(IDENT_PATTERN + r"\Z")
 
 
 class AttrType(enum.Enum):

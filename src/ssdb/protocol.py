@@ -188,34 +188,34 @@ class Kind:
     json_type: Optional[type]
     empty: Callable  # builds the field's default value
     dump: Callable = lambda value: value  # value -> JSON
-    load: Callable = lambda value, p: value  # (JSON, p) -> value
+    load: Callable = lambda value: value  # JSON -> value
     code: str = INTERNAL
     nullable: bool = False  # null or absent decodes to None
     shape: Optional[Callable[[dict], tuple[int, int]]] = None
 
 
 def _at_least(low: int) -> Callable:
-    def load(value: int, p: int) -> int:
+    def load(value: int) -> int:
         if value < low:
             raise ProtocolError(VALUE_RANGE, f"{value} must be >= {low}")
         return value
     return load
 
 
-def _indices_in(values: list, p: int) -> list[int]:
+def _indices_in(values: list) -> list[int]:
     for v in values:
         if isinstance(v, bool) or not isinstance(v, int) or v < 1:
             raise ProtocolError(VALUE_RANGE, f"row index {v!r} must be a positive integer")
     return list(values)
 
 
-def _names_in(values: list, p: int) -> list[str]:
+def _names_in(values: list) -> list[str]:
     if not all(isinstance(v, str) for v in values):
         raise ProtocolError(INTERNAL, "attribute names must be strings")
     return values
 
 
-def _schema_in(obj: dict, p: int) -> TableSchema:
+def _schema_in(obj: dict) -> TableSchema:
     try:
         return TableSchema.from_json_dict(obj)
     except ValueError as exc:
@@ -259,7 +259,7 @@ def _wire(kind: Kind, default=None):
     return field(default_factory=empty, metadata={"kind": kind})
 
 
-def read_field(obj: dict, name: str, kind: Kind, p: int):
+def read_field(obj: dict, name: str, kind: Kind):
     """Decode obj[name] as `kind`, or raise ProtocolError."""
     value = obj.get(name)
     if value is None:
@@ -270,7 +270,7 @@ def read_field(obj: dict, name: str, kind: Kind, p: int):
     if isinstance(value, bool) or not isinstance(value, kind.json_type):
         raise ProtocolError(kind.code, f"field {name!r} has wrong type {type(value).__name__}")
     try:
-        return kind.load(value, p)
+        return kind.load(value)
     except ProtocolError as exc:
         raise ProtocolError(exc.code, f"field {name!r}: {exc.detail}") from None
 
@@ -411,7 +411,7 @@ def decode_message(obj: dict, p: int = MERSENNE_61, body=None):
     fields = {}
     for name, kind in cls.wire:
         if kind.json_type is not None:
-            fields[name] = read_field(obj, name, kind, p)
+            fields[name] = read_field(obj, name, kind)
         if kind.shape is not None:
             fields[name] = read_body(body, *kind.shape(fields), p)
     return cls(**fields)

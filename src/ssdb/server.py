@@ -176,13 +176,26 @@ class ServerStore:
                 break
             length, crc = _RECORD.unpack_from(data, pos)
             end += length
-            if end > len(data):
-                break
             payload = data[pos + _RECORD.size : end]
+            if end > len(data) or (end == len(data) and zlib.crc32(payload) != crc):
+                # torn, unless the row header (index, one count per attribute)
+                # gives a whole record that passes the checksum: then only the
+                # length field is corrupt, and later records may be acked
+                attrs = len(table.columns)
+                head = pos + _RECORD.size + 4 * (1 + attrs)
+                if head <= len(data):
+                    whole = head + self._width * sum(
+                        struct.unpack_from(f">{attrs}I", data, head - 4 * attrs)
+                    )
+                    if whole <= len(data) and zlib.crc32(data[pos + _RECORD.size : whole]) == crc:
+                        raise ValueError(
+                            f"{log_path}: corrupt record at byte {pos} (length field "
+                            f"{length}, its row header gives {whole - pos - _RECORD.size}); "
+                            "refusing to start rather than truncate it"
+                        )
+                break
             try:
                 if zlib.crc32(payload) != crc:
-                    if end == len(data):
-                        break
                     raise ValueError("checksum mismatch")
                 row = self._check_record(table, payload)
             except (ValueError, SsdbError) as exc:

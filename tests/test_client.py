@@ -170,6 +170,13 @@ class TestParseQuery:
             parse_query(text)
         assert e.value.pos == text.index(literal[-1])
 
+    @pytest.mark.parametrize("text, pos", [("SELECT é FROM t", 7), ("SELECT a FROM tå", 15)])
+    def test_names_follow_the_schema_rule(self, text, pos):
+        # no table or attribute can hold such a name, so no schema is read
+        with pytest.raises(QuerySyntaxError) as e:
+            parse_query(text)
+        assert e.value.pos == pos
+
     def test_unterminated_string(self):
         with pytest.raises(QuerySyntaxError) as e:
             parse_query("SELECT a FROM t WHERE d = 'oops")

@@ -278,6 +278,30 @@ class TestServerStore:
         assert f"at byte {4 * RECORD_BYTES} " in str(e.value)
         assert log_path.read_bytes() == corrupt
 
+    @pytest.mark.parametrize("k, length", [
+        (0, 0x4024), (1, 0x4024), (3, 0x4024),  # bit 0x40 of 36's third byte: past EOF
+        (0, 4 * RECORD_BYTES - 8),  # to EOF, where the checksum fails
+    ])
+    def test_corrupt_length_of_a_whole_record_is_refused(self, tmp_path, k, length, make_store):
+        """It reads like a torn last append, but the record's own row header
+        gives its true length, and that whole record passes its checksum."""
+        store = make_store()
+        store.create_table(SCHEMA)
+        for row in range(1, 5):
+            append(store, row)
+        store.close()
+
+        log_path = tmp_path / "s1" / "patients" / "rows.log"
+        corrupt = bytearray(log_path.read_bytes())
+        corrupt[k * RECORD_BYTES : k * RECORD_BYTES + 4] = u32(length)
+        log_path.write_bytes(corrupt)
+
+        with pytest.raises(ValueError) as e:
+            make_store()
+        assert str(log_path) in str(e.value)
+        assert f"at byte {k * RECORD_BYTES} " in str(e.value)
+        assert log_path.read_bytes() == corrupt
+
     def test_checksum_failure_in_the_last_record_is_truncated(self, tmp_path, make_store):
         # a record that ends at EOF may be the last append, torn inside its
         # declared length (e.g. zero-filled), and so never acknowledged
