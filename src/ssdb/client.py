@@ -155,11 +155,15 @@ def parse_query(text: str) -> Query:
             raise QuerySyntaxError(f"expected comparison operator, got {op!r}", pos)
         kind, word, pos = next(tokens)
         if kind == "int":
-            predicate = Predicate(attr, op, int(word))
+            try:
+                literal = int(word)
+            except ValueError:  # past Python's int/str digit limit
+                raise QuerySyntaxError(f"integer literal of {len(word)} digits", pos) from None
         elif kind == "text":
-            predicate = Predicate(attr, op, word[1:-1].replace("''", "'"))
+            literal = word[1:-1].replace("''", "'")
         else:
             raise QuerySyntaxError("expected an integer or 'string' literal", pos)
+        predicate = Predicate(attr, op, literal)
         kind, word, pos = next(tokens)
 
     if kind != "end":
@@ -282,7 +286,8 @@ class Dealer:
     def create_table(self, schema: TableSchema) -> None:
         # no index-cache seeding: create is idempotent, the table may
         # already hold rows
-        self._write_all(lambda info: CreateTable(schema=schema))
+        msg = CreateTable(schema=schema)
+        self._write_all(lambda info: msg)
 
     def next_index_for(self, schema: TableSchema) -> int:
         """Stored row count + 1, read through the hub."""
@@ -409,28 +414,31 @@ def execute_query(
             raise SsdbError(protocol.NO_SUCH_ATTR, f"{query.table!r} has no attribute {name!r}")
 
     # (a)+(b): t servers deliver every row of the condition column,
-    # reconstructed locally
-    values = _fetch(config, schema, FetchToClient(table=query.table, attrs=[cond_attr]), deadline)
+    # reconstructed locally; row k is at cond[k - 1]
+    [cond] = _fetch(config, schema, FetchToClient(table=query.table, attrs=[cond_attr]), deadline)
 
     # (c): plaintext predicate evaluation
-    matched = evaluate_predicate(
-        list(values[cond_attr].items()), predicate, schema.attr_type(cond_attr)
-    )
+    matched = evaluate_predicate(list(enumerate(cond, 1)), predicate, schema.attr_type(cond_attr))
 
     # (d)+(e): every other selected attribute at the matched rows, in one fetch
+    columns = {cond_attr: [cond[i - 1] for i in matched]} if cond_attr in select_attrs else {}
     others = [a for a in dict.fromkeys(select_attrs) if a != cond_attr]
     if others:
         msg = FetchToClient(table=query.table, attrs=others, indices=matched)
-        values.update(_fetch(config, schema, msg, deadline))
+        columns.update(zip(others, _fetch(config, schema, msg, deadline)))
 
-    rows = [[values[a][i] for a in select_attrs] for i in matched]
+    rows = list(map(list, zip(*[columns[a] for a in select_attrs])))
     return ResultSet(columns=select_attrs, indices=matched, rows=rows)
 
 
 def _fetch(
     config: ClusterConfig, schema: TableSchema, msg: FetchToClient, deadline: float
-) -> dict[str, dict[int, Value]]:
-    """Send `msg` to t servers and reconstruct each attribute it names, keyed by row index.
+) -> list[list[Value]]:
+    """Send `msg` to t servers and reconstruct each attribute it names.
+
+    Returns one list per attribute of `msg.attrs`, in that order, of its
+    values at the requested rows, in request order (rows 1..n for an
+    every-row fetch).
 
     Every delivery must come from the server's own x-coordinate and hold
     exactly the requested rows, in order, with the same element count
@@ -469,7 +477,7 @@ def _fetch(
     plain = _reconstruct_matrix(config.p, tagged, msg.table, msg.attrs)
     # attribute by attribute: each one's counts, and its elements, are one run
     rows, w = len(matched), protocol.share_width(config.p)
-    values, start = {}, 0
+    columns, start = [], 0
     for k, attr in enumerate(msg.attrs):
         counts = first.counts[k * rows : (k + 1) * rows]
         end = start + w * sum(counts)
@@ -479,6 +487,6 @@ def _fetch(
             raise SsdbError(
                 protocol.DATA_CORRUPTION, f"{msg.table!r}.{attr!r} failed to decode: {exc}"
             ) from exc
-        values[attr] = dict(zip(matched, decoded))
+        columns.append(decoded)
         start = end
-    return values
+    return columns

@@ -103,8 +103,10 @@ class ResultListener:
     Construction sends build(server) on pooled connections to the first
     `need` servers in configured order that take the connection, all
     under one req_id: the first built message's own, or a fresh one if
-    it has none, so a relayed request keeps its sender's. `wait` reads
-    one reply from each. One rule covers every caller, the dealer's
+    it has none, so a relayed request keeps its sender's. Each message
+    is encoded once, however many servers it goes to: a read, whose
+    `build` returns one message for all, costs one `encode_frame`. `wait`
+    reads one reply from each. One rule covers every caller, the dealer's
     writes (need = n), the client's fetches (need = t) and the hub's
     schema reads (need = 1):
 
@@ -130,6 +132,7 @@ class ResultListener:
         self._untried = iter(config.servers)
         self._asked: list[tuple[ServerInfo, protocol.Exchange]] = []
         self._failed: dict[ServerInfo, SsdbError] = {}
+        self._sent, self._frame = None, b""  # the last message built, and its frame
         for _ in range(need):
             self._ask_next()
 
@@ -145,8 +148,10 @@ class ResultListener:
             msg = self.build(info)
             self.req_id = msg.req_id = self.req_id or msg.req_id or protocol.new_req_id()
             try:
+                if msg is not self._sent:
+                    self._frame, self._sent = protocol.encode_frame(msg), msg
                 exchange = protocol.Exchange(
-                    protocol.parse_addr(info.address), msg, p=self.config.p
+                    protocol.parse_addr(info.address), self._frame, self.req_id, p=self.config.p
                 )
             except OSError as exc:
                 self._fail(info, exc)

@@ -16,7 +16,9 @@ attribute: the row indices and each cell's element count as 4-byte
 big-endian ints, then every share as w = ceil(p.bit_length() / 8)
 big-endian bytes. Servers keep cells in that form, so a delivery is
 their stored bytes joined, and a receiver checks a body with one length
-test and one range test.
+test and one range test. The range test builds no int per share: it
+compares every share's top byte with p's at once, and takes a Python
+step only for a share whose top byte equals p's (see `read_body`).
 
 Each message type is a dataclass that declares its payload fields once,
 each with a `Kind`: the field's JSON type, encoding, checks and error
@@ -151,8 +153,11 @@ def read_body(body, rows: int, cells: int, p: int) -> ShareRows:
     """Check a body of `rows` rows of `cells` cells each and return it.
 
     One width test (the share bytes are exactly counts x w) and one range
-    test (every share is below p); neither loops in Python at whole-word
-    widths.
+    test (every share is below p), made on bytes, not ints: one strided
+    slice takes each share's top byte, and `translate` marks it 0, 1 or 2
+    as it is below, equal to or above p's top byte. Only a share marked 1
+    takes a Python step, one comparison of its w bytes with p's; at
+    p = 2^61 - 1 that is about one uniform share in 32.
     """
     head = rows * (1 + cells)  # the indices, then one count per cell
     if len(body) < 4 * head:
@@ -164,10 +169,17 @@ def read_body(body, rows: int, cells: int, p: int) -> ShareRows:
     if rows and min(indices) < 1:
         raise ProtocolError(VALUE_RANGE, "row index 0 must be >= 1")
     packed = bytes(body[4 * head :])
-    need = share_width(p) * sum(counts)
+    w = share_width(p)
+    need = w * sum(counts)
     if len(packed) != need:
         raise ProtocolError(INTERNAL, f"body holds {len(packed)} share bytes, its counts need {need}")
-    if packed and max(unpack_shares(packed, p)) >= p:
+    limit = p.to_bytes(w, "big")
+    marks = packed[::w].translate(bytes(limit[0]) + b"\x01" + b"\x02" * (255 - limit[0]))
+    above, at = 2 in marks, marks.find(1)
+    while at >= 0 and not above:
+        above = packed[at * w : (at + 1) * w] >= limit
+        at = marks.find(1, at + 1)
+    if above:
         raise ProtocolError(VALUE_RANGE, f"a share value is not below modulus {p}")
     return ShareRows(indices, counts, packed)
 
@@ -560,9 +572,11 @@ def close_idle() -> None:
 
 
 class Exchange:
-    """One request sent on a pooled connection; `reply` reads its answer.
+    """One request, an encoded frame, sent on a pooled connection; `reply` reads its answer.
 
-    Several exchanges can be in flight at once, each on its own
+    `req_id` is the request's own, which the reply must echo. The caller
+    encodes the frame, so a request sent to several servers is encoded
+    once. Several exchanges can be in flight at once, each on its own
     connection. Connecting and sending each wait at most
     CONNECT_TIMEOUT. `reply` cuts its frame with a `FrameDecoder`, and
     its deadline covers the whole reply, not only the first byte. The
@@ -574,11 +588,13 @@ class Exchange:
     retried.
     """
 
-    def __init__(self, addr: tuple[str, int], msg, *, p: int = MERSENNE_61):
+    def __init__(
+        self, addr: tuple[str, int], frame: bytes, req_id: str, *, p: int = MERSENNE_61
+    ):
         self.addr = addr
         self.p = p
-        self.req_id = msg.req_id
-        self._frame = encode_frame(msg)
+        self.req_id = req_id
+        self._frame = frame
         self._sock, self._reused = POOL.take(addr)
         self._send()
 
@@ -675,7 +691,7 @@ def request(
     Raises RemoteError if the peer answers with an ERROR frame, and the
     usual OSError family on transport trouble.
     """
-    return Exchange(addr, msg, p=p).reply(response_timeout)
+    return Exchange(addr, encode_frame(msg), msg.req_id, p=p).reply(response_timeout)
 
 
 def start_daemon(threads: list, target: Callable, *args, name: str) -> None:

@@ -175,6 +175,10 @@ class ServerStore:
             if end > len(data):
                 break
             length, crc = _RECORD.unpack_from(data, pos)
+            if length == 0 and data.count(0, pos) == len(data) - pos:
+                # zero bytes to EOF: the file grew before the append's bytes
+                # landed. A row record is never empty, so this is no record
+                break
             end += length
             payload = data[pos + _RECORD.size : end]
             if end > len(data) or (end == len(data) and zlib.crc32(payload) != crc):

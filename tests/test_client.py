@@ -39,7 +39,7 @@ from ssdb.protocol import (
     SsdbError,
 )
 from ssdb.shamir import reconstruct, split
-from ssdb.testnet import PATIENTS_SCHEMA, PATIENTS_TABLE, TestCluster
+from ssdb.testnet import PATIENT_ROWS, PATIENTS_SCHEMA, PATIENTS_TABLE, TestCluster
 
 from helpers import FrameReader, vectors
 
@@ -170,6 +170,14 @@ class TestParseQuery:
             parse_query(text)
         assert e.value.pos == text.index(literal[-1])
 
+    def test_int_literal_past_the_digit_limit_is_a_syntax_error(self):
+        # int() refuses a string of more than 4,300 digits by default
+        text = "SELECT a FROM t WHERE a = " + "9" * 5000
+        with pytest.raises(QuerySyntaxError) as e:
+            parse_query(text)
+        assert e.value.pos == 26
+        assert parse_query("SELECT a FROM t WHERE a = " + "9" * 4300).predicate.literal > 0
+
     @pytest.mark.parametrize("text, pos", [("SELECT é FROM t", 7), ("SELECT a FROM tå", 15)])
     def test_names_follow_the_schema_rule(self, text, pos):
         # no table or attribute can hold such a name, so no schema is read
@@ -295,11 +303,13 @@ class FakeCluster:
         self.schema_calls += 1
         return SchemaResult(schema=SCHEMA2, rows=self.row_count)
 
-    def _exchange(self, addr, msg, **kwargs):
+    def _exchange(self, addr, frame, req_id, **kwargs):
         """A sent request: recorded now, acknowledged when its reply is read."""
         (info,) = [s for s in self.config.servers if protocol.parse_addr(s.address) == addr]
         if info.server_id in self.down:
             raise ConnectionRefusedError(f"{info.address} refused")
+        msg, _ = protocol.decode_frame(frame, self.config.p)
+        assert msg.req_id == req_id
         self.writes.append((info.server_id, msg))
         return SimpleNamespace(reply=lambda timeout=None: Ack(), close=lambda: None)
 
@@ -550,6 +560,20 @@ class TestResultListener:
         assert sorted(by_x(listen(stub_config(servers)).wait())) == [2, 3]
         assert [len(s.requests) for s in servers] == [1, 1, 1]
 
+    def test_a_read_is_encoded_once_past_a_refusing_server(self, stubs, monkeypatch):
+        encoded = []
+        encode = protocol.encode_frame
+
+        def spy(msg):
+            encoded.append(msg)
+            return encode(msg)
+
+        monkeypatch.setattr(protocol, "encode_frame", spy)
+        servers = stubs(delivers(1), delivers(2), delivers(3))
+        servers[0].stop()  # s1 refuses the connection
+        assert sorted(by_x(listen(stub_config(servers)).wait())) == [2, 3]
+        assert len([msg for msg in encoded if isinstance(msg, FetchToClient)]) == 1
+
     def test_receives_real_pushes_over_tcp(self, patients):
         delivered = by_x(
             listen(patients.config, table="patient_details", attr="Patientid").wait()
@@ -641,6 +665,33 @@ class TestExecuteQuery:
         assert rs.rows == [] and rs.indices == []
         # vacuous fetch still happens
         assert fetches == [(["Doctorid"], None), (["Patientname"], [])]
+
+    @pytest.mark.parametrize("text", [
+        "SELECT Patientname, Doctorid FROM patient_details WHERE Doctorid = 51",
+        "SELECT Diagonosis, Patientid FROM patient_details WHERE Patientname >= 'C'",
+        "SELECT Doctorid, Patientname, Doctorid FROM patient_details WHERE Doctorid < 30",
+        "SELECT Patientname, Patientname FROM patient_details",
+        "SELECT * FROM patient_details WHERE Diagonosis = 'Aids'",
+        "SELECT * FROM patient_details",
+        "SELECT Patientname, Patientid FROM patient_details WHERE Patientid > 104",
+        "SELECT Doctorid FROM patient_details WHERE Diagonosis = 'Flu'",
+    ], ids=[
+        "condition-second", "condition-not-selected", "condition-duplicated",
+        "duplicate-no-predicate", "star-condition-last", "star-every-row",
+        "empty-condition-selected", "empty-condition-not-selected",
+    ])
+    def test_rows_match_a_plaintext_reference(self, patients, text):
+        query = parse_query(text)
+        names = list(PATIENTS_SCHEMA.attr_names())
+        select = names if query.select_attrs == ("*",) else list(query.select_attrs)
+        pred = query.predicate
+        matched = [
+            i for i, row in enumerate(PATIENT_ROWS, 1)
+            if pred is None or BYTE_ORDER[pred.op](row[names.index(pred.attr)], pred.literal)
+        ]
+        rs = patients.query(text)
+        assert (rs.columns, rs.indices) == (select, matched)
+        assert rs.rows == [[PATIENT_ROWS[i - 1][names.index(a)] for a in select] for i in matched]
 
     def test_unknown_table_and_attr(self, patients):
         with pytest.raises(SsdbError) as e:
@@ -815,6 +866,14 @@ class TestQueryFailureModes:
             with pytest.raises(SsdbError) as e:
                 cluster.query("SELECT v FROM w")
             assert e.value.code == protocol.DATA_CORRUPTION
+
+    def test_share_equal_to_p_is_value_range_naming_its_server(self, patients, stubs):
+        # s1 delivers one share equal to p, s2 a well-formed one
+        config = stub_config(stubs(delivers(1, [P]), delivers(2)))
+        with pytest.raises(SsdbError) as e:
+            execute_query("SELECT Patientid FROM patient_details", patients.hub_client, config)
+        assert e.value.code == protocol.VALUE_RANGE
+        assert "server s1 " in e.value.detail and "server s2 " not in e.value.detail
 
     @pytest.mark.parametrize("stray_x", [P + 1, 7], ids=["x=p+1", "x=7"])
     def test_push_from_unconfigured_x_is_corruption(self, patients, stubs, stray_x):

@@ -420,11 +420,11 @@ def test_no_share_value_crosses_the_hub(monkeypatch):
         keep(protocol.encode_frame(reply))
         return reply
 
-    def spy_open(self, addr, msg, **kwargs):
+    def spy_open(self, addr, frame, req_id, **kwargs):
         if on_hub_thread():
-            to_servers.append(msg.type)
-            recorded.append(protocol.encode_frame(msg))
-        open_exchange(self, addr, msg, **kwargs)
+            to_servers.append(protocol.decode_frame(frame, P)[0].type)
+            recorded.append(frame)
+        open_exchange(self, addr, frame, req_id, **kwargs)
 
     def spy_reply(self, *args):
         try:

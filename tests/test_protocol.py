@@ -243,6 +243,52 @@ class TestFrameShape:
         assert e.value.code == protocol.INTERNAL
 
 
+# the range check's moduli: two one-byte ones, 17 not Mersenne, then the
+# 8-, 12- and 16-byte share widths
+RANGE_MODULI = (17, 31, P, (1 << 89) - 1, (1 << 127) - 1)
+
+
+@st.composite
+def share_runs(draw):
+    """A modulus and a packed run of w-byte shares, some of them p or above.
+
+    Shares cluster where the range check decides: at 0, p-1, p, p+1 and
+    the w-byte maximum, and at p's top byte. Some runs hold p's bytes
+    across two adjacent shares.
+    """
+    p = draw(st.sampled_from(RANGE_MODULI), label="p")
+    w = protocol.share_width(p)
+    top = p >> 8 * (w - 1) << 8 * (w - 1)  # p's top byte, zeros after it
+    share = st.one_of(
+        st.integers(0, p - 1),
+        st.sampled_from([0, p - 1, p, p + 1, (1 << 8 * w) - 1]),
+        st.integers(top, top + (1 << 8 * (w - 1)) - 1),
+    )
+    packed = b"".join(v.to_bytes(w, "big") for v in draw(st.lists(share, max_size=12)))
+    if w > 1 and draw(st.booleans()):
+        cut = draw(st.integers(1, w - 1))  # p's bytes start `cut` bytes before a share edge
+        at = w * draw(st.integers(0, len(packed) // w))
+        pair = draw(st.binary(min_size=w - cut, max_size=w - cut)) + p.to_bytes(w, "big")
+        packed = packed[:at] + pair + draw(st.binary(min_size=cut, max_size=cut)) + packed[at:]
+    return p, packed
+
+
+@given(share_runs())
+@settings(max_examples=500)
+def test_range_check_is_exact(run):
+    """read_body takes a body exactly when every share in it is below p."""
+    p, packed = run
+    shares = protocol.unpack_shares(packed, p)
+    body = u32(1, len(shares)) + packed
+    try:
+        rows = protocol.read_body(body, 1, 1, p)
+    except ProtocolError as exc:
+        assert exc.code == VALUE_RANGE
+        assert shares and max(shares) >= p
+    else:
+        assert not shares or max(shares) < p
+        assert rows.packed == packed
+
 class TestMessageCodec:
     @pytest.mark.parametrize(
         "msg", SAMPLES,

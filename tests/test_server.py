@@ -319,6 +319,45 @@ class TestServerStore:
         assert column(again, "pid")[0] == list(range(1, 10))
         assert log_path.read_bytes() == raw[: 9 * RECORD_BYTES]
 
+    @pytest.mark.parametrize("tail", [8, 20, 60, RECORD_BYTES], ids=lambda n: f"{n}-zero-bytes")
+    def test_zero_tail_is_truncated(self, tmp_path, tail, make_store):
+        # a fifth append whose file size became durable before its bytes:
+        # zeros past 4 acknowledged rows, or the whole fifth record zeroed
+        store = make_store()
+        store.create_table(SCHEMA)
+        for k in range(1, 6):
+            append(store, k)
+        store.close()
+
+        log_path = tmp_path / "s1" / "patients" / "rows.log"
+        acked = log_path.read_bytes()[: 4 * RECORD_BYTES]
+        log_path.write_bytes(acked + bytes(tail))
+
+        again = make_store()
+        assert column(again, "pid") == ([1, 2, 3, 4], [[101], [102], [103], [104]])
+        assert log_path.read_bytes() == acked
+        append(again, 5)
+        assert column(again, "pid")[0] == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("after", [b"\x01", bytes(12) + b"\x01"], ids=["byte", "later-byte"])
+    def test_zero_length_record_before_a_nonzero_byte_is_refused(
+        self, tmp_path, after, make_store
+    ):
+        store = make_store()
+        store.create_table(SCHEMA)
+        for k in range(1, 5):
+            append(store, k)
+        store.close()
+
+        log_path = tmp_path / "s1" / "patients" / "rows.log"
+        corrupt = log_path.read_bytes() + bytes(8) + after
+        log_path.write_bytes(corrupt)
+
+        with pytest.raises(ValueError) as e:
+            make_store()
+        assert f"at byte {4 * RECORD_BYTES} " in str(e.value)
+        assert log_path.read_bytes() == corrupt
+
     def test_json_log_is_refused_not_truncated(self, tmp_path, make_store):
         store = make_store()
         store.create_table(SCHEMA)
