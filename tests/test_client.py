@@ -2,9 +2,13 @@
 
 import contextlib
 import operator
+import random
 import socket
+import subprocess
+import sys
 import threading
 import time
+import tracemalloc
 import zlib
 from types import SimpleNamespace
 
@@ -21,6 +25,7 @@ from ssdb.client import (
     QuerySyntaxError,
     ResultListener,
     ResultSet,
+    _CHUNK,
     _reconstruct_matrix,
     evaluate_predicate,
     execute_query,
@@ -38,7 +43,7 @@ from ssdb.protocol import (
     ShareRows,
     SsdbError,
 )
-from ssdb.shamir import reconstruct, split
+from ssdb.shamir import lagrange_weights, reconstruct, split
 from ssdb.testnet import PATIENT_ROWS, PATIENTS_SCHEMA, PATIENTS_TABLE, TestCluster
 
 from helpers import FrameReader, vectors
@@ -948,6 +953,45 @@ def test_reconstruct_matrix_at_the_slot_bound(p, t):
     assert list(protocol.unpack_shares(plain, p)) == [want] * 5
 
 
+def chunk_elements(p: int, t: int) -> int:
+    """Elements in one `_reconstruct_matrix` chunk: `_CHUNK` in whole slots."""
+    w = protocol.share_width(p)
+    m = -(-(2 * p.bit_length() + t.bit_length()) // (8 * w))  # elements per slot
+    return _CHUNK // m * m
+
+
+@pytest.mark.parametrize("p", MERSENNES, ids=["p=2^61-1", "p=2^89-1", "p=2^127-1"])
+@pytest.mark.parametrize("t", [1, 2, 16])
+def test_reconstruct_matrix_across_chunk_edges(p, t):
+    rng = random.Random(p * t)
+    xs = rng.sample(range(1, 1 << 16), t)
+    weights = lagrange_weights(xs, p)
+    chunk = chunk_elements(p, t)
+    # the last size leaves a part slot at the end when a slot holds two or more
+    for size in (0, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        uniform = [[rng.randrange(p) for _ in range(size)] for _ in xs]
+        top = [[p - 1] * size for _ in xs]  # every slot sum near t * (p-1)^2
+        for runs in (uniform, top):
+            tagged = [(x, protocol.pack_shares(ys, p)) for x, ys in zip(xs, runs)]
+            plain = protocol.unpack_shares(_reconstruct_matrix(p, tagged, "t", ["a"]), p)
+            want = [sum(map(operator.mul, weights, ys)) % p for ys in zip(*runs)]
+            assert list(plain) == want, (size, runs is top)
+
+
+def test_reconstruct_matrix_holds_only_chunk_sized_temporaries():
+    size = 200_000
+    rng = random.Random(2)
+    tagged = [(x, protocol.pack_shares([rng.randrange(P) for _ in range(size)], P)) for x in (1, 2)]
+    tracemalloc.start()
+    try:
+        plain = _reconstruct_matrix(P, tagged, "t", ["a"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(plain) == 8 * size
+    assert peak < 3 * len(plain) + (1 << 20)
+
+
 @pytest.mark.parametrize("p", MERSENNES[1:], ids=["p=2^89-1", "p=2^127-1"])
 def test_round_trip_at_wider_share_widths(p):
     schema = TableSchema("wide", (Attribute("k", AttrType.INTEGER), Attribute("v", AttrType.TEXT)))
@@ -987,3 +1031,45 @@ def test_hot_path_never_tests_primality(monkeypatch):
         )
         assert rs.rows == [["Ann"], ["Cy"]]
         assert calls == []
+
+
+# a reader holding only the cluster file: a schema read, then a fetch from t servers
+CLUSTER_FILE_READER = """
+import sys
+from ssdb import protocol
+from ssdb.encoding import decode_value
+from ssdb.hub import ClusterConfig
+from ssdb.protocol import FetchToClient, GetSchema
+from ssdb.shamir import reconstruct
+
+config = ClusterConfig.load(sys.argv[1])
+table, attr = sys.argv[2], sys.argv[3]
+
+def ask(info, msg):
+    return protocol.request(protocol.parse_addr(info.address), msg, p=config.p)
+
+schema = ask(config.servers[0], GetSchema(req_id="r1", table=table)).schema
+points = []
+for info in config.servers[: config.t]:
+    rows = ask(info, FetchToClient(req_id="r2", table=table, attrs=[attr], indices=[1])).rows
+    points.append([(info.x_coord, y) for y in protocol.unpack_shares(rows.packed, config.p)])
+protocol.close_idle()
+elements = [reconstruct(ys, config.t, config.p) for ys in zip(*points)]
+print(decode_value(schema.attr_type(attr), elements))
+"""
+
+
+def test_the_cluster_file_alone_reads_a_stored_value(tmp_path):
+    """Nothing authenticates a reader (README, Honest limits): another
+    process given only the cluster file reconstructs a stored value from
+    plain protocol frames."""
+    with TestCluster.start(3, 2, seed=29) as cluster:
+        cluster.load_fixture_patients()
+        cluster.config.save(tmp_path / "cluster.json")
+        proc = subprocess.run(
+            [sys.executable, "-c", CLUSTER_FILE_READER, str(tmp_path / "cluster.json"),
+             PATIENTS_TABLE, "Patientname"],
+            capture_output=True, text=True, timeout=30,
+        )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == PATIENT_ROWS[0][1] + "\n"

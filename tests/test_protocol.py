@@ -9,7 +9,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ssdb import protocol
@@ -243,9 +243,16 @@ class TestFrameShape:
         assert e.value.code == protocol.INTERNAL
 
 
-# the range check's moduli: two one-byte ones, 17 not Mersenne, then the
-# 8-, 12- and 16-byte share widths
-RANGE_MODULI = (17, 31, P, (1 << 89) - 1, (1 << 127) - 1)
+# the range check's moduli: one-byte ones, 17 not Mersenne; two-byte
+# ones, 257 with a second byte a share can pass while tying the top one;
+# then the 8-, 12- and 16-byte share widths
+RANGE_MODULI = (7, 17, 31, 127, 257, 8191, P, (1 << 89) - 1, (1 << 127) - 1)
+
+
+def ties(p: int, n: int) -> tuple[int, int]:
+    """The least and greatest shares whose top n bytes are p's."""
+    shift = 8 * (protocol.share_width(p) - n)
+    return p >> shift << shift, (p >> shift << shift) + (1 << shift) - 1
 
 
 @st.composite
@@ -253,16 +260,16 @@ def share_runs(draw):
     """A modulus and a packed run of w-byte shares, some of them p or above.
 
     Shares cluster where the range check decides: at 0, p-1, p, p+1 and
-    the w-byte maximum, and at p's top byte. Some runs hold p's bytes
-    across two adjacent shares.
+    the w-byte maximum, and where they tie p's top one or two bytes. Some
+    runs hold p's bytes across two adjacent shares.
     """
     p = draw(st.sampled_from(RANGE_MODULI), label="p")
     w = protocol.share_width(p)
-    top = p >> 8 * (w - 1) << 8 * (w - 1)  # p's top byte, zeros after it
     share = st.one_of(
         st.integers(0, p - 1),
         st.sampled_from([0, p - 1, p, p + 1, (1 << 8 * w) - 1]),
-        st.integers(top, top + (1 << 8 * (w - 1)) - 1),
+        st.integers(*ties(p, 1)),
+        st.integers(*ties(p, min(2, w))),
     )
     packed = b"".join(v.to_bytes(w, "big") for v in draw(st.lists(share, max_size=12)))
     if w > 1 and draw(st.booleans()):
@@ -273,8 +280,18 @@ def share_runs(draw):
     return p, packed
 
 
+def with_edge_runs(test):
+    """Adds p - 1 followed by each share where the range check decides, at every modulus."""
+    for p in RANGE_MODULI:
+        w = protocol.share_width(p)
+        for share in sorted({p, p + 1, (1 << 8 * w) - 1, *ties(p, 1), *ties(p, min(2, w))}):
+            test = example((p, (p - 1).to_bytes(w, "big") + share.to_bytes(w, "big")))(test)
+    return test
+
+
 @given(share_runs())
 @settings(max_examples=500)
+@with_edge_runs
 def test_range_check_is_exact(run):
     """read_body takes a body exactly when every share in it is below p."""
     p, packed = run
@@ -288,6 +305,7 @@ def test_range_check_is_exact(run):
     else:
         assert not shares or max(shares) < p
         assert rows.packed == packed
+
 
 class TestMessageCodec:
     @pytest.mark.parametrize(
