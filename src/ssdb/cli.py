@@ -56,14 +56,31 @@ def _parse_values(schema: TableSchema, raw: list[str]) -> list:
     return values
 
 
-def _wait_forever() -> None:
+def _run_daemon(daemon: protocol.TcpService, banner: str) -> int:
+    """Start `daemon`, print `banner` and its address, and stop it on SIGTERM or SIGINT."""
     stop = threading.Event()
     try:
         signal.signal(signal.SIGTERM, lambda *_: stop.set())
         signal.signal(signal.SIGINT, lambda *_: stop.set())
     except ValueError:
         pass  # not the main thread
-    stop.wait()
+    daemon.start()
+    try:
+        print(f"{banner} listening on {daemon.addr_str}", flush=True)
+        stop.wait()
+    finally:
+        daemon.stop()
+    return 0
+
+
+def _insert(args, read_rows) -> list[int]:
+    """Parse every row `read_rows(schema)` returns, then insert each; their indices."""
+    config = _load_config(args)
+    hub = HubClient(args.hub, p=config.p)
+    schema = hub.get_schema(args.table).schema
+    rows = [_parse_values(schema, raw) for raw in read_rows(schema)]
+    dealer = Dealer(hub, config)
+    return [dealer.insert_row(schema, values) for values in rows]
 
 
 # --- subcommands -------------------------------------------------------------
@@ -92,25 +109,13 @@ def _cmd_server(args) -> int:
     server = ShareServer(
         info.server_id, info.x_coord, args.data_dir, listen=listen, p=config.p,
     )
-    server.start()
-    print(f"server {info.server_id} (x={info.x_coord}) listening on {server.addr_str}", flush=True)
-    try:
-        _wait_forever()
-    finally:
-        server.stop()
-    return 0
+    return _run_daemon(server, f"server {info.server_id} (x={info.x_coord})")
 
 
 def _cmd_hub(args) -> int:
     config = _load_config(args)
     hub = Hub(config, listen=protocol.parse_addr(args.listen))
-    hub.start()
-    print(f"hub for {config.n} servers (t={config.t}) listening on {hub.addr_str}", flush=True)
-    try:
-        _wait_forever()
-    finally:
-        hub.stop()
-    return 0
+    return _run_daemon(hub, f"hub for {config.n} servers (t={config.t})")
 
 
 def _cmd_create_table(args) -> int:
@@ -126,35 +131,28 @@ def _cmd_create_table(args) -> int:
 
 
 def _cmd_insert(args) -> int:
-    config = _load_config(args)
-    hub = HubClient(args.hub, p=config.p)
-    schema = hub.get_schema(args.table).schema
-    values = _parse_values(schema, args.values)
-    index = Dealer(hub, config).insert_row(schema, values)
+    [index] = _insert(args, lambda schema: [args.values])
     print(f"inserted row {index} into {args.table}")
     return 0
 
 
 def _cmd_load_csv(args) -> int:
-    config = _load_config(args)
-    hub = HubClient(args.hub, p=config.p)
-    schema = hub.get_schema(args.table).schema
-    with open(args.file, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{args.file}: empty file, expected a header row") from None
-        if header != list(schema.attr_names()):
-            raise ValueError(
-                f"{args.file}: header {header} does not match schema "
-                f"{list(schema.attr_names())}"
-            )
-        rows = [_parse_values(schema, row) for row in reader]
-    dealer = Dealer(hub, config)
-    for values in rows:
-        dealer.insert_row(schema, values)
-    print(f"loaded {len(rows)} rows into {args.table}")
+    def read_rows(schema: TableSchema) -> list[list[str]]:
+        with open(args.file, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ValueError(f"{args.file}: empty file, expected a header row") from None
+            if header != list(schema.attr_names()):
+                raise ValueError(
+                    f"{args.file}: header {header} does not match schema "
+                    f"{list(schema.attr_names())}"
+                )
+            return list(reader)
+
+    indices = _insert(args, read_rows)
+    print(f"loaded {len(indices)} rows into {args.table}")
     return 0
 
 

@@ -30,6 +30,7 @@ from . import protocol
 from .encoding import IDENT_PATTERN, AttrType, TableSchema, decode_cells, encode_value
 from .hub import ClusterConfig, ResultListener
 from .protocol import (
+    Ack,
     CreateTable,
     DeliverShares,
     FetchToClient,
@@ -224,13 +225,14 @@ class HubClient:
         self.p = p
         self._schemas: dict[str, TableSchema] = {}
 
-    def _call(self, msg, expect):
+    def get_schema(self, table: str) -> SchemaResult:
+        """The table's schema and stored row count, read through the hub."""
         try:
             # twice the hub's deadline for its server read, so that the
             # hub's error, which names the failed servers, comes first
             reply = protocol.request(
                 protocol.parse_addr(self.address),
-                msg,
+                GetSchema(req_id=protocol.new_req_id(), table=table),
                 p=self.p,
                 response_timeout=2 * protocol.RESPONSE_TIMEOUT,
             )
@@ -238,13 +240,9 @@ class HubClient:
             raise SsdbError(
                 protocol.THRESHOLD_UNAVAILABLE, f"hub {self.address} unreachable: {exc}"
             ) from exc
-        if not isinstance(reply, expect):
+        if not isinstance(reply, SchemaResult):
             raise SsdbError(protocol.INTERNAL, f"unexpected reply {reply.type} from hub")
         return reply
-
-    def get_schema(self, table: str) -> SchemaResult:
-        """The table's schema and stored row count, read through the hub."""
-        return self._call(GetSchema(req_id=protocol.new_req_id(), table=table), SchemaResult)
 
     def schema(self, table: str) -> TableSchema:
         """The table's schema, read through the hub only the first time."""
@@ -275,14 +273,16 @@ class Dealer:
         self._next_index: dict[str, int] = {}
 
     def _write_all(self, build) -> None:
-        """Send build(server) to every server; all n must acknowledge.
+        """Send build(server) to every server; all n must answer ACK.
 
         A server that fails does not stop the others, so a failed write
         leaves the row on whichever servers took it (there is no rollback
         message).
         """
         deadline = time.monotonic() + protocol.RESPONSE_TIMEOUT
-        ResultListener(self.config, build, self.config.n, deadline).wait()
+        for info, reply in ResultListener(self.config, build, self.config.n, deadline).wait():
+            if not isinstance(reply, Ack):
+                raise SsdbError(protocol.INTERNAL, f"server {info.server_id} replied {reply.type}")
 
     def create_table(self, schema: TableSchema) -> None:
         # no index-cache seeding: create is idempotent, the table may

@@ -197,26 +197,12 @@ class ResultListener:
         raise type(first)(first.code, detail) from first
 
 
-class Hub:
+class Hub(TcpService):
     """Single-process control plane; holds server addresses, never shares."""
 
     def __init__(self, config: ClusterConfig, listen: tuple[str, int] = ("127.0.0.1", 0)):
+        super().__init__(listen[0], listen[1], self.handle, p=config.p, name="hub")
         self.config = config
-        self._service = TcpService(listen[0], listen[1], self.handle, p=config.p, name="hub")
-
-    def start(self) -> None:
-        self._service.start()
-
-    def stop(self) -> None:
-        self._service.stop()
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._service.address
-
-    @property
-    def addr_str(self) -> str:
-        return self._service.addr_str
 
     def handle(self, msg):
         if isinstance(msg, GetSchema):

@@ -490,12 +490,6 @@ class FrameDecoder:
         return messages
 
 
-# --- sockets ---------------------------------------------------------------
-
-def send_message(sock: socket.socket, msg) -> None:
-    sock.sendall(encode_frame(msg))
-
-
 # --- kept-open connections --------------------------------------------------
 
 CONNECT_TIMEOUT = 2.0
@@ -782,14 +776,14 @@ class TcpService:
                 except ProtocolError as exc:
                     # Stream state is unknown after a malformed frame: report, then drop.
                     try:
-                        send_message(conn, Error(req_id="", code=exc.code, detail=exc.detail))
+                        conn.sendall(encode_frame(Error(code=exc.code, detail=exc.detail)))
                     except OSError:
                         pass
                     return
                 for msg in messages:
                     reply = self._dispatch(msg)
                     try:
-                        send_message(conn, reply)
+                        conn.sendall(encode_frame(reply))
                     except OSError:
                         return
         finally:

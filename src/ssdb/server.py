@@ -307,7 +307,7 @@ class ServerStore:
                 table.close()
 
 
-class ShareServer:
+class ShareServer(TcpService):
     """Networked share server; one per x-coordinate of the cluster."""
 
     def __init__(
@@ -319,22 +319,14 @@ class ShareServer:
         *,
         p: int = MERSENNE_61,
     ):
+        super().__init__(listen[0], listen[1], self.handle, p=p, name=server_id)
         self.server_id = server_id
         self.x_coord = x_coord
         self.store = ServerStore(data_dir, server_id, x_coord, p)
-        self._service = TcpService(listen[0], listen[1], self.handle, p=p, name=server_id)
 
     def start(self) -> None:
         self.store.load()
-        self._service.start()
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._service.address
-
-    @property
-    def addr_str(self) -> str:
-        return self._service.addr_str
+        super().start()
 
     def handle(self, msg):
         if isinstance(msg, CreateTable):
@@ -352,5 +344,5 @@ class ShareServer:
         raise SsdbError(protocol.INTERNAL, f"{msg.type} is not handled by a share server")
 
     def stop(self) -> None:
-        self._service.stop()
+        super().stop()
         self.store.close()

@@ -1,14 +1,21 @@
 """CLI behavior: exit codes, output formats, config discovery."""
 
 import json
+import os
+import signal
+import socket
 import subprocess
 import sys
+import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import ssdb
+from ssdb import protocol
 from ssdb.cli import ENV_CLUSTER, main
-from ssdb.hub import ClusterConfig
+from ssdb.hub import ClusterConfig, ServerInfo
 from ssdb.field import MERSENNE_61
 from ssdb.testnet import TestCluster
 
@@ -238,3 +245,84 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, timeout=30,
         )
         assert proc.returncode == 1
+
+
+def free_ports(count):
+    """Loopback ports the kernel just handed out, all released again."""
+    socks = [socket.create_server(("127.0.0.1", 0)) for _ in range(count)]
+    ports = [sock.getsockname()[1] for sock in socks]
+    for sock in socks:
+        sock.close()
+    return ports
+
+
+def wait_accepting(proc, addr, timeout=20.0):
+    deadline = time.monotonic() + timeout
+    while True:
+        assert proc.poll() is None, f"daemon for {addr} exited with {proc.returncode}"
+        try:
+            socket.create_connection(protocol.parse_addr(addr), timeout=1.0).close()
+            return
+        except OSError:
+            assert time.monotonic() < deadline, f"nothing listening on {addr}"
+            time.sleep(0.02)
+
+
+class TestDaemons:
+    def test_server_and_hub_serve_until_sigterm(self, tmp_path, capsys):
+        """3 `ssdb server` and 1 `ssdb hub` processes, driven through the CLI."""
+        hub_port, *server_ports = free_ports(4)
+        hub = f"127.0.0.1:{hub_port}"
+        servers = tuple(
+            ServerInfo(f"s{k}", k, f"127.0.0.1:{port}") for k, port in enumerate(server_ports, 1)
+        )
+        cfg = str(tmp_path / "cluster.json")
+        ClusterConfig(p=MERSENNE_61, n=3, t=2, servers=servers).save(cfg)
+        commands = {
+            info.address: ["server", "--cluster", cfg, "--id", info.server_id,
+                           "--data-dir", str(tmp_path / info.server_id)]
+            for info in servers
+        }
+        commands[hub] = ["hub", "--cluster", cfg, "--listen", hub]
+        src = str(Path(ssdb.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )}
+        procs = {}
+        try:
+            for addr, args in commands.items():
+                procs[addr] = subprocess.Popen(
+                    [sys.executable, "-m", "ssdb", *args], env=env, text=True,
+                    stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                )
+            for addr, proc in procs.items():
+                wait_accepting(proc, addr)
+
+            schema_file = tmp_path / "daemons.json"
+            schema_file.write_text(json.dumps({
+                "table": "daemons",
+                "attributes": [{"name": "k", "type": "INTEGER"},
+                               {"name": "v", "type": "TEXT"}],
+            }))
+            assert run(capsys, "create-table", "--cluster", cfg, str(schema_file))[0] == 0
+            code, stdout, _ = run(capsys, "insert", "--cluster", cfg, "--hub", hub,
+                                  "daemons", "7", "seven")
+            assert code == 0 and "inserted row 1 into daemons" in stdout
+            code, stdout, _ = run(capsys, "query", "--cluster", cfg, "--hub", hub,
+                                  "--format", "json", "SELECT * FROM daemons")
+            assert code == 0 and json.loads(stdout) == [{"k": 7, "v": "seven"}]
+            protocol.close_idle()
+
+            for addr, proc in procs.items():
+                proc.send_signal(signal.SIGTERM)
+                out, _ = proc.communicate(timeout=20)
+                assert proc.returncode == 0, out
+                assert f"listening on {addr}" in out
+                socket.create_server(protocol.parse_addr(addr)).close()  # the port is free
+        finally:
+            protocol.close_idle()
+            for proc in procs.values():
+                if proc.poll() is None:
+                    proc.kill()
+                proc.wait(timeout=10)
+                proc.stdout.close()

@@ -598,6 +598,22 @@ class TestResultListener:
         assert "s1" not in e.value.detail and "s3" not in e.value.detail
         assert [len(s.requests) for s in servers] == [1, 1, 1]
 
+    def test_write_answered_with_anything_but_ack_fails(self, stubs):
+        # s2 answers INSERT_SHARES with a well-formed frame that is not an ACK
+        def acks(msg):
+            return [Ack()]
+
+        def schema_result(msg):
+            return [SchemaResult(schema=SCHEMA2, rows=0)]
+
+        servers = stubs(acks, schema_result, acks)
+        hub = SimpleNamespace(get_schema=lambda table: SchemaResult(schema=SCHEMA2, rows=0))
+        with pytest.raises(SsdbError) as e:
+            Dealer(hub, stub_config(servers)).insert_row(SCHEMA2, (1, "a"))
+        assert e.value.code == protocol.INTERNAL
+        assert "s2" in e.value.detail and "SCHEMA_RESULT" in e.value.detail
+        assert [type(s.requests[0]) for s in servers] == [InsertShares] * 3
+
 
 @pytest.fixture(scope="module")
 def patients():
