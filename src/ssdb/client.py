@@ -10,6 +10,13 @@ Writes and fetches go through `hub.ResultListener`, the fan-out the
 hub's schema reads use too, and so follow one failure rule. The hub
 answers a client's first schema read per table.
 
+A `HubClient` keeps each condition column it has read, and later asks
+only for the rows after the ones it holds, with each server's digest of
+those (see `_condition_column`). Stored rows never change, so the kept
+rows are used only while every server that delivered them still holds
+the bytes it sent; otherwise the column is read whole again, as a fresh
+client would.
+
 A delivery is reconstructed and decoded a column at a time, not an
 element at a time: `_reconstruct_matrix` combines the packed share runs
 as big ints, in chunks of about 2,048 elements, and
@@ -22,9 +29,11 @@ from __future__ import annotations
 import logging
 import operator
 import re
+import threading
 import time
-from dataclasses import dataclass
-from typing import Optional, Union
+from collections import OrderedDict
+from dataclasses import dataclass, field
+from typing import Iterable, Optional, Union
 
 from . import protocol
 from .encoding import IDENT_PATTERN, AttrType, TableSchema, decode_cells, encode_value
@@ -36,6 +45,7 @@ from .protocol import (
     FetchToClient,
     GetSchema,
     InsertShares,
+    RowsDigest,
     SchemaResult,
     ShareRows,
     SsdbError,
@@ -174,7 +184,9 @@ def parse_query(text: str) -> Query:
 
 
 def evaluate_predicate(
-    decoded: list[tuple[int, Value]], predicate: Optional[Predicate], attr_type: Optional[AttrType]
+    decoded: Iterable[tuple[int, Value]],
+    predicate: Optional[Predicate],
+    attr_type: Optional[AttrType],
 ) -> list[int]:
     """Return the row indices (ascending) whose value satisfies the test.
 
@@ -211,6 +223,66 @@ class ResultSet:
 
 # --- hub access -------------------------------------------------------------
 
+# share bytes (one server's) of all the condition columns a HubClient keeps
+MAX_KEPT_BYTES = 4 * protocol.MAX_FRAME_BYTES
+
+
+@dataclass(frozen=True)
+class _Column:
+    """Rows 1..k of one condition column as read: decoded, and what each server sent.
+
+    `digests` maps each delivering server's x-coordinate to the running
+    hash of the bytes this client received from it; a digest a server
+    reports is never recorded. `nbytes` is one server's share bytes.
+    """
+
+    values: list = field(default_factory=list)
+    digests: dict[int, RowsDigest] = field(default_factory=dict)
+    nbytes: int = 0
+
+    def holds(self, delivered: dict[int, DeliverShares]) -> bool:
+        """The same servers delivered, and each reports the digest of what it sent."""
+        return delivered.keys() == self.digests.keys() and all(
+            reply.digest == self.digests[x].hexdigest() for x, reply in delivered.items()
+        )
+
+    def extended(self, delivered: dict[int, DeliverShares], values: list) -> _Column:
+        if not values:
+            return self
+        digests = {
+            x: self.digests.get(x, RowsDigest()).add(reply.rows.counts, reply.rows.packed)
+            for x, reply in delivered.items()
+        }
+        nbytes = self.nbytes + len(delivered[min(delivered)].rows.packed)
+        return _Column(self.values + values, digests, nbytes)
+
+
+class _KeptColumns:
+    """The condition columns a HubClient keeps, least recently used evicted first."""
+
+    def __init__(self):
+        self._columns: OrderedDict[tuple[str, str], _Column] = OrderedDict()
+        self._lock = threading.Lock()
+        self.nbytes = 0
+
+    def take(self, key: tuple[str, str]) -> Optional[_Column]:
+        """Remove and return the column kept under key, if any."""
+        with self._lock:
+            column = self._columns.pop(key, None)
+            if column is not None:
+                self.nbytes -= column.nbytes
+            return column
+
+    def keep(self, key: tuple[str, str], column: _Column) -> None:
+        if not column.values or column.nbytes > MAX_KEPT_BYTES:
+            return
+        with self._lock:
+            old = self._columns.pop(key, None)
+            self.nbytes += column.nbytes - (old.nbytes if old else 0)
+            self._columns[key] = column
+            while self.nbytes > MAX_KEPT_BYTES:
+                self.nbytes -= self._columns.popitem(last=False)[1].nbytes
+
 
 class HubClient:
     """Thin request/reply wrapper around one hub address.
@@ -218,12 +290,14 @@ class HubClient:
     Keeps each table's schema after its first successful read. A stored
     schema never changes: servers refuse another under the same name, and
     nothing drops or alters a table. `get_schema`'s row count is not kept.
+    `columns` keeps the condition columns its queries have read.
     """
 
     def __init__(self, address: str, *, p: int):
         self.address = address
         self.p = p
         self._schemas: dict[str, TableSchema] = {}
+        self.columns = _KeptColumns()
 
     def get_schema(self, table: str) -> SchemaResult:
         """The table's schema and stored row count, read through the hub."""
@@ -423,38 +497,59 @@ def execute_query(
         if not schema.has_attr(name):
             raise SsdbError(protocol.NO_SUCH_ATTR, f"{query.table!r} has no attribute {name!r}")
 
-    # (a)+(b): t servers deliver every row of the condition column,
-    # reconstructed locally; row k is at cond[k - 1]
-    [cond] = _fetch(config, schema, FetchToClient(table=query.table, attrs=[cond_attr]), deadline)
+    # (a)+(b): t servers deliver the condition column, reconstructed
+    # locally; row k is at cond[k - 1]
+    cond = _condition_column(hub, config, schema, cond_attr, deadline)
 
     # (c): plaintext predicate evaluation
-    matched = evaluate_predicate(list(enumerate(cond, 1)), predicate, schema.attr_type(cond_attr))
+    matched = evaluate_predicate(enumerate(cond, 1), predicate, schema.attr_type(cond_attr))
 
     # (d)+(e): every other selected attribute at the matched rows, in one fetch
     columns = {cond_attr: [cond[i - 1] for i in matched]} if cond_attr in select_attrs else {}
     others = [a for a in dict.fromkeys(select_attrs) if a != cond_attr]
     if others:
         msg = FetchToClient(table=query.table, attrs=others, indices=matched)
-        columns.update(zip(others, _fetch(config, schema, msg, deadline)))
+        delivered = _deliveries(config, msg, deadline)
+        columns.update(zip(others, _decode(config, schema, msg, delivered)))
 
     rows = list(map(list, zip(*[columns[a] for a in select_attrs])))
     return ResultSet(columns=select_attrs, indices=matched, rows=rows)
 
 
-def _fetch(
-    config: ClusterConfig, schema: TableSchema, msg: FetchToClient, deadline: float
-) -> list[list[Value]]:
-    """Send `msg` to t servers and reconstruct each attribute it names.
+def _condition_column(
+    hub: HubClient, config: ClusterConfig, schema: TableSchema, attr: str, deadline: float
+) -> list[Value]:
+    """Every row of `attr`, fetching only the rows after those `hub` keeps, if it can.
 
-    Returns one list per attribute of `msg.attrs`, in that order, of its
-    values at the requested rows, in request order (rows 1..n for an
-    every-row fetch).
-
-    Every delivery must come from the server's own x-coordinate and hold
-    exactly the requested rows, in order, with the same element count
-    per cell; an every-row fetch (indices None) must hold rows 1..n.
+    With k rows kept, the fetch names `after` = k. The kept rows are used
+    only if the same servers reply and each one's digest of its rows
+    1..k equals the hash of what it sent this client. Rows never change
+    in place, so then a full read would give them again. Otherwise the
+    column is read whole, under the same deadline, as a fresh client
+    would. The new rows pass `_decode`'s checks either way.
     """
-    delivered: dict[int, ShareRows] = {}
+    key = (schema.table_name, attr)
+    kept = hub.columns.take(key) or _Column()  # kept again only once it has passed
+    msg = FetchToClient(table=key[0], attrs=[attr], after=len(kept.values) or None)
+    delivered = _deliveries(config, msg, deadline)
+    if kept.values and not kept.holds(delivered):
+        kept, msg = _Column(), FetchToClient(table=key[0], attrs=[attr])
+        delivered = _deliveries(config, msg, deadline)
+    [values] = _decode(config, schema, msg, delivered)
+    kept = kept.extended(delivered, values)
+    hub.columns.keep(key, kept)
+    return kept.values
+
+
+def _deliveries(
+    config: ClusterConfig, msg: FetchToClient, deadline: float
+) -> dict[int, DeliverShares]:
+    """t servers' replies to `msg`, by x-coordinate.
+
+    Each must come from the server's own x-coordinate and name the
+    requested attributes.
+    """
+    delivered: dict[int, DeliverShares] = {}
     for info, reply in ResultListener(config, lambda info: msg, config.t, deadline).wait():
         if not isinstance(reply, DeliverShares):
             raise SsdbError(protocol.INTERNAL, f"unexpected reply {reply.type}")
@@ -464,15 +559,34 @@ def _fetch(
                 f"server {info.server_id} (x={info.x_coord}) delivered {reply.attrs} "
                 f"as x={reply.server_x}, asked for {msg.attrs}",
             )
-        delivered[info.x_coord] = reply.rows
+        delivered[info.x_coord] = reply
+    return delivered
 
-    first = delivered[min(delivered)]
+
+def _decode(
+    config: ClusterConfig,
+    schema: TableSchema,
+    msg: FetchToClient,
+    delivered: dict[int, DeliverShares],
+) -> list[list[Value]]:
+    """Reconstruct and decode each attribute of `msg` from its deliveries.
+
+    Returns one list per attribute of `msg.attrs`, in that order, of its
+    values at the requested rows, in request order (rows after+1..n for
+    an every-row fetch).
+
+    Every delivery must hold exactly the requested rows, in order, with
+    the same element count per cell; an every-row fetch (indices None)
+    must hold rows after+1..n, n the same on every server.
+    """
+    first = delivered[min(delivered)].rows
     matched = msg.indices
     if matched is None:
-        matched = list(range(1, len(first.indices) + 1))
+        after = msg.after or 0
+        matched = list(range(after + 1, after + len(first.indices) + 1))
     expected = tuple(matched)
     for x in sorted(delivered):
-        rows = delivered[x]
+        rows = delivered[x].rows
         if rows.indices != expected:
             raise SsdbError(
                 protocol.DATA_CORRUPTION,
@@ -483,7 +597,7 @@ def _fetch(
                 protocol.DATA_CORRUPTION,
                 f"{msg.table!r} {msg.attrs}: share vectors disagree on element count",
             )
-    tagged = [(x, delivered[x].packed) for x in sorted(delivered)]
+    tagged = [(x, delivered[x].rows.packed) for x in sorted(delivered)]
     plain = _reconstruct_matrix(config.p, tagged, msg.table, msg.attrs)
     # attribute by attribute: each one's counts, and its elements, are one run
     rows, w = len(matched), protocol.share_width(config.p)

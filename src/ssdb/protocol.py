@@ -20,6 +20,11 @@ test and one range test. The range test builds no int per share: it
 compares every share's top byte with p's at once, and takes a Python
 step only for a share whose top byte equals p's (see `read_body`).
 
+A fetch of every row may name `after` = k, the rows its client already
+holds: the server then sends only the later rows, and a sha256 `digest`
+of its stored rows 1..k (`RowsDigest`), by which the client tells that
+those rows are still what it read.
+
 Each message type is a dataclass that declares its payload fields once,
 each with a `Kind`: the field's JSON type, encoding, checks and error
 code, or, for a body, its shape. One generic encode_message/decode_message
@@ -36,6 +41,7 @@ closes the idle ones.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import logging
 import secrets
@@ -184,6 +190,30 @@ def read_body(body, rows: int, cells: int, p: int) -> ShareRows:
     return ShareRows(indices, counts, packed)
 
 
+class RowsDigest:
+    """Running sha256 of one attribute's cells, from row 1 on, as a server stores them.
+
+    The element counts (4-byte big-endian) and the shares are two
+    separate running hashes, so the digest of rows 1..k does not depend
+    on how many deliveries brought them. `add` returns a new digest and
+    leaves this one as it was.
+    """
+
+    def __init__(self, counts=None, shares=None):
+        self._counts = hashlib.sha256() if counts is None else counts
+        self._shares = hashlib.sha256() if shares is None else shares
+
+    def add(self, counts: Sequence[int], packed: bytes) -> RowsDigest:
+        grown = RowsDigest(self._counts.copy(), self._shares.copy())
+        grown._counts.update(struct.pack(f">{len(counts)}I", *counts))
+        grown._shares.update(packed)
+        return grown
+
+    def hexdigest(self) -> str:
+        """sha256 of the two running hashes' digests, counts first, in hex."""
+        return hashlib.sha256(self._counts.digest() + self._shares.digest()).hexdigest()
+
+
 # --- field kinds -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -221,6 +251,12 @@ def _indices_in(values: list) -> list[int]:
     return list(values)
 
 
+def _digest_in(value: str) -> str:
+    if len(value) != 64 or value.strip("0123456789abcdef"):
+        raise ProtocolError(VALUE_RANGE, "a digest is 64 lowercase hex digits")
+    return value
+
+
 def _names_in(values: list) -> list[str]:
     if not all(isinstance(v, str) for v in values):
         raise ProtocolError(INTERNAL, "attribute names must be strings")
@@ -239,6 +275,8 @@ COUNT = Kind(int, empty=int, load=_at_least(0))
 POSITIVE = Kind(int, empty=int, load=_at_least(1))
 NAMES = Kind(list, empty=list, load=_names_in)
 INDICES = Kind(list, empty=lambda: None, load=_indices_in, nullable=True)
+AFTER = Kind(int, empty=lambda: None, load=_at_least(0), nullable=True)
+DIGEST = Kind(str, empty=lambda: None, load=_digest_in, nullable=True)
 SCHEMA = Kind(
     dict,
     empty=lambda: None,
@@ -368,7 +406,8 @@ class FetchToClient:
 
     The server replies on the same connection with DELIVER_SHARES.
     Indices that are null (or absent on the wire) ask for every stored
-    row.
+    row. `after` = k, allowed only then and for one attribute, asks for
+    the rows after row k and, if k >= 1, the `RowsDigest` of rows 1..k.
     """
 
     type: ClassVar[str] = "FETCH_TO_CLIENT"
@@ -376,6 +415,11 @@ class FetchToClient:
     table: str = _wire(STR)
     attrs: list[str] = _wire(NAMES)
     indices: Optional[list[int]] = _wire(INDICES)
+    after: Optional[int] = _wire(AFTER)
+
+    def __post_init__(self):
+        if self.after is not None and (self.indices is not None or len(self.attrs) != 1):
+            raise ProtocolError(VALUE_RANGE, "after needs null indices and one attribute")
 
 
 @_register
@@ -384,6 +428,9 @@ class DeliverShares:
     """A server's reply to FETCH_TO_CLIENT: its shares of the requested cells.
 
     `attrs` names the body's attributes, in body order (see `ShareRows`).
+    `digest` answers a fetch's `after` >= 1: the `RowsDigest` hex of the
+    server's stored rows 1..after. It is null otherwise, and when the
+    server holds fewer rows, in which case it delivers none.
     """
 
     type: ClassVar[str] = "DELIVER_SHARES"
@@ -391,6 +438,7 @@ class DeliverShares:
     server_x: int = _wire(POSITIVE)
     attrs: list[str] = _wire(NAMES)
     rows: ShareRows = _wire(ROWS)
+    digest: Optional[str] = _wire(DIGEST)
 
 
 # --- frame codec -----------------------------------------------------------
@@ -730,9 +778,13 @@ class TcpService:
 
     def start(self) -> None:
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self._host, self._port))
-        sock.listen(64)
+        try:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock.bind((self._host, self._port))
+            sock.listen(64)
+        except BaseException:
+            sock.close()
+            raise
         self._sock = sock
         with self._lock:
             self._stopping = False

@@ -30,6 +30,7 @@ from .protocol import (
     FetchToClient,
     GetSchema,
     InsertShares,
+    RowsDigest,
     SchemaResult,
     ShareRows,
     SsdbError,
@@ -270,9 +271,9 @@ class ServerStore:
             table.add_row(row, self._width)
 
     def rows_for(
-        self, table_name: str, attrs: list[str], indices: Optional[list[int]]
+        self, table_name: str, attrs: list[str], indices: Optional[list[int]], after: int = 0
     ) -> ShareRows:
-        """This server's shares of `attrs` at the given rows; None means every row.
+        """This server's shares of `attrs` at the given rows; None means every row after `after`.
 
         The stored cells are joined attribute by attribute, in `attrs`
         order, each attribute's cells in row order: no share is unpacked.
@@ -287,13 +288,25 @@ class ServerStore:
             columns = [table.columns[attr] for attr in attrs]
             rows = table.row_count
             if indices is None:
-                indices = range(1, rows + 1)
+                indices = range(after + 1, rows + 1)
             elif indices and not (min(indices) >= 1 and max(indices) <= rows):
                 bad = next(i for i in indices if not 1 <= i <= rows)
                 raise SsdbError(protocol.VALUE_RANGE, f"no row with index {bad}")
             picked = [cells[i - 1] for cells in columns for i in indices]
             w = self._width
             return ShareRows(tuple(indices), tuple(len(c) // w for c in picked), b"".join(picked))
+
+    def digest(self, table_name: str, attr: str, rows: int) -> Optional[str]:
+        """The `RowsDigest` hex of stored rows 1..rows of `attr`; None if there are fewer.
+
+        Made from the stored cells on every call, never kept.
+        """
+        with self._lock:
+            cells = self._table(table_name).columns[attr][:rows]
+        if len(cells) < rows:
+            return None
+        w = self._width
+        return RowsDigest().add([len(c) // w for c in cells], b"".join(cells)).hexdigest()
 
     def schema(self, table_name: str) -> tuple[TableSchema, int]:
         """The table's schema and its stored row count."""
@@ -325,8 +338,12 @@ class ShareServer(TcpService):
         self.store = ServerStore(data_dir, server_id, x_coord, p)
 
     def start(self) -> None:
-        self.store.load()
-        super().start()
+        try:
+            self.store.load()
+            super().start()
+        except BaseException:
+            self.store.close()  # a half-loaded store too
+            raise
 
     def handle(self, msg):
         if isinstance(msg, CreateTable):
@@ -339,8 +356,10 @@ class ShareServer(TcpService):
             schema, rows = self.store.schema(msg.table)
             return SchemaResult(schema=schema, rows=rows)
         if isinstance(msg, FetchToClient):
-            rows = self.store.rows_for(msg.table, msg.attrs, msg.indices)
-            return DeliverShares(server_x=self.x_coord, attrs=msg.attrs, rows=rows)
+            rows = self.store.rows_for(msg.table, msg.attrs, msg.indices, msg.after or 0)
+            # rows_for has checked the attribute
+            digest = self.store.digest(msg.table, msg.attrs[0], msg.after) if msg.after else None
+            return DeliverShares(server_x=self.x_coord, attrs=msg.attrs, rows=rows, digest=digest)
         raise SsdbError(protocol.INTERNAL, f"{msg.type} is not handled by a share server")
 
     def stop(self) -> None:

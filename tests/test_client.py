@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ssdb import field, protocol
+from ssdb import client, field, protocol
 from ssdb.client import (
     Dealer,
     HubClient,
@@ -1030,6 +1030,233 @@ def test_round_trip_at_wider_share_widths(p):
         assert cluster.query("SELECT k FROM wide WHERE v >= 'sevenby'").rows == [
             [p - 1], [6], [7],
         ]
+
+
+NOTES = TableSchema("notes", (Attribute("k", AttrType.INTEGER), Attribute("v", AttrType.TEXT)))
+NOTE_QUERIES = (
+    "SELECT k, v FROM notes WHERE v = 'Ann'",
+    "SELECT * FROM notes WHERE k < 5",
+    "SELECT v FROM notes",
+    "SELECT k FROM notes WHERE v >= 'a'",
+)
+
+
+def answer(hub_client, cluster, text):
+    """A query's (columns, indices, rows), or the code of its error."""
+    try:
+        rs = execute_query(text, hub_client, cluster.config)
+    except SsdbError as exc:
+        return exc.code
+    return rs.columns, rs.indices, rs.rows
+
+
+def fresh(cluster):
+    return HubClient(cluster.hub.addr_str, p=P)
+
+
+def stored(cluster, sid, attr):
+    """Server sid's cells of `attr` in notes, in its memory."""
+    return cluster.handles[sid].server.store.tables["notes"].columns[attr]
+
+
+def flip(cell: bytes) -> bytes:
+    """The cell with the low bit of its last share flipped."""
+    return cell[:-1] + bytes([cell[-1] ^ 1])
+
+
+@pytest.fixture
+def delivered_share_bytes(monkeypatch):
+    """Share bytes of every DELIVER_SHARES the client reads, in order."""
+    seen = []
+    wait = ResultListener.wait
+
+    def spy(self):
+        replies = wait(self)
+        seen.extend(len(r.rows.packed) for _, r in replies if isinstance(r, DeliverShares))
+        return replies
+
+    monkeypatch.setattr(ResultListener, "wait", spy)
+    return seen
+
+
+class TestKeptColumns:
+    """A HubClient keeps condition columns; later queries fetch only new rows."""
+
+    @pytest.fixture
+    def cluster(self):
+        with TestCluster.start(3, 2, seed=43) as cluster:
+            cluster.create_table(NOTES)
+            for row in ((1, "Ann"), (2, "Bo"), (3, "Ann")):
+                cluster.insert_row(NOTES, row)
+            yield cluster
+
+    def test_warm_query_receives_no_share_of_kept_rows(self, cluster, delivered_share_bytes):
+        text = "SELECT v FROM notes WHERE v = 'Ann'"
+        warm = fresh(cluster)
+        assert execute_query(text, warm, cluster.config).rows == [["Ann"], ["Ann"]]
+        cold = list(delivered_share_bytes)
+        assert len(cold) == 2 and min(cold) > 0  # t = 2 servers sent the whole column
+        del delivered_share_bytes[:]
+        assert execute_query(text, warm, cluster.config).rows == [["Ann"], ["Ann"]]
+        assert delivered_share_bytes == [0, 0]
+        assert warm.columns.nbytes == cold[0]
+
+    def test_second_dealers_row_between_warm_queries_is_returned(self, cluster):
+        text = "SELECT k FROM notes WHERE v = 'Ann'"
+        warm = fresh(cluster)
+        assert execute_query(text, warm, cluster.config).rows == [[1], [3]]
+        other = Dealer(fresh(cluster), cluster.config, rng=random.Random(1))
+        assert other.insert_row(NOTES, (4, "Ann")) == 4
+        assert execute_query(text, warm, cluster.config).rows == [[1], [3], [4]]
+        assert execute_query(text, warm, cluster.config).rows == [[1], [3], [4]]
+
+    def test_tampered_new_row_gives_its_error(self, cluster):
+        text = "SELECT k FROM notes WHERE v = 'Ann'"
+        warm = fresh(cluster)
+        assert execute_query(text, warm, cluster.config).rows == [[1], [3]]
+        cluster.insert_row(NOTES, (4, "Ann"))
+        cells = stored(cluster, "s1", "v")
+        cells[3] += cells[3][-8:]  # one element more than s2's cell of row 4
+        for hub_client in (warm, fresh(cluster)):
+            with pytest.raises(SsdbError) as e:
+                execute_query(text, hub_client, cluster.config)
+            assert e.value.code == protocol.DATA_CORRUPTION
+            assert "disagree on element count" in e.value.detail
+
+    def test_changed_kept_row_is_read_again(self, cluster, delivered_share_bytes):
+        text = "SELECT k FROM notes WHERE v = 'Ann'"
+        warm = fresh(cluster)
+        execute_query(text, warm, cluster.config)
+        cells = stored(cluster, "s2", "v")
+        cells[0] = flip(cells[0])  # row 1 now reconstructs to 'Anm' or 'Ano'
+        del delivered_share_bytes[:]
+        assert answer(warm, cluster, text) == answer(fresh(cluster), cluster, text) == (
+            ["k"], [3], [[3]]
+        )
+        # the warm fetch, then the whole column (3 one-element cells) again
+        assert delivered_share_bytes[:4] == [0, 0, 24, 24]
+
+    def test_other_servers_mean_a_full_read(self, cluster, fetches):
+        text = "SELECT k FROM notes WHERE v = 'Ann'"
+        warm = fresh(cluster)
+        execute_query(text, warm, cluster.config)
+        cluster.kill_server("s1")
+        del fetches[:]
+        assert execute_query(text, warm, cluster.config).rows == [[1], [3]]
+        # s2 and s3 answered: the kept rows came from s1 and s2, so the
+        # column is read again whole
+        assert fetches == [(["v"], None), (["v"], None), (["k"], [1, 3])]
+
+    def test_least_recently_used_column_is_evicted(self, cluster, monkeypatch):
+        warm = fresh(cluster)
+        execute_query("SELECT k FROM notes", warm, cluster.config)
+        size = warm.columns.nbytes  # 3 one-element cells; so is each column here
+        monkeypatch.setattr(client, "MAX_KEPT_BYTES", 2 * size + 8)  # room for two
+        execute_query("SELECT v FROM notes", warm, cluster.config)
+        execute_query("SELECT k FROM notes", warm, cluster.config)  # k is used last
+        more = TableSchema("more", NOTES.attributes)
+        cluster.create_table(more)
+        for row in ((1, "a"), (2, "b"), (3, "c")):
+            cluster.insert_row(more, row)
+        execute_query("SELECT k FROM more", warm, cluster.config)
+        assert warm.columns.nbytes == 2 * size
+        assert warm.columns.take(("notes", "v")) is None
+        assert warm.columns.take(("notes", "k")).values == [1, 2, 3]
+        assert warm.columns.take(("more", "k")).values == [1, 2, 3]
+        assert warm.columns.nbytes == 0
+        # a column past the bound on its own is not kept at all
+        monkeypatch.setattr(client, "MAX_KEPT_BYTES", size - 1)
+        execute_query("SELECT k FROM notes", warm, cluster.config)
+        assert warm.columns.nbytes == 0
+
+
+def test_threads_sharing_a_hub_client_keep_its_byte_count():
+    """Queries from 6 threads through one HubClient; a row is inserted between rounds.
+
+    Rows are inserted while no query runs: a read that overlaps a write
+    can meet the row on one server and not yet on the other.
+    """
+    with TestCluster.start(3, 2, seed=53) as cluster:
+        cluster.create_table(NOTES)
+        cluster.insert_row(NOTES, (0, "Ann"))
+        warm = fresh(cluster)
+        rounds = threading.Barrier(7, timeout=30)
+        results, failures = [], []
+
+        def query(k):
+            try:
+                for _ in range(5):
+                    rounds.wait()
+                    for text in NOTE_QUERIES[k % 2 :: 2]:
+                        results.append((text, execute_query(text, warm, cluster.config)))
+                    rounds.wait()
+            except Exception as exc:  # noqa: BLE001 - reported by the main thread
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=query, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for k in range(1, 6):
+                rounds.wait()
+                rounds.wait()
+                cluster.insert_row(NOTES, (k, "Ann"))
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == [] and len(results) == 6 * 5 * 2
+        kept = warm.columns._columns.values()
+        assert warm.columns.nbytes == sum(column.nbytes for column in kept) > 0
+        # rows only ever come after the others: each answer is a prefix of the last
+        final = {text: execute_query(text, fresh(cluster), cluster.config) for text in NOTE_QUERIES}
+        for text, rs in results:
+            n = len(rs.indices)
+            assert (rs.indices, rs.rows) == (final[text].indices[:n], final[text].rows[:n])
+
+
+@given(st.lists(st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, 1), st.integers(0, 9),
+              st.sampled_from(["", "a", "Ann", "Bo", "a longer note, é"])),
+    st.tuples(st.just("toggle"), st.sampled_from(["s1", "s2", "s3"])),
+    st.tuples(st.just("tamper"), st.sampled_from(["s1", "s2", "s3"]),
+              st.sampled_from(["k", "v"]), st.integers(0, 30)),
+    st.tuples(st.just("query"), st.sampled_from(NOTE_QUERIES)),
+), max_size=14))
+@settings(max_examples=100, deadline=None)
+def test_warm_client_answers_like_a_fresh_one(steps):
+    with TestCluster.start(3, 2, seed=47) as cluster:
+        cluster.create_table(NOTES)
+        dealers = [Dealer(fresh(cluster), cluster.config, rng=random.Random(d)) for d in (0, 1)]
+        dealers[0].insert_row(NOTES, (0, "Ann"))
+        warm = fresh(cluster)
+        for step in [*steps, ("query", NOTE_QUERIES[0])]:
+            kind, *args = step
+            if kind == "insert":
+                dealer, k, v = args
+                for _ in range(2):  # once more if the other dealer has moved the index on
+                    try:
+                        dealers[dealer].insert_row(NOTES, (k, v))
+                    except SsdbError as exc:
+                        if exc.code == protocol.SCHEMA_MISMATCH:
+                            continue
+                    break
+            elif kind == "toggle":
+                down = set(cluster.handles) - set(cluster.live_server_ids())
+                if args[0] in down:
+                    cluster.revive_server(args[0])
+                elif not down:
+                    cluster.kill_server(args[0])
+            elif kind == "tamper":
+                sid, attr, row = args
+                if sid in cluster.live_server_ids():
+                    cells = stored(cluster, sid, attr)
+                    cells[row % len(cells)] = flip(cells[row % len(cells)])
+            else:
+                assert answer(warm, cluster, args[0]) == answer(fresh(cluster), cluster, args[0])
 
 
 def test_hot_path_never_tests_primality(monkeypatch):

@@ -29,6 +29,7 @@ from ssdb.protocol import (
     InsertShares,
     ProtocolError,
     RemoteError,
+    RowsDigest,
     SchemaResult,
     ShareRows,
     SsdbError,
@@ -79,8 +80,9 @@ def u64(*values):
 # share-bearing frames (r4, r12) were re-pinned when shares moved from
 # decimal JSON strings to a binary body after the JSON header. The fetch
 # frames (r11, r11b, r12) were re-pinned when a fetch became one request
-# and its reply, dropping the fields that only routed server pushes, and
-# again when one fetch came to name several attributes (`attrs`).
+# and its reply, dropping the fields that only routed server pushes,
+# again when one fetch came to name several attributes (`attrs`), and
+# again when a fetch gained `after` and its reply `digest`.
 GOLDEN_FRAMES = [
     b'\x00\x00\x00\x1c{"type":"ACK","req_id":"r1"}',
     b'\x00\x00\x00R{"type":"ERROR","req_id":"r2","code":"NO_SUCH_TABLE",'
@@ -93,12 +95,12 @@ GOLDEN_FRAMES = [
     b'\x00\x00\x00\xaf{"type":"SCHEMA_RESULT","req_id":"r10","schema":{"table":"patient_details",'
     b'"attributes":[{"name":"Patientid","type":"INTEGER"},{"name":"Patientname","type":"TEXT"}]},'
     b'"rows":4}',
-    b'\x00\x00\x00W{"type":"FETCH_TO_CLIENT","req_id":"r11","table":"t","attrs":["a","b"],'
-    b'"indices":[1,4]}',
-    b'\x00\x00\x00S{"type":"FETCH_TO_CLIENT","req_id":"r11b","table":"t","attrs":["a"],'
-    b'"indices":null}',
-    b'\x00\x00\x00u{"type":"DELIVER_SHARES","req_id":"r12","server_x":2,"attrs":["a"],'
-    b'"rows":2}\n'
+    b'\x00\x00\x00d{"type":"FETCH_TO_CLIENT","req_id":"r11","table":"t","attrs":["a","b"],'
+    b'"indices":[1,4],"after":null}',
+    b'\x00\x00\x00`{"type":"FETCH_TO_CLIENT","req_id":"r11b","table":"t","attrs":["a"],'
+    b'"indices":null,"after":null}',
+    b'\x00\x00\x00\x83{"type":"DELIVER_SHARES","req_id":"r12","server_x":2,"attrs":["a"],'
+    b'"rows":2,"digest":null}\n'
     + u32(1, 4) + u32(1, 2) + u64(7, 8, 9),
 ]
 
@@ -127,10 +129,16 @@ FIELD_CASES = {
     ("FETCH_TO_CLIENT", "table"): (7, INTERNAL),
     ("FETCH_TO_CLIENT", "attrs"): (["a", 7], INTERNAL),
     ("FETCH_TO_CLIENT", "indices"): ("1,4", INTERNAL),  # missing means every row
+    ("FETCH_TO_CLIENT", "after"): ("3", INTERNAL),  # missing means from row 1
     ("DELIVER_SHARES", "req_id"): (7, INTERNAL),
     ("DELIVER_SHARES", "server_x"): (True, INTERNAL),
     ("DELIVER_SHARES", "attrs"): ("a", INTERNAL),
     ("DELIVER_SHARES", "rows"): ("2", INTERNAL),  # the header's row count
+    ("DELIVER_SHARES", "digest"): (7, INTERNAL),  # missing means none
+}
+# fields that decode to None when missing
+OPTIONAL = {
+    ("FETCH_TO_CLIENT", "indices"), ("FETCH_TO_CLIENT", "after"), ("DELIVER_SHARES", "digest"),
 }
 
 # Fields of the INSERT_SHARES body rather than of the header: the bytes
@@ -150,9 +158,12 @@ OUT_OF_RANGE = [
     ("INSERT_SHARES", "cells", u32(1) + u32(2, 1) + u64(5, P, 0)),
     ("SCHEMA_RESULT", "rows", -1),
     ("FETCH_TO_CLIENT", "indices", [0]),
+    ("FETCH_TO_CLIENT", "after", -1),
     ("DELIVER_SHARES", "server_x", 0),
     ("DELIVER_SHARES", "rows", u32(0, 4) + u32(1, 2) + u64(7, 8, 9)),
     ("DELIVER_SHARES", "rows", u32(1, 4) + u32(1, 2) + u64(7, P, 9)),
+    ("DELIVER_SHARES", "digest", "ab" * 31),
+    ("DELIVER_SHARES", "digest", "AB" * 32),
 ]
 
 
@@ -344,8 +355,8 @@ class TestMessageCodec:
         else:
             del obj[name]
             code = FIELD_CASES[msg_type, name][1]
-        if (msg_type, name) == ("FETCH_TO_CLIENT", "indices"):
-            assert decode_message(obj, P).indices is None
+        if (msg_type, name) in OPTIONAL:
+            assert getattr(decode_message(obj, P, body), name) is None
             return
         with pytest.raises(ProtocolError) as e:
             decode_message(obj, P, body)
@@ -455,6 +466,45 @@ class TestMessageCodec:
         # null or absent: every row
         assert decode_message({**base, "indices": None}, P).indices is None
         assert decode_message(base, P).indices is None
+
+    def test_after_and_digest_travel_in_the_header(self):
+        fetch = FetchToClient(req_id="r", table="t", attrs=["a"], after=3)
+        frame = encode_frame(fetch)
+        assert frame[4:] == (
+            b'{"type":"FETCH_TO_CLIENT","req_id":"r","table":"t","attrs":["a"],'
+            b'"indices":null,"after":3}'
+        )
+        assert decode_frame(frame, P) == (fetch, len(frame))
+        digest = RowsDigest().add([1], u64(7)).hexdigest()
+        reply = DeliverShares(req_id="r", server_x=2, attrs=["a"], digest=digest)
+        header, body = encode_message(reply)
+        assert header["digest"] == digest and len(digest) == 64
+        assert decode_frame(encode_frame(reply), P)[0] == reply
+
+    @pytest.mark.parametrize("fields", [
+        {"attrs": ["a"], "indices": [1], "after": 0},
+        {"attrs": ["a", "b"], "after": 2},
+        {"attrs": [], "after": 2},
+    ], ids=["with-indices", "two-attrs", "no-attr"])
+    def test_after_needs_null_indices_and_one_attribute(self, fields):
+        obj = {"type": "FETCH_TO_CLIENT", "req_id": "r", "table": "t", **fields}
+        with pytest.raises(ProtocolError) as e:
+            decode_message(obj, P)
+        assert e.value.code == VALUE_RANGE
+        with pytest.raises(ProtocolError):
+            FetchToClient(table="t", **fields)
+
+    def test_rows_digest_does_not_depend_on_how_rows_arrived(self):
+        counts, shares = [1, 2, 1], u64(7, 8, 9, 10)
+        whole = RowsDigest().add(counts, shares)
+        split = RowsDigest().add(counts[:1], shares[:8]).add(counts[1:], shares[8:])
+        assert whole.hexdigest() == split.hexdigest()
+        # add leaves the digest it grows from as it was
+        empty = RowsDigest()
+        empty.add(counts, shares)
+        assert empty.hexdigest() == RowsDigest().hexdigest() != whole.hexdigest()
+        # counts and shares are hashed apart: moving a count changes the digest
+        assert RowsDigest().add([2, 1, 1], shares).hexdigest() != whole.hexdigest()
 
     def test_bool_rejected_where_int_expected(self):
         obj, body = valid_payload("DELIVER_SHARES")

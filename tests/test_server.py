@@ -1,6 +1,9 @@
 """Share server storage, durability, and its TCP dispatch."""
 
+import gc
 import json
+import socket
+import warnings
 import zlib
 
 import pytest
@@ -15,6 +18,7 @@ from ssdb.protocol import (
     GetSchema,
     InsertShares,
     RemoteError,
+    RowsDigest,
     SchemaResult,
     ShareRows,
     SsdbError,
@@ -227,6 +231,25 @@ class TestServerStore:
             assert e.value.code == protocol.VALUE_RANGE
         every = store.rows_for("patients", ["pid"], None)
         assert pairs(every) == [(1, [101]), (2, [102]), (3, [103])]
+
+    def test_rows_after_and_their_digest(self, make_store):
+        store = make_store()
+        store.create_table(SCHEMA)
+        for k in range(1, 4):
+            append(store, k)
+        assert pairs(store.rows_for("patients", ["name"], None, 2)) == [(3, [1, 68])]
+        for after in (3, 5):  # no later row, or fewer rows than asked past
+            assert store.rows_for("patients", ["name"], None, after) == ShareRows()
+        # the digest of rows 1..2 is the hash of what a read of them delivers
+        first = store.rows_for("patients", ["name"], [1, 2])
+        digest = RowsDigest().add(first.counts, first.packed).hexdigest()
+        assert store.digest("patients", "name", 2) == digest
+        assert store.digest("patients", "name", 3) != digest
+        assert store.digest("patients", "name", 4) is None
+        # made from the stored cells on every call: a changed share shows at once
+        cells = store.tables["patients"].columns["name"]
+        cells[1] = cells[1][:-1] + bytes([cells[1][-1] ^ 1])
+        assert store.digest("patients", "name", 2) != digest
 
     def test_torn_trailing_record_is_truncated(self, tmp_path, make_store):
         store = make_store()
@@ -537,6 +560,26 @@ class TestShareServerTcp:
             assert fetch(server, "pid", []).rows == ShareRows()
             assert fetch(server, "pid", None).rows == ShareRows()  # every row of an empty table
 
+    def test_fetch_after_delivers_later_rows_and_a_digest(self, tmp_path):
+        with LiveServer(tmp_path) as server:
+            ask(server, CreateTable(req_id="c", schema=SCHEMA))
+            for k in range(1, 4):
+                ask(server, insert(f"i{k}", k))
+            whole = fetch(server, "pid", None)
+            assert whole.digest is None
+            msg = FetchToClient(req_id="a", table="patients", attrs=["pid"], after=1)
+            reply = ask(server, msg)
+            assert pairs(reply.rows) == [(2, [102]), (3, [103])]
+            assert reply.digest == RowsDigest().add([1], whole.rows.packed[:8]).hexdigest()
+            msg = FetchToClient(req_id="b", table="patients", attrs=["pid"], after=0)
+            assert ask(server, msg) == DeliverShares(
+                req_id="b", server_x=1, attrs=["pid"], rows=whole.rows
+            )
+            # a server holding fewer rows than `after` sends none, and no digest
+            msg = FetchToClient(req_id="c", table="patients", attrs=["pid"], after=4)
+            reply = ask(server, msg)
+            assert reply.rows == ShareRows() and reply.digest is None
+
     def test_restart_replays_from_disk(self, tmp_path):
         with LiveServer(tmp_path) as server:
             ask(server, CreateTable(req_id="c", schema=SCHEMA))
@@ -545,6 +588,22 @@ class TestShareServerTcp:
         with LiveServer(tmp_path) as server2:
             push = fetch(server2, "pid", None)
             assert pairs(push.rows) == [(1, [101])]
+
+
+def test_server_that_cannot_listen_leaves_nothing_open(tmp_path):
+    with LiveServer(tmp_path) as server:
+        ask(server, CreateTable(req_id="c", schema=SCHEMA))
+        taken = server.address
+    with socket.create_server(taken):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            late = ShareServer("s1", 1, tmp_path / "s1", listen=taken)
+            with pytest.raises(OSError):
+                late.start()
+            del late
+            gc.collect()
+    leaks = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+    assert leaks == []
 
 
 def test_daemon_thread_lists_stay_bounded():
