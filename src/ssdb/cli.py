@@ -76,7 +76,7 @@ def _run_daemon(daemon: protocol.TcpService, banner: str) -> int:
 def _insert(args, read_rows) -> list[int]:
     """Parse every row `read_rows(schema)` returns, then insert each; their indices."""
     config = _load_config(args)
-    hub = HubClient(args.hub, p=config.p)
+    hub = HubClient(args.hub)
     schema = hub.get_schema(args.table).schema
     rows = [_parse_values(schema, raw) for raw in read_rows(schema)]
     dealer = Dealer(hub, config)
@@ -106,9 +106,7 @@ def _cmd_server(args) -> int:
     except KeyError:
         raise ValueError(f"server id {args.id!r} is not in the cluster file") from None
     listen = protocol.parse_addr(args.listen or info.address)
-    server = ShareServer(
-        info.server_id, info.x_coord, args.data_dir, listen=listen, p=config.p,
-    )
+    server = ShareServer(info.server_id, info.x_coord, args.data_dir, listen=listen)
     return _run_daemon(server, f"server {info.server_id} (x={info.x_coord})")
 
 
@@ -158,7 +156,7 @@ def _cmd_load_csv(args) -> int:
 
 def _cmd_query(args) -> int:
     config = _load_config(args)
-    hub = HubClient(args.hub, p=config.p)
+    hub = HubClient(args.hub)
     result = execute_query(args.query, hub, config, timeout=args.timeout)
     if args.format == "json":
         print(json.dumps(result.to_json_rows(), indent=2))

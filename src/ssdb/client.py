@@ -29,6 +29,8 @@ from __future__ import annotations
 import logging
 import operator
 import re
+import struct
+import sys
 import threading
 import time
 from collections import OrderedDict
@@ -37,6 +39,7 @@ from typing import Iterable, Optional, Union
 
 from . import protocol
 from .encoding import IDENT_PATTERN, AttrType, TableSchema, decode_cells, encode_value
+from .field import MERSENNE_61, SHARE_BYTES
 from .hub import ClusterConfig, ResultListener
 from .protocol import (
     Ack,
@@ -223,8 +226,9 @@ class ResultSet:
 
 # --- hub access -------------------------------------------------------------
 
-# share bytes (one server's) of all the condition columns a HubClient keeps
+# bytes of the decoded values of all the condition columns a HubClient keeps
 MAX_KEPT_BYTES = 4 * protocol.MAX_FRAME_BYTES
+_SLOT_BYTES = struct.calcsize("P")  # one list slot, the pointer to a value
 
 
 @dataclass(frozen=True)
@@ -233,7 +237,8 @@ class _Column:
 
     `digests` maps each delivering server's x-coordinate to the running
     hash of the bytes this client received from it; a digest a server
-    reports is never recorded. `nbytes` is one server's share bytes.
+    reports is never recorded. `nbytes` is the memory the values take:
+    each one's `sys.getsizeof` and its list slot.
     """
 
     values: list = field(default_factory=list)
@@ -253,7 +258,7 @@ class _Column:
             x: self.digests.get(x, RowsDigest()).add(reply.rows.counts, reply.rows.packed)
             for x, reply in delivered.items()
         }
-        nbytes = self.nbytes + len(delivered[min(delivered)].rows.packed)
+        nbytes = self.nbytes + sum(map(sys.getsizeof, values)) + _SLOT_BYTES * len(values)
         return _Column(self.values + values, digests, nbytes)
 
 
@@ -290,12 +295,14 @@ class HubClient:
     Keeps each table's schema after its first successful read. A stored
     schema never changes: servers refuse another under the same name, and
     nothing drops or alters a table. `get_schema`'s row count is not kept.
-    `columns` keeps the condition columns its queries have read.
+    `columns` keeps the condition columns its queries have read. `p`, if
+    given, must be the one modulus, 2^61 - 1.
     """
 
-    def __init__(self, address: str, *, p: int):
+    def __init__(self, address: str, *, p: int = MERSENNE_61):
+        if p != MERSENNE_61:
+            raise ValueError(f"modulus {p} is not 2^61 - 1, the one ssdb uses")
         self.address = address
-        self.p = p
         self._schemas: dict[str, TableSchema] = {}
         self.columns = _KeptColumns()
 
@@ -307,7 +314,6 @@ class HubClient:
             reply = protocol.request(
                 protocol.parse_addr(self.address),
                 GetSchema(req_id=protocol.new_req_id(), table=table),
-                p=self.p,
                 response_timeout=2 * protocol.RESPONSE_TIMEOUT,
             )
         except OSError as exc:
@@ -377,10 +383,7 @@ class Dealer:
                 f"got {len(values)} values"
             )
         # plain elements mod p of each cell, in schema order, before splitting
-        cells = [
-            encode_value(attr.type, value, self.config.p)
-            for attr, value in zip(schema.attributes, values)
-        ]
+        cells = [encode_value(attr.type, value) for attr, value in zip(schema.attributes, values)]
 
         table = schema.table_name
         if table not in self._next_index:
@@ -394,7 +397,7 @@ class Dealer:
             for k, info in enumerate(self.config.servers):
                 vec = [ys[k] for ys in columns]
                 # near-zero odds unless the rng is broken; checked before any write
-                if t >= 2 and p > (1 << 32) and vec == elements:
+                if t >= 2 and vec == elements:
                     raise SsdbError(
                         protocol.INTERNAL,
                         "refusing to send a share vector equal to the plaintext encoding",
@@ -402,7 +405,7 @@ class Dealer:
                 per_server[info.server_id].append(vec)
 
         attrs = schema.attr_names()
-        bodies = {sid: ShareRows.pack((index,), vecs, p) for sid, vecs in per_server.items()}
+        bodies = {sid: ShareRows.pack((index,), vecs) for sid, vecs in per_server.items()}
         try:
             self._write_all(
                 lambda info: InsertShares(table=table, attrs=attrs, cells=bodies[info.server_id])
@@ -422,29 +425,24 @@ class Dealer:
 _CHUNK = 2048
 
 
-def _reconstruct_matrix(
-    p: int,
-    tagged: list[tuple[int, bytes]],
-    table: str,
-    attrs: list[str],
-) -> bytes:
+def _reconstruct_matrix(tagged: list[tuple[int, bytes]], table: str, attrs: list[str]) -> bytes:
     """Combine t packed share runs into plain elements, a chunk at a time.
 
     `tagged` holds (x_coord, packed shares) per server, all laid out alike
     (the caller has checked that their counts agree). The runs are walked
     in chunks of about `_CHUNK` elements, whole slots, so no temporary
-    outgrows a chunk. Each chunk is read as one big int of w-byte elements
-    and cut into m phases, each element in a zero-padded slot of m*w bytes
+    outgrows a chunk. Each chunk is read as one big int of 8-byte elements
+    and cut into m phases, each element in a zero-padded slot of 8m bytes
     wide enough for t * (p-1)^2. Then sum(weight_j * Y_j) is t
-    multiply-adds, and every slot is reduced mod p = 2^k - 1 at once by
+    multiply-adds, and every slot is reduced mod p = 2^61 - 1 at once by
     Mersenne folding (SWAR: Fisher & Dietz, LCPC 1998). Returns the plain
     elements, packed as the shares were.
     """
     try:
-        weights = lagrange_weights([x for x, _ in tagged], p)
+        weights = lagrange_weights([x for x, _ in tagged], MERSENNE_61)
     except ValueError as exc:
         raise SsdbError(protocol.DATA_CORRUPTION, f"{table!r} {attrs}: {exc}") from exc
-    w, k = protocol.share_width(p), p.bit_length()
+    w, k = SHARE_BYTES, MERSENNE_61.bit_length()
     total = len(tagged[0][1])
     m = -(-(2 * k + len(tagged).bit_length()) // (8 * w))  # elements per slot
     step = _CHUNK // m * m * w  # bytes per chunk
@@ -598,15 +596,15 @@ def _decode(
                 f"{msg.table!r} {msg.attrs}: share vectors disagree on element count",
             )
     tagged = [(x, delivered[x].rows.packed) for x in sorted(delivered)]
-    plain = _reconstruct_matrix(config.p, tagged, msg.table, msg.attrs)
+    plain = _reconstruct_matrix(tagged, msg.table, msg.attrs)
     # attribute by attribute: each one's counts, and its elements, are one run
-    rows, w = len(matched), protocol.share_width(config.p)
+    rows = len(matched)
     columns, start = [], 0
     for k, attr in enumerate(msg.attrs):
         counts = first.counts[k * rows : (k + 1) * rows]
-        end = start + w * sum(counts)
+        end = start + SHARE_BYTES * sum(counts)
         try:
-            decoded = decode_cells(schema.attr_type(attr), plain[start:end], counts, w)
+            decoded = decode_cells(schema.attr_type(attr), plain[start:end], counts)
         except ValueError as exc:
             raise SsdbError(
                 protocol.DATA_CORRUPTION, f"{msg.table!r}.{attr!r} failed to decode: {exc}"

@@ -5,9 +5,8 @@ most significant first, of `int.from_bytes(b"\x01" + utf8, "big")`: zero
 bytes in front pad a start byte and the value to whole 7-byte chunks
 (ISO/IEC 9797-1 padding method 2, marker in front), and the start byte
 keeps the value's leading NUL bytes. A value of b bytes takes
-ceil((b + 1) / 7) elements, each < 2^56, so it fits any modulus above
-that. Also holds the table-schema model shared by dealer, servers, and
-query engine.
+ceil((b + 1) / 7) elements, each < 2^56 and so below p = 2^61 - 1. Also
+holds the table-schema model shared by dealer, servers, and query engine.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import struct
 from dataclasses import dataclass
 from typing import Sequence
 
-from .field import MERSENNE_61
+from .field import MERSENNE_61, SHARE_BYTES
 
 CHUNK_BYTES = 7
 MAX_TEXT_BYTES = 1 << 20
@@ -108,13 +107,13 @@ class TableSchema:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def encode_value(attr_type: AttrType, value, p: int = MERSENNE_61) -> list[int]:
+def encode_value(attr_type: AttrType, value) -> list[int]:
     """Encode one typed value as a nonempty list of field elements."""
     if attr_type is AttrType.INTEGER:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"INTEGER value must be int, got {type(value).__name__}")
-        if not 0 <= value < p:
-            raise ValueError(f"INTEGER value {value} outside [0, {p})")
+        if not 0 <= value < MERSENNE_61:
+            raise ValueError(f"INTEGER value {value} outside [0, {MERSENNE_61})")
         return [value]
 
     if not isinstance(value, str):
@@ -123,48 +122,41 @@ def encode_value(attr_type: AttrType, value, p: int = MERSENNE_61) -> list[int]:
     if len(raw) > MAX_TEXT_BYTES:
         raise ValueError(f"TEXT value of {len(raw)} bytes exceeds {MAX_TEXT_BYTES}")
     padded = (b"\x01" + raw).rjust((len(raw) // CHUNK_BYTES + 1) * CHUNK_BYTES, b"\0")
-    elements = [
+    return [
         int.from_bytes(padded[off : off + CHUNK_BYTES], "big")
         for off in range(0, len(padded), CHUNK_BYTES)
     ]
-    if max(elements) >= p:
-        raise ValueError(f"chunk {max(elements)} does not fit in GF({p})")
-    return elements
 
 
 def decode_value(attr_type: AttrType, elements: list[int]):
     """Exact inverse of encode_value; rejects malformed encodings."""
-    if min(elements, default=0) < 0:
-        raise ValueError("negative element")
-    w = max([8] + [(e.bit_length() + 7) // 8 for e in elements])
-    packed = b"".join(e.to_bytes(w, "big") for e in elements)
-    return decode_cells(attr_type, packed, (len(elements),), w)[0]
+    if not all(0 <= e < MERSENNE_61 for e in elements):
+        raise ValueError(f"an element is outside [0, {MERSENNE_61})")
+    packed = struct.pack(f">{len(elements)}Q", *elements)
+    return decode_cells(attr_type, packed, (len(elements),))[0]
 
 
-def decode_cells(attr_type: AttrType, packed: bytes, counts: Sequence[int], w: int) -> list:
+def decode_cells(attr_type: AttrType, packed: bytes, counts: Sequence[int]) -> list:
     """Decode a column of cells, cell k the next counts[k] of the plain
-    elements in `packed`, `w` big-endian bytes each.
+    elements in `packed`, 8 big-endian bytes each.
 
     INTEGER cells are unpacked together. For TEXT, every element's top
-    w-7 bytes are tested for zero at once and cut, and each cell is then
-    one start-byte check and one UTF-8 decode of the bytes after it.
+    byte is tested for zero at once and cut, and each cell is then one
+    start-byte check and one UTF-8 decode of the bytes after it.
     """
     if 0 in counts:
         raise ValueError("empty encoding")
     if attr_type is AttrType.INTEGER:
         if counts.count(1) != len(counts):
             raise ValueError(f"INTEGER encodes to 1 element, got {max(counts)}")
-        if w == 8:
-            return list(struct.unpack(f">{len(counts)}Q", packed))
-        return [int.from_bytes(packed[i : i + w], "big") for i in range(0, len(packed), w)]
+        return list(struct.unpack(f">{len(counts)}Q", packed))
 
-    n = len(packed) // w
-    for i in range(w - CHUNK_BYTES):
-        if packed[i::w].count(0) != n:
-            raise ValueError("an element is 2^56 or more")
-    chunked = bytearray(n * CHUNK_BYTES)  # every element in 7 bytes, at any w
-    for i in range(1, min(w, CHUNK_BYTES) + 1):
-        chunked[CHUNK_BYTES - i :: CHUNK_BYTES] = packed[w - i :: w]
+    tops = packed[::SHARE_BYTES]
+    if tops.count(0) != len(tops):
+        raise ValueError("an element is 2^56 or more")
+    chunked = bytearray(len(tops) * CHUNK_BYTES)  # every element in its low 7 bytes
+    for i in range(1, CHUNK_BYTES + 1):
+        chunked[CHUNK_BYTES - i :: CHUNK_BYTES] = packed[SHARE_BYTES - i :: SHARE_BYTES]
     raw = bytes(chunked)
     values = []
     end = 0

@@ -1,14 +1,15 @@
-"""The default prime modulus and the primality check.
+"""The prime modulus, the width of a share, and the primality check.
 
-Secrets and share values are plain ints mod a public prime p. The default
-modulus is the Mersenne prime 2^61 - 1: large enough that any 7-byte
-chunk (< 2^56) is a valid element, small enough that arithmetic stays in
-native-speed Python ints.
+Secrets and share values are plain ints mod the public prime p = 2^61 - 1,
+the Mersenne prime every cluster uses: large enough that any 7-byte chunk
+(< 2^56) is a valid element, small enough that every element fits one
+8-byte word.
 """
 
 from __future__ import annotations
 
 MERSENNE_61 = (1 << 61) - 1
+SHARE_BYTES = 8  # big-endian bytes per share and per plain element, on the wire and on disk
 
 # Deterministic Miller-Rabin witness set, exact for all n < 3.3 * 10^24
 # (covers every 64-bit candidate with room to spare).

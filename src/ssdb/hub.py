@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import protocol
-from .field import is_prime
+from .field import MERSENNE_61
 from .protocol import GetSchema, SchemaResult, SsdbError, TcpService
 
 log = logging.getLogger(__name__)
@@ -30,7 +30,11 @@ class ServerInfo:
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """(t, n) topology: modulus, threshold, and the server roster."""
+    """(t, n) topology: modulus, threshold, and the server roster.
+
+    The one place a modulus is configured: `p` must be 2^61 - 1
+    (`field.MERSENNE_61`), which every layer below takes as given.
+    """
 
     p: int
     n: int
@@ -38,14 +42,17 @@ class ClusterConfig:
     servers: tuple[ServerInfo, ...]
 
     def __post_init__(self):
+        if self.p != MERSENNE_61:
+            raise ValueError(f"modulus {self.p} is not 2^61 - 1, the one ssdb uses")
+        numbers = {"n": self.n, "t": self.t}
+        numbers.update((f"x_coord of {s.server_id}", s.x_coord) for s in self.servers)
+        for name, value in numbers.items():
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if len(self.servers) != self.n:
             raise ValueError(f"n={self.n} but {len(self.servers)} servers configured")
         if not 1 <= self.t <= self.n:
             raise ValueError(f"need 1 <= t <= n, got t={self.t}, n={self.n}")
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
-        if self.p & (self.p + 1):  # reads reduce mod p by folding at 2^k
-            raise ValueError(f"modulus {self.p} is not a Mersenne prime 2^k - 1")
         ids = [s.server_id for s in self.servers]
         xs = [s.x_coord for s in self.servers]
         addrs = [s.address for s in self.servers]
@@ -151,7 +158,7 @@ class ResultListener:
                 if msg is not self._sent:
                     self._frame, self._sent = protocol.encode_frame(msg), msg
                 exchange = protocol.Exchange(
-                    protocol.parse_addr(info.address), self._frame, self.req_id, p=self.config.p
+                    protocol.parse_addr(info.address), self._frame, self.req_id
                 )
             except OSError as exc:
                 self._fail(info, exc)
@@ -201,7 +208,7 @@ class Hub(TcpService):
     """Single-process control plane; holds server addresses, never shares."""
 
     def __init__(self, config: ClusterConfig, listen: tuple[str, int] = ("127.0.0.1", 0)):
-        super().__init__(listen[0], listen[1], self.handle, p=config.p, name="hub")
+        super().__init__(listen[0], listen[1], self.handle, name="hub")
         self.config = config
 
     def handle(self, msg):

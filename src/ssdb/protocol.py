@@ -13,12 +13,10 @@ tag and a "req_id" that every response echoes verbatim. The two
 share-bearing types follow it with a newline and one binary body (a
 `ShareRows`) of one cell per named attribute in each row, attribute by
 attribute: the row indices and each cell's element count as 4-byte
-big-endian ints, then every share as w = ceil(p.bit_length() / 8)
-big-endian bytes. Servers keep cells in that form, so a delivery is
-their stored bytes joined, and a receiver checks a body with one length
-test and one range test. The range test builds no int per share: it
-compares every share's top byte with p's at once, and takes a Python
-step only for a share whose top byte equals p's (see `read_body`).
+big-endian ints, then every share as 8 big-endian bytes (`SHARE_BYTES`).
+Servers keep cells in that form, so a delivery is their stored bytes
+joined, and a receiver checks a body with one length test and one range
+test. The range test builds no int per share (see `read_body`).
 
 A fetch of every row may name `after` = k, the rows its client already
 holds: the server then sends only the later rows, and a sha256 `digest`
@@ -53,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Optional, Sequence
 
 from .encoding import TableSchema
-from .field import MERSENNE_61
+from .field import MERSENNE_61, SHARE_BYTES
 
 log = logging.getLogger(__name__)
 
@@ -106,29 +104,8 @@ def parse_addr(addr: str) -> tuple[str, int]:
 
 # --- share bodies ----------------------------------------------------------
 
-_FIXED_WIDTH = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct codes for whole-word widths
-
-
-def share_width(p: int) -> int:
-    """Bytes per share on the wire and on disk: enough for any value below p."""
-    return (p.bit_length() + 7) // 8
-
-
-def pack_shares(values: Sequence[int], p: int) -> bytes:
-    w = share_width(p)
-    code = _FIXED_WIDTH.get(w)
-    if code is not None:
-        return struct.pack(f">{len(values)}{code}", *values)
-    return b"".join(v.to_bytes(w, "big") for v in values)
-
-
-def unpack_shares(packed: bytes, p: int) -> Sequence[int]:
-    """The ints of a packed share run; one C-level call at whole-word widths."""
-    w = share_width(p)
-    code = _FIXED_WIDTH.get(w)
-    if code is not None:
-        return struct.unpack(f">{len(packed) // w}{code}", packed)
-    return [int.from_bytes(packed[i : i + w], "big") for i in range(0, len(packed), w)]
+def pack_shares(values: Sequence[int]) -> bytes:
+    return struct.pack(f">{len(values)}Q", *values)
 
 
 @dataclass(frozen=True)
@@ -136,9 +113,9 @@ class ShareRows:
     """Share cells as they travel and rest: the body of a share-bearing frame.
 
     `indices` are row indices, `counts` each cell's element count, and
-    `packed` all of those cells' shares in order, fixed-width big-endian
-    (`share_width(p)` bytes each). Cells come attribute by attribute, each
-    attribute's in `indices` order, so its counts and shares are one run.
+    `packed` all of those cells' shares in order, every share 8 bytes
+    big-endian. Cells come attribute by attribute, each attribute's in
+    `indices` order, so its counts and shares are one run.
     """
 
     indices: tuple[int, ...] = ()
@@ -146,24 +123,30 @@ class ShareRows:
     packed: bytes = b""
 
     @classmethod
-    def pack(cls, indices: Sequence[int], vectors: Sequence[Sequence[int]], p: int) -> ShareRows:
+    def pack(cls, indices: Sequence[int], vectors: Sequence[Sequence[int]]) -> ShareRows:
         flat = [v for vec in vectors for v in vec]
-        return cls(tuple(indices), tuple(map(len, vectors)), pack_shares(flat, p))
+        return cls(tuple(indices), tuple(map(len, vectors)), pack_shares(flat))
 
     def body(self) -> bytes:
         head = struct.pack(f">{len(self.indices) + len(self.counts)}I", *self.indices, *self.counts)
         return head + self.packed
 
 
-def read_body(body, rows: int, cells: int, p: int) -> ShareRows:
+# p's 8 bytes, 1f ff .. ff, and the top bytes a share below p can have
+_P_BYTES = MERSENNE_61.to_bytes(SHARE_BYTES, "big")
+_LOW_TOPS = bytes(range(_P_BYTES[0] + 1))
+
+
+def read_body(body, rows: int, cells: int) -> ShareRows:
     """Check a body of `rows` rows of `cells` cells each and return it.
 
-    One width test (the share bytes are exactly counts x w) and one range
-    test (every share is below p), made on bytes, not ints: one strided
-    slice takes each share's top byte, and `translate` marks it 0, 1 or 2
-    as it is below, equal to or above p's top byte. Only a share marked 1
-    takes a Python step, one comparison of its w bytes with p's; at
-    p = 2^61 - 1 that is about one uniform share in 32.
+    Every share is 8 bytes. One width test (the share bytes are exactly
+    counts x 8) and one range test (every share is below p), made on
+    bytes, not ints. A share is below p = 2^61 - 1 when its top byte is at
+    most 0x1f and it is not p's bytes: one strided slice of the top bytes
+    with those deleted must be empty, and p's bytes must be nowhere in the
+    run. The search need not keep to share edges: a copy of p's bytes that
+    starts inside one share makes the next one's top byte 0xff.
     """
     head = rows * (1 + cells)  # the indices, then one count per cell
     if len(body) < 4 * head:
@@ -175,18 +158,11 @@ def read_body(body, rows: int, cells: int, p: int) -> ShareRows:
     if rows and min(indices) < 1:
         raise ProtocolError(VALUE_RANGE, "row index 0 must be >= 1")
     packed = bytes(body[4 * head :])
-    w = share_width(p)
-    need = w * sum(counts)
+    need = SHARE_BYTES * sum(counts)
     if len(packed) != need:
         raise ProtocolError(INTERNAL, f"body holds {len(packed)} share bytes, its counts need {need}")
-    limit = p.to_bytes(w, "big")
-    marks = packed[::w].translate(bytes(limit[0]) + b"\x01" + b"\x02" * (255 - limit[0]))
-    above, at = 2 in marks, marks.find(1)
-    while at >= 0 and not above:
-        above = packed[at * w : (at + 1) * w] >= limit
-        at = marks.find(1, at + 1)
-    if above:
-        raise ProtocolError(VALUE_RANGE, f"a share value is not below modulus {p}")
+    if packed[::SHARE_BYTES].translate(None, _LOW_TOPS) or _P_BYTES in packed:
+        raise ProtocolError(VALUE_RANGE, f"a share value is not below modulus {MERSENNE_61}")
     return ShareRows(indices, counts, packed)
 
 
@@ -455,7 +431,7 @@ def encode_message(msg) -> tuple[dict, Optional[bytes]]:
     return header, body
 
 
-def decode_message(obj: dict, p: int = MERSENNE_61, body=None):
+def decode_message(obj: dict, body=None):
     if not isinstance(obj, dict):
         raise ProtocolError(INTERNAL, "payload must be a JSON object")
     msg_type = obj.get("type")
@@ -473,7 +449,7 @@ def decode_message(obj: dict, p: int = MERSENNE_61, body=None):
         if kind.json_type is not None:
             fields[name] = read_field(obj, name, kind)
         if kind.shape is not None:
-            fields[name] = read_body(body, *kind.shape(fields), p)
+            fields[name] = read_body(body, *kind.shape(fields))
     return cls(**fields)
 
 
@@ -488,7 +464,7 @@ def encode_frame(msg) -> bytes:
     return b"".join([_HEADER.pack(length), *parts])
 
 
-def decode_frame(buf, p: int = MERSENNE_61) -> Optional[tuple[object, int]]:
+def decode_frame(buf) -> Optional[tuple[object, int]]:
     """Decode one frame from the head of buf.
 
     Returns (message, bytes_consumed), or None when the buffer does not
@@ -512,14 +488,13 @@ def decode_frame(buf, p: int = MERSENNE_61) -> Optional[tuple[object, int]]:
         obj = json.loads(header.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(INTERNAL, f"malformed frame payload: {exc}") from exc
-    return decode_message(obj, p, body), end
+    return decode_message(obj, body), end
 
 
 class FrameDecoder:
     """Incremental frame reassembly; byte-chunk boundaries never matter."""
 
-    def __init__(self, p: int = MERSENNE_61):
-        self.p = p
+    def __init__(self):
         self._buf = bytearray()
 
     def feed(self, data: bytes) -> list:
@@ -527,7 +502,7 @@ class FrameDecoder:
         messages = []
         offset = 0
         while True:
-            result = decode_frame(memoryview(self._buf)[offset:], self.p)
+            result = decode_frame(memoryview(self._buf)[offset:])
             if result is None:
                 break
             msg, consumed = result
@@ -630,11 +605,8 @@ class Exchange:
     retried.
     """
 
-    def __init__(
-        self, addr: tuple[str, int], frame: bytes, req_id: str, *, p: int = MERSENNE_61
-    ):
+    def __init__(self, addr: tuple[str, int], frame: bytes, req_id: str):
         self.addr = addr
-        self.p = p
         self.req_id = req_id
         self._frame = frame
         self._sock, self._reused = POOL.take(addr)
@@ -660,7 +632,7 @@ class Exchange:
         Returns that frame and whether nothing came after it, or None if
         the peer hung up (EOF or a non-timeout OSError) before any byte.
         """
-        decoder = FrameDecoder(self.p)
+        decoder = FrameDecoder()
         while True:
             # past the deadline, 0 reads only the bytes already here
             self._sock.settimeout(max(deadline - time.monotonic(), 0.0))
@@ -721,19 +693,13 @@ class Exchange:
             self._sock = None
 
 
-def request(
-    addr: tuple[str, int],
-    msg,
-    *,
-    p: int = MERSENNE_61,
-    response_timeout: float = RESPONSE_TIMEOUT,
-):
+def request(addr: tuple[str, int], msg, *, response_timeout: float = RESPONSE_TIMEOUT):
     """One request/reply exchange on a kept-open connection from the pool.
 
     Raises RemoteError if the peer answers with an ERROR frame, and the
     usual OSError family on transport trouble.
     """
-    return Exchange(addr, encode_frame(msg), msg.req_id, p=p).reply(response_timeout)
+    return Exchange(addr, encode_frame(msg), msg.req_id).reply(response_timeout)
 
 
 def start_daemon(threads: list, target: Callable, *args, name: str) -> None:
@@ -756,19 +722,10 @@ class TcpService:
     the request's req_id.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        handler: Callable,
-        *,
-        p: int = MERSENNE_61,
-        name: str = "service",
-    ):
+    def __init__(self, host: str, port: int, handler: Callable, *, name: str = "service"):
         self._host = host
         self._port = port
         self._handler = handler
-        self._p = p
         self._name = name
         self._sock: Optional[socket.socket] = None
         self._threads: list[threading.Thread] = []
@@ -814,7 +771,7 @@ class TcpService:
                 start_daemon(self._threads, self._serve_conn, conn, name=f"{self._name}-conn")
 
     def _serve_conn(self, conn: socket.socket) -> None:
-        decoder = FrameDecoder(self._p)
+        decoder = FrameDecoder()
         try:
             while True:
                 try:

@@ -22,7 +22,7 @@ from typing import Optional
 
 from . import protocol
 from .encoding import TableSchema
-from .field import MERSENNE_61
+from .field import MERSENNE_61, SHARE_BYTES
 from .protocol import (
     Ack,
     CreateTable,
@@ -92,11 +92,11 @@ class StoredTable:
     def row_count(self) -> int:
         return len(next(iter(self.columns.values())))
 
-    def add_row(self, row: ShareRows, width: int) -> None:
+    def add_row(self, row: ShareRows) -> None:
         pos = 0
         for cells, count in zip(self.columns.values(), row.counts):
-            cells.append(row.packed[pos : pos + count * width])
-            pos += count * width
+            cells.append(row.packed[pos : pos + count * SHARE_BYTES])
+            pos += count * SHARE_BYTES
 
     def open_log(self) -> None:
         created = not (self.directory / "rows.log").exists()
@@ -121,12 +121,10 @@ class ServerStore:
     deterministic: same log, same state.
     """
 
-    def __init__(self, data_dir, server_id: str, x_coord: int, p: int = MERSENNE_61):
+    def __init__(self, data_dir, server_id: str, x_coord: int):
         self.data_dir = Path(data_dir)
         self.server_id = server_id
         self.x_coord = x_coord
-        self.p = p
-        self._width = protocol.share_width(p)
         self.tables: dict[str, StoredTable] = {}
         self._lock = threading.RLock()
 
@@ -145,7 +143,7 @@ class ServerStore:
     def _check_meta(self) -> None:
         meta_path = self.data_dir / _META_FILE
         meta = {
-            "server_id": self.server_id, "x_coord": self.x_coord, "p": str(self.p),
+            "server_id": self.server_id, "x_coord": self.x_coord, "p": str(MERSENNE_61),
             "format": _FORMAT,
         }
         if meta_path.exists():
@@ -189,7 +187,7 @@ class ServerStore:
                 attrs = len(table.columns)
                 head = pos + _RECORD.size + 4 * (1 + attrs)
                 if head <= len(data):
-                    whole = head + self._width * sum(
+                    whole = head + SHARE_BYTES * sum(
                         struct.unpack_from(f">{attrs}I", data, head - 4 * attrs)
                     )
                     if whole <= len(data) and zlib.crc32(data[pos + _RECORD.size : whole]) == crc:
@@ -208,7 +206,7 @@ class ServerStore:
                     f"{log_path}: corrupt record at byte {pos} ({exc}); "
                     "refusing to start rather than truncate it"
                 ) from exc
-            table.add_row(row, self._width)
+            table.add_row(row)
             pos = end
         if pos < len(data):
             log.warning(
@@ -219,7 +217,7 @@ class ServerStore:
 
     def _check_record(self, table: StoredTable, payload) -> ShareRows:
         """The one row a log record or an insert holds, if it may come next."""
-        row = protocol.read_body(payload, 1, len(table.columns), self.p)
+        row = protocol.read_body(payload, 1, len(table.columns))
         if row.indices[0] != table.row_count + 1:
             raise SsdbError(
                 protocol.SCHEMA_MISMATCH,
@@ -268,7 +266,7 @@ class ServerStore:
             table.log_file.write(_RECORD.pack(len(payload), zlib.crc32(payload)) + payload)
             table.log_file.flush()
             os.fsync(table.log_file.fileno())
-            table.add_row(row, self._width)
+            table.add_row(row)
 
     def rows_for(
         self, table_name: str, attrs: list[str], indices: Optional[list[int]], after: int = 0
@@ -293,8 +291,8 @@ class ServerStore:
                 bad = next(i for i in indices if not 1 <= i <= rows)
                 raise SsdbError(protocol.VALUE_RANGE, f"no row with index {bad}")
             picked = [cells[i - 1] for cells in columns for i in indices]
-            w = self._width
-            return ShareRows(tuple(indices), tuple(len(c) // w for c in picked), b"".join(picked))
+            counts = tuple(len(c) // SHARE_BYTES for c in picked)
+            return ShareRows(tuple(indices), counts, b"".join(picked))
 
     def digest(self, table_name: str, attr: str, rows: int) -> Optional[str]:
         """The `RowsDigest` hex of stored rows 1..rows of `attr`; None if there are fewer.
@@ -305,8 +303,8 @@ class ServerStore:
             cells = self._table(table_name).columns[attr][:rows]
         if len(cells) < rows:
             return None
-        w = self._width
-        return RowsDigest().add([len(c) // w for c in cells], b"".join(cells)).hexdigest()
+        counts = [len(c) // SHARE_BYTES for c in cells]
+        return RowsDigest().add(counts, b"".join(cells)).hexdigest()
 
     def schema(self, table_name: str) -> tuple[TableSchema, int]:
         """The table's schema and its stored row count."""
@@ -324,18 +322,12 @@ class ShareServer(TcpService):
     """Networked share server; one per x-coordinate of the cluster."""
 
     def __init__(
-        self,
-        server_id: str,
-        x_coord: int,
-        data_dir,
-        listen: tuple[str, int] = ("127.0.0.1", 0),
-        *,
-        p: int = MERSENNE_61,
+        self, server_id: str, x_coord: int, data_dir, listen: tuple[str, int] = ("127.0.0.1", 0)
     ):
-        super().__init__(listen[0], listen[1], self.handle, p=p, name=server_id)
+        super().__init__(listen[0], listen[1], self.handle, name=server_id)
         self.server_id = server_id
         self.x_coord = x_coord
-        self.store = ServerStore(data_dir, server_id, x_coord, p)
+        self.store = ServerStore(data_dir, server_id, x_coord)
 
     def start(self) -> None:
         try:

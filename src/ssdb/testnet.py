@@ -76,7 +76,6 @@ class TestCluster:
         t: int,
         *,
         seed: int = 0,
-        p: int = MERSENNE_61,
         root_dir: Union[str, Path, None] = None,
     ) -> "TestCluster":
         if root_dir is None:
@@ -95,13 +94,13 @@ class TestCluster:
             for k in range(1, n + 1):
                 server_id = f"s{k}"
                 data_dir = root / server_id
-                server = ShareServer(server_id, k, data_dir, listen=("127.0.0.1", 0), p=p)
+                server = ShareServer(server_id, k, data_dir, listen=("127.0.0.1", 0))
                 server.start()
                 servers.append(server)
                 info = ServerInfo(server_id, k, server.addr_str)
                 handles.append(ServerHandle(info=info, data_dir=data_dir, server=server))
 
-            config = ClusterConfig(p=p, n=n, t=t, servers=tuple(h.info for h in handles))
+            config = ClusterConfig(p=MERSENNE_61, n=n, t=t, servers=tuple(h.info for h in handles))
             hub = Hub(config, listen=("127.0.0.1", 0))
             hub.start()
         except BaseException:
@@ -111,7 +110,7 @@ class TestCluster:
                 shutil.rmtree(root, ignore_errors=True)
             raise
 
-        hub_client = HubClient(hub.addr_str, p=p)
+        hub_client = HubClient(hub.addr_str)
         dealer = Dealer(hub_client, config, rng=random.Random(seed))
         return cls(config, handles, hub, dealer, root, owns_root)
 
@@ -130,13 +129,7 @@ class TestCluster:
         if handle.server is not None:
             raise ValueError(f"{server_id} is still running")
         listen = protocol.parse_addr(handle.info.address)
-        server = ShareServer(
-            server_id,
-            handle.info.x_coord,
-            handle.data_dir,
-            listen=listen,
-            p=self.config.p,
-        )
+        server = ShareServer(server_id, handle.info.x_coord, handle.data_dir, listen=listen)
         server.start()
         handle.server = server
 

@@ -1,6 +1,8 @@
 """Helpers shared by the test modules."""
 
-from ssdb.protocol import FrameDecoder, unpack_shares
+import struct
+
+from ssdb.protocol import FrameDecoder
 
 
 def split_counts(flat, counts):
@@ -12,9 +14,14 @@ def split_counts(flat, counts):
     return out
 
 
-def vectors(rows, p):
+def unpack(packed):
+    """The ints of a run of 8-byte big-endian shares or plain elements."""
+    return struct.unpack(f">{len(packed) // 8}Q", packed)
+
+
+def vectors(rows):
     """Each cell's shares of a ShareRows, as ints, in body order."""
-    return split_counts(unpack_shares(rows.packed, p), rows.counts)
+    return split_counts(unpack(rows.packed), rows.counts)
 
 
 class FrameReader:
@@ -24,9 +31,9 @@ class FrameReader:
     pipelined frames are read one by one.
     """
 
-    def __init__(self, sock, p):
+    def __init__(self, sock):
         self.sock = sock
-        self.decoder = FrameDecoder(p)
+        self.decoder = FrameDecoder()
         self.ready = []  # decoded and not yet returned
 
     def read(self):

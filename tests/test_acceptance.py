@@ -253,7 +253,7 @@ def random_message(rng):
     attr = rng.choice(("a", "Patientname", "snake_case_3"))
     schema = TableSchema(table, (Attribute(attr, AttrType.INTEGER),))
     indices = sorted(rng.sample(range(1, 1000), rng.randint(0, 5)))
-    cells = ShareRows.pack([rng.randint(1, 10**6)], [random_share_vector(rng)], P)
+    cells = ShareRows.pack([rng.randint(1, 10**6)], [random_share_vector(rng)])
     builders = [
         lambda: Ack(req_id=rid),
         lambda: Error(req_id=rid, code=protocol.INTERNAL,
@@ -265,7 +265,7 @@ def random_message(rng):
         lambda: FetchToClient(req_id=rid, table=table, attrs=[attr],  # None: every row
                               indices=rng.choice((indices, None))),
         lambda: DeliverShares(req_id=rid, server_x=3, attrs=[attr], rows=ShareRows.pack(
-            indices, [random_share_vector(rng) for _ in indices], P)),
+            indices, [random_share_vector(rng) for _ in indices])),
     ]
     return rng.choice(builders)()
 
@@ -280,21 +280,21 @@ def test_frame_codec_round_trips():
     assert any(m.type == "SCHEMA_RESULT" and m.rows > 0 for m in messages)
 
     # whole frames, one at a time
-    decoder = FrameDecoder(p=P)
+    decoder = FrameDecoder()
     for msg in messages:
         got = decoder.feed(encode_frame(msg))
         assert got == [msg]
 
     # one concatenated stream, delivered a single byte at a time
     stream = b"".join(encode_frame(m) for m in messages)
-    decoder = FrameDecoder(p=P)
+    decoder = FrameDecoder()
     reassembled = []
     for k in range(0, len(stream), 1):
         reassembled.extend(decoder.feed(stream[k:k + 1]))
     assert reassembled == messages
 
     # random chunk boundaries for good measure
-    decoder = FrameDecoder(p=P)
+    decoder = FrameDecoder()
     reassembled = []
     pos = 0
     while pos < len(stream):

@@ -4,6 +4,7 @@ import contextlib
 import operator
 import random
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -46,11 +47,9 @@ from ssdb.protocol import (
 from ssdb.shamir import lagrange_weights, reconstruct, split
 from ssdb.testnet import PATIENT_ROWS, PATIENTS_SCHEMA, PATIENTS_TABLE, TestCluster
 
-from helpers import FrameReader, vectors
+from helpers import FrameReader, unpack, vectors
 
 P = MERSENNE_61
-# every share width the read path is tested at: 8, 12 and 16 bytes
-MERSENNES = (P, (1 << 89) - 1, (1 << 127) - 1)
 
 KEYWORDS = ("SELECT", "FROM", "WHERE")
 COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
@@ -313,7 +312,7 @@ class FakeCluster:
         (info,) = [s for s in self.config.servers if protocol.parse_addr(s.address) == addr]
         if info.server_id in self.down:
             raise ConnectionRefusedError(f"{info.address} refused")
-        msg, _ = protocol.decode_frame(frame, self.config.p)
+        msg, _ = protocol.decode_frame(frame)
         assert msg.req_id == req_id
         self.writes.append((info.server_id, msg))
         return SimpleNamespace(reply=lambda timeout=None: Ack(), close=lambda: None)
@@ -325,7 +324,7 @@ class FakeCluster:
             assert isinstance(msg, InsertShares)
             (index,) = msg.cells.indices
             out.setdefault((msg.table, index), {})[sid] = dict(
-                zip(msg.attrs, vectors(msg.cells, self.config.p))
+                zip(msg.attrs, vectors(msg.cells))
             )
         return [(table, index, per_server) for (table, index), per_server in out.items()]
 
@@ -367,7 +366,7 @@ class TestDealer:
         assert table == "t" and index == 1
 
         for attr, value in zip(SCHEMA2.attributes, values):
-            plain = encode_value(attr.type, value, P)
+            plain = encode_value(attr.type, value)
             vectors = {sid: per_server[sid][attr.name] for sid in per_server}
             assert all(len(vec) == len(plain) for vec in vectors.values())
             # independent check: the shares really interpolate back
@@ -382,7 +381,7 @@ class TestDealer:
         dealer.insert_row(SCHEMA2, values)
         (_, _, per_server) = hub.bundles()[0]
         for attr, value in zip(SCHEMA2.attributes, values):
-            plain = encode_value(attr.type, value, P)
+            plain = encode_value(attr.type, value)
             for sid in per_server:
                 assert per_server[sid][attr.name] != plain
 
@@ -443,7 +442,7 @@ class StubServer:
             except OSError:
                 return  # stopped
             with conn, contextlib.suppress(OSError):
-                msg = FrameReader(conn, P).read()
+                msg = FrameReader(conn).read()
                 self.requests.append(msg)
                 replies = self.answer(msg)
                 if replies is None:
@@ -466,7 +465,7 @@ class StubServer:
 def delivers(x, shares=(5,)):
     """An answer: one DELIVER_SHARES as server x, one row holding `shares`."""
     return lambda msg: [
-        DeliverShares(server_x=x, attrs=msg.attrs, rows=ShareRows.pack([1], [list(shares)], P))
+        DeliverShares(server_x=x, attrs=msg.attrs, rows=ShareRows.pack([1], [list(shares)]))
     ]
 
 
@@ -512,7 +511,7 @@ class TestResultListener:
         listener = listen(stub_config(servers))
         delivered = by_x(listener.wait())
         assert {x: rows.packed for x, rows in delivered.items()} == {
-            1: protocol.pack_shares([5], P), 2: protocol.pack_shares([6], P),
+            1: protocol.pack_shares([5]), 2: protocol.pack_shares([6]),
         }
         # exactly t servers, the first in configured order, under one req_id
         assert [len(s.requests) for s in servers] == [1, 1, 0]
@@ -772,7 +771,7 @@ class TestExecuteQuery:
             rs = cluster.query("SELECT c, a, k, b FROM mixed WHERE g = 0")
             assert rs.indices == [3, 6, 9, 12, 15]
             assert rs.rows == [[c, a, k, b] for k, a, g, b, c in rows if g == 0]
-            counts = {len(encode_value(AttrType.TEXT, row[1], P)) for row in rows if row[2] == 0}
+            counts = {len(encode_value(AttrType.TEXT, row[1])) for row in rows if row[2] == 0}
             assert len(counts) > 1
 
 
@@ -793,7 +792,7 @@ class TestSchemaCache:
         monkeypatch.setattr(
             Hub, "fetch_schema", lambda hub, msg: reads.append(msg.table) or fetch_schema(hub, msg)
         )
-        hub_client = HubClient(cluster.hub.addr_str, p=P)
+        hub_client = HubClient(cluster.hub.addr_str)
         for _ in range(3):
             assert execute_query(self.AIDS, hub_client, cluster.config).rows == [["Ann"], ["Dona"]]
         assert reads == [PATIENTS_TABLE]
@@ -880,9 +879,8 @@ class TestQueryFailureModes:
                     addr,
                     InsertShares(
                         req_id=f"x-{sid}", table="w", attrs=["v"],
-                        cells=ShareRows.pack([1], [vec], P),
+                        cells=ShareRows.pack([1], [vec]),
                     ),
-                    p=P,
                 )
             with pytest.raises(SsdbError) as e:
                 cluster.query("SELECT v FROM w")
@@ -900,7 +898,7 @@ class TestQueryFailureModes:
     def test_push_from_unconfigured_x_is_corruption(self, patients, stubs, stray_x):
         # two well-formed deliveries whose shares interpolate cleanly: one
         # as s1's x=1, one as an x no configured server has (p+1 is 1 mod p)
-        ys = [split(e, [1, stray_x], 2, P) for e in encode_value(AttrType.INTEGER, 101, P)]
+        ys = [split(e, [1, stray_x], 2, P) for e in encode_value(AttrType.INTEGER, 101)]
         config = stub_config(stubs(
             delivers(1, [y[0] for y in ys]), delivers(stray_x, [y[1] for y in ys]),
         ))
@@ -937,59 +935,57 @@ class TestQueryFailureModes:
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_reconstruct_matrix_equals_shamir_reconstruct(data):
-    p = data.draw(st.sampled_from(MERSENNES), label="p")
     n = data.draw(st.integers(1, 16), label="n")  # the CLI's limit
     t = data.draw(st.integers(1, n), label="t")
-    xs = data.draw(st.lists(st.integers(1, p - 1), min_size=t, max_size=t, unique=True))
+    xs = data.draw(st.lists(st.integers(1, P - 1), min_size=t, max_size=t, unique=True))
     counts = data.draw(st.one_of(
         st.just([]), st.lists(st.integers(1, 4), min_size=1, max_size=1),
         st.lists(st.integers(1, 4), min_size=2, max_size=60),
     ), label="counts")
-    share = st.one_of(st.sampled_from([0, p - 1]), st.integers(0, p - 1))
+    share = st.one_of(st.sampled_from([0, P - 1]), st.integers(0, P - 1))
     runs = [data.draw(st.lists(share, min_size=sum(counts), max_size=sum(counts))) for _ in xs]
-    tagged = [(x, protocol.pack_shares(ys, p)) for x, ys in zip(xs, runs)]
+    tagged = [(x, protocol.pack_shares(ys)) for x, ys in zip(xs, runs)]
 
-    plain = _reconstruct_matrix(p, tagged, "t", ["a"])
+    plain = _reconstruct_matrix(tagged, "t", ["a"])
 
-    w = protocol.share_width(p)
-    assert len(plain) == w * sum(counts)
-    want = [reconstruct(list(zip(xs, ys)), t, p) for ys in zip(*runs)]
-    assert list(protocol.unpack_shares(plain, p)) == want
+    assert len(plain) == 8 * sum(counts)
+    want = [reconstruct(list(zip(xs, ys)), t, P) for ys in zip(*runs)]
+    assert list(unpack(plain)) == want
 
 
-@pytest.mark.parametrize("p", MERSENNES, ids=["p=2^61-1", "p=2^89-1", "p=2^127-1"])
+# the id names the modulus the slots are sized for
+@pytest.mark.parametrize("p", [P], ids=["p=2^61-1"])
 @pytest.mark.parametrize("t", [1, 2, 16])
 def test_reconstruct_matrix_at_the_slot_bound(p, t):
     # every share p-1 and the weights of x = 1..t: the slot sums come near t * (p-1)^2
     xs = list(range(1, t + 1))
     runs = [[p - 1] * 5 for _ in xs]
-    tagged = [(x, protocol.pack_shares(ys, p)) for x, ys in zip(xs, runs)]
-    plain = _reconstruct_matrix(p, tagged, "t", ["a"])
+    tagged = [(x, protocol.pack_shares(ys)) for x, ys in zip(xs, runs)]
+    plain = _reconstruct_matrix(tagged, "t", ["a"])
     want = reconstruct([(x, p - 1) for x in xs], t, p)
-    assert list(protocol.unpack_shares(plain, p)) == [want] * 5
+    assert list(unpack(plain)) == [want] * 5
 
 
-def chunk_elements(p: int, t: int) -> int:
+def chunk_elements(t: int) -> int:
     """Elements in one `_reconstruct_matrix` chunk: `_CHUNK` in whole slots."""
-    w = protocol.share_width(p)
-    m = -(-(2 * p.bit_length() + t.bit_length()) // (8 * w))  # elements per slot
+    m = -(-(2 * P.bit_length() + t.bit_length()) // 64)  # elements per slot
     return _CHUNK // m * m
 
 
-@pytest.mark.parametrize("p", MERSENNES, ids=["p=2^61-1", "p=2^89-1", "p=2^127-1"])
+@pytest.mark.parametrize("p", [P], ids=["p=2^61-1"])
 @pytest.mark.parametrize("t", [1, 2, 16])
 def test_reconstruct_matrix_across_chunk_edges(p, t):
     rng = random.Random(p * t)
     xs = rng.sample(range(1, 1 << 16), t)
     weights = lagrange_weights(xs, p)
-    chunk = chunk_elements(p, t)
-    # the last size leaves a part slot at the end when a slot holds two or more
+    chunk = chunk_elements(t)
+    # the last size leaves a part slot at the end
     for size in (0, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
         uniform = [[rng.randrange(p) for _ in range(size)] for _ in xs]
         top = [[p - 1] * size for _ in xs]  # every slot sum near t * (p-1)^2
         for runs in (uniform, top):
-            tagged = [(x, protocol.pack_shares(ys, p)) for x, ys in zip(xs, runs)]
-            plain = protocol.unpack_shares(_reconstruct_matrix(p, tagged, "t", ["a"]), p)
+            tagged = [(x, protocol.pack_shares(ys)) for x, ys in zip(xs, runs)]
+            plain = unpack(_reconstruct_matrix(tagged, "t", ["a"]))
             want = [sum(map(operator.mul, weights, ys)) % p for ys in zip(*runs)]
             assert list(plain) == want, (size, runs is top)
 
@@ -997,39 +993,15 @@ def test_reconstruct_matrix_across_chunk_edges(p, t):
 def test_reconstruct_matrix_holds_only_chunk_sized_temporaries():
     size = 200_000
     rng = random.Random(2)
-    tagged = [(x, protocol.pack_shares([rng.randrange(P) for _ in range(size)], P)) for x in (1, 2)]
+    tagged = [(x, protocol.pack_shares([rng.randrange(P) for _ in range(size)])) for x in (1, 2)]
     tracemalloc.start()
     try:
-        plain = _reconstruct_matrix(P, tagged, "t", ["a"])
+        plain = _reconstruct_matrix(tagged, "t", ["a"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(plain) == 8 * size
     assert peak < 3 * len(plain) + (1 << 20)
-
-
-@pytest.mark.parametrize("p", MERSENNES[1:], ids=["p=2^89-1", "p=2^127-1"])
-def test_round_trip_at_wider_share_widths(p):
-    schema = TableSchema("wide", (Attribute("k", AttrType.INTEGER), Attribute("v", AttrType.TEXT)))
-    rows = [
-        (0, ""),
-        (p - 1, "sevenby"),  # 7 bytes: exactly one chunk
-        (1 << 70, "Grüße"),  # 7 bytes, non-ASCII
-        (5, "fourteen bytes"),
-        (6, "日本語のテキスト"),  # 24 bytes
-        (7, "x" * 70),
-    ]
-    with TestCluster.start(3, 2, p=p, seed=23) as cluster:
-        cluster.create_table(schema)
-        for row in rows:
-            cluster.insert_row(schema, row)
-        assert cluster.query("SELECT * FROM wide").rows == [list(row) for row in rows]
-        assert cluster.query("SELECT v FROM wide WHERE k < 7").rows == [
-            [""], ["fourteen bytes"], ["日本語のテキスト"],
-        ]
-        assert cluster.query("SELECT k FROM wide WHERE v >= 'sevenby'").rows == [
-            [p - 1], [6], [7],
-        ]
 
 
 NOTES = TableSchema("notes", (Attribute("k", AttrType.INTEGER), Attribute("v", AttrType.TEXT)))
@@ -1051,12 +1023,15 @@ def answer(hub_client, cluster, text):
 
 
 def fresh(cluster):
-    return HubClient(cluster.hub.addr_str, p=P)
+    return HubClient(cluster.hub.addr_str)
 
 
 def stored(cluster, sid, attr):
     """Server sid's cells of `attr` in notes, in its memory."""
     return cluster.handles[sid].server.store.tables["notes"].columns[attr]
+
+
+SLOT = struct.calcsize("P")  # a list's pointer to one kept value
 
 
 def flip(cell: bytes) -> bytes:
@@ -1099,7 +1074,24 @@ class TestKeptColumns:
         del delivered_share_bytes[:]
         assert execute_query(text, warm, cluster.config).rows == [["Ann"], ["Ann"]]
         assert delivered_share_bytes == [0, 0]
-        assert warm.columns.nbytes == cold[0]
+        assert warm.columns.nbytes == sum(sys.getsizeof(v) + SLOT for v in ("Ann", "Bo", "Ann"))
+
+    def test_kept_bytes_are_the_memory_of_the_values(self, cluster, monkeypatch):
+        texts = ["Ann", "Bo", "Ann"] + [f"a note of some length, number {k}" for k in range(10)]
+        for k, text in enumerate(texts[3:], 4):
+            cluster.insert_row(NOTES, (k, text))
+        text = "SELECT k FROM notes WHERE v = 'Bo'"
+        warm = fresh(cluster)
+        assert execute_query(text, warm, cluster.config).rows == [[2]]
+        held = sum(sys.getsizeof(v) + SLOT for v in texts)
+        assert warm.columns.nbytes == held
+        # a bound that one server's share bytes fit under, and the values do not
+        shares = sum(8 * len(encode_value(AttrType.TEXT, v)) for v in texts)
+        assert shares < held
+        monkeypatch.setattr(client, "MAX_KEPT_BYTES", shares)
+        warm = fresh(cluster)
+        assert execute_query(text, warm, cluster.config).rows == [[2]]
+        assert warm.columns.nbytes == 0
 
     def test_second_dealers_row_between_warm_queries_is_returned(self, cluster):
         text = "SELECT k FROM notes WHERE v = 'Ann'"
@@ -1150,8 +1142,8 @@ class TestKeptColumns:
     def test_least_recently_used_column_is_evicted(self, cluster, monkeypatch):
         warm = fresh(cluster)
         execute_query("SELECT k FROM notes", warm, cluster.config)
-        size = warm.columns.nbytes  # 3 one-element cells; so is each column here
-        monkeypatch.setattr(client, "MAX_KEPT_BYTES", 2 * size + 8)  # room for two
+        size = warm.columns.nbytes  # 3 small ints; v's 3 short strings take more
+        monkeypatch.setattr(client, "MAX_KEPT_BYTES", 2 * size + 8)  # room for two int columns
         execute_query("SELECT v FROM notes", warm, cluster.config)
         execute_query("SELECT k FROM notes", warm, cluster.config)  # k is used last
         more = TableSchema("more", NOTES.attributes)
@@ -1260,7 +1252,7 @@ def test_warm_client_answers_like_a_fresh_one(steps):
 
 
 def test_hot_path_never_tests_primality(monkeypatch):
-    """p is checked once, by ClusterConfig; inserts and queries never re-check it."""
+    """p is fixed at 2^61 - 1, so inserts and queries never test it for primality."""
     with TestCluster.start(3, 2, seed=19) as cluster:
         cluster.create_table(PATIENTS_SCHEMA)
         calls = []
@@ -1278,6 +1270,7 @@ def test_hot_path_never_tests_primality(monkeypatch):
 
 # a reader holding only the cluster file: a schema read, then a fetch from t servers
 CLUSTER_FILE_READER = """
+import struct
 import sys
 from ssdb import protocol
 from ssdb.encoding import decode_value
@@ -1289,13 +1282,14 @@ config = ClusterConfig.load(sys.argv[1])
 table, attr = sys.argv[2], sys.argv[3]
 
 def ask(info, msg):
-    return protocol.request(protocol.parse_addr(info.address), msg, p=config.p)
+    return protocol.request(protocol.parse_addr(info.address), msg)
 
 schema = ask(config.servers[0], GetSchema(req_id="r1", table=table)).schema
 points = []
 for info in config.servers[: config.t]:
     rows = ask(info, FetchToClient(req_id="r2", table=table, attrs=[attr], indices=[1])).rows
-    points.append([(info.x_coord, y) for y in protocol.unpack_shares(rows.packed, config.p)])
+    ys = struct.unpack(f">{len(rows.packed) // 8}Q", rows.packed)
+    points.append([(info.x_coord, y) for y in ys])
 protocol.close_idle()
 elements = [reconstruct(ys, config.t, config.p) for ys in zip(*points)]
 print(decode_value(schema.attr_type(attr), elements))

@@ -34,29 +34,29 @@ def reference_text_encoding(text: str) -> list[int]:
 
 class TestIntegerEncoding:
     def test_passthrough(self):
-        assert encode_value(AttrType.INTEGER, 42, P) == [42]
-        assert encode_value(AttrType.INTEGER, 0, P) == [0]
-        assert encode_value(AttrType.INTEGER, P - 1, P) == [P - 1]
+        assert encode_value(AttrType.INTEGER, 42) == [42]
+        assert encode_value(AttrType.INTEGER, 0) == [0]
+        assert encode_value(AttrType.INTEGER, P - 1) == [P - 1]
 
     def test_decode(self):
         assert decode_value(AttrType.INTEGER, [42]) == 42
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            encode_value(AttrType.INTEGER, -1, P)
+            encode_value(AttrType.INTEGER, -1)
         with pytest.raises(ValueError):
-            encode_value(AttrType.INTEGER, P, P)
+            encode_value(AttrType.INTEGER, P)
 
     def test_bool_rejected(self):
         # bool is an int subclass; it must not sneak through
         with pytest.raises(ValueError):
-            encode_value(AttrType.INTEGER, True, P)
+            encode_value(AttrType.INTEGER, True)
 
     def test_wrong_python_type(self):
         with pytest.raises(ValueError):
-            encode_value(AttrType.INTEGER, "42", P)
+            encode_value(AttrType.INTEGER, "42")
         with pytest.raises(ValueError):
-            encode_value(AttrType.TEXT, 42, P)
+            encode_value(AttrType.TEXT, 42)
 
     def test_decode_wrong_element_count(self):
         with pytest.raises(ValueError):
@@ -66,29 +66,29 @@ class TestIntegerEncoding:
 
     @given(st.integers(0, P - 1))
     def test_round_trip(self, v):
-        assert decode_value(AttrType.INTEGER, encode_value(AttrType.INTEGER, v, P)) == v
+        assert decode_value(AttrType.INTEGER, encode_value(AttrType.INTEGER, v)) == v
 
 
 class TestTextEncoding:
     def test_frozen_example(self):
         # the start byte, then "Aids" = 0x41696473
-        assert encode_value(AttrType.TEXT, "Aids", P) == [0x141696473]
+        assert encode_value(AttrType.TEXT, "Aids") == [0x141696473]
 
     def test_empty_string(self):
-        assert encode_value(AttrType.TEXT, "", P) == [1]
+        assert encode_value(AttrType.TEXT, "") == [1]
         assert decode_value(AttrType.TEXT, [1]) == ""
 
     def test_chunk_boundaries(self):
         # with its start byte, a 6-byte value fills one chunk and a 7-byte one spills
         six = "abcdef"
         seven = "abcdefg"
-        assert encode_value(AttrType.TEXT, six, P) == reference_text_encoding(six)
-        assert len(encode_value(AttrType.TEXT, six, P)) == 1
-        assert len(encode_value(AttrType.TEXT, seven, P)) == 2
+        assert encode_value(AttrType.TEXT, six) == reference_text_encoding(six)
+        assert len(encode_value(AttrType.TEXT, six)) == 1
+        assert len(encode_value(AttrType.TEXT, seven)) == 2
 
     def test_multibyte_utf8(self):
         for text in ("héllo", "日本語のテキスト", "data 🚀 base"):
-            elements = encode_value(AttrType.TEXT, text, P)
+            elements = encode_value(AttrType.TEXT, text)
             assert elements == reference_text_encoding(text)
             assert decode_value(AttrType.TEXT, elements) == text
 
@@ -98,9 +98,9 @@ class TestTextEncoding:
 
     def test_size_cap(self):
         big = "a" * MAX_TEXT_BYTES
-        assert decode_value(AttrType.TEXT, encode_value(AttrType.TEXT, big, P)) == big
+        assert decode_value(AttrType.TEXT, encode_value(AttrType.TEXT, big)) == big
         with pytest.raises(ValueError):
-            encode_value(AttrType.TEXT, "a" * (MAX_TEXT_BYTES + 1), P)
+            encode_value(AttrType.TEXT, "a" * (MAX_TEXT_BYTES + 1))
 
     def test_decode_count_mismatch(self):
         with pytest.raises(ValueError):
@@ -127,7 +127,7 @@ class TestTextEncoding:
     @given(st.text(max_size=300))
     def test_length_leaks_to_7_bytes_and_no_finer(self, text):
         # a server sees the element count, and it depends on the UTF-8 length alone
-        elements = encode_value(AttrType.TEXT, text, P)
+        elements = encode_value(AttrType.TEXT, text)
         assert len(elements) == -(-(len(text.encode("utf-8")) + 1) // CHUNK_BYTES)
         # a zero element in front is a pad of 7 or more zero bytes
         with pytest.raises(ValueError, match="start byte"):
@@ -136,43 +136,34 @@ class TestTextEncoding:
     @given(st.text(max_size=300))
     @settings(max_examples=200)
     def test_round_trip(self, text):
-        elements = encode_value(AttrType.TEXT, text, P)
+        elements = encode_value(AttrType.TEXT, text)
         assert elements == reference_text_encoding(text)
         assert all(0 <= e < P for e in elements)
         assert decode_value(AttrType.TEXT, elements) == text
 
 
-def packed(elements, w):
-    return b"".join(e.to_bytes(w, "big") for e in elements)
-
-
-def column(cells, w):
+def column(cells):
     """(packed, counts) of a column whose cells hold these elements."""
-    return packed([e for cell in cells for e in cell], w), tuple(map(len, cells))
+    packed = b"".join(e.to_bytes(8, "big") for cell in cells for e in cell)
+    return packed, tuple(map(len, cells))
 
 
 class TestColumnDecode:
-    """decode_cells takes a whole column: its packed elements, `w` bytes wide, and counts."""
+    """decode_cells takes a whole column: its packed elements, 8 bytes each, and counts."""
 
-    @given(st.lists(st.text(max_size=40), max_size=12), st.sampled_from([8, 12, 16]))
-    def test_text_column_round_trip(self, texts, w):
-        cells = [encode_value(AttrType.TEXT, text, P) for text in texts]
-        assert decode_cells(AttrType.TEXT, *column(cells, w), w) == texts
+    @given(st.lists(st.text(max_size=40), max_size=12))
+    def test_text_column_round_trip(self, texts):
+        cells = [encode_value(AttrType.TEXT, text) for text in texts]
+        assert decode_cells(AttrType.TEXT, *column(cells)) == texts
 
-    @given(st.lists(st.integers(0, P - 1), max_size=12), st.sampled_from([8, 12, 16]))
-    def test_integer_column_round_trip(self, values, w):
+    @given(st.lists(st.integers(0, P - 1), max_size=12))
+    def test_integer_column_round_trip(self, values):
         cells = [[v] for v in values]
-        assert decode_cells(AttrType.INTEGER, *column(cells, w), w) == values
-
-    def test_text_narrower_than_a_chunk(self):
-        # at p = 2^31 - 1 elements are 4 bytes, so only chunks below 2^31 fit
-        texts = ["", "a", "abc", "é"]
-        cells = [encode_value(AttrType.TEXT, text, (1 << 31) - 1) for text in texts]
-        assert decode_cells(AttrType.TEXT, *column(cells, 4), 4) == texts
+        assert decode_cells(AttrType.INTEGER, *column(cells)) == values
 
     def test_empty_cell_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            decode_cells(AttrType.TEXT, *column([[0], []], 8), 8)
+            decode_cells(AttrType.TEXT, *column([[0], []]))
 
 
 class TestTableSchema:

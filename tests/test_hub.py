@@ -30,7 +30,7 @@ from ssdb.server import ServerStore, ShareServer
 from ssdb.shamir import reconstruct
 from ssdb.testnet import PATIENT_ROWS, PATIENTS_SCHEMA, PATIENTS_TABLE, TestCluster
 
-from helpers import vectors
+from helpers import unpack, vectors
 
 P = MERSENNE_61
 
@@ -78,7 +78,7 @@ class TestClusterConfig:
         with pytest.raises(ValueError):
             ClusterConfig(p=P, n=3, t=0, servers=servers)
         with pytest.raises(ValueError):
-            ClusterConfig(p=P - 2, n=3, t=2, servers=servers)  # composite p
+            ClusterConfig(p=P - 2, n=3, t=2, servers=servers)  # another modulus
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
@@ -101,13 +101,25 @@ class TestClusterConfig:
         with pytest.raises(ValueError):
             ClusterConfig(p=P, n=1, t=1, servers=(ServerInfo("s1", 0, "h:1"),))
         with pytest.raises(ValueError):
-            ClusterConfig(p=31, n=1, t=1, servers=(ServerInfo("s1", 31, "h:1"),))
+            ClusterConfig(p=P, n=1, t=1, servers=(ServerInfo("s1", P, "h:1"),))
 
-    def test_modulus_must_be_a_mersenne_prime(self):
-        with pytest.raises(ValueError, match="Mersenne"):
-            ClusterConfig(p=17, n=1, t=1, servers=(ServerInfo("s1", 1, "h:1"),))
-        for p in (31, (1 << 89) - 1, (1 << 127) - 1):
-            assert ClusterConfig(p=p, n=1, t=1, servers=(ServerInfo("s1", 1, "h:1"),)).p == p
+    def test_modulus_must_be_mersenne_61(self):
+        for p in (17, 31, (1 << 89) - 1, (1 << 127) - 1):
+            with pytest.raises(ValueError, match=r"2\^61 - 1"):
+                ClusterConfig(p=p, n=1, t=1, servers=(ServerInfo("s1", 1, "h:1"),))
+            with pytest.raises(ValueError, match=r"2\^61 - 1"):
+                HubClient("127.0.0.1:1", p=p)
+        assert HubClient("127.0.0.1:1", p=P).address == "127.0.0.1:1"
+
+    @pytest.mark.parametrize("name, value", [
+        ("n", 1.0), ("n", True), ("t", 1.0), ("t", True), ("x_coord", 1.5), ("x_coord", True),
+    ])
+    def test_numbers_must_be_integers(self, name, value):
+        # a bool or float used to pass, and failed only at an insert or a query
+        raw = make_config(n=1, t=1).to_json_dict()
+        (raw["servers"][0] if name == "x_coord" else raw)[name] = value
+        with pytest.raises(ValueError, match=f"^{name}( of s1)? must be an integer"):
+            ClusterConfig.from_json_dict(raw)
 
     def test_malformed_json_rejected(self):
         with pytest.raises(ValueError):
@@ -121,21 +133,21 @@ class MiniCluster:
         self.servers = []
         infos = []
         for k in (1, 2, 3):
-            server = ShareServer(f"s{k}", k, tmp_path / f"s{k}", listen=("127.0.0.1", 0), p=P)
+            server = ShareServer(f"s{k}", k, tmp_path / f"s{k}", listen=("127.0.0.1", 0))
             server.start()
             self.servers.append(server)
             infos.append(ServerInfo(f"s{k}", k, server.addr_str))
         self.config = ClusterConfig(p=P, n=3, t=t, servers=tuple(infos))
         self.hub = Hub(self.config, listen=("127.0.0.1", 0))
         self.hub.start()
-        self.hub_client = HubClient(self.hub.addr_str, p=P)
+        self.hub_client = HubClient(self.hub.addr_str)
         self.dealer = Dealer(self.hub_client, self.config, rng=random.Random(0))
 
     def ask(self, msg):
-        return protocol.request(self.hub.address, msg, p=P)
+        return protocol.request(self.hub.address, msg)
 
     def ask_server(self, k, msg):
-        return protocol.request(self.servers[k - 1].address, msg, p=P)
+        return protocol.request(self.servers[k - 1].address, msg)
 
     def fetch(self, attr, indices):
         """The client's fetch of `attr` at `indices`: each delivering server's x -> rows."""
@@ -161,7 +173,7 @@ class MiniCluster:
 
 def pairs(rows):
     """(index, share vector) of each row of a ShareRows."""
-    return list(zip(rows.indices, vectors(rows, P)))
+    return list(zip(rows.indices, vectors(rows)))
 
 
 def stored(server, attr="k"):
@@ -178,7 +190,7 @@ class TestHubRouting:
             # the hub takes no writes at all
             for msg in (CreateTable(req_id="c", schema=SCHEMA),
                         InsertShares(req_id="i", table="records", attrs=["k", "v"],
-                                     cells=ShareRows.pack([1], [[1], [2]], P))):
+                                     cells=ShareRows.pack([1], [[1], [2]]))):
                 with pytest.raises(RemoteError) as e:
                     mini.ask(msg)
                 assert e.value.code == protocol.INTERNAL
@@ -249,7 +261,7 @@ class TestHubRouting:
             mini.dealer.create_table(SCHEMA)
             mini.ask_server(
                 2, InsertShares(req_id="x", table="records", attrs=["k", "v"],
-                                cells=ShareRows.pack([1], [[5], [1, 70]], P))
+                                cells=ShareRows.pack([1], [[5], [1, 70]]))
             )
             mini.kill(3)
             with pytest.raises(RemoteError) as e:
@@ -296,7 +308,7 @@ class TestHubRouting:
             # sneak an extra row into s1 behind the dealer's back
             mini.ask_server(
                 1, InsertShares(req_id="x", table="records", attrs=["k", "v"],
-                                cells=ShareRows.pack([2], [[5], [1, 70]], P))
+                                cells=ShareRows.pack([2], [[5], [1, 70]]))
             )
             # the client's check on the condition column's pushes catches it
             with pytest.raises(SsdbError) as e:
@@ -356,7 +368,7 @@ class TestHubRouting:
             try:
                 started = time.monotonic()
                 with pytest.raises(RemoteError) as e:
-                    HubClient(hub.addr_str, p=P).get_schema("records")
+                    HubClient(hub.addr_str).get_schema("records")
                 assert time.monotonic() - started < 0.5 + 0.5
             finally:
                 hub.stop()
@@ -422,7 +434,7 @@ def test_no_share_value_crosses_the_hub(monkeypatch):
 
     def spy_open(self, addr, frame, req_id, **kwargs):
         if on_hub_thread():
-            to_servers.append(protocol.decode_frame(frame, P)[0].type)
+            to_servers.append(protocol.decode_frame(frame)[0].type)
             recorded.append(frame)
         open_exchange(self, addr, frame, req_id, **kwargs)
 
@@ -447,17 +459,15 @@ def test_no_share_value_crosses_the_hub(monkeypatch):
         assert cluster.query(hospital).rows == [["Ann"], ["Dona"]]
         shares = set()
         for handle in cluster.handles.values():  # what a replay of each log holds
-            store = ServerStore(handle.data_dir, handle.info.server_id, handle.info.x_coord, P)
+            store = ServerStore(handle.data_dir, handle.info.server_id, handle.info.x_coord)
             store.load()
             for attr in PATIENTS_SCHEMA.attr_names():
-                shares.update(protocol.unpack_shares(
-                    store.rows_for(PATIENTS_TABLE, [attr], None).packed, P
-                ))
+                shares.update(unpack(store.rows_for(PATIENTS_TABLE, [attr], None).packed))
             store.close()
 
     # every element of every cell, once on each of the 3 servers
     elements = sum(
-        len(encode_value(a.type, v, P))
+        len(encode_value(a.type, v))
         for row in PATIENT_ROWS for a, v in zip(PATIENTS_SCHEMA.attributes, row)
     )
     assert len(shares) == 3 * elements and recorded

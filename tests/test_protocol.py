@@ -41,7 +41,7 @@ from ssdb.protocol import (
 )
 from ssdb.testnet import PATIENTS_SCHEMA, TestCluster
 
-from helpers import FrameReader, vectors
+from helpers import FrameReader, unpack, vectors
 
 P = MERSENNE_61
 
@@ -55,14 +55,14 @@ SAMPLES = [
     Error(req_id="r2", code=protocol.NO_SUCH_TABLE, detail="no such table 'x'"),
     CreateTable(req_id="r3", schema=SCHEMA),
     InsertShares(
-        req_id="r4", table="t", attrs=["a", "b"], cells=ShareRows.pack([1], [[5, P - 1], [0]], P)
+        req_id="r4", table="t", attrs=["a", "b"], cells=ShareRows.pack([1], [[5, P - 1], [0]])
     ),
     GetSchema(req_id="r9", table="t"),
     SchemaResult(req_id="r10", schema=SCHEMA, rows=4),
     FetchToClient(req_id="r11", table="t", attrs=["a", "b"], indices=[1, 4]),
     FetchToClient(req_id="r11b", table="t", attrs=["a"], indices=None),
     DeliverShares(
-        req_id="r12", server_x=2, attrs=["a"], rows=ShareRows.pack([1, 4], [[7], [8, 9]], P)
+        req_id="r12", server_x=2, attrs=["a"], rows=ShareRows.pack([1, 4], [[7], [8, 9]])
     ),
 ]
 
@@ -176,9 +176,9 @@ def valid_payload(msg_type):
     return encode_message(next(m for m in SAMPLES if m.type == msg_type))
 
 
-def insert_body(*shares, p=P):
+def insert_body(*shares):
     """A one-row INSERT_SHARES body: index 1, one cell holding `shares`."""
-    return u32(1, len(shares)) + protocol.pack_shares(shares, p)
+    return u32(1, len(shares)) + protocol.pack_shares(shares)
 
 
 INSERT_HEADER = {"type": "INSERT_SHARES", "req_id": "r", "table": "t", "attrs": ["a"]}
@@ -198,19 +198,15 @@ class TestFrameShape:
 
     def test_share_values_travel_as_fixed_width_binary(self):
         # body: the row indices, each cell's element count (4-byte big-endian
-        # ints), then every share in `width` big-endian bytes
-        for p, width in ((17, 1), (P, 8), (2**127 - 1, 16)):
-            msg = DeliverShares(
-                req_id="r", server_x=1, attrs=["a"],
-                rows=ShareRows.pack([3, 9], [[p - 1, 5], [0]], p),
-            )
-            frame = encode_frame(msg)
-            header, _, body = frame[4:].partition(b"\n")
-            assert json.loads(header)["rows"] == 2
-            shares = b"".join(v.to_bytes(width, "big") for v in (p - 1, 5, 0))
-            assert body == u32(3, 9) + u32(2, 1) + shares
-            assert protocol.share_width(p) == width
-            assert decode_frame(frame, p) == (msg, len(frame))
+        # ints), then every share in 8 big-endian bytes
+        msg = DeliverShares(
+            req_id="r", server_x=1, attrs=["a"], rows=ShareRows.pack([3, 9], [[P - 1, 5], [0]]),
+        )
+        frame = encode_frame(msg)
+        header, _, body = frame[4:].partition(b"\n")
+        assert json.loads(header)["rows"] == 2
+        assert body == u32(3, 9) + u32(2, 1) + u64(P - 1, 5, 0)
+        assert decode_frame(frame) == (msg, len(frame))
 
     def test_oversized_frame_rejected_on_encode(self):
         # 8 bytes per share, so 3M of them top 16 MiB
@@ -225,96 +221,85 @@ class TestFrameShape:
     def test_oversized_length_header_rejected_on_decode(self):
         bogus = (protocol.MAX_FRAME_BYTES + 1).to_bytes(4, "big") + b"x"
         with pytest.raises(ProtocolError):
-            decode_frame(bogus, P)
+            decode_frame(bogus)
 
     def test_oversized_length_rejected_before_its_bytes_are_buffered(self):
         # the 4-byte length alone is enough to refuse the frame
         header = (protocol.MAX_FRAME_BYTES + 1).to_bytes(4, "big")
         with pytest.raises(ProtocolError) as e:
-            FrameDecoder(P).feed(header)
+            FrameDecoder().feed(header)
         assert e.value.code == protocol.INTERNAL
         with EchoService(lambda msg: Ack()) as svc:
             with socket.create_connection(svc.address, timeout=5) as sock:
                 sock.sendall(header)  # and never the payload
-                reply = FrameReader(sock, P).read()
+                reply = FrameReader(sock).read()
                 assert isinstance(reply, Error) and reply.code == protocol.INTERNAL
                 assert sock.recv(1) == b""
 
     def test_incomplete_frames_return_none(self):
         frame = encode_frame(Ack(req_id="abc"))
-        assert decode_frame(b"", P) is None
-        assert decode_frame(frame[:3], P) is None
-        assert decode_frame(frame[:-1], P) is None
+        assert decode_frame(b"") is None
+        assert decode_frame(frame[:3]) is None
+        assert decode_frame(frame[:-1]) is None
 
     def test_malformed_json_rejected(self):
         payload = b"{not json"
         frame = len(payload).to_bytes(4, "big") + payload
         with pytest.raises(ProtocolError) as e:
-            decode_frame(frame, P)
+            decode_frame(frame)
         assert e.value.code == protocol.INTERNAL
 
 
-# the range check's moduli: one-byte ones, 17 not Mersenne; two-byte
-# ones, 257 with a second byte a share can pass while tying the top one;
-# then the 8-, 12- and 16-byte share widths
-RANGE_MODULI = (7, 17, 31, 127, 257, 8191, P, (1 << 89) - 1, (1 << 127) - 1)
-
-
-def ties(p: int, n: int) -> tuple[int, int]:
-    """The least and greatest shares whose top n bytes are p's."""
-    shift = 8 * (protocol.share_width(p) - n)
-    return p >> shift << shift, (p >> shift << shift) + (1 << shift) - 1
+def ties(n: int) -> tuple[int, int]:
+    """The least and greatest 8-byte shares whose top n bytes are p's."""
+    shift = 8 * (8 - n)
+    return P >> shift << shift, (P >> shift << shift) + (1 << shift) - 1
 
 
 @st.composite
 def share_runs(draw):
-    """A modulus and a packed run of w-byte shares, some of them p or above.
+    """A packed run of 8-byte shares, some of them p or above.
 
     Shares cluster where the range check decides: at 0, p-1, p, p+1 and
-    the w-byte maximum, and where they tie p's top one or two bytes. Some
-    runs hold p's bytes across two adjacent shares.
+    2^64 - 1, and where they tie p's top one or two bytes. Some runs hold
+    p's bytes across two adjacent shares.
     """
-    p = draw(st.sampled_from(RANGE_MODULI), label="p")
-    w = protocol.share_width(p)
     share = st.one_of(
-        st.integers(0, p - 1),
-        st.sampled_from([0, p - 1, p, p + 1, (1 << 8 * w) - 1]),
-        st.integers(*ties(p, 1)),
-        st.integers(*ties(p, min(2, w))),
+        st.integers(0, P - 1),
+        st.sampled_from([0, P - 1, P, P + 1, (1 << 64) - 1]),
+        st.integers(*ties(1)),
+        st.integers(*ties(2)),
     )
-    packed = b"".join(v.to_bytes(w, "big") for v in draw(st.lists(share, max_size=12)))
-    if w > 1 and draw(st.booleans()):
-        cut = draw(st.integers(1, w - 1))  # p's bytes start `cut` bytes before a share edge
-        at = w * draw(st.integers(0, len(packed) // w))
-        pair = draw(st.binary(min_size=w - cut, max_size=w - cut)) + p.to_bytes(w, "big")
+    packed = u64(*draw(st.lists(share, max_size=12)))
+    if draw(st.booleans()):
+        cut = draw(st.integers(1, 7))  # p's bytes start `cut` bytes before a share edge
+        at = 8 * draw(st.integers(0, len(packed) // 8))
+        pair = draw(st.binary(min_size=8 - cut, max_size=8 - cut)) + u64(P)
         packed = packed[:at] + pair + draw(st.binary(min_size=cut, max_size=cut)) + packed[at:]
-    return p, packed
+    return packed
 
 
 def with_edge_runs(test):
-    """Adds p - 1 followed by each share where the range check decides, at every modulus."""
-    for p in RANGE_MODULI:
-        w = protocol.share_width(p)
-        for share in sorted({p, p + 1, (1 << 8 * w) - 1, *ties(p, 1), *ties(p, min(2, w))}):
-            test = example((p, (p - 1).to_bytes(w, "big") + share.to_bytes(w, "big")))(test)
+    """Adds p - 1 followed by each share where the range check decides."""
+    for share in sorted({P, P + 1, (1 << 64) - 1, *ties(1), *ties(2)}):
+        test = example(u64(P - 1, share))(test)
     return test
 
 
 @given(share_runs())
 @settings(max_examples=500)
 @with_edge_runs
-def test_range_check_is_exact(run):
+def test_range_check_is_exact(packed):
     """read_body takes a body exactly when every share in it is below p."""
-    p, packed = run
-    shares = protocol.unpack_shares(packed, p)
+    shares = unpack(packed)
     body = u32(1, len(shares)) + packed
     try:
-        rows = protocol.read_body(body, 1, 1, p)
+        rows = protocol.read_body(body, 1, 1)
     except ProtocolError as exc:
         assert exc.code == VALUE_RANGE
-        assert shares and max(shares) >= p
+        assert shares and max(shares) >= P
     else:
-        assert not shares or max(shares) < p
+        assert not shares or max(shares) < P
         assert rows.packed == packed
 
 
@@ -324,7 +309,7 @@ class TestMessageCodec:
         ids=lambda m: m.type + ("-every-row" if getattr(m, "indices", ()) is None else ""),
     )
     def test_round_trip(self, msg):
-        decoded, consumed = decode_frame(encode_frame(msg), P)
+        decoded, consumed = decode_frame(encode_frame(msg))
         assert consumed == len(encode_frame(msg))
         assert decoded == msg
 
@@ -333,7 +318,7 @@ class TestMessageCodec:
     )
     def test_wire_format_is_pinned(self, msg, frame):
         assert encode_frame(msg) == frame
-        assert decode_frame(frame, P) == (msg, len(frame))
+        assert decode_frame(frame) == (msg, len(frame))
 
     def test_field_cases_cover_every_declared_field(self):
         declared = {
@@ -356,10 +341,10 @@ class TestMessageCodec:
             del obj[name]
             code = FIELD_CASES[msg_type, name][1]
         if (msg_type, name) in OPTIONAL:
-            assert getattr(decode_message(obj, P, body), name) is None
+            assert getattr(decode_message(obj, body), name) is None
             return
         with pytest.raises(ProtocolError) as e:
-            decode_message(obj, P, body)
+            decode_message(obj, body)
         assert e.value.code == code
 
     @pytest.mark.parametrize(
@@ -375,7 +360,7 @@ class TestMessageCodec:
             wrong, code = FIELD_CASES[msg_type, name]
             obj = {**obj, name: wrong}
         with pytest.raises(ProtocolError) as e:
-            decode_message(obj, P, body)
+            decode_message(obj, body)
         assert e.value.code == code
 
     @pytest.mark.parametrize(
@@ -388,7 +373,7 @@ class TestMessageCodec:
         else:
             obj = {**obj, name: value}
         with pytest.raises(ProtocolError) as e:
-            decode_message(obj, P, body)
+            decode_message(obj, body)
         assert e.value.code == VALUE_RANGE
 
     @pytest.mark.parametrize("body", [
@@ -403,33 +388,33 @@ class TestMessageCodec:
         # the body's length must be exactly what its header and counts give
         header, _ = valid_payload("DELIVER_SHARES")
         with pytest.raises(ProtocolError) as e:
-            decode_message(header, P, body)
+            decode_message(header, body)
         assert e.value.code == INTERNAL
 
     def test_body_only_where_the_type_declares_one(self):
         with pytest.raises(ProtocolError) as e:
-            decode_message(INSERT_HEADER, P)  # no body
+            decode_message(INSERT_HEADER)  # no body
         assert e.value.code == INTERNAL
         with pytest.raises(ProtocolError) as e:
-            decode_message({"type": "ACK", "req_id": "r"}, P, b"")
+            decode_message({"type": "ACK", "req_id": "r"}, b"")
         assert e.value.code == INTERNAL
         # a newline in the payload starts a body, which ACK does not take
         payload = b'{"type":"ACK","req_id":"r"}\n'
         with pytest.raises(ProtocolError):
-            decode_frame(len(payload).to_bytes(4, "big") + payload, P)
+            decode_frame(len(payload).to_bytes(4, "big") + payload)
 
     def test_unknown_type(self):
         with pytest.raises(ProtocolError) as e:
-            decode_message({"type": "BOGUS", "req_id": "r"}, P)
+            decode_message({"type": "BOGUS", "req_id": "r"})
         assert e.value.code == protocol.UNKNOWN_TYPE
 
     def test_missing_type_and_req_id(self):
         with pytest.raises(ProtocolError):
-            decode_message({"req_id": "r"}, P)
+            decode_message({"req_id": "r"})
         with pytest.raises(ProtocolError):
-            decode_message({"type": "ACK"}, P)
+            decode_message({"type": "ACK"})
         with pytest.raises(ProtocolError):
-            decode_message({"type": "ACK", "req_id": 7}, P)
+            decode_message({"type": "ACK", "req_id": 7})
 
     def test_share_string_validation(self):
         # shares are never read from decimal strings: a header in the layout
@@ -439,33 +424,27 @@ class TestMessageCodec:
             obj = {"type": "INSERT_SHARES", "req_id": "r", "table": "t", "index": 1,
                    "cells": {"a": [s]}}
             with pytest.raises(ProtocolError) as e:
-                decode_message(obj, P)
+                decode_message(obj)
             assert e.value.code == INTERNAL, s
             payload = json.dumps(obj).encode("utf-8")
             with pytest.raises(ProtocolError):
-                decode_frame(len(payload).to_bytes(4, "big") + payload, P)
+                decode_frame(len(payload).to_bytes(4, "big") + payload)
 
     def test_share_value_must_be_below_modulus(self):
-        assert vectors(decode_message(INSERT_HEADER, P, insert_body(P - 1)).cells, P) == [[P - 1]]
+        assert vectors(decode_message(INSERT_HEADER, insert_body(P - 1)).cells) == [[P - 1]]
         with pytest.raises(ProtocolError) as e:
-            decode_message(INSERT_HEADER, P, insert_body(P))
+            decode_message(INSERT_HEADER, insert_body(P))
         assert e.value.code == protocol.VALUE_RANGE
-
-    def test_small_modulus_tightens_validation(self):
-        decoded = decode_message(INSERT_HEADER, 17, insert_body(16, p=17))
-        assert vectors(decoded.cells, 17) == [[16]]
-        with pytest.raises(ProtocolError):
-            decode_message(INSERT_HEADER, 17, insert_body(17, p=17))
 
     def test_row_index_validation(self):
         base = {"type": "FETCH_TO_CLIENT", "req_id": "r", "table": "t", "attrs": ["a"]}
         for bad in ([0], [-3], [True], [1.5], ["2"]):
             with pytest.raises(ProtocolError):
-                decode_message({**base, "indices": bad}, P)
-        assert decode_message({**base, "indices": []}, P).indices == []
+                decode_message({**base, "indices": bad})
+        assert decode_message({**base, "indices": []}).indices == []
         # null or absent: every row
-        assert decode_message({**base, "indices": None}, P).indices is None
-        assert decode_message(base, P).indices is None
+        assert decode_message({**base, "indices": None}).indices is None
+        assert decode_message(base).indices is None
 
     def test_after_and_digest_travel_in_the_header(self):
         fetch = FetchToClient(req_id="r", table="t", attrs=["a"], after=3)
@@ -474,12 +453,12 @@ class TestMessageCodec:
             b'{"type":"FETCH_TO_CLIENT","req_id":"r","table":"t","attrs":["a"],'
             b'"indices":null,"after":3}'
         )
-        assert decode_frame(frame, P) == (fetch, len(frame))
+        assert decode_frame(frame) == (fetch, len(frame))
         digest = RowsDigest().add([1], u64(7)).hexdigest()
         reply = DeliverShares(req_id="r", server_x=2, attrs=["a"], digest=digest)
         header, body = encode_message(reply)
         assert header["digest"] == digest and len(digest) == 64
-        assert decode_frame(encode_frame(reply), P)[0] == reply
+        assert decode_frame(encode_frame(reply))[0] == reply
 
     @pytest.mark.parametrize("fields", [
         {"attrs": ["a"], "indices": [1], "after": 0},
@@ -489,7 +468,7 @@ class TestMessageCodec:
     def test_after_needs_null_indices_and_one_attribute(self, fields):
         obj = {"type": "FETCH_TO_CLIENT", "req_id": "r", "table": "t", **fields}
         with pytest.raises(ProtocolError) as e:
-            decode_message(obj, P)
+            decode_message(obj)
         assert e.value.code == VALUE_RANGE
         with pytest.raises(ProtocolError):
             FetchToClient(table="t", **fields)
@@ -509,21 +488,21 @@ class TestMessageCodec:
     def test_bool_rejected_where_int_expected(self):
         obj, body = valid_payload("DELIVER_SHARES")
         with pytest.raises(ProtocolError):
-            decode_message({**obj, "server_x": True}, P, body)
+            decode_message({**obj, "server_x": True}, body)
 
     def test_schema_row_count_validation(self):
         base = {"type": "SCHEMA_RESULT", "req_id": "r", "schema": SCHEMA.to_json_dict()}
-        assert decode_message({**base, "rows": 0}, P).rows == 0
+        assert decode_message({**base, "rows": 0}).rows == 0
         for bad in (-1, True, "3", None):
             with pytest.raises(ProtocolError):
-                decode_message({**base, "rows": bad}, P)
+                decode_message({**base, "rows": bad})
         with pytest.raises(ProtocolError):
-            decode_message(base, P)
+            decode_message(base)
 
     def test_bad_schema_payload_gets_schema_mismatch(self):
         with pytest.raises(ProtocolError) as e:
             decode_message(
-                {"type": "CREATE_TABLE", "req_id": "r", "schema": {"table": "t"}}, P
+                {"type": "CREATE_TABLE", "req_id": "r", "schema": {"table": "t"}}
             )
         assert e.value.code == protocol.SCHEMA_MISMATCH
 
@@ -531,7 +510,7 @@ class TestMessageCodec:
 class TestFrameDecoder:
     def test_one_byte_at_a_time(self):
         stream = b"".join(encode_frame(m) for m in SAMPLES)
-        decoder = FrameDecoder(P)
+        decoder = FrameDecoder()
         out = []
         for i in range(len(stream)):
             out.extend(decoder.feed(stream[i : i + 1]))
@@ -539,7 +518,7 @@ class TestFrameDecoder:
 
     def test_all_at_once(self):
         stream = b"".join(encode_frame(m) for m in SAMPLES)
-        assert FrameDecoder(P).feed(stream) == SAMPLES
+        assert FrameDecoder().feed(stream) == SAMPLES
 
     @given(st.integers(0, 2**32), st.integers(2, 9))
     @settings(max_examples=40)
@@ -551,14 +530,14 @@ class TestFrameDecoder:
                 table="t",
                 attrs=["a"],
                 cells=ShareRows.pack(
-                    [k + 1], [[rng.randrange(P) for _ in range(rng.randrange(4))]], P
+                    [k + 1], [[rng.randrange(P) for _ in range(rng.randrange(4))]]
                 ),
             )
             for k in range(6)
         ]
         stream = b"".join(encode_frame(m) for m in msgs)
         cuts = sorted(rng.randrange(len(stream) + 1) for _ in range(pieces))
-        decoder = FrameDecoder(P)
+        decoder = FrameDecoder()
         out = []
         prev = 0
         for cut in cuts + [len(stream)]:
@@ -571,7 +550,7 @@ class EchoService:
     """TcpService wrapper used as a context manager in socket tests."""
 
     def __init__(self, handler):
-        self.service = TcpService("127.0.0.1", 0, handler, p=P, name="test")
+        self.service = TcpService("127.0.0.1", 0, handler, name="test")
 
     def __enter__(self):
         self.service.start()
@@ -584,7 +563,7 @@ class EchoService:
 class TestTcpService:
     def test_request_reply_and_req_id_echo(self):
         with EchoService(lambda msg: Ack()) as svc:
-            reply = protocol.request(svc.address, GetSchema(req_id="my-req", table="t"), p=P)
+            reply = protocol.request(svc.address, GetSchema(req_id="my-req", table="t"))
         assert isinstance(reply, Ack)
         assert reply.req_id == "my-req"
 
@@ -594,7 +573,7 @@ class TestTcpService:
 
         with EchoService(handler) as svc:
             with pytest.raises(RemoteError) as e:
-                protocol.request(svc.address, GetSchema(req_id="r", table="ghost"), p=P)
+                protocol.request(svc.address, GetSchema(req_id="r", table="ghost"))
         assert e.value.code == protocol.NO_SUCH_TABLE
         assert "ghost" in e.value.detail
 
@@ -604,7 +583,7 @@ class TestTcpService:
 
         with EchoService(handler) as svc:
             with pytest.raises(RemoteError) as e:
-                protocol.request(svc.address, GetSchema(req_id="r", table="t"), p=P)
+                protocol.request(svc.address, GetSchema(req_id="r", table="t"))
         assert e.value.code == protocol.INTERNAL
 
     def test_pipelined_frames_answered_in_order(self):
@@ -612,7 +591,7 @@ class TestTcpService:
             with socket.create_connection(svc.address, timeout=5) as sock:
                 ids = [f"req-{k}" for k in range(20)]
                 sock.sendall(b"".join(encode_frame(Ack(req_id=i)) for i in ids))
-                decoder = FrameDecoder(P)
+                decoder = FrameDecoder()
                 got = []
                 while len(got) < len(ids):
                     data = sock.recv(65536)
@@ -625,7 +604,7 @@ class TestTcpService:
             with socket.create_connection(svc.address, timeout=5) as sock:
                 payload = json.dumps({"type": "BOGUS", "req_id": "r"}).encode()
                 sock.sendall(len(payload).to_bytes(4, "big") + payload)
-                reply = FrameReader(sock, P).read()
+                reply = FrameReader(sock).read()
                 assert isinstance(reply, Error)
                 assert reply.code == protocol.UNKNOWN_TYPE
                 assert sock.recv(1) == b""  # stream is done
@@ -634,14 +613,14 @@ class TestTcpService:
         with EchoService(lambda msg: Ack()) as svc:
             addr = svc.address
         with pytest.raises(OSError):
-            protocol.request(addr, Ack(req_id="r"), p=P)
+            protocol.request(addr, Ack(req_id="r"))
 
     def test_stop_frees_the_port_immediately(self):
-        svc = TcpService("127.0.0.1", 0, lambda m: Ack(), p=P, name="t")
+        svc = TcpService("127.0.0.1", 0, lambda m: Ack(), name="t")
         svc.start()
         addr = svc.address
         svc.stop()
-        again = TcpService(addr[0], addr[1], lambda m: Ack(), p=P, name="t2")
+        again = TcpService(addr[0], addr[1], lambda m: Ack(), name="t2")
         again.start()
         assert again.address == addr
         again.stop()
@@ -690,7 +669,7 @@ class ScriptedServer:
 
 def requests_in(conn):
     """Each request arriving on conn, until the peer hangs up."""
-    reader = FrameReader(conn, P)
+    reader = FrameReader(conn)
     while (msg := reader.read()) is not None:
         yield msg
 
@@ -711,7 +690,7 @@ class TestKeptOpenConnections:
     def test_one_connection_serves_request_after_request(self):
         with EchoService(lambda msg: Ack()) as svc:
             for k in range(5):
-                assert protocol.request(svc.address, Ack(req_id=f"r{k}"), p=P).req_id == f"r{k}"
+                assert protocol.request(svc.address, Ack(req_id=f"r{k}")).req_id == f"r{k}"
             assert len(self.idle(svc.address)) == 1
             assert len(svc._conns) == 1
 
@@ -732,8 +711,8 @@ class TestKeptOpenConnections:
                 conn.sendall(encode_frame(Ack(req_id=msg.req_id)) * 2)
 
         with ScriptedServer(serve) as server:
-            assert protocol.request(server.address, Ack(req_id="first"), p=P).req_id == "first"
-            assert protocol.request(server.address, Ack(req_id="second"), p=P).req_id == "second"
+            assert protocol.request(server.address, Ack(req_id="first")).req_id == "first"
+            assert protocol.request(server.address, Ack(req_id="second")).req_id == "second"
             assert server.accepted == 2  # the connection holding the duplicate was dropped
 
     @pytest.mark.parametrize("extra", [
@@ -745,7 +724,7 @@ class TestKeptOpenConnections:
                 conn.sendall(encode_frame(Ack(req_id=msg.req_id)) + extra)
 
         with ScriptedServer(serve) as server:
-            assert protocol.request(server.address, Ack(req_id="r"), p=P).req_id == "r"
+            assert protocol.request(server.address, Ack(req_id="r")).req_id == "r"
             assert self.idle(server.address) == []
 
     def test_deadline_covers_the_whole_reply(self):
@@ -758,7 +737,7 @@ class TestKeptOpenConnections:
         with ScriptedServer(serve) as server:
             started = time.monotonic()
             with pytest.raises(TimeoutError):
-                protocol.request(server.address, Ack(req_id="drip"), p=P, response_timeout=0.3)
+                protocol.request(server.address, Ack(req_id="drip"), response_timeout=0.3)
             assert time.monotonic() - started < 0.3 + 0.2
             assert self.idle(server.address) == []
 
@@ -768,9 +747,9 @@ class TestKeptOpenConnections:
                 conn.sendall(encode_frame(Ack(req_id="first")))
 
         with ScriptedServer(serve) as server:
-            protocol.request(server.address, Ack(req_id="first"), p=P)
+            protocol.request(server.address, Ack(req_id="first"))
             with pytest.raises(ProtocolError):
-                protocol.request(server.address, Ack(req_id="second"), p=P)
+                protocol.request(server.address, Ack(req_id="second"))
             assert self.idle(server.address) == []
 
     def test_timed_out_connection_is_never_reused(self):
@@ -784,10 +763,10 @@ class TestKeptOpenConnections:
 
         with ScriptedServer(serve) as server:
             with pytest.raises(TimeoutError):
-                protocol.request(server.address, Ack(req_id="slow"), p=P, response_timeout=0.2)
+                protocol.request(server.address, Ack(req_id="slow"), response_timeout=0.2)
             assert self.idle(server.address) == []
             release.set()  # the late reply goes to a closed connection
-            assert protocol.request(server.address, Ack(req_id="next"), p=P).req_id == "next"
+            assert protocol.request(server.address, Ack(req_id="next")).req_id == "next"
             assert server.accepted == 2
 
     def test_error_reply_leaves_the_connection_reusable(self):
@@ -798,10 +777,10 @@ class TestKeptOpenConnections:
 
         with EchoService(handler) as svc:
             with pytest.raises(RemoteError) as e:
-                protocol.request(svc.address, GetSchema(req_id="r1", table="ghost"), p=P)
+                protocol.request(svc.address, GetSchema(req_id="r1", table="ghost"))
             assert e.value.code == protocol.NO_SUCH_TABLE
             (sock,) = self.idle(svc.address)
-            reply = protocol.request(svc.address, GetSchema(req_id="r2", table="t"), p=P)
+            reply = protocol.request(svc.address, GetSchema(req_id="r2", table="t"))
             assert isinstance(reply, Ack) and reply.req_id == "r2"
             assert self.idle(svc.address) == [sock]
 
@@ -814,7 +793,7 @@ class TestKeptOpenConnections:
                 conn.sendall(encode_frame(Ack(req_id=msg.req_id)))
 
         with ScriptedServer(serve) as server:
-            assert protocol.request(server.address, Ack(req_id="a"), p=P).req_id == "a"
+            assert protocol.request(server.address, Ack(req_id="a")).req_id == "a"
             is_quiet = protocol._is_quiet
 
             def quiet_then_peer_closes(sock):
@@ -823,18 +802,18 @@ class TestKeptOpenConnections:
                 return quiet
 
             monkeypatch.setattr(protocol, "_is_quiet", quiet_then_peer_closes)
-            assert protocol.request(server.address, Ack(req_id="b"), p=P).req_id == "b"
+            assert protocol.request(server.address, Ack(req_id="b")).req_id == "b"
         assert seen == [(0, "a"), (1, "b")]
 
     def test_fresh_connection_is_not_retried(self):
         seen = []
 
         def serve(conn, k):  # hang up without answering
-            seen.append(FrameReader(conn, P).read().req_id)
+            seen.append(FrameReader(conn).read().req_id)
 
         with ScriptedServer(serve) as server:
             with pytest.raises(ConnectionError):
-                protocol.request(server.address, Ack(req_id="once"), p=P)
+                protocol.request(server.address, Ack(req_id="once"))
             assert seen == ["once"] and server.accepted == 1
 
     def test_reused_connection_closing_mid_reply_is_not_retried(self):
@@ -850,9 +829,9 @@ class TestKeptOpenConnections:
                 conn.sendall(frame)
 
         with ScriptedServer(serve) as server:
-            assert protocol.request(server.address, Ack(req_id="a"), p=P).req_id == "a"
+            assert protocol.request(server.address, Ack(req_id="a")).req_id == "a"
             with pytest.raises(ConnectionError):
-                protocol.request(server.address, Ack(req_id="b"), p=P)
+                protocol.request(server.address, Ack(req_id="b"))
             assert seen == [(0, "a"), (0, "b")] and server.accepted == 1
             assert self.idle(server.address) == []
 
@@ -863,7 +842,7 @@ class TestKeptOpenConnections:
             try:
                 for k in range(100):
                     req_id = f"{name}-{k}"
-                    assert protocol.request(svc.address, Ack(req_id=req_id), p=P).req_id == req_id
+                    assert protocol.request(svc.address, Ack(req_id=req_id)).req_id == req_id
             except Exception as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
 

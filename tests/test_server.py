@@ -59,24 +59,24 @@ def cells(k: int) -> list:
 
 
 def append(store, k, vectors=None, attrs=ATTRS):
-    store.append_row("patients", attrs, ShareRows.pack([k], vectors or cells(k), store.p))
+    store.append_row("patients", attrs, ShareRows.pack([k], vectors or cells(k)))
 
 
 def insert(req_id, k):
     return InsertShares(
-        req_id=req_id, table="patients", attrs=ATTRS, cells=ShareRows.pack([k], cells(k), P)
+        req_id=req_id, table="patients", attrs=ATTRS, cells=ShareRows.pack([k], cells(k))
     )
 
 
-def pairs(rows, p=P):
+def pairs(rows):
     """(index, share vector) of each row of a ShareRows."""
-    return list(zip(rows.indices, vectors(rows, p)))
+    return list(zip(rows.indices, vectors(rows)))
 
 
 def column(store, attr):
     """(indices, share vectors) of every stored row."""
     rows = store.rows_for("patients", [attr], None)
-    return list(rows.indices), vectors(rows, store.p)
+    return list(rows.indices), vectors(rows)
 
 
 def u32(*values):
@@ -92,7 +92,7 @@ def record(payload: bytes) -> bytes:
     return u32(len(payload), zlib.crc32(payload)) + payload
 
 
-RECORD_BYTES = len(record(ShareRows.pack([1], cells(1), P).body()))  # 44: 8 + 4 + 8 + 24
+RECORD_BYTES = len(record(ShareRows.pack([1], cells(1)).body()))  # 44: 8 + 4 + 8 + 24
 
 
 class TestServerStore:
@@ -121,21 +121,20 @@ class TestServerStore:
         append(again, 6)
         again.close()
 
-    @pytest.mark.parametrize("p", [17, P, 2**127 - 1])
-    def test_shares_round_trip_at_any_modulus_width(self, tmp_path, p, make_store):
-        # cells are kept and logged packed; every width of p must read back
+    def test_shares_round_trip(self, tmp_path, make_store):
+        # cells are kept and logged packed; every share must read back
         # exactly, before and after a replay
-        vec = [0, 1, p // 2, p - 1]
-        store = make_store(p=p)
+        vec = [0, 1, P // 2, P - 1]
+        store = make_store()
         store.create_table(SCHEMA)
-        append(store, 1, [[p - 1], vec])
+        append(store, 1, [[P - 1], vec])
         assert column(store, "name") == ([1], [vec])
         store.close()
         size = (tmp_path / "s1" / "patients" / "rows.log").stat().st_size
-        assert size == 8 + 4 + 2 * 4 + 5 * protocol.share_width(p)
-        again = make_store(p=p)
+        assert size == 8 + 4 + 2 * 4 + 5 * 8
+        again = make_store()
         assert column(again, "name") == ([1], [vec])
-        assert column(again, "pid") == ([1], [[p - 1]])
+        assert column(again, "pid") == ([1], [[P - 1]])
         again.close()
 
     def test_log_is_one_checksummed_binary_record_per_row(self, tmp_path, make_store):
@@ -218,12 +217,12 @@ class TestServerStore:
         for k in range(1, 4):
             append(store, k)
         assert pairs(store.rows_for("patients", ["pid"], [3, 1])) == [(3, [103]), (1, [101])]
-        assert store.rows_for("patients", ["name"], [2]) == ShareRows.pack([2], [[1, 67]], P)
+        assert store.rows_for("patients", ["name"], [2]) == ShareRows.pack([2], [[1, 67]])
         assert store.rows_for("patients", ["pid"], []) == ShareRows()
         # several attributes: their cells joined attribute by attribute, in
         # the asked order, each attribute's cells in the asked row order
         assert store.rows_for("patients", ["name", "pid"], [3, 1]) == ShareRows.pack(
-            [3, 1], [[1, 68], [1, 66], [103], [101]], P
+            [3, 1], [[1, 68], [1, 66], [103], [101]]
         )
         for bad in (0, 4, 9):
             with pytest.raises(SsdbError) as e:
@@ -431,10 +430,10 @@ class TestServerStore:
     def test_meta_file_pins_identity(self, tmp_path, make_store):
         store = make_store()
         store.close()
-        wrong_x = ServerStore(tmp_path / "s1", "s1", 2, p=P)
+        wrong_x = ServerStore(tmp_path / "s1", "s1", 2)
         with pytest.raises(ValueError):
             wrong_x.load()
-        wrong_id = ServerStore(tmp_path / "s1", "s9", 1, p=P)
+        wrong_id = ServerStore(tmp_path / "s1", "s9", 1)
         with pytest.raises(ValueError):
             wrong_id.load()
 
@@ -452,12 +451,12 @@ class TestServerStore:
         assert json.loads(meta_path.read_text(encoding="utf-8")) == meta
 
     def test_share_values_validated_against_modulus(self, make_store):
-        store = make_store(p=17)
+        store = make_store()
         store.create_table(SCHEMA)
-        append(store, 1, [[16], [1, 2]])
+        append(store, 1, [[P - 1], [1, 2]])
         with pytest.raises(SsdbError) as e:
-            # 17 is not a valid share under p=17
-            append(store, 2, [[17], [1, 2]])
+            # p is not a valid share
+            append(store, 2, [[P], [1, 2]])
         assert e.value.code == protocol.VALUE_RANGE
 
 
@@ -467,7 +466,7 @@ def test_fixture_log_size_is_what_the_record_layout_gives():
     expected = 0
     for row in PATIENT_ROWS:
         elements = sum(
-            len(encode_value(a.type, v, P)) for a, v in zip(PATIENTS_SCHEMA.attributes, row)
+            len(encode_value(a.type, v)) for a, v in zip(PATIENTS_SCHEMA.attributes, row)
         )
         expected += 8 + 4 + 4 * len(PATIENTS_SCHEMA.attributes) + 8 * elements
     with TestCluster.start(3, 2, seed=5) as cluster:
@@ -489,7 +488,7 @@ class LiveServer:
 
 
 def ask(server, msg):
-    return protocol.request(server.address, msg, p=P)
+    return protocol.request(server.address, msg)
 
 
 def fetch(server, attr, indices, req_id="f"):
