@@ -953,7 +953,6 @@ def test_reconstruct_matrix_equals_shamir_reconstruct(data):
     assert list(unpack(plain)) == want
 
 
-# the id names the modulus the slots are sized for
 @pytest.mark.parametrize("p", [P], ids=["p=2^61-1"])
 @pytest.mark.parametrize("t", [1, 2, 16])
 def test_reconstruct_matrix_at_the_slot_bound(p, t):
@@ -1142,9 +1141,11 @@ class TestKeptColumns:
     def test_least_recently_used_column_is_evicted(self, cluster, monkeypatch):
         warm = fresh(cluster)
         execute_query("SELECT k FROM notes", warm, cluster.config)
-        size = warm.columns.nbytes  # 3 small ints; v's 3 short strings take more
-        monkeypatch.setattr(client, "MAX_KEPT_BYTES", 2 * size + 8)  # room for two int columns
+        size = warm.columns.nbytes  # 3 small ints
         execute_query("SELECT v FROM notes", warm, cluster.config)
+        vsize = warm.columns.nbytes - size  # 3 short strings take more
+        assert vsize > size
+        monkeypatch.setattr(client, "MAX_KEPT_BYTES", size + vsize)  # room for k and v
         execute_query("SELECT k FROM notes", warm, cluster.config)  # k is used last
         more = TableSchema("more", NOTES.attributes)
         cluster.create_table(more)
