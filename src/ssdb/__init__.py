@@ -17,7 +17,7 @@ from .client import (
     execute_query,
     parse_query,
 )
-from .encoding import Attribute, AttrType, TableSchema, decode_value, encode_value
+from .encoding import Attribute, AttrType, TableSchema, encode_value
 from .field import MERSENNE_61, is_prime
 from .hub import ClusterConfig, Hub, ServerInfo
 from .protocol import RemoteError, SsdbError
@@ -46,7 +46,6 @@ __all__ = [
     "SsdbError",
     "TableSchema",
     "TestCluster",
-    "decode_value",
     "encode_value",
     "evaluate_predicate",
     "execute_query",

@@ -231,7 +231,7 @@ MAX_KEPT_BYTES = 4 * protocol.MAX_FRAME_BYTES
 _SLOT_BYTES = struct.calcsize("P")  # one list slot, the pointer to a value
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Column:
     """Rows 1..k of one condition column as read: decoded, and what each server sent.
 
@@ -251,15 +251,14 @@ class _Column:
             reply.digest == self.digests[x].hexdigest() for x, reply in delivered.items()
         )
 
-    def extended(self, delivered: dict[int, DeliverShares], values: list) -> _Column:
+    def extend(self, delivered: dict[int, DeliverShares], values: list) -> None:
+        """Append the rows that `delivered` brought, `values` decoded, in place."""
         if not values:
-            return self
-        digests = {
-            x: self.digests.get(x, RowsDigest()).add(reply.rows.counts, reply.rows.packed)
-            for x, reply in delivered.items()
-        }
-        nbytes = self.nbytes + sum(map(sys.getsizeof, values)) + _SLOT_BYTES * len(values)
-        return _Column(self.values + values, digests, nbytes)
+            return
+        for x, reply in delivered.items():
+            self.digests.setdefault(x, RowsDigest()).add(reply.rows.counts, reply.rows.packed)
+        self.nbytes += sum(map(sys.getsizeof, values)) + _SLOT_BYTES * len(values)
+        self.values += values
 
 
 class _KeptColumns:
@@ -496,11 +495,12 @@ def execute_query(
             raise SsdbError(protocol.NO_SUCH_ATTR, f"{query.table!r} has no attribute {name!r}")
 
     # (a)+(b): t servers deliver the condition column, reconstructed
-    # locally; row k is at cond[k - 1]
-    cond = _condition_column(hub, config, schema, cond_attr, deadline)
+    # locally; row k <= n is at cond[k - 1]
+    cond, n = _condition_column(hub, config, schema, cond_attr, deadline)
 
     # (c): plaintext predicate evaluation
-    matched = evaluate_predicate(enumerate(cond, 1), predicate, schema.attr_type(cond_attr))
+    decoded = zip(range(1, n + 1), cond)
+    matched = evaluate_predicate(decoded, predicate, schema.attr_type(cond_attr))
 
     # (d)+(e): every other selected attribute at the matched rows, in one fetch
     columns = {cond_attr: [cond[i - 1] for i in matched]} if cond_attr in select_attrs else {}
@@ -508,7 +508,7 @@ def execute_query(
     if others:
         msg = FetchToClient(table=query.table, attrs=others, indices=matched)
         delivered = _deliveries(config, msg, deadline)
-        columns.update(zip(others, _decode(config, schema, msg, delivered)))
+        columns.update(zip(others, _decode(schema, msg, delivered)))
 
     rows = list(map(list, zip(*[columns[a] for a in select_attrs])))
     return ResultSet(columns=select_attrs, indices=matched, rows=rows)
@@ -516,8 +516,11 @@ def execute_query(
 
 def _condition_column(
     hub: HubClient, config: ClusterConfig, schema: TableSchema, attr: str, deadline: float
-) -> list[Value]:
+) -> tuple[list[Value], int]:
     """Every row of `attr`, fetching only the rows after those `hub` keeps, if it can.
+
+    Returns the kept list and its length now: once kept, a later query
+    through `hub` may append to the list in place.
 
     With k rows kept, the fetch names `after` = k. The kept rows are used
     only if the same servers reply and each one's digest of its rows
@@ -533,10 +536,11 @@ def _condition_column(
     if kept.values and not kept.holds(delivered):
         kept, msg = _Column(), FetchToClient(table=key[0], attrs=[attr])
         delivered = _deliveries(config, msg, deadline)
-    [values] = _decode(config, schema, msg, delivered)
-    kept = kept.extended(delivered, values)
+    [values] = _decode(schema, msg, delivered)
+    kept.extend(delivered, values)
+    n = len(kept.values)
     hub.columns.keep(key, kept)
-    return kept.values
+    return kept.values, n
 
 
 def _deliveries(
@@ -562,10 +566,7 @@ def _deliveries(
 
 
 def _decode(
-    config: ClusterConfig,
-    schema: TableSchema,
-    msg: FetchToClient,
-    delivered: dict[int, DeliverShares],
+    schema: TableSchema, msg: FetchToClient, delivered: dict[int, DeliverShares]
 ) -> list[list[Value]]:
     """Reconstruct and decode each attribute of `msg` from its deliveries.
 

@@ -128,17 +128,10 @@ def encode_value(attr_type: AttrType, value) -> list[int]:
     ]
 
 
-def decode_value(attr_type: AttrType, elements: list[int]):
-    """Exact inverse of encode_value; rejects malformed encodings."""
-    if not all(0 <= e < MERSENNE_61 for e in elements):
-        raise ValueError(f"an element is outside [0, {MERSENNE_61})")
-    packed = struct.pack(f">{len(elements)}Q", *elements)
-    return decode_cells(attr_type, packed, (len(elements),))[0]
-
-
 def decode_cells(attr_type: AttrType, packed: bytes, counts: Sequence[int]) -> list:
     """Decode a column of cells, cell k the next counts[k] of the plain
-    elements in `packed`, 8 big-endian bytes each.
+    elements in `packed`, 8 big-endian bytes each: the inverse of
+    `encode_value`, cell by cell. A malformed encoding raises ValueError.
 
     INTEGER cells are unpacked together. For TEXT, every element's top
     byte is tested for zero at once and cut, and each cell is then one

@@ -38,6 +38,7 @@ closes the idle ones.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -171,19 +172,18 @@ class RowsDigest:
 
     The element counts (4-byte big-endian) and the shares are two
     separate running hashes, so the digest of rows 1..k does not depend
-    on how many deliveries brought them. `add` returns a new digest and
-    leaves this one as it was.
+    on how many deliveries brought them. `add` grows this digest in
+    place and returns it.
     """
 
-    def __init__(self, counts=None, shares=None):
-        self._counts = hashlib.sha256() if counts is None else counts
-        self._shares = hashlib.sha256() if shares is None else shares
+    def __init__(self):
+        self._counts = hashlib.sha256()
+        self._shares = hashlib.sha256()
 
     def add(self, counts: Sequence[int], packed: bytes) -> RowsDigest:
-        grown = RowsDigest(self._counts.copy(), self._shares.copy())
-        grown._counts.update(struct.pack(f">{len(counts)}I", *counts))
-        grown._shares.update(packed)
-        return grown
+        self._counts.update(struct.pack(f">{len(counts)}I", *counts))
+        self._shares.update(packed)
+        return self
 
     def hexdigest(self) -> str:
         """sha256 of the two running hashes' digests, counts first, in hex."""
@@ -486,7 +486,7 @@ def decode_frame(buf) -> Optional[tuple[object, int]]:
     )
     try:
         obj = json.loads(header.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too many digits
         raise ProtocolError(INTERNAL, f"malformed frame payload: {exc}") from exc
     return decode_message(obj, body), end
 
@@ -718,8 +718,8 @@ class TcpService:
     """Threaded frame server: one handler call per frame, in arrival order.
 
     Pipelined frames on a single connection are processed and answered
-    strictly in order. Handler exceptions become ERROR frames carrying
-    the request's req_id.
+    strictly in order. Handler exceptions, and a reply too big for one
+    frame, become ERROR frames carrying the request's req_id.
     """
 
     def __init__(self, host: str, port: int, handler: Callable, *, name: str = "service"):
@@ -734,15 +734,7 @@ class TcpService:
         self._stopping = False
 
     def start(self) -> None:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            sock.bind((self._host, self._port))
-            sock.listen(64)
-        except BaseException:
-            sock.close()
-            raise
-        self._sock = sock
+        self._sock = socket.create_server((self._host, self._port), backlog=64)
         with self._lock:
             self._stopping = False
             start_daemon(self._threads, self._accept_loop, name=f"{self._name}-accept")
@@ -784,15 +776,17 @@ class TcpService:
                     messages = decoder.feed(data)
                 except ProtocolError as exc:
                     # Stream state is unknown after a malformed frame: report, then drop.
-                    try:
+                    with contextlib.suppress(OSError):
                         conn.sendall(encode_frame(Error(code=exc.code, detail=exc.detail)))
-                    except OSError:
-                        pass
                     return
                 for msg in messages:
                     reply = self._dispatch(msg)
                     try:
-                        conn.sendall(encode_frame(reply))
+                        frame = encode_frame(reply)
+                    except SsdbError as exc:  # a reply past MAX_FRAME_BYTES
+                        frame = encode_frame(Error(reply.req_id, exc.code, exc.detail))
+                    try:
+                        conn.sendall(frame)
                     except OSError:
                         return
         finally:
@@ -819,21 +813,15 @@ class TcpService:
             threads = list(self._threads)
             self._threads.clear()
         if self._sock is not None:
-            try:
-                # wake the blocked accept(); close() alone leaves the
-                # kernel socket listening until the accept returns
+            # wake the blocked accept(); close() alone leaves the kernel
+            # socket listening until the accept returns
+            with contextlib.suppress(OSError):
                 self._sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
+            with contextlib.suppress(OSError):
                 self._sock.close()
-            except OSError:
-                pass
         for conn in conns:
-            try:
+            with contextlib.suppress(OSError):
                 conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
             conn.close()
         for thread in threads:
             thread.join(timeout=5)

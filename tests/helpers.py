@@ -4,6 +4,15 @@ import struct
 
 from ssdb.protocol import FrameDecoder
 
+# frames whose JSON header Python's json module refuses with something
+# other than JSONDecodeError: a RecursionError, and a ValueError for an
+# integer past the int/str digit limit (a bare int on Python 3.10, which
+# has no limit, and still not a JSON object)
+HOSTILE_FRAMES = {
+    name: len(header).to_bytes(4, "big") + header
+    for name, header in (("deep", b"[" * 100_000), ("digits", b"1" * 5_000))
+}
+
 
 def split_counts(flat, counts):
     """Cut a flat run into consecutive pieces of the given lengths."""

@@ -40,6 +40,7 @@ from ssdb.protocol import (
     DeliverShares,
     FetchToClient,
     InsertShares,
+    RemoteError,
     SchemaResult,
     ShareRows,
     SsdbError,
@@ -47,7 +48,7 @@ from ssdb.protocol import (
 from ssdb.shamir import lagrange_weights, reconstruct, split
 from ssdb.testnet import PATIENT_ROWS, PATIENTS_SCHEMA, PATIENTS_TABLE, TestCluster
 
-from helpers import FrameReader, unpack, vectors
+from helpers import HOSTILE_FRAMES, FrameReader, unpack, vectors
 
 P = MERSENNE_61
 
@@ -422,9 +423,10 @@ class StubServer:
     """A listening socket standing in for one share server.
 
     Each connection gets one request read, then every message
-    `answer(request)` returns, and stays open until the client closes it;
-    an answer of None hangs up at once instead. With `drip` set, the
-    replies go out one byte every `drip` seconds.
+    `answer(request)` returns (bytes go out as they are), and stays open
+    until the client closes it; an answer of None hangs up at once
+    instead. With `drip` set, the replies go out one byte every `drip`
+    seconds.
     """
 
     def __init__(self, answer, drip=0.0):
@@ -448,11 +450,12 @@ class StubServer:
                 if replies is None:
                     continue
                 for reply in replies:
-                    reply.req_id = msg.req_id
-                    frame = protocol.encode_frame(reply)
-                    step = 1 if self.drip else len(frame)
-                    for at in range(0, len(frame), step):
-                        conn.sendall(frame[at : at + step])
+                    if not isinstance(reply, bytes):
+                        reply.req_id = msg.req_id
+                        reply = protocol.encode_frame(reply)
+                    step = 1 if self.drip else len(reply)
+                    for at in range(0, len(reply), step):
+                        conn.sendall(reply[at : at + step])
                         time.sleep(self.drip)
                 conn.recv(1)  # until the client hangs up
 
@@ -558,6 +561,14 @@ class TestResultListener:
             s2.stop()
         assert e.value.code == protocol.QUERY_TIMEOUT
         assert "s2" in e.value.detail and "s1" not in e.value.detail
+
+    @pytest.mark.parametrize("frame", HOSTILE_FRAMES.values(), ids=HOSTILE_FRAMES.keys())
+    def test_hostile_reply_header_fails_the_query_naming_its_server(self, patients, stubs, frame):
+        config = stub_config(stubs(delivers(1), lambda msg: [frame], delivers(3)))
+        with pytest.raises(SsdbError) as e:
+            execute_query("SELECT Patientid FROM patient_details", patients.hub_client, config)
+        assert e.value.code == protocol.INTERNAL
+        assert "server s2" in e.value.detail and "malformed frame" in e.value.detail
 
     def test_server_failing_before_its_reply_is_replaced(self, stubs):
         servers = stubs(lambda msg: None, delivers(2), delivers(3))  # s1 hangs up
@@ -953,15 +964,14 @@ def test_reconstruct_matrix_equals_shamir_reconstruct(data):
     assert list(unpack(plain)) == want
 
 
-@pytest.mark.parametrize("p", [P], ids=["p=2^61-1"])
 @pytest.mark.parametrize("t", [1, 2, 16])
-def test_reconstruct_matrix_at_the_slot_bound(p, t):
+def test_reconstruct_matrix_at_the_slot_bound(t):
     # every share p-1 and the weights of x = 1..t: the slot sums come near t * (p-1)^2
     xs = list(range(1, t + 1))
-    runs = [[p - 1] * 5 for _ in xs]
+    runs = [[P - 1] * 5 for _ in xs]
     tagged = [(x, protocol.pack_shares(ys)) for x, ys in zip(xs, runs)]
     plain = _reconstruct_matrix(tagged, "t", ["a"])
-    want = reconstruct([(x, p - 1) for x in xs], t, p)
+    want = reconstruct([(x, P - 1) for x in xs], t, P)
     assert list(unpack(plain)) == [want] * 5
 
 
@@ -971,21 +981,20 @@ def chunk_elements(t: int) -> int:
     return _CHUNK // m * m
 
 
-@pytest.mark.parametrize("p", [P], ids=["p=2^61-1"])
 @pytest.mark.parametrize("t", [1, 2, 16])
-def test_reconstruct_matrix_across_chunk_edges(p, t):
-    rng = random.Random(p * t)
+def test_reconstruct_matrix_across_chunk_edges(t):
+    rng = random.Random(P * t)
     xs = rng.sample(range(1, 1 << 16), t)
-    weights = lagrange_weights(xs, p)
+    weights = lagrange_weights(xs, P)
     chunk = chunk_elements(t)
     # the last size leaves a part slot at the end
     for size in (0, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
-        uniform = [[rng.randrange(p) for _ in range(size)] for _ in xs]
-        top = [[p - 1] * size for _ in xs]  # every slot sum near t * (p-1)^2
+        uniform = [[rng.randrange(P) for _ in range(size)] for _ in xs]
+        top = [[P - 1] * size for _ in xs]  # every slot sum near t * (p-1)^2
         for runs in (uniform, top):
             tagged = [(x, protocol.pack_shares(ys)) for x, ys in zip(xs, runs)]
             plain = unpack(_reconstruct_matrix(tagged, "t", ["a"]))
-            want = [sum(map(operator.mul, weights, ys)) % p for ys in zip(*runs)]
+            want = [sum(map(operator.mul, weights, ys)) % P for ys in zip(*runs)]
             assert list(plain) == want, (size, runs is top)
 
 
@@ -1163,6 +1172,47 @@ class TestKeptColumns:
         assert warm.columns.nbytes == 0
 
 
+def test_kept_column_grown_by_a_later_query_leaves_an_earlier_answer_alone(monkeypatch):
+    """A kept list grows in place; a query reads only the rows it had when it kept the list."""
+    text = "SELECT k FROM notes WHERE v = 'Ann'"
+    with TestCluster.start(3, 2, seed=61) as cluster:
+        cluster.create_table(NOTES)
+        cluster.insert_row(NOTES, (1, "Ann"))
+        warm = fresh(cluster)
+        execute_query(text, warm, cluster.config)
+        cluster.insert_row(NOTES, (2, "Ann"))
+        evaluate, calls, inner = client.evaluate_predicate, [], []
+
+        def between(decoded, predicate, attr_type):
+            # the first query kept rows 1..2; a second one through the same
+            # client appends row 3 to that list before the first one's predicate
+            calls.append(predicate)
+            if len(calls) == 1:
+                cluster.insert_row(NOTES, (3, "Ann"))
+                inner.append(execute_query(text, warm, cluster.config))
+            return evaluate(decoded, predicate, attr_type)
+
+        monkeypatch.setattr(client, "evaluate_predicate", between)
+        outer = execute_query(text, warm, cluster.config)
+    assert inner[0].rows == [[1], [2], [3]]
+    assert outer.rows == [[1], [2]]
+
+
+def test_reply_past_the_frame_cap_fails_with_an_error_naming_it(monkeypatch):
+    with TestCluster.start(3, 2, seed=59) as cluster:
+        cluster.create_table(NOTES)
+        for k in range(20):
+            cluster.insert_row(NOTES, (k, "x" * 300))  # 43 elements a cell
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 4096)
+        with pytest.raises(RemoteError) as e:
+            execute_query("SELECT v FROM notes", fresh(cluster), cluster.config)
+    assert e.value.code == protocol.INTERNAL
+    assert "exceeds 4096" in e.value.detail
+    # each server asked answered its own ERROR, so no third one is asked
+    assert "server s1" in e.value.detail and "server s2" in e.value.detail
+    assert "server s3" not in e.value.detail
+
+
 def test_threads_sharing_a_hub_client_keep_its_byte_count():
     """Queries from 6 threads through one HubClient; a row is inserted between rounds.
 
@@ -1274,7 +1324,7 @@ CLUSTER_FILE_READER = """
 import struct
 import sys
 from ssdb import protocol
-from ssdb.encoding import decode_value
+from ssdb.encoding import decode_cells
 from ssdb.hub import ClusterConfig
 from ssdb.protocol import FetchToClient, GetSchema
 from ssdb.shamir import reconstruct
@@ -1293,7 +1343,8 @@ for info in config.servers[: config.t]:
     points.append([(info.x_coord, y) for y in ys])
 protocol.close_idle()
 elements = [reconstruct(ys, config.t, config.p) for ys in zip(*points)]
-print(decode_value(schema.attr_type(attr), elements))
+packed = struct.pack(f">{len(elements)}Q", *elements)
+print(decode_cells(schema.attr_type(attr), packed, [len(elements)])[0])
 """
 
 

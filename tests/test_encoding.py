@@ -13,7 +13,6 @@ from ssdb.encoding import (
     AttrType,
     TableSchema,
     decode_cells,
-    decode_value,
     encode_value,
 )
 from ssdb.field import MERSENNE_61
@@ -32,6 +31,17 @@ def reference_text_encoding(text: str) -> list[int]:
     return digits[::-1]
 
 
+def column(cells):
+    """(packed, counts) of a column whose cells hold these elements."""
+    packed = b"".join(e.to_bytes(8, "big") for cell in cells for e in cell)
+    return packed, tuple(map(len, cells))
+
+
+def decode(attr_type, elements):
+    """The value of the one cell that holds these elements."""
+    return decode_cells(attr_type, *column([elements]))[0]
+
+
 class TestIntegerEncoding:
     def test_passthrough(self):
         assert encode_value(AttrType.INTEGER, 42) == [42]
@@ -39,7 +49,7 @@ class TestIntegerEncoding:
         assert encode_value(AttrType.INTEGER, P - 1) == [P - 1]
 
     def test_decode(self):
-        assert decode_value(AttrType.INTEGER, [42]) == 42
+        assert decode(AttrType.INTEGER, [42]) == 42
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -60,13 +70,13 @@ class TestIntegerEncoding:
 
     def test_decode_wrong_element_count(self):
         with pytest.raises(ValueError):
-            decode_value(AttrType.INTEGER, [])
+            decode(AttrType.INTEGER, [])
         with pytest.raises(ValueError):
-            decode_value(AttrType.INTEGER, [1, 2])
+            decode(AttrType.INTEGER, [1, 2])
 
     @given(st.integers(0, P - 1))
     def test_round_trip(self, v):
-        assert decode_value(AttrType.INTEGER, encode_value(AttrType.INTEGER, v)) == v
+        assert decode(AttrType.INTEGER, encode_value(AttrType.INTEGER, v)) == v
 
 
 class TestTextEncoding:
@@ -76,7 +86,7 @@ class TestTextEncoding:
 
     def test_empty_string(self):
         assert encode_value(AttrType.TEXT, "") == [1]
-        assert decode_value(AttrType.TEXT, [1]) == ""
+        assert decode(AttrType.TEXT, [1]) == ""
 
     def test_chunk_boundaries(self):
         # with its start byte, a 6-byte value fills one chunk and a 7-byte one spills
@@ -90,7 +100,7 @@ class TestTextEncoding:
         for text in ("héllo", "日本語のテキスト", "data 🚀 base"):
             elements = encode_value(AttrType.TEXT, text)
             assert elements == reference_text_encoding(text)
-            assert decode_value(AttrType.TEXT, elements) == text
+            assert decode(AttrType.TEXT, elements) == text
 
     def test_every_chunk_fits_below_modulus(self):
         # 7 bytes of 0xff is the largest possible chunk
@@ -98,31 +108,31 @@ class TestTextEncoding:
 
     def test_size_cap(self):
         big = "a" * MAX_TEXT_BYTES
-        assert decode_value(AttrType.TEXT, encode_value(AttrType.TEXT, big)) == big
+        assert decode(AttrType.TEXT, encode_value(AttrType.TEXT, big)) == big
         with pytest.raises(ValueError):
             encode_value(AttrType.TEXT, "a" * (MAX_TEXT_BYTES + 1))
 
     def test_decode_count_mismatch(self):
         with pytest.raises(ValueError):
-            decode_value(AttrType.TEXT, [0x41696473])  # "Aids" with no start byte
+            decode(AttrType.TEXT, [0x41696473])  # "Aids" with no start byte
         with pytest.raises(ValueError):
-            decode_value(AttrType.TEXT, [0, 0x141696473])  # a zero element in front of "Aids"
+            decode(AttrType.TEXT, [0, 0x141696473])  # a zero element in front of "Aids"
         with pytest.raises(ValueError):
-            decode_value(AttrType.TEXT, [])
+            decode(AttrType.TEXT, [])
 
     def test_decode_chunk_too_wide(self):
         # the second chunk needs 8 bytes
         with pytest.raises(ValueError, match="2\\^56"):
-            decode_value(AttrType.TEXT, [0x161, 1 << 56])
+            decode(AttrType.TEXT, [0x161, 1 << 56])
 
     def test_decode_invalid_utf8(self):
         with pytest.raises(ValueError):
-            decode_value(AttrType.TEXT, [1, 0xFF])
+            decode(AttrType.TEXT, [1, 0xFF])
 
     def test_decode_bad_length_prefix(self):
         # a start byte in the first chunk, then 7 * 149,797 value bytes
         with pytest.raises(ValueError, match="exceeds"):
-            decode_value(AttrType.TEXT, [1] + [0x61] * (MAX_TEXT_BYTES // CHUNK_BYTES + 1))
+            decode(AttrType.TEXT, [1] + [0x61] * (MAX_TEXT_BYTES // CHUNK_BYTES + 1))
 
     @given(st.text(max_size=300))
     def test_length_leaks_to_7_bytes_and_no_finer(self, text):
@@ -131,7 +141,7 @@ class TestTextEncoding:
         assert len(elements) == -(-(len(text.encode("utf-8")) + 1) // CHUNK_BYTES)
         # a zero element in front is a pad of 7 or more zero bytes
         with pytest.raises(ValueError, match="start byte"):
-            decode_value(AttrType.TEXT, [0] + elements)
+            decode(AttrType.TEXT, [0] + elements)
 
     @given(st.text(max_size=300))
     @settings(max_examples=200)
@@ -139,13 +149,7 @@ class TestTextEncoding:
         elements = encode_value(AttrType.TEXT, text)
         assert elements == reference_text_encoding(text)
         assert all(0 <= e < P for e in elements)
-        assert decode_value(AttrType.TEXT, elements) == text
-
-
-def column(cells):
-    """(packed, counts) of a column whose cells hold these elements."""
-    packed = b"".join(e.to_bytes(8, "big") for cell in cells for e in cell)
-    return packed, tuple(map(len, cells))
+        assert decode(AttrType.TEXT, elements) == text
 
 
 class TestColumnDecode:

@@ -41,7 +41,7 @@ from ssdb.protocol import (
 )
 from ssdb.testnet import PATIENTS_SCHEMA, TestCluster
 
-from helpers import FrameReader, unpack, vectors
+from helpers import HOSTILE_FRAMES, FrameReader, unpack, vectors
 
 P = MERSENNE_61
 
@@ -245,6 +245,12 @@ class TestFrameShape:
     def test_malformed_json_rejected(self):
         payload = b"{not json"
         frame = len(payload).to_bytes(4, "big") + payload
+        with pytest.raises(ProtocolError) as e:
+            decode_frame(frame)
+        assert e.value.code == protocol.INTERNAL
+
+    @pytest.mark.parametrize("frame", HOSTILE_FRAMES.values(), ids=HOSTILE_FRAMES.keys())
+    def test_hostile_json_header_rejected(self, frame):
         with pytest.raises(ProtocolError) as e:
             decode_frame(frame)
         assert e.value.code == protocol.INTERNAL
@@ -477,11 +483,10 @@ class TestMessageCodec:
         counts, shares = [1, 2, 1], u64(7, 8, 9, 10)
         whole = RowsDigest().add(counts, shares)
         split = RowsDigest().add(counts[:1], shares[:8]).add(counts[1:], shares[8:])
-        assert whole.hexdigest() == split.hexdigest()
-        # add leaves the digest it grows from as it was
-        empty = RowsDigest()
-        empty.add(counts, shares)
-        assert empty.hexdigest() == RowsDigest().hexdigest() != whole.hexdigest()
+        assert whole.hexdigest() == split.hexdigest() != RowsDigest().hexdigest()
+        # add grows the digest in place
+        grown = RowsDigest()
+        assert grown.add(counts, shares) is grown and grown.hexdigest() == whole.hexdigest()
         # counts and shares are hashed apart: moving a count changes the digest
         assert RowsDigest().add([2, 1, 1], shares).hexdigest() != whole.hexdigest()
 

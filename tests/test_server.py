@@ -14,6 +14,7 @@ from ssdb.field import MERSENNE_61
 from ssdb.protocol import (
     CreateTable,
     DeliverShares,
+    Error,
     FetchToClient,
     GetSchema,
     InsertShares,
@@ -26,7 +27,7 @@ from ssdb.protocol import (
 from ssdb.server import ServerStore, ShareServer
 from ssdb.testnet import PATIENT_ROWS, PATIENTS_SCHEMA, PATIENTS_TABLE, TestCluster
 
-from helpers import vectors
+from helpers import HOSTILE_FRAMES, FrameReader, vectors
 
 P = MERSENNE_61
 
@@ -603,6 +604,16 @@ def test_server_that_cannot_listen_leaves_nothing_open(tmp_path):
             gc.collect()
     leaks = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
     assert leaks == []
+
+
+@pytest.mark.parametrize("frame", HOSTILE_FRAMES.values(), ids=HOSTILE_FRAMES.keys())
+def test_hostile_header_is_answered_then_closed(tmp_path, frame):
+    with LiveServer(tmp_path) as server:
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.sendall(frame)
+            reply = FrameReader(sock).read()
+            assert isinstance(reply, Error) and reply.code == protocol.INTERNAL
+            assert sock.recv(1) == b""
 
 
 def test_daemon_thread_lists_stay_bounded():
