@@ -26,7 +26,6 @@ the plain bytes that gives.
 
 from __future__ import annotations
 
-import logging
 import operator
 import re
 import struct
@@ -54,8 +53,6 @@ from .protocol import (
     SsdbError,
 )
 from .shamir import lagrange_weights, split
-
-log = logging.getLogger(__name__)
 
 Value = Union[int, str]
 
@@ -424,11 +421,12 @@ class Dealer:
 _CHUNK = 2048
 
 
-def _reconstruct_matrix(tagged: list[tuple[int, bytes]], table: str, attrs: list[str]) -> bytes:
+def _reconstruct_matrix(tagged: list[tuple[int, bytes]]) -> bytes:
     """Combine t packed share runs into plain elements, a chunk at a time.
 
     `tagged` holds (x_coord, packed shares) per server, all laid out alike
-    (the caller has checked that their counts agree). The runs are walked
+    (the caller has checked that their counts agree); the x-coordinates
+    are configured ones, which `ClusterConfig` has checked. The runs are walked
     in chunks of about `_CHUNK` elements, whole slots, so no temporary
     outgrows a chunk. Each chunk is read as one big int of 8-byte elements
     and cut into m phases, each element in a zero-padded slot of 8m bytes
@@ -437,10 +435,7 @@ def _reconstruct_matrix(tagged: list[tuple[int, bytes]], table: str, attrs: list
     Mersenne folding (SWAR: Fisher & Dietz, LCPC 1998). Returns the plain
     elements, packed as the shares were.
     """
-    try:
-        weights = lagrange_weights([x for x, _ in tagged], MERSENNE_61)
-    except ValueError as exc:
-        raise SsdbError(protocol.DATA_CORRUPTION, f"{table!r} {attrs}: {exc}") from exc
+    weights = lagrange_weights([x for x, _ in tagged], MERSENNE_61)
     w, k = SHARE_BYTES, MERSENNE_61.bit_length()
     total = len(tagged[0][1])
     m = -(-(2 * k + len(tagged).bit_length()) // (8 * w))  # elements per slot
@@ -549,7 +544,9 @@ def _deliveries(
     """t servers' replies to `msg`, by x-coordinate.
 
     Each must come from the server's own x-coordinate and name the
-    requested attributes.
+    requested attributes. An every-row fetch is cut to the rows that
+    every replying server holds: a row reaches the servers one by one,
+    so a read that overlaps an insert may find it on only some of them.
     """
     delivered: dict[int, DeliverShares] = {}
     for info, reply in ResultListener(config, lambda info: msg, config.t, deadline).wait():
@@ -562,6 +559,11 @@ def _deliveries(
                 f"as x={reply.server_x}, asked for {msg.attrs}",
             )
         delivered[info.x_coord] = reply
+    if msg.indices is None:  # one attribute, so its counts line up with the indices
+        m = min(len(reply.rows.indices) for reply in delivered.values())
+        for reply in delivered.values():
+            indices, counts, packed = reply.rows.indices, reply.rows.counts, reply.rows.packed
+            reply.rows = ShareRows(indices[:m], counts[:m], packed[: SHARE_BYTES * sum(counts[:m])])
     return delivered
 
 
@@ -597,7 +599,7 @@ def _decode(
                 f"{msg.table!r} {msg.attrs}: share vectors disagree on element count",
             )
     tagged = [(x, delivered[x].rows.packed) for x in sorted(delivered)]
-    plain = _reconstruct_matrix(tagged, msg.table, msg.attrs)
+    plain = _reconstruct_matrix(tagged)
     # attribute by attribute: each one's counts, and its elements, are one run
     rows = len(matched)
     columns, start = [], 0

@@ -83,25 +83,12 @@ class TableSchema:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TableSchema":
-        if not isinstance(obj, dict):
-            raise ValueError("schema must be a JSON object")
+        """The schema `obj` describes; each part is checked where it is constructed."""
         try:
-            table = obj["table"]
-            attrs = obj["attributes"]
+            attrs = tuple(Attribute(a["name"], AttrType(a["type"])) for a in obj["attributes"])
+            return cls(table_name=obj["table"], attributes=attrs)
         except (KeyError, TypeError) as exc:
-            raise ValueError(f"schema missing field: {exc}") from exc
-        if not isinstance(table, str) or not isinstance(attrs, list):
-            raise ValueError("malformed schema object")
-        parsed = []
-        for entry in attrs:
-            if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-                raise ValueError(f"malformed attribute entry: {entry!r}")
-            try:
-                attr_type = AttrType(entry.get("type"))
-            except ValueError:
-                raise ValueError(f"unknown attribute type {entry.get('type')!r}") from None
-            parsed.append(Attribute(entry["name"], attr_type))
-        return cls(table_name=table, attributes=tuple(parsed))
+            raise ValueError(f"malformed schema: {exc!r}") from exc
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import protocol
 from .field import MERSENNE_61
-from .protocol import GetSchema, SchemaResult, SsdbError, TcpService
+from .protocol import GetSchema, SsdbError, TcpService
 
 log = logging.getLogger(__name__)
 
@@ -216,10 +216,8 @@ class Hub(TcpService):
             return self.fetch_schema(msg)
         raise SsdbError(protocol.INTERNAL, f"{msg.type} is not handled by the hub")
 
-    def fetch_schema(self, msg: GetSchema) -> SchemaResult:
-        """The first server's answer, under `ResultListener`'s rule, within RESPONSE_TIMEOUT."""
+    def fetch_schema(self, msg: GetSchema):
+        """The first server's reply as it is, under `ResultListener`'s rule, in RESPONSE_TIMEOUT."""
         deadline = time.monotonic() + protocol.RESPONSE_TIMEOUT
         [(_, reply)] = ResultListener(self.config, lambda info: msg, 1, deadline).wait()
-        if not isinstance(reply, SchemaResult):
-            raise SsdbError(protocol.INTERNAL, f"unexpected reply {reply.type}")
         return reply

@@ -601,7 +601,8 @@ class Exchange:
     frame (an ERROR frame counts) arrived with no byte after it; bytes
     nobody asked for, any failure, or `close` before the reply closes
     it. A request that fails on a reused connection before any reply
-    byte arrives is sent once more on a fresh one. Nothing else is
+    byte arrives, in sending (unless the send timed out) or in reading,
+    is sent once more on a fresh one, by `reply`. Nothing else is
     retried.
     """
 
@@ -613,6 +614,7 @@ class Exchange:
         self._send()
 
     def _send(self) -> None:
+        """Send the frame; a failed reused connection is closed and left for `reply` to redo."""
         try:
             self._sock.settimeout(CONNECT_TIMEOUT)
             self._sock.sendall(self._frame)
@@ -620,11 +622,6 @@ class Exchange:
             self.close()
             if not self._reused or isinstance(exc, TimeoutError):
                 raise
-            self._send_fresh()
-
-    def _send_fresh(self) -> None:
-        self._sock, self._reused = _connect(self.addr), False
-        self._send()
 
     def _read(self, deadline: float):
         """Read until one whole frame is in, all of it by the deadline.
@@ -661,10 +658,11 @@ class Exchange:
         """
         deadline = time.monotonic() + timeout
         try:
-            got = self._read(deadline)
+            got = self._read(deadline) if self._sock else None
             if got is None and self._reused:
                 self.close()
-                self._send_fresh()
+                self._sock, self._reused = _connect(self.addr), False
+                self._send()
                 got = self._read(deadline)
             if got is None:
                 raise ConnectionError("peer closed the connection without replying")

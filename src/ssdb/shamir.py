@@ -5,9 +5,10 @@ constant term s. Any t points recover s exactly by Lagrange interpolation
 at zero; any t-1 points are statistically independent of s.
 
 Every value is a plain int. p, t and the holders' x-coordinates are
-validated once, by ClusterConfig; these functions trust them, except
-that lagrange_weights checks the x-coordinates it is handed, which at
-read time come from servers.
+validated once, by ClusterConfig, and a read takes its x-coordinates
+from the cluster file, not from the servers. These functions trust
+them, except that lagrange_weights checks the x-coordinates it is
+handed.
 """
 
 from __future__ import annotations

@@ -13,6 +13,17 @@ HOSTILE_FRAMES = {
     for name, header in (("deep", b"[" * 100_000), ("digits", b"1" * 5_000))
 }
 
+# JSON objects that describe no schema: each fails in the constructor of
+# Attribute, AttrType or TableSchema, the only checks a schema read makes
+MALFORMED_SCHEMAS = {
+    "attributes-object": {"table": "t", "attributes": {"name": "a", "type": "INTEGER"}},
+    "attributes-string": {"table": "t", "attributes": "a INTEGER"},
+    "attributes-lists": {"table": "t", "attributes": [["a", "INTEGER"]]},
+    "no-type": {"table": "t", "attributes": [{"name": "a"}]},
+    "name-not-string": {"table": "t", "attributes": [{"name": 7, "type": "INTEGER"}]},
+    "table-not-string": {"table": 7, "attributes": [{"name": "a", "type": "INTEGER"}]},
+}
+
 
 def split_counts(flat, counts):
     """Cut a flat run into consecutive pieces of the given lengths."""

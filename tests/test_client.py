@@ -207,6 +207,12 @@ class TestParseQuery:
         with pytest.raises(QuerySyntaxError):
             parse_query("SELECT a FROM t WHERE a ~ 1")
 
+    def test_literal_without_an_operator(self):
+        text = "SELECT a FROM t WHERE a 'x'"
+        with pytest.raises(QuerySyntaxError, match="expected comparison operator") as e:
+            parse_query(text)
+        assert e.value.pos == text.index("'x'")
+
     def test_must_start_with_select(self):
         with pytest.raises(QuerySyntaxError):
             parse_query("DELETE FROM t")
@@ -833,6 +839,18 @@ class TestSchemaCache:
         assert cluster.query("SELECT v FROM later").rows == [["now"]]
 
 
+def test_schema_read_answered_with_an_ack_is_internal(stubs):
+    # the hub relays its server's reply as it is; HubClient checks its type
+    hub = Hub(stub_config(stubs(lambda msg: [Ack()]), t=1))
+    hub.start()
+    try:
+        with pytest.raises(SsdbError) as e:
+            HubClient(hub.addr_str).get_schema("t")
+    finally:
+        hub.stop()
+    assert e.value.code == protocol.INTERNAL and "ACK" in e.value.detail
+
+
 class TestQueryFailureModes:
     def test_dropped_deliveries_time_out(self, patients, stubs):
         # servers that take the fetch and never answer it
@@ -957,7 +975,7 @@ def test_reconstruct_matrix_equals_shamir_reconstruct(data):
     runs = [data.draw(st.lists(share, min_size=sum(counts), max_size=sum(counts))) for _ in xs]
     tagged = [(x, protocol.pack_shares(ys)) for x, ys in zip(xs, runs)]
 
-    plain = _reconstruct_matrix(tagged, "t", ["a"])
+    plain = _reconstruct_matrix(tagged)
 
     assert len(plain) == 8 * sum(counts)
     want = [reconstruct(list(zip(xs, ys)), t, P) for ys in zip(*runs)]
@@ -970,7 +988,7 @@ def test_reconstruct_matrix_at_the_slot_bound(t):
     xs = list(range(1, t + 1))
     runs = [[P - 1] * 5 for _ in xs]
     tagged = [(x, protocol.pack_shares(ys)) for x, ys in zip(xs, runs)]
-    plain = _reconstruct_matrix(tagged, "t", ["a"])
+    plain = _reconstruct_matrix(tagged)
     want = reconstruct([(x, P - 1) for x in xs], t, P)
     assert list(unpack(plain)) == [want] * 5
 
@@ -993,7 +1011,7 @@ def test_reconstruct_matrix_across_chunk_edges(t):
         top = [[P - 1] * size for _ in xs]  # every slot sum near t * (p-1)^2
         for runs in (uniform, top):
             tagged = [(x, protocol.pack_shares(ys)) for x, ys in zip(xs, runs)]
-            plain = unpack(_reconstruct_matrix(tagged, "t", ["a"]))
+            plain = unpack(_reconstruct_matrix(tagged))
             want = [sum(map(operator.mul, weights, ys)) % P for ys in zip(*runs)]
             assert list(plain) == want, (size, runs is top)
 
@@ -1004,7 +1022,7 @@ def test_reconstruct_matrix_holds_only_chunk_sized_temporaries():
     tagged = [(x, protocol.pack_shares([rng.randrange(P) for _ in range(size)])) for x in (1, 2)]
     tracemalloc.start()
     try:
-        plain = _reconstruct_matrix(tagged, "t", ["a"])
+        plain = _reconstruct_matrix(tagged)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1216,8 +1234,8 @@ def test_reply_past_the_frame_cap_fails_with_an_error_naming_it(monkeypatch):
 def test_threads_sharing_a_hub_client_keep_its_byte_count():
     """Queries from 6 threads through one HubClient; a row is inserted between rounds.
 
-    Rows are inserted while no query runs: a read that overlaps a write
-    can meet the row on one server and not yet on the other.
+    Rows are inserted while no query runs;
+    `test_reads_that_overlap_inserts_see_a_prefix_of_them` reads during inserts.
     """
     with TestCluster.start(3, 2, seed=53) as cluster:
         cluster.create_table(NOTES)
@@ -1259,6 +1277,54 @@ def test_threads_sharing_a_hub_client_keep_its_byte_count():
         for text, rs in results:
             n = len(rs.indices)
             assert (rs.indices, rs.rows) == (final[text].indices[:n], final[text].rows[:n])
+
+
+def test_reads_that_overlap_inserts_see_a_prefix_of_them():
+    """Three readers query while a dealer inserts 199 rows; no query fails.
+
+    A row reaches the servers one by one, so a read can find it on one
+    server and not yet on another. Each answer is the plaintext filter
+    of a prefix of the rows, one that holds every row acknowledged
+    before the query began. Two readers use a fresh client per query,
+    the third one warm client.
+    """
+    rows = [(k % 5, "é" * (k % 3) + str(k)) for k in range(1, 200)]
+    text = "SELECT v, k FROM notes WHERE k < 2"
+    expected = [(i, [v, k]) for i, (k, v) in enumerate(rows, 1) if k < 2]
+    with TestCluster.start(3, 2, seed=59) as cluster:
+        cluster.create_table(NOTES)
+        acked = [0]  # rows acknowledged so far
+        done = threading.Event()
+        answers, failures = [], []
+
+        def read(client):
+            try:
+                while not done.is_set():
+                    before = acked[0]
+                    rs = execute_query(text, client(), cluster.config)
+                    answers.append((before, list(zip(rs.indices, rs.rows))))
+            except Exception as exc:  # noqa: BLE001 - reported by the main thread
+                failures.append(exc)
+
+        warm = fresh(cluster)
+        clients = [lambda: fresh(cluster), lambda: fresh(cluster), lambda: warm]
+        threads = [threading.Thread(target=read, args=(client,)) for client in clients]
+        for thread in threads:
+            thread.start()
+        try:
+            for row in rows:
+                cluster.insert_row(NOTES, row)
+                acked[0] += 1
+        finally:
+            done.set()
+            for thread in threads:
+                thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert sum(0 < before < len(rows) for before, _ in answers) >= 10
+        for before, got in answers:
+            assert got == expected[: len(got)]
+            assert len(got) >= sum(i <= before for i, _ in expected)
 
 
 @given(st.lists(st.one_of(

@@ -17,6 +17,8 @@ from ssdb.encoding import (
 )
 from ssdb.field import MERSENNE_61
 
+from helpers import MALFORMED_SCHEMAS
+
 P = MERSENNE_61
 
 
@@ -232,6 +234,9 @@ class TestTableSchema:
             )
         with pytest.raises(ValueError):
             TableSchema.from_json_dict([])  # type: ignore[arg-type]
+        for obj in MALFORMED_SCHEMAS.values():
+            with pytest.raises(ValueError):
+                TableSchema.from_json_dict(obj)
 
     def test_canonical_json_is_stable_and_parsable(self):
         schema = self.make()

@@ -1,6 +1,7 @@
 """Wire framing, message codec, and the threaded TCP service."""
 
 import contextlib
+import errno
 import json
 import random
 import socket
@@ -808,6 +809,26 @@ class TestKeptOpenConnections:
 
             monkeypatch.setattr(protocol, "_is_quiet", quiet_then_peer_closes)
             assert protocol.request(server.address, Ack(req_id="b")).req_id == "b"
+        assert seen == [(0, "a"), (1, "b")]
+
+    def test_reused_connection_failing_to_send_gets_one_retry(self):
+        seen = []
+
+        def serve(conn, k):
+            for msg in requests_in(conn):
+                seen.append((k, msg.req_id))
+                conn.sendall(encode_frame(Ack(req_id=msg.req_id)))
+
+        class BrokenPipe(socket.socket):
+            def sendall(self, data, *args):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        with ScriptedServer(serve) as server:
+            assert protocol.request(server.address, Ack(req_id="a")).req_id == "a"
+            (sock,) = self.idle(server.address)
+            self.idle(server.address)[:] = [BrokenPipe(fileno=sock.detach())]
+            assert protocol.request(server.address, Ack(req_id="b")).req_id == "b"
+            assert server.accepted == 2
         assert seen == [(0, "a"), (1, "b")]
 
     def test_fresh_connection_is_not_retried(self):

@@ -27,7 +27,7 @@ from ssdb.protocol import (
 from ssdb.server import ServerStore, ShareServer
 from ssdb.testnet import PATIENT_ROWS, PATIENTS_SCHEMA, PATIENTS_TABLE, TestCluster
 
-from helpers import HOSTILE_FRAMES, FrameReader, vectors
+from helpers import HOSTILE_FRAMES, MALFORMED_SCHEMAS, FrameReader, vectors
 
 P = MERSENNE_61
 
@@ -614,6 +614,17 @@ def test_hostile_header_is_answered_then_closed(tmp_path, frame):
             reply = FrameReader(sock).read()
             assert isinstance(reply, Error) and reply.code == protocol.INTERNAL
             assert sock.recv(1) == b""
+
+
+@pytest.mark.parametrize("schema", MALFORMED_SCHEMAS.values(), ids=MALFORMED_SCHEMAS.keys())
+def test_malformed_create_table_gets_schema_mismatch(tmp_path, schema):
+    header = json.dumps({"type": "CREATE_TABLE", "req_id": "c", "schema": schema}).encode()
+    with LiveServer(tmp_path) as server:
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.sendall(len(header).to_bytes(4, "big") + header)
+            reply = FrameReader(sock).read()
+            assert isinstance(reply, Error) and reply.code == protocol.SCHEMA_MISMATCH
+        assert server.store.tables == {}
 
 
 def test_daemon_thread_lists_stay_bounded():
