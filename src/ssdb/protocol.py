@@ -751,8 +751,13 @@ class TcpService:
         while True:
             try:
                 conn, peer = self._sock.accept()
-            except OSError:
-                return
+            except OSError as exc:
+                if self._stopping:
+                    return
+                # say EMFILE: the listener stays open, so accept again shortly
+                log.warning("%s: accept failed (%s); retrying", self._name, exc)
+                time.sleep(0.1)
+                continue
             with self._lock:
                 if self._stopping:
                     conn.close()

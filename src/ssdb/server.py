@@ -2,10 +2,10 @@
 
 Holds the replicated schema, the plaintext index column, and for each
 cell the share vector evaluated at this server's x-coordinate. Rows are
-persisted to an append-only log before they are acknowledged; startup
-replays the log, truncating a torn last record and refusing to start on
-any other corrupt one. The metadata files are replaced whole through an
-fsynced temporary file, and every new directory entry is fsynced.
+persisted to an append-only log, opened per append, before they are
+acknowledged; startup replays the log, truncating a torn last record and
+refusing to start on any other corrupt one. Metadata files are replaced
+whole through an fsynced temporary file; new directory entries are fsynced.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ class StoredTable:
     # attr -> its cells in row order (row i at [i - 1]), each cell's shares
     # packed as on the wire; attrs in schema order
     columns: dict[str, list[bytes]] = field(init=False)
-    log_file: Optional[object] = None
 
     def __post_init__(self):
         self.columns = {name: [] for name in self.schema.attr_names()}
@@ -98,16 +97,12 @@ class StoredTable:
             cells.append(row.packed[pos : pos + count * SHARE_BYTES])
             pos += count * SHARE_BYTES
 
-    def open_log(self) -> None:
-        created = not (self.directory / "rows.log").exists()
-        self.log_file = open(self.directory / "rows.log", "ab")
-        if created:
+    def create_log(self) -> None:
+        """Create an empty rows.log if there is none, and make its entry durable."""
+        path = self.directory / "rows.log"
+        if not path.exists():
+            path.touch()
             _fsync_dir(self.directory)
-
-    def close(self) -> None:
-        if self.log_file is not None:
-            self.log_file.close()
-            self.log_file = None
 
 
 class ServerStore:
@@ -136,8 +131,8 @@ class ServerStore:
                 continue
             schema = _read_json(entry / "schema.json", TableSchema.from_json_dict)
             table = StoredTable(schema=schema, directory=entry)
+            table.create_log()
             self._replay_log(table)
-            table.open_log()
             self.tables[schema.table_name] = table
 
     def _check_meta(self) -> None:
@@ -155,10 +150,7 @@ class ServerStore:
 
     def _replay_log(self, table: StoredTable) -> None:
         log_path = table.directory / "rows.log"
-        if not log_path.exists():
-            return
-        with open(log_path, "rb") as fh:
-            data = fh.read()
+        data = log_path.read_bytes()
         if data.startswith(b"{"):
             # a binary record starts with a length far below 0x7b000000
             raise ValueError(
@@ -212,8 +204,7 @@ class ServerStore:
             log.warning(
                 "%s: torn last record at byte %d of %s; truncating", self.server_id, pos, log_path
             )
-            with open(log_path, "r+b") as fh:
-                fh.truncate(pos)
+            os.truncate(log_path, pos)
 
     def _check_record(self, table: StoredTable, payload) -> ShareRows:
         """The one row a log record or an insert holds, if it may come next."""
@@ -242,7 +233,7 @@ class ServerStore:
             _fsync_dir(self.data_dir)
             _write_durably(directory / "schema.json", schema.canonical_json())
             table = StoredTable(schema=schema, directory=directory)
-            table.open_log()
+            table.create_log()
             self.tables[schema.table_name] = table
 
     def _table(self, name: str) -> StoredTable:
@@ -263,9 +254,21 @@ class ServerStore:
             payload = row.body()
             # the same check replay makes, so every logged record replays
             self._check_record(table, payload)
-            table.log_file.write(_RECORD.pack(len(payload), zlib.crc32(payload)) + payload)
-            table.log_file.flush()
-            os.fsync(table.log_file.fileno())
+            record = _RECORD.pack(len(payload), zlib.crc32(payload)) + payload
+            # opened for this append alone; a failed write or fsync is cut back out,
+            # so the log never holds a record whose row was not kept
+            path = table.directory / "rows.log"
+            size = path.stat().st_size
+            fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+            try:
+                if os.write(fd, record) != len(record):
+                    raise OSError(f"short write to {path}")
+                os.fsync(fd)
+            except BaseException:
+                os.ftruncate(fd, size)
+                raise
+            finally:
+                os.close(fd)
             table.add_row(row)
 
     def rows_for(
@@ -312,11 +315,6 @@ class ServerStore:
             table = self._table(table_name)
             return table.schema, table.row_count
 
-    def close(self) -> None:
-        with self._lock:
-            for table in self.tables.values():
-                table.close()
-
 
 class ShareServer(TcpService):
     """Networked share server; one per x-coordinate of the cluster."""
@@ -330,12 +328,8 @@ class ShareServer(TcpService):
         self.store = ServerStore(data_dir, server_id, x_coord)
 
     def start(self) -> None:
-        try:
-            self.store.load()
-            super().start()
-        except BaseException:
-            self.store.close()  # a half-loaded store too
-            raise
+        self.store.load()
+        super().start()
 
     def handle(self, msg):
         if isinstance(msg, CreateTable):
@@ -353,7 +347,3 @@ class ShareServer(TcpService):
             digest = self.store.digest(msg.table, msg.attrs[0], msg.after) if msg.after else None
             return DeliverShares(server_x=self.x_coord, attrs=msg.attrs, rows=rows, digest=digest)
         raise SsdbError(protocol.INTERNAL, f"{msg.type} is not handled by a share server")
-
-    def stop(self) -> None:
-        super().stop()
-        self.store.close()

@@ -461,7 +461,6 @@ def test_no_share_value_crosses_the_hub(monkeypatch):
             store.load()
             for attr in PATIENTS_SCHEMA.attr_names():
                 shares.update(unpack(store.rows_for(PATIENTS_TABLE, [attr], None).packed))
-            store.close()
 
     # every element of every cell, once on each of the 3 servers
     elements = sum(

@@ -631,6 +631,21 @@ class TestTcpService:
         assert again.address == addr
         again.stop()
 
+    def test_a_failed_accept_is_retried(self, monkeypatch):
+        real = socket.socket.accept
+        failures = []
+
+        def accept_once_out_of_descriptors(sock):
+            if not failures:
+                failures.append(sock)
+                raise OSError(errno.EMFILE, "Too many open files")
+            return real(sock)
+
+        monkeypatch.setattr(socket.socket, "accept", accept_once_out_of_descriptors)
+        with EchoService(lambda msg: Ack()) as svc:
+            reply = protocol.request(svc.address, Ack(req_id="after-emfile"))
+        assert reply.req_id == "after-emfile" and len(failures) == 1
+
 
 class ScriptedServer:
     """A bare listening socket whose k-th accepted connection (from 0) runs serve(conn, k).

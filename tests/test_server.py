@@ -1,7 +1,9 @@
 """Share server storage, durability, and its TCP dispatch."""
 
+import errno
 import gc
 import json
+import os
 import socket
 import warnings
 import zlib
@@ -40,18 +42,14 @@ ATTRS = SCHEMA.attr_names()
 
 @pytest.fixture
 def make_store(tmp_path):
-    """Loads a store on tmp_path/s1; every store it made is closed after the test."""
-    made = []
+    """Loads a store on tmp_path/s1."""
 
-    def make(**kw):
-        store = ServerStore(tmp_path / "s1", "s1", 1, **kw)
-        made.append(store)  # before load, which may fail with some logs open
+    def make():
+        store = ServerStore(tmp_path / "s1", "s1", 1)
         store.load()
         return store
 
-    yield make
-    for store in made:
-        store.close()
+    return make
 
 
 def cells(k: int) -> list:
@@ -112,7 +110,6 @@ class TestServerStore:
         store.create_table(SCHEMA)
         for k in range(1, 6):
             append(store, k)
-        store.close()
 
         again = make_store()
         indices, col = column(again, "name")
@@ -120,7 +117,6 @@ class TestServerStore:
         assert col == [[1, 65 + k] for k in range(1, 6)]
         # appends continue at the right index
         append(again, 6)
-        again.close()
 
     def test_shares_round_trip(self, tmp_path, make_store):
         # cells are kept and logged packed; every share must read back
@@ -130,19 +126,16 @@ class TestServerStore:
         store.create_table(SCHEMA)
         append(store, 1, [[P - 1], vec])
         assert column(store, "name") == ([1], [vec])
-        store.close()
         size = (tmp_path / "s1" / "patients" / "rows.log").stat().st_size
         assert size == 8 + 4 + 2 * 4 + 5 * 8
         again = make_store()
         assert column(again, "name") == ([1], [vec])
         assert column(again, "pid") == ([1], [[P - 1]])
-        again.close()
 
     def test_log_is_one_checksummed_binary_record_per_row(self, tmp_path, make_store):
         store = make_store()
         store.create_table(SCHEMA)
         append(store, 1)
-        store.close()
         raw = (tmp_path / "s1" / "patients" / "rows.log").read_bytes()
         # index 1; counts 1 (pid) and 2 (name), in schema order; then the
         # shares 101 | 1, 66 as 8-byte big-endian ints; no attribute names
@@ -196,7 +189,6 @@ class TestServerStore:
             with pytest.raises(SsdbError) as e:
                 append(store, 1, vectors, attrs=attrs)
             assert e.value.code == protocol.SCHEMA_MISMATCH
-        store.close()
         assert (tmp_path / "s1" / "patients" / "rows.log").read_bytes() == b""
 
     def test_unknown_table_and_attr(self, make_store):
@@ -256,7 +248,6 @@ class TestServerStore:
         store.create_table(SCHEMA)
         for k in range(1, 101):
             append(store, k)
-        store.close()
 
         log_path = tmp_path / "s1" / "patients" / "rows.log"
         raw = log_path.read_bytes()
@@ -269,7 +260,73 @@ class TestServerStore:
         assert log_path.read_bytes() == raw[: 99 * RECORD_BYTES]
         append(again, 100)
         assert column(again, "pid")[0] == list(range(1, 101))
-        again.close()
+
+    @pytest.mark.parametrize("cut", range(1, 8))
+    def test_record_torn_inside_its_header_is_truncated(self, tmp_path, cut, make_store):
+        store = make_store()
+        store.create_table(SCHEMA)
+        append(store, 1)
+        append(store, 2)
+        log_path = tmp_path / "s1" / "patients" / "rows.log"
+        raw = log_path.read_bytes()
+        log_path.write_bytes(raw[: RECORD_BYTES + cut])  # row 2's length field is not whole
+        again = make_store()
+        assert column(again, "pid")[0] == [1]
+        assert log_path.read_bytes() == raw[:RECORD_BYTES]
+
+    def test_missing_log_loads_empty_and_is_recreated(self, tmp_path, make_store):
+        # a crash between schema.json's rename and the log's creation
+        make_store().create_table(SCHEMA)
+        log_path = tmp_path / "s1" / "patients" / "rows.log"
+        log_path.unlink()
+        again = make_store()
+        assert again.schema("patients") == (SCHEMA, 0)
+        assert log_path.read_bytes() == b""
+        append(again, 1)
+        assert column(make_store(), "pid")[0] == [1]
+
+    @pytest.mark.parametrize("fault", ["fsync", "short write"])
+    def test_failed_append_leaves_the_log_as_it_was(
+        self, tmp_path, monkeypatch, fault, make_store
+    ):
+        store = make_store()
+        store.create_table(SCHEMA)
+        append(store, 1)
+        log_path = tmp_path / "s1" / "patients" / "rows.log"
+        before = log_path.read_bytes()
+        real_write, real_fsync, faults = os.write, os.fsync, []
+
+        def write(fd, data):  # lands 10 bytes of the record, once
+            if fault == "short write" and not faults:
+                faults.append(fd)
+                return real_write(fd, data[:10])
+            return real_write(fd, data)
+
+        def fsync(fd):
+            if fault == "fsync" and not faults:
+                faults.append(fd)
+                raise OSError(errno.EIO, "fsync failed")
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "write", write)
+        monkeypatch.setattr(os, "fsync", fsync)
+        with pytest.raises(OSError):
+            append(store, 2)
+        assert faults and log_path.read_bytes() == before
+        assert column(store, "pid")[0] == [1]
+        append(store, 2, [[7], [1, 8]])  # the retry carries another value
+        again = make_store()
+        assert column(again, "pid") == ([1, 2], [[101], [7]])
+        assert column(again, "name") == ([1, 2], [[1, 66], [1, 8]])
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+    def test_no_descriptor_stays_open_between_requests(self, make_store):
+        before = len(os.listdir("/proc/self/fd"))
+        store = make_store()
+        for k in range(64):
+            store.create_table(TableSchema(f"t{k}", SCHEMA.attributes))
+            store.append_row(f"t{k}", ATTRS, ShareRows.pack([1], cells(1)))
+        assert len(os.listdir("/proc/self/fd")) <= before
 
     @pytest.mark.parametrize("bad", [
         lambda good, payload: good[:-3],  # torn: later records read misaligned
@@ -285,7 +342,6 @@ class TestServerStore:
         store.create_table(SCHEMA)
         for k in range(1, 11):
             append(store, k)
-        store.close()
 
         log_path = tmp_path / "s1" / "patients" / "rows.log"
         raw = log_path.read_bytes()
@@ -312,7 +368,6 @@ class TestServerStore:
         store.create_table(SCHEMA)
         for row in range(1, 5):
             append(store, row)
-        store.close()
 
         log_path = tmp_path / "s1" / "patients" / "rows.log"
         corrupt = bytearray(log_path.read_bytes())
@@ -332,7 +387,6 @@ class TestServerStore:
         store.create_table(SCHEMA)
         for k in range(1, 11):
             append(store, k)
-        store.close()
 
         log_path = tmp_path / "s1" / "patients" / "rows.log"
         raw = log_path.read_bytes()
@@ -350,7 +404,6 @@ class TestServerStore:
         store.create_table(SCHEMA)
         for k in range(1, 6):
             append(store, k)
-        store.close()
 
         log_path = tmp_path / "s1" / "patients" / "rows.log"
         acked = log_path.read_bytes()[: 4 * RECORD_BYTES]
@@ -370,7 +423,6 @@ class TestServerStore:
         store.create_table(SCHEMA)
         for k in range(1, 5):
             append(store, k)
-        store.close()
 
         log_path = tmp_path / "s1" / "patients" / "rows.log"
         corrupt = log_path.read_bytes() + bytes(8) + after
@@ -384,7 +436,6 @@ class TestServerStore:
     def test_json_log_is_refused_not_truncated(self, tmp_path, make_store):
         store = make_store()
         store.create_table(SCHEMA)
-        store.close()
         log_path = tmp_path / "s1" / "patients" / "rows.log"
         old = b'{"cells":{"name":["1","66"],"pid":["101"]},"index":1}\n'
         log_path.write_bytes(old)
@@ -400,7 +451,6 @@ class TestServerStore:
     ):
         store = make_store()
         store.create_table(SCHEMA)
-        store.close()
         path = tmp_path / "s1" / ("patients" if name == "schema.json" else "") / name
         path.write_bytes(content)
         with pytest.raises(ValueError) as e:
@@ -415,7 +465,6 @@ class TestServerStore:
         monkeypatch.setattr(server_module, "_fsync_dir", lambda d: synced.append(d) or real(d))
         store = make_store()
         store.create_table(SCHEMA)
-        store.close()
         data_dir, table_dir = tmp_path / "s1", tmp_path / "s1" / "patients"
         # server.json's rename, the table directory, schema.json's rename, rows.log
         assert synced == [data_dir, data_dir, table_dir, table_dir]
@@ -426,11 +475,9 @@ class TestServerStore:
         (table_dir / "schema.json.tmp").write_text("{", encoding="utf-8")
         again = make_store()
         assert again.schema("patients") == (SCHEMA, 0)
-        again.close()
 
     def test_meta_file_pins_identity(self, tmp_path, make_store):
         store = make_store()
-        store.close()
         wrong_x = ServerStore(tmp_path / "s1", "s1", 2)
         with pytest.raises(ValueError):
             wrong_x.load()
@@ -441,7 +488,6 @@ class TestServerStore:
     def test_data_dir_without_the_format_number_is_refused(self, tmp_path, make_store):
         # a dir written before TEXT cells began with a start byte has none
         store = make_store()
-        store.close()
         meta_path = tmp_path / "s1" / "server.json"
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
         del meta["format"]
