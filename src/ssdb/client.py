@@ -195,7 +195,13 @@ def evaluate_predicate(
     """
     if predicate is None:
         return [index for index, _ in decoded]
-    cmp = _OPS[predicate.op]
+    _check_literal(predicate, attr_type)
+    cmp, literal = _OPS[predicate.op], predicate.literal
+    return [i for i, v in decoded if cmp(v, literal)]
+
+
+def _check_literal(predicate: Predicate, attr_type: Optional[AttrType]) -> None:
+    """Raise ValueError unless the literal has its attribute's type and encodes as UTF-8."""
     literal = predicate.literal
     if attr_type is AttrType.INTEGER and not isinstance(literal, int):
         raise ValueError(f"attribute {predicate.attr!r} is INTEGER, literal is not")
@@ -205,7 +211,6 @@ def evaluate_predicate(
         # raises on a lone surrogate; no decoded value can hold one, and
         # str order is code-point order, which is UTF-8 byte order
         literal.encode("utf-8")
-    return [i for i, v in decoded if cmp(v, literal)]
 
 
 # --- results ----------------------------------------------------------------
@@ -488,6 +493,8 @@ def execute_query(
     for name in [*select_attrs, cond_attr]:
         if not schema.has_attr(name):
             raise SsdbError(protocol.NO_SUCH_ATTR, f"{query.table!r} has no attribute {name!r}")
+    if predicate is not None:  # before any fetch, as the attribute names are
+        _check_literal(predicate, schema.attr_type(cond_attr))
 
     # (a)+(b): t servers deliver the condition column, reconstructed
     # locally; row k <= n is at cond[k - 1]

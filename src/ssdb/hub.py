@@ -64,6 +64,11 @@ class ClusterConfig:
             raise ValueError("duplicate server addresses")
         if any(not 1 <= x < self.p for x in xs):
             raise ValueError("x-coordinates must be in [1, p)")
+        for s in self.servers:
+            try:
+                protocol.parse_addr(s.address)
+            except ValueError as exc:
+                raise ValueError(f"server {s.server_id}: {exc}") from None
 
     def server_by_id(self, server_id: str) -> ServerInfo:
         for info in self.servers:

@@ -32,8 +32,9 @@ Servers and clients cut frames from a socket with one `FrameDecoder`.
 Connections are kept open. Every request goes out as an `Exchange` on a
 connection taken from the process's `ConnectionPool`, which gets it back
 once its one reply, with nothing after it, has been read within the
-reply's deadline, and reuses it only if it is still quiet. `close_idle`
-closes the idle ones.
+reply's deadline. Reuse makes no check: a request that a reused
+connection fails before any reply byte goes once more on a fresh one, as
+in HTTP/1.1 (RFC 9112, section 9.3.1). `close_idle` closes the idle ones.
 """
 
 from __future__ import annotations
@@ -97,9 +98,10 @@ def format_addr(host: str, port: int) -> str:
 
 
 def parse_addr(addr: str) -> tuple[str, int]:
-    host, sep, port = addr.rpartition(":")
-    if not sep or not host:
-        raise ValueError(f"address must be host:port, got {addr!r}")
+    """(host, port) of host:port, the port ASCII digits up to 65535; a non-str is a TypeError."""
+    host, sep, port = str.rpartition(addr, ":")
+    if not (sep and host and port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise ValueError(f"address must be host:port with a port of 0-65535, got {addr!r}")
     return host, int(port)
 
 
@@ -526,26 +528,14 @@ def _connect(addr: tuple[str, int]) -> socket.socket:
     return sock
 
 
-def _is_quiet(sock: socket.socket) -> bool:
-    """True if the peer has neither hung up nor sent bytes nobody asked for."""
-    try:
-        sock.settimeout(0.0)
-        sock.recv(1, socket.MSG_PEEK)
-    except BlockingIOError:
-        return True  # nothing to read
-    except OSError:
-        pass
-    return False
-
-
 class ConnectionPool:
     """Idle connections kept open per address, for later requests to reuse.
 
     A connection is handed back only after exactly one complete reply was
     read from it, so an idle one has nothing in flight; at most
-    MAX_IDLE_PER_ADDR are kept per address. Before reuse, a non-blocking
-    peek must find it quiet: a peer that hung up, or bytes nobody asked
-    for, get it closed instead.
+    MAX_IDLE_PER_ADDR are kept per address. `take` hands an idle one out
+    as it is: a peer that hung up meanwhile costs `Exchange` one resend,
+    and bytes it sent unasked fail the next request's req_id check.
     """
 
     def __init__(self):
@@ -553,16 +543,11 @@ class ConnectionPool:
         self._lock = threading.Lock()
 
     def take(self, addr: tuple[str, int]) -> tuple[socket.socket, bool]:
-        """A quiet idle connection to addr, else a new one; and whether it is reused."""
-        while True:
-            with self._lock:
-                idle = self._idle.get(addr)
-                sock = idle.pop() if idle else None
-            if sock is None:
-                return _connect(addr), False
-            if _is_quiet(sock):
-                return sock, True
-            sock.close()
+        """An idle connection to addr, else a new one; and whether it is reused."""
+        with self._lock:
+            idle = self._idle.get(addr)
+            sock = idle.pop() if idle else None
+        return (_connect(addr), False) if sock is None else (sock, True)
 
     def give(self, addr: tuple[str, int], sock: socket.socket) -> None:
         with self._lock:
@@ -603,7 +588,8 @@ class Exchange:
     it. A request that fails on a reused connection before any reply
     byte arrives, in sending (unless the send timed out) or in reading,
     is sent once more on a fresh one, by `reply`. Nothing else is
-    retried.
+    retried: a frame the peer sent unasked on an idle connection is read
+    as the reply, and its req_id fails this one request.
     """
 
     def __init__(self, addr: tuple[str, int], frame: bytes, req_id: str):
@@ -667,8 +653,8 @@ class Exchange:
             if got is None:
                 raise ConnectionError("peer closed the connection without replying")
             reply, alone = got
-            # an ERROR about an unreadable frame carries no req_id
-            if reply.req_id not in (self.req_id, ""):
+            # only an ERROR about an unreadable frame carries no req_id
+            if reply.req_id != self.req_id and (reply.req_id or not isinstance(reply, Error)):
                 raise ProtocolError(
                     INTERNAL, f"reply for {reply.req_id!r} to request {self.req_id!r}"
                 )

@@ -192,7 +192,7 @@ class ServerStore:
             try:
                 if zlib.crc32(payload) != crc:
                     raise ValueError("checksum mismatch")
-                row = self._check_record(table, payload)
+                row = self._check_record(table, protocol.read_body(payload, 1, len(table.columns)))
             except (ValueError, SsdbError) as exc:
                 raise ValueError(
                     f"{log_path}: corrupt record at byte {pos} ({exc}); "
@@ -206,9 +206,8 @@ class ServerStore:
             )
             os.truncate(log_path, pos)
 
-    def _check_record(self, table: StoredTable, payload) -> ShareRows:
-        """The one row a log record or an insert holds, if it may come next."""
-        row = protocol.read_body(payload, 1, len(table.columns))
+    def _check_record(self, table: StoredTable, row: ShareRows) -> ShareRows:
+        """`row`, a log record's or an insert's one row, if it may come next."""
         if row.indices[0] != table.row_count + 1:
             raise SsdbError(
                 protocol.SCHEMA_MISMATCH,
@@ -251,9 +250,9 @@ class ServerStore:
                     protocol.SCHEMA_MISMATCH,
                     f"cells {list(attrs)} do not match schema of {table_name!r}",
                 )
+            # the frame codec made read_body's checks; with these, every logged record replays
+            self._check_record(table, row)
             payload = row.body()
-            # the same check replay makes, so every logged record replays
-            self._check_record(table, payload)
             record = _RECORD.pack(len(payload), zlib.crc32(payload)) + payload
             # opened for this append alone; a failed write or fsync is cut back out,
             # so the log never holds a record whose row was not kept

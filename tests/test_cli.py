@@ -61,6 +61,14 @@ class TestGenCluster:
                          "--out", str(tmp_path / "c.json"))
         assert code == 1
 
+    def test_port_past_65535_rejected_and_no_file_written(self, tmp_path, capsys):
+        # a server on 65536 could not bind
+        out = tmp_path / "c.json"
+        code, _, stderr = run(capsys, "gen-cluster", "3", "2", "--out", str(out),
+                              "--base-port", "65535")
+        assert code == 1 and "server s2" in stderr and "65536" in stderr
+        assert not out.exists()
+
 
 class TestArgumentErrors:
     def test_no_subcommand(self, capsys):

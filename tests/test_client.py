@@ -747,6 +747,15 @@ class TestExecuteQuery:
         with pytest.raises(ValueError):
             patients.query("SELECT Patientname FROM patient_details WHERE Diagonosis = 3")
 
+    @pytest.mark.parametrize("where, error", [
+        ("Patientname = 5", "attribute 'Patientname' is TEXT, literal is not"),
+        ("Doctorid = 'x'", "attribute 'Doctorid' is INTEGER, literal is not"),
+    ])
+    def test_literal_of_the_wrong_type_fails_before_any_fetch(self, patients, fetches, where, error):
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            patients.query(f"SELECT Patientid FROM patient_details WHERE {where}")
+        assert fetches == []
+
     def test_unicode_and_quotes_round_trip(self):
         schema = TableSchema("notes", (Attribute("body", AttrType.TEXT),))
         with TestCluster.start(3, 2, seed=5) as cluster:

@@ -103,6 +103,14 @@ class TestClusterConfig:
         with pytest.raises(ValueError):
             ClusterConfig(p=P, n=1, t=1, servers=(ServerInfo("s1", P, "h:1"),))
 
+    @pytest.mark.parametrize("port", [
+        str(7401 + 65536), "\u0667\u0664\u0660\u0661", "+7401", " 7401", "-1", "",
+    ], ids=["past-65535", "arabic-indic", "plus", "space", "negative", "empty"])
+    def test_server_address_needs_a_port_of_ascii_digits_up_to_65535(self, port):
+        servers = (ServerInfo("s1", 1, "h:65535"), ServerInfo("s2", 2, f"h:{port}"))
+        with pytest.raises(ValueError, match="^server s2: address must be host:port"):
+            ClusterConfig(p=P, n=2, t=1, servers=servers)
+
     def test_modulus_must_be_mersenne_61(self):
         for p in (17, 31, (1 << 89) - 1, (1 << 127) - 1):
             with pytest.raises(ValueError, match=r"2\^61 - 1"):

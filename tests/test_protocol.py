@@ -185,6 +185,25 @@ def insert_body(*shares):
 INSERT_HEADER = {"type": "INSERT_SHARES", "req_id": "r", "table": "t", "attrs": ["a"]}
 
 
+class TestParseAddr:
+    @pytest.mark.parametrize("addr, parsed", [
+        ("127.0.0.1:0", ("127.0.0.1", 0)),
+        ("h:65535", ("h", 65535)),
+        ("::1:7401", ("::1", 7401)),
+    ])
+    def test_host_and_port(self, addr, parsed):
+        assert protocol.parse_addr(addr) == parsed
+
+    @pytest.mark.parametrize("addr", [
+        "127.0.0.1:102375", "h:65536", "127.0.0.1:\u0668\u0660", "h:+80", "h: 80", "h:80 ",
+        "h:", ":80", "h", "h:0x50",
+    ])
+    def test_port_is_ascii_digits_up_to_65535(self, addr):
+        # int() reads '\u0668\u0660', '+80' and ' 80' as 80; a socket takes 102375 as 36839
+        with pytest.raises(ValueError, match="address must be host:port"):
+            protocol.parse_addr(addr)
+
+
 class TestFrameShape:
     def test_header_is_big_endian_length(self):
         frame = encode_frame(Ack(req_id="abc"))
@@ -805,26 +824,49 @@ class TestKeptOpenConnections:
             assert isinstance(reply, Ack) and reply.req_id == "r2"
             assert self.idle(svc.address) == [sock]
 
-    def test_peer_closing_after_the_peek_gets_one_retry(self, monkeypatch):
-        seen = []
+    def test_peer_closing_an_idle_connection_gets_one_resend(self):
+        seen, hung_up = [], threading.Event()
 
         def serve(conn, k):
             for msg in requests_in(conn):
                 seen.append((k, msg.req_id))
                 conn.sendall(encode_frame(Ack(req_id=msg.req_id)))
+            hung_up.set()
 
         with ScriptedServer(serve) as server:
             assert protocol.request(server.address, Ack(req_id="a")).req_id == "a"
-            is_quiet = protocol._is_quiet
-
-            def quiet_then_peer_closes(sock):
-                quiet = is_quiet(sock)
-                server.conns[0].shutdown(socket.SHUT_RDWR)
-                return quiet
-
-            monkeypatch.setattr(protocol, "_is_quiet", quiet_then_peer_closes)
+            server.conns[0].shutdown(socket.SHUT_RDWR)  # the idle connection's peer hangs up
+            assert hung_up.wait(5)
             assert protocol.request(server.address, Ack(req_id="b")).req_id == "b"
         assert seen == [(0, "a"), (1, "b")]
+
+    @pytest.mark.parametrize("unasked_id", ["a", ""], ids=["repeated-id", "no-id"])
+    def test_frame_sent_unasked_to_an_idle_connection_fails_one_request(self, unasked_id):
+        answered, sent, hung_up = threading.Event(), threading.Event(), threading.Event()
+
+        def serve(conn, k):
+            requests = requests_in(conn)
+            for msg in requests:
+                conn.sendall(encode_frame(Ack(req_id=msg.req_id)))
+                if k == 0:  # after its reply was read, an ACK nobody asked for
+                    answered.wait(5)
+                    conn.sendall(encode_frame(Ack(req_id=unasked_id)))
+                    sent.set()
+                    break
+            for _ in requests:
+                pass  # reads "b" unanswered, until the client hangs up
+            hung_up.set()
+
+        with ScriptedServer(serve) as server:
+            assert protocol.request(server.address, Ack(req_id="a")).req_id == "a"
+            answered.set()
+            assert sent.wait(5)
+            with pytest.raises(ProtocolError) as e:
+                protocol.request(server.address, Ack(req_id="b"))
+            assert e.value.code == protocol.INTERNAL
+            assert self.idle(server.address) == [] and hung_up.wait(5)
+            assert protocol.request(server.address, Ack(req_id="c")).req_id == "c"
+            assert server.accepted == 2
 
     def test_reused_connection_failing_to_send_gets_one_retry(self):
         seen = []

@@ -61,9 +61,9 @@ def append(store, k, vectors=None, attrs=ATTRS):
     store.append_row("patients", attrs, ShareRows.pack([k], vectors or cells(k)))
 
 
-def insert(req_id, k):
+def insert(req_id, k, vectors=None):
     return InsertShares(
-        req_id=req_id, table="patients", attrs=ATTRS, cells=ShareRows.pack([k], cells(k))
+        req_id=req_id, table="patients", attrs=ATTRS, cells=ShareRows.pack([k], vectors or cells(k))
     )
 
 
@@ -497,15 +497,6 @@ class TestServerStore:
         assert str(meta_path) in str(e.value)
         assert json.loads(meta_path.read_text(encoding="utf-8")) == meta
 
-    def test_share_values_validated_against_modulus(self, make_store):
-        store = make_store()
-        store.create_table(SCHEMA)
-        append(store, 1, [[P - 1], [1, 2]])
-        with pytest.raises(SsdbError) as e:
-            # p is not a valid share
-            append(store, 2, [[P], [1, 2]])
-        assert e.value.code == protocol.VALUE_RANGE
-
 
 def test_fixture_log_size_is_what_the_record_layout_gives():
     """rows.log holds per row 8 bytes of framing, the index, a count per
@@ -625,6 +616,17 @@ class TestShareServerTcp:
             msg = FetchToClient(req_id="c", table="patients", attrs=["pid"], after=4)
             reply = ask(server, msg)
             assert reply.rows == ShareRows() and reply.digest is None
+
+    def test_share_values_validated_against_modulus(self, tmp_path):
+        with LiveServer(tmp_path) as server:
+            ask(server, CreateTable(req_id="c", schema=SCHEMA))
+            ask(server, insert("i1", 1, [[P - 1], [1, 2]]))
+            log = tmp_path / "s1" / "patients" / "rows.log"
+            logged = log.read_bytes()
+            with pytest.raises(RemoteError) as e:
+                ask(server, insert("i2", 2, [[P], [1, 2]]))  # p is not a valid share
+            assert e.value.code == protocol.VALUE_RANGE
+            assert log.read_bytes() == logged
 
     def test_restart_replays_from_disk(self, tmp_path):
         with LiveServer(tmp_path) as server:
