@@ -307,17 +307,25 @@ class HubClient:
         self._schemas: dict[str, TableSchema] = {}
         self.columns = _KeptColumns()
 
-    def get_schema(self, table: str) -> SchemaResult:
-        """The table's schema and stored row count, read through the hub."""
+    def get_schema(self, table: str, deadline: Optional[float] = None) -> SchemaResult:
+        """The table's schema and stored row count, read through the hub by `deadline`.
+
+        The wait ends by then, or after twice the hub's for its server read,
+        so that the hub's error, which names the failed servers, comes first.
+        """
+        end = time.monotonic() + 2 * protocol.RESPONSE_TIMEOUT
+        end = end if deadline is None else min(end, deadline)
         try:
-            # twice the hub's deadline for its server read, so that the
-            # hub's error, which names the failed servers, comes first
             reply = protocol.request(
                 protocol.parse_addr(self.address),
                 GetSchema(req_id=protocol.new_req_id(), table=table),
-                response_timeout=2 * protocol.RESPONSE_TIMEOUT,
+                response_timeout=end - time.monotonic(),
             )
         except OSError as exc:
+            if isinstance(exc, TimeoutError) and time.monotonic() >= end:
+                raise SsdbError(
+                    protocol.QUERY_TIMEOUT, f"hub {self.address}: no reply in time"
+                ) from exc
             raise SsdbError(
                 protocol.THRESHOLD_UNAVAILABLE, f"hub {self.address} unreachable: {exc}"
             ) from exc
@@ -325,11 +333,11 @@ class HubClient:
             raise SsdbError(protocol.INTERNAL, f"unexpected reply {reply.type} from hub")
         return reply
 
-    def schema(self, table: str) -> TableSchema:
-        """The table's schema, read through the hub only the first time."""
+    def schema(self, table: str, deadline: Optional[float] = None) -> TableSchema:
+        """The table's schema, read through the hub only the first time, by `deadline`."""
         schema = self._schemas.get(table)
         if schema is None:
-            schema = self._schemas[table] = self.get_schema(table).schema
+            schema = self._schemas[table] = self.get_schema(table, deadline).schema
         return schema
 
 
@@ -483,7 +491,7 @@ def execute_query(
         query = parse_query(query)
     deadline = time.monotonic() + timeout
 
-    schema = hub.schema(query.table)
+    schema = hub.schema(query.table, deadline)
     predicate = query.predicate
     if tuple(query.select_attrs) == ("*",):
         select_attrs = list(schema.attr_names())

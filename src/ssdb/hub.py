@@ -55,20 +55,21 @@ class ClusterConfig:
             raise ValueError(f"need 1 <= t <= n, got t={self.t}, n={self.n}")
         ids = [s.server_id for s in self.servers]
         xs = [s.x_coord for s in self.servers]
-        addrs = [s.address for s in self.servers]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate server ids")
         if len(set(xs)) != len(xs):
             raise ValueError("duplicate x-coordinates")
-        if len(set(addrs)) != len(addrs):
-            raise ValueError("duplicate server addresses")
         if any(not 1 <= x < self.p for x in xs):
             raise ValueError("x-coordinates must be in [1, p)")
+        addrs: dict[tuple[str, int], str] = {}
         for s in self.servers:
             try:
-                protocol.parse_addr(s.address)
+                addr = protocol.parse_addr(s.address)
             except ValueError as exc:
                 raise ValueError(f"server {s.server_id}: {exc}") from None
+            if addr in addrs:  # host names as written: localhost is not 127.0.0.1
+                raise ValueError(f"servers {addrs[addr]} and {s.server_id} have one address")
+            addrs[addr] = s.server_id
 
     def server_by_id(self, server_id: str) -> ServerInfo:
         for info in self.servers:

@@ -686,24 +686,14 @@ def request(addr: tuple[str, int], msg, *, response_timeout: float = RESPONSE_TI
     return Exchange(addr, encode_frame(msg), msg.req_id).reply(response_timeout)
 
 
-def start_daemon(threads: list, target: Callable, *args, name: str) -> None:
-    """Start a daemon thread and track it in `threads`, forgetting finished ones.
-
-    The caller holds the lock that guards `threads`, so a long-lived
-    service keeps only the threads that are still running.
-    """
-    threads[:] = [t for t in threads if t.is_alive()]
-    thread = threading.Thread(target=target, args=args, name=name, daemon=True)
-    thread.start()
-    threads.append(thread)
-
-
 class TcpService:
     """Threaded frame server: one handler call per frame, in arrival order.
 
     Pipelined frames on a single connection are processed and answered
     strictly in order. Handler exceptions, and a reply too big for one
-    frame, become ERROR frames carrying the request's req_id.
+    frame, become ERROR frames carrying the request's req_id. `_conns`
+    maps each live connection to the thread serving it, which removes
+    the entry as it ends; `stop` joins the accept thread and those.
     """
 
     def __init__(self, host: str, port: int, handler: Callable, *, name: str = "service"):
@@ -712,16 +702,18 @@ class TcpService:
         self._handler = handler
         self._name = name
         self._sock: Optional[socket.socket] = None
-        self._threads: list[threading.Thread] = []
-        self._conns: set[socket.socket] = set()
+        self._accepter: Optional[threading.Thread] = None
+        self._conns: dict[socket.socket, threading.Thread] = {}
         self._lock = threading.Lock()
         self._stopping = False
 
     def start(self) -> None:
         self._sock = socket.create_server((self._host, self._port), backlog=64)
-        with self._lock:
-            self._stopping = False
-            start_daemon(self._threads, self._accept_loop, name=f"{self._name}-accept")
+        self._stopping = False
+        self._accepter = threading.Thread(
+            target=self._accept_loop, name=f"{self._name}-accept", daemon=True
+        )
+        self._accepter.start()
 
     @property
     def address(self) -> tuple[str, int]:
@@ -748,25 +740,21 @@ class TcpService:
                 if self._stopping:
                     conn.close()
                     return
-                self._conns.add(conn)
-                start_daemon(self._threads, self._serve_conn, conn, name=f"{self._name}-conn")
+                # started under the lock, so `stop` never sees a thread it cannot join
+                thread = self._conns[conn] = threading.Thread(
+                    target=self._serve_conn, args=(conn,), name=f"{self._name}-conn", daemon=True
+                )
+                thread.start()
 
     def _serve_conn(self, conn: socket.socket) -> None:
         decoder = FrameDecoder()
         try:
-            while True:
-                try:
-                    data = conn.recv(65536)
-                except OSError:
-                    return
-                if not data:
-                    return
+            while data := conn.recv(65536):
                 try:
                     messages = decoder.feed(data)
                 except ProtocolError as exc:
                     # Stream state is unknown after a malformed frame: report, then drop.
-                    with contextlib.suppress(OSError):
-                        conn.sendall(encode_frame(Error(code=exc.code, detail=exc.detail)))
+                    conn.sendall(encode_frame(Error(code=exc.code, detail=exc.detail)))
                     return
                 for msg in messages:
                     reply = self._dispatch(msg)
@@ -774,13 +762,12 @@ class TcpService:
                         frame = encode_frame(reply)
                     except SsdbError as exc:  # a reply past MAX_FRAME_BYTES
                         frame = encode_frame(Error(reply.req_id, exc.code, exc.detail))
-                    try:
-                        conn.sendall(frame)
-                    except OSError:
-                        return
+                    conn.sendall(frame)
+        except OSError:
+            return  # the peer went away, or `stop` shut the connection down
         finally:
             with self._lock:
-                self._conns.discard(conn)
+                del self._conns[conn]
             conn.close()
 
     def _dispatch(self, msg):
@@ -798,19 +785,16 @@ class TcpService:
     def stop(self) -> None:
         with self._lock:
             self._stopping = True
-            conns = list(self._conns)
-            threads = list(self._threads)
-            self._threads.clear()
-        if self._sock is not None:
-            # wake the blocked accept(); close() alone leaves the kernel
-            # socket listening until the accept returns
-            with contextlib.suppress(OSError):
-                self._sock.shutdown(socket.SHUT_RDWR)
-            with contextlib.suppress(OSError):
-                self._sock.close()
-        for conn in conns:
+            conns = dict(self._conns)
+        if self._sock is None:
+            return
+        # wake the blocked accept(); close() alone leaves the kernel
+        # socket listening until the accept returns
+        with contextlib.suppress(OSError):
+            self._sock.shutdown(socket.SHUT_RDWR)
+        self._sock.close()
+        for conn in conns:  # each thread closes its own connection as it ends
             with contextlib.suppress(OSError):
                 conn.shutdown(socket.SHUT_RDWR)
-            conn.close()
-        for thread in threads:
+        for thread in [self._accepter, *conns.values()]:
             thread.join(timeout=5)

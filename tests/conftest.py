@@ -1,3 +1,6 @@
+import threading
+import time
+
 import pytest
 
 _acceptance_results: dict[int, dict] = {}
@@ -31,3 +34,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(
             f"criterion {criterion} ({entry['name']}): {verdict} ({entry['duration']:.2f}s)"
         )
+
+
+def _service_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.endswith(("-accept", "-conn"))]
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Fail the run if a service's accept or connection thread outlives it by 3 s."""
+    end = time.monotonic() + 3
+    for thread in _service_threads():
+        thread.join(max(end - time.monotonic(), 0))
+    left = sorted(t.name for t in _service_threads())
+    if left:
+        reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+        reporter.write_line(f"\nservice threads still running after the run: {left}")
+        session.exitstatus = 1

@@ -838,6 +838,29 @@ class TestSchemaCache:
         cluster.insert_row(PATIENTS_SCHEMA, (105, "Eve", 51, "Aids"))
         assert cluster.query(self.AIDS).rows == [["Ann"], ["Dona"], ["Eve"]]
 
+    def test_query_timeout_bounds_its_schema_read(self, cluster):
+        # s1, the hub's first server, holds GET_SCHEMA until released
+        release = threading.Event()
+        server = cluster.handles["s1"].server
+        handle = server._handler
+
+        def held(msg):
+            if msg.type == "GET_SCHEMA":
+                release.wait(10)
+            return handle(msg)
+
+        server._handler = held
+        started = time.monotonic()
+        try:
+            with pytest.raises(SsdbError) as e:
+                execute_query(self.AIDS, HubClient(cluster.hub.addr_str), cluster.config, timeout=1)
+            elapsed = time.monotonic() - started
+        finally:
+            release.set()
+        assert e.value.code == protocol.QUERY_TIMEOUT
+        assert f"hub {cluster.hub.addr_str}" in e.value.detail
+        assert elapsed < 2
+
     def test_missing_table_is_not_cached(self, cluster):
         with pytest.raises(SsdbError) as e:
             cluster.query("SELECT v FROM later")
@@ -858,6 +881,41 @@ def test_schema_read_answered_with_an_ack_is_internal(stubs):
     finally:
         hub.stop()
     assert e.value.code == protocol.INTERNAL and "ACK" in e.value.detail
+
+
+def test_delivery_of_other_rows_than_asked_is_corruption(patients, stubs):
+    # asked for Patientname at rows [1, 2], s1 sends well-formed rows 1 and 3
+    def answer(msg):
+        attr_type, values, indices = (
+            (AttrType.INTEGER, (101, 102), [1, 2]) if msg.indices is None
+            else (AttrType.TEXT, ("Ann", "Bob"), [1, 3])
+        )
+        cells = [encode_value(attr_type, v) for v in values]  # t = 1: shares are plain
+        return [DeliverShares(server_x=1, attrs=msg.attrs, rows=ShareRows.pack(indices, cells))]
+
+    config = stub_config(stubs(answer), t=1)
+    with pytest.raises(SsdbError) as e:
+        execute_query(
+            "SELECT Patientid, Patientname FROM patient_details", fresh(patients), config
+        )
+    assert e.value.code == protocol.DATA_CORRUPTION
+    assert "delivered indices [1, 3], expected [1, 2]" in e.value.detail
+
+
+def test_fetch_answered_with_an_ack_is_internal(patients, stubs):
+    config = stub_config(stubs(lambda msg: [Ack()], lambda msg: [Ack()]))
+    with pytest.raises(SsdbError) as e:
+        execute_query("SELECT Patientid FROM patient_details", fresh(patients), config)
+    assert e.value.code == protocol.INTERNAL and "unexpected reply ACK" in e.value.detail
+
+
+def test_request_past_the_frame_cap_reaches_no_server(stubs, monkeypatch):
+    servers = stubs(delivers(1), delivers(2), delivers(3))
+    monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 64)  # a fetch's frame is larger
+    with pytest.raises(protocol.ProtocolError) as e:
+        listen(stub_config(servers)).wait()
+    assert e.value.code == protocol.INTERNAL and "exceeds 64" in e.value.detail
+    assert [s.requests for s in servers] == [[], [], []]
 
 
 class TestQueryFailureModes:

@@ -97,6 +97,17 @@ class TestClusterConfig:
                 servers=(ServerInfo("s1", 1, "h:1"), ServerInfo("s2", 2, "h:1")),
             )
 
+    @pytest.mark.parametrize("second", ["127.0.0.1:7401", "127.0.0.1:07401"],
+                             ids=["same-text", "leading-zero"])
+    def test_two_servers_on_one_parsed_address_rejected(self, second):
+        servers = (ServerInfo("s1", 1, "127.0.0.1:7401"), ServerInfo("s2", 2, second))
+        with pytest.raises(ValueError, match="servers s1 and s2"):
+            ClusterConfig(p=P, n=2, t=1, servers=servers)
+
+    def test_host_names_are_compared_as_written(self):
+        servers = (ServerInfo("s1", 1, "127.0.0.1:7401"), ServerInfo("s2", 2, "localhost:7401"))
+        assert ClusterConfig(p=P, n=2, t=1, servers=servers).servers == servers
+
     def test_x_must_be_a_nonzero_field_point(self):
         with pytest.raises(ValueError):
             ClusterConfig(p=P, n=1, t=1, servers=(ServerInfo("s1", 0, "h:1"),))

@@ -634,6 +634,44 @@ class TestTcpService:
                 assert reply.code == protocol.UNKNOWN_TYPE
                 assert sock.recv(1) == b""  # stream is done
 
+    def test_each_live_connection_has_one_entry_until_it_ends(self):
+        def ask(svc, req_id):
+            sock = socket.create_connection(svc.address, timeout=5)
+            sock.sendall(encode_frame(Ack(req_id=req_id)))
+            return sock, FrameReader(sock).read().req_id
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with EchoService(lambda msg: Ack()) as svc:
+                held = [ask(svc, f"h{k}") for k in range(4)]
+                assert sorted(req_id for _, req_id in held) == ["h0", "h1", "h2", "h3"]
+                assert len(svc._conns) == 4
+                assert all(t.is_alive() and t.name == "test-conn" for t in svc._conns.values())
+                got = []  # 8 threads open, use and close 20 connections each
+
+                def churn(k):
+                    for j in range(20):
+                        sock, req_id = ask(svc, f"{k}-{j}")
+                        sock.close()
+                        got.append(req_id)
+
+                threads = [threading.Thread(target=churn, args=(k,)) for k in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert sorted(got) == sorted(f"{k}-{j}" for k in range(8) for j in range(20))
+                for sock, _ in held:
+                    sock.close()
+                end = time.monotonic() + 5  # each thread removes its entry as it ends
+                while svc._conns and time.monotonic() < end:
+                    time.sleep(0.01)
+                assert svc._conns == {}
+        finally:
+            sys.setswitchinterval(switch)
+
     def test_connection_refused_raises_oserror(self):
         with EchoService(lambda msg: Ack()) as svc:
             addr = svc.address

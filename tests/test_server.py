@@ -684,8 +684,8 @@ def test_daemon_thread_lists_stay_bounded():
             assert rs.rows == [["Ann"], ["Dona"]]
         for sid in cluster.live_server_ids():
             server = cluster.handles[sid].server
-            assert len(server._threads) <= 10, sid
-        assert len(cluster.hub._threads) <= 10
+            assert len(server._conns) <= 10, sid
+        assert len(cluster.hub._conns) <= 10
 
 
 def test_kept_open_connections_stay_bounded():
@@ -714,5 +714,5 @@ def test_kept_open_connections_stay_bounded():
         # no operation has two requests to one server in flight
         assert most == 1
         for sid in cluster.live_server_ids():
-            assert len(cluster.handles[sid].server._threads) <= 10, sid
+            assert len(cluster.handles[sid].server._conns) <= 10, sid
     assert not any(protocol.POOL._idle.get(addr) for addr in addrs)
