@@ -113,15 +113,16 @@ class ClusterConfig:
 class ResultListener:
     """One request to several servers, and one reply from each.
 
-    Construction sends build(server) on pooled connections to the first
-    `need` servers in configured order that take the connection, all
+    Construction builds and encodes build(server) for every server, all
     under one req_id: the first built message's own, or a fresh one if
     it has none, so a relayed request keeps its sender's. Each message
-    is encoded once, however many servers it goes to: a read, whose
-    `build` returns one message for all, costs one `encode_frame`. `wait`
-    reads one reply from each. One rule covers every caller, the dealer's
-    writes (need = n), the client's fetches (need = t) and the hub's
-    schema reads (need = 1):
+    is encoded once, before any server is asked, so a request too large
+    to encode fails once and names no server; a read, whose `build`
+    returns one message for all, costs one `encode_frame`. The frames go
+    on pooled connections to the first `need` servers in configured
+    order that take the connection; `wait` reads one reply from each.
+    One rule covers every caller, the dealer's writes (need = n), the
+    client's fetches (need = t) and the hub's schema reads (need = 1):
 
     * a transport failure before a reply is replaced by the next server
       not yet tried;
@@ -138,14 +139,19 @@ class ResultListener:
 
     def __init__(self, config: ClusterConfig, build, need: int, deadline: float):
         self.config = config
-        self.build = build
         self.need = need
         self.deadline = deadline
         self.req_id = ""
-        self._untried = iter(config.servers)
+        frames: list[bytes] = []
+        msg = None
+        for info in config.servers:
+            # `last` keeps the previous message alive, so `is` never meets a reused id
+            last, msg = msg, build(info)
+            self.req_id = msg.req_id = self.req_id or msg.req_id or protocol.new_req_id()
+            frames.append(frames[-1] if msg is last else protocol.encode_frame(msg))
+        self._untried = iter(zip(config.servers, frames))
         self._asked: list[tuple[ServerInfo, protocol.Exchange]] = []
         self._failed: dict[ServerInfo, SsdbError] = {}
-        self._sent, self._frame = None, b""  # the last message built, and its frame
         for _ in range(need):
             self._ask_next()
 
@@ -157,21 +163,12 @@ class ResultListener:
 
     def _ask_next(self) -> None:
         """Send the request to the next untried server that takes the connection."""
-        for info in self._untried:
-            msg = self.build(info)
-            self.req_id = msg.req_id = self.req_id or msg.req_id or protocol.new_req_id()
+        for info, frame in self._untried:
             try:
-                if msg is not self._sent:
-                    self._frame, self._sent = protocol.encode_frame(msg), msg
-                exchange = protocol.Exchange(
-                    protocol.parse_addr(info.address), self._frame, self.req_id
-                )
+                exchange = protocol.Exchange(protocol.parse_addr(info.address), frame, self.req_id)
             except OSError as exc:
                 self._fail(info, exc)
                 continue
-            except SsdbError as exc:
-                self._fail(info, exc)
-                return
             self._asked.append((info, exchange))
             return
 

@@ -4,8 +4,9 @@ Eight message types make up the whole contract, and every exchange is
 a request and its reply on the same connection. The values of shares cross
 only two kinds of link: dealer to one server (INSERT_SHARES, that
 server's cut of a row) and server to client (DELIVER_SHARES, the reply
-to the client's FETCH_TO_CLIENT, which names every attribute it wants).
-The hub carries control messages only.
+to the client's FETCH_TO_CLIENT, which names each attribute it wants
+once, and its rows in ascending order). The hub carries control
+messages only.
 
 A frame is a 4-byte big-endian length followed by that many bytes of
 payload. The payload starts with a UTF-8 JSON object carrying a "type"
@@ -223,9 +224,11 @@ def _at_least(low: int) -> Callable:
 
 
 def _indices_in(values: list) -> list[int]:
+    last = 0
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            raise ProtocolError(VALUE_RANGE, f"row index {v!r} must be a positive integer")
+        if isinstance(v, bool) or not isinstance(v, int) or v <= last:
+            raise ProtocolError(VALUE_RANGE, f"row index {v!r} must be an integer above {last}")
+        last = v
     return list(values)
 
 
@@ -238,6 +241,8 @@ def _digest_in(value: str) -> str:
 def _names_in(values: list) -> list[str]:
     if not all(isinstance(v, str) for v in values):
         raise ProtocolError(INTERNAL, "attribute names must be strings")
+    if len(set(values)) != len(values):
+        raise ProtocolError(VALUE_RANGE, "an attribute is named twice")
     return values
 
 
@@ -383,9 +388,11 @@ class FetchToClient:
     """Retrieval request from the client to one server: table, attributes, rows.
 
     The server replies on the same connection with DELIVER_SHARES.
-    Indices that are null (or absent on the wire) ask for every stored
-    row. `after` = k, allowed only then and for one attribute, asks for
-    the rows after row k and, if k >= 1, the `RowsDigest` of rows 1..k.
+    Each attribute is named once and the indices strictly ascend, so a
+    reply holds each stored cell at most once. Indices that are null (or
+    absent on the wire) ask for every stored row. `after` = k, allowed
+    only then and for one attribute, asks for the rows after row k and,
+    if k >= 1, the `RowsDigest` of rows 1..k.
     """
 
     type: ClassVar[str] = "FETCH_TO_CLIENT"

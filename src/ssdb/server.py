@@ -275,6 +275,8 @@ class ServerStore:
     ) -> ShareRows:
         """This server's shares of `attrs` at the given rows; None means every row after `after`.
 
+        Precondition, which the wire enforces: no attribute named twice,
+        indices strictly ascending from 1, so only the last one is checked.
         The stored cells are joined attribute by attribute, in `attrs`
         order, each attribute's cells in row order: no share is unpacked.
         """
@@ -289,9 +291,8 @@ class ServerStore:
             rows = table.row_count
             if indices is None:
                 indices = range(after + 1, rows + 1)
-            elif indices and not (min(indices) >= 1 and max(indices) <= rows):
-                bad = next(i for i in indices if not 1 <= i <= rows)
-                raise SsdbError(protocol.VALUE_RANGE, f"no row with index {bad}")
+            elif indices and indices[-1] > rows:
+                raise SsdbError(protocol.VALUE_RANGE, f"no row with index {indices[-1]}")
             picked = [cells[i - 1] for cells in columns for i in indices]
             counts = tuple(len(c) // SHARE_BYTES for c in picked)
             return ShareRows(tuple(indices), counts, b"".join(picked))

@@ -87,6 +87,13 @@ class TestArgumentErrors:
         assert run(capsys, "query", "--hub", "127.0.0.1:1", "--listen", "127.0.0.1:0",
                    "SELECT a FROM t")[0] == 1
 
+    def test_server_id_not_in_the_cluster_file(self, tmp_path, capsys):
+        cfg = str(tmp_path / "c.json")
+        assert run(capsys, "gen-cluster", "3", "2", "--out", cfg)[0] == 0
+        code, _, stderr = run(capsys, "server", "--cluster", cfg, "--id", "s9",
+                              "--data-dir", str(tmp_path / "d"))
+        assert code == 1 and "server id 's9' is not in the cluster file" in stderr
+
     def test_no_cluster_file_anywhere(self, capsys, monkeypatch, net):
         monkeypatch.delenv(ENV_CLUSTER, raising=False)
         code, _, stderr = run(capsys, "query", "--hub", net.hub,

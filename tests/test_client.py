@@ -274,6 +274,10 @@ class TestEvaluatePredicate:
         with pytest.raises(ValueError):
             evaluate_predicate(self.DIAG, Predicate("d", "=", 3), AttrType.TEXT)
 
+    def test_unknown_comparison_rejected(self):
+        with pytest.raises(ValueError, match="unknown comparison '<>'"):
+            Predicate("a", "<>", 1)
+
     @given(UNICODE, UNICODE, st.sampled_from(list(BYTE_ORDER)))
     @example("\uff21", "\U0001f600", "<")  # UTF-16 code units would order these the other way
     @example("a\U0001f600", "a\U0001f600", "=")
@@ -910,11 +914,21 @@ def test_fetch_answered_with_an_ack_is_internal(patients, stubs):
 
 
 def test_request_past_the_frame_cap_reaches_no_server(stubs, monkeypatch):
+    encoded = []
+    encode = protocol.encode_frame
+
+    def spy(msg):
+        encoded.append(msg)
+        return encode(msg)
+
+    monkeypatch.setattr(protocol, "encode_frame", spy)
     servers = stubs(delivers(1), delivers(2), delivers(3))
     monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 64)  # a fetch's frame is larger
     with pytest.raises(protocol.ProtocolError) as e:
         listen(stub_config(servers)).wait()
     assert e.value.code == protocol.INTERNAL and "exceeds 64" in e.value.detail
+    # the request's own fault, raised once: it names no server it would have gone to
+    assert "server" not in e.value.detail and len(encoded) == 1
     assert [s.requests for s in servers] == [[], [], []]
 
 

@@ -166,6 +166,16 @@ OUT_OF_RANGE = [
     ("DELIVER_SHARES", "digest", "ab" * 31),
     ("DELIVER_SHARES", "digest", "AB" * 32),
 ]
+# Shapes no client sends, each with its sample's name count so the body
+# still fits: only the repetition or the order is out of range. A reply's
+# sample names one attribute; its names are read before its body.
+UNSENT_SHAPES = {
+    "FETCH_TO_CLIENT.indices-descending": ("FETCH_TO_CLIENT", "indices", [2, 1]),
+    "FETCH_TO_CLIENT.indices-repeated": ("FETCH_TO_CLIENT", "indices", [1, 1]),
+    "INSERT_SHARES.attrs-repeated": ("INSERT_SHARES", "attrs", ["a", "a"]),
+    "FETCH_TO_CLIENT.attrs-repeated": ("FETCH_TO_CLIENT", "attrs", ["b", "b"]),
+    "DELIVER_SHARES.attrs-repeated": ("DELIVER_SHARES", "attrs", ["a", "a"]),
+}
 
 
 def case_id(msg_type, name, *_):
@@ -390,7 +400,9 @@ class TestMessageCodec:
         assert e.value.code == code
 
     @pytest.mark.parametrize(
-        "msg_type, name, value", OUT_OF_RANGE, ids=[case_id(*c) for c in OUT_OF_RANGE]
+        "msg_type, name, value",
+        [*OUT_OF_RANGE, *UNSENT_SHAPES.values()],
+        ids=[*(case_id(*c) for c in OUT_OF_RANGE), *UNSENT_SHAPES],
     )
     def test_out_of_range_field(self, msg_type, name, value):
         obj, body = valid_payload(msg_type)
@@ -441,6 +453,9 @@ class TestMessageCodec:
             decode_message({"type": "ACK"})
         with pytest.raises(ProtocolError):
             decode_message({"type": "ACK", "req_id": 7})
+        with pytest.raises(ProtocolError, match="payload must be a JSON object") as e:
+            decode_message(["ACK", "r"])  # a JSON array has no field at all
+        assert e.value.code == INTERNAL
 
     def test_share_string_validation(self):
         # shares are never read from decimal strings: a header in the layout

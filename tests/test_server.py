@@ -5,6 +5,7 @@ import gc
 import json
 import os
 import socket
+import tracemalloc
 import warnings
 import zlib
 
@@ -209,15 +210,15 @@ class TestServerStore:
         store.create_table(SCHEMA)
         for k in range(1, 4):
             append(store, k)
-        assert pairs(store.rows_for("patients", ["pid"], [3, 1])) == [(3, [103]), (1, [101])]
+        assert pairs(store.rows_for("patients", ["pid"], [1, 3])) == [(1, [101]), (3, [103])]
         assert store.rows_for("patients", ["name"], [2]) == ShareRows.pack([2], [[1, 67]])
         assert store.rows_for("patients", ["pid"], []) == ShareRows()
         # several attributes: their cells joined attribute by attribute, in
         # the asked order, each attribute's cells in the asked row order
-        assert store.rows_for("patients", ["name", "pid"], [3, 1]) == ShareRows.pack(
-            [3, 1], [[1, 68], [1, 66], [103], [101]]
+        assert store.rows_for("patients", ["name", "pid"], [1, 3]) == ShareRows.pack(
+            [1, 3], [[1, 66], [1, 68], [101], [103]]
         )
-        for bad in (0, 4, 9):
+        for bad in (4, 9):  # index 0 is refused by the wire
             with pytest.raises(SsdbError) as e:
                 store.rows_for("patients", ["pid"], [1, bad])
             assert e.value.code == protocol.VALUE_RANGE
@@ -574,12 +575,12 @@ class TestShareServerTcp:
             ask(server, CreateTable(req_id="c", schema=SCHEMA))
             for k in range(1, 4):
                 ask(server, insert(f"i{k}", k))
-            push = fetch(server, "name", [3, 1], req_id="f1")
+            push = fetch(server, "name", [1, 3], req_id="f1")
             assert push.type == "DELIVER_SHARES"
             assert push.req_id == "f1"
             assert push.server_x == 1
             assert push.attrs == ["name"]
-            assert pairs(push.rows) == [(3, [1, 68]), (1, [1, 66])]
+            assert pairs(push.rows) == [(1, [1, 66]), (3, [1, 68])]
 
     def test_fetch_validation_errors_are_synchronous(self, tmp_path):
         with LiveServer(tmp_path) as server:
@@ -662,6 +663,36 @@ def test_hostile_header_is_answered_then_closed(tmp_path, frame):
             reply = FrameReader(sock).read()
             assert isinstance(reply, Error) and reply.code == protocol.INTERNAL
             assert sock.recv(1) == b""
+
+
+# FETCH_TO_CLIENT shapes no client sends: one name asked for several times,
+# row 1 asked for many times, rows out of order. Answering the repeated
+# ones, a server would build a reply far larger than all it stores.
+UNSENT_FETCHES = {
+    "1-name-x-1000-copies": (["name"], [1] * 1_000),
+    "20-names-x-20000-copies": (["name"] * 20, [1] * 20_000),
+    "50-names-x-40000-copies": (["name"] * 50, [1] * 40_000),
+    "descending": (["name"], [3, 1]),
+}
+
+
+@pytest.mark.parametrize("attrs, indices", UNSENT_FETCHES.values(), ids=UNSENT_FETCHES.keys())
+def test_unsent_fetch_shape_is_refused_in_bounded_memory(tmp_path, attrs, indices):
+    with LiveServer(tmp_path) as server:
+        ask(server, CreateTable(req_id="c", schema=SCHEMA))
+        for k in range(1, 4):
+            ask(server, insert(f"i{k}", k))
+        msg = FetchToClient(req_id="f", table="patients", attrs=attrs, indices=indices)
+        frame = protocol.encode_frame(msg)  # at most 81 KB
+        tracemalloc.start()
+        try:
+            with pytest.raises(RemoteError) as e:
+                protocol.Exchange(server.address, frame, msg.req_id).reply()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert e.value.code == protocol.VALUE_RANGE
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("schema", MALFORMED_SCHEMAS.values(), ids=MALFORMED_SCHEMAS.keys())
