@@ -487,6 +487,8 @@ def execute_query(
     Reconstruction and predicate evaluation happen entirely in this
     process; servers only ever see share values and row indices.
     """
+    if not 0 < timeout <= threading.TIMEOUT_MAX:  # NaN fails this too
+        raise ValueError(f"timeout must be in (0, {threading.TIMEOUT_MAX:g}] s, got {timeout}")
     if isinstance(query, str):
         query = parse_query(query)
     deadline = time.monotonic() + timeout

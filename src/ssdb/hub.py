@@ -215,12 +215,9 @@ class Hub(TcpService):
         self.config = config
 
     def handle(self, msg):
-        if isinstance(msg, GetSchema):
-            return self.fetch_schema(msg)
-        raise SsdbError(protocol.INTERNAL, f"{msg.type} is not handled by the hub")
-
-    def fetch_schema(self, msg: GetSchema):
-        """The first server's reply as it is, under `ResultListener`'s rule, in RESPONSE_TIMEOUT."""
+        """The first server's reply to a schema read, as it is; nothing else is answered."""
+        if not isinstance(msg, GetSchema):
+            raise SsdbError(protocol.INTERNAL, f"{msg.type} is not handled by the hub")
         deadline = time.monotonic() + protocol.RESPONSE_TIMEOUT
         [(_, reply)] = ResultListener(self.config, lambda info: msg, 1, deadline).wait()
         return reply

@@ -113,7 +113,9 @@ class ServerStore:
     binary record per row: `_RECORD` (payload length, crc32) and then
     the INSERT_SHARES body as received, i.e. the row index, the element
     count of each cell in schema order, and the shares. Replay is
-    deterministic: same log, same state.
+    deterministic: same log, same state. A request is one call, which takes
+    the one lock once: an append holds it across its fsync, a read while it
+    picks cells.
     """
 
     def __init__(self, data_dir, server_id: str, x_coord: int):
@@ -272,13 +274,16 @@ class ServerStore:
 
     def rows_for(
         self, table_name: str, attrs: list[str], indices: Optional[list[int]], after: int = 0
-    ) -> ShareRows:
-        """This server's shares of `attrs` at the given rows; None means every row after `after`.
+    ) -> tuple[ShareRows, Optional[str]]:
+        """This server's shares of `attrs` at `indices`, and its digest of rows 1..`after`.
 
-        Precondition, which the wire enforces: no attribute named twice,
-        indices strictly ascending from 1, so only the last one is checked.
-        The stored cells are joined attribute by attribute, in `attrs`
-        order, each attribute's cells in row order: no share is unpacked.
+        None indices mean every row after `after`. The digest, the
+        `RowsDigest` hex of stored rows 1..`after` of the one attribute, is
+        made from the stored cells on every call; None if `after` is 0 or
+        past the rows stored. The wire ensures each attribute is named once,
+        indices strictly ascend from 1 (only the last is checked), and
+        `after` >= 1 comes only with None indices and one attribute. A reply
+        body past MAX_FRAME_BYTES is refused before any cell is joined.
         """
         with self._lock:
             table = self._table(table_name)
@@ -294,20 +299,17 @@ class ServerStore:
             elif indices and indices[-1] > rows:
                 raise SsdbError(protocol.VALUE_RANGE, f"no row with index {indices[-1]}")
             picked = [cells[i - 1] for cells in columns for i in indices]
-            counts = tuple(len(c) // SHARE_BYTES for c in picked)
-            return ShareRows(tuple(indices), counts, b"".join(picked))
-
-    def digest(self, table_name: str, attr: str, rows: int) -> Optional[str]:
-        """The `RowsDigest` hex of stored rows 1..rows of `attr`; None if there are fewer.
-
-        Made from the stored cells on every call, never kept.
-        """
-        with self._lock:
-            cells = self._table(table_name).columns[attr][:rows]
-        if len(cells) < rows:
-            return None
-        counts = [len(c) // SHARE_BYTES for c in cells]
-        return RowsDigest().add(counts, b"".join(cells)).hexdigest()
+            held = columns[0][:after] if 0 < after <= rows else None
+        counts = tuple(len(c) // SHARE_BYTES for c in picked)
+        size = 4 * (len(indices) + len(counts)) + SHARE_BYTES * sum(counts)
+        if size > protocol.MAX_FRAME_BYTES:
+            raise SsdbError(
+                protocol.INTERNAL, f"reply body of {size} bytes exceeds {protocol.MAX_FRAME_BYTES}"
+            )
+        digest = None if held is None else RowsDigest().add(
+            [len(c) // SHARE_BYTES for c in held], b"".join(held)
+        ).hexdigest()
+        return ShareRows(tuple(indices), counts, b"".join(picked)), digest
 
     def schema(self, table_name: str) -> tuple[TableSchema, int]:
         """The table's schema and its stored row count."""
@@ -342,8 +344,6 @@ class ShareServer(TcpService):
             schema, rows = self.store.schema(msg.table)
             return SchemaResult(schema=schema, rows=rows)
         if isinstance(msg, FetchToClient):
-            rows = self.store.rows_for(msg.table, msg.attrs, msg.indices, msg.after or 0)
-            # rows_for has checked the attribute
-            digest = self.store.digest(msg.table, msg.attrs[0], msg.after) if msg.after else None
+            rows, digest = self.store.rows_for(msg.table, msg.attrs, msg.indices, msg.after or 0)
             return DeliverShares(server_x=self.x_coord, attrs=msg.attrs, rows=rows, digest=digest)
         raise SsdbError(protocol.INTERNAL, f"{msg.type} is not handled by a share server")

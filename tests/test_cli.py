@@ -243,6 +243,22 @@ class TestQueryCommand:
                               "SELECT Patientid FROM patient_details")
         assert code == 2 and "THRESHOLD_UNAVAILABLE" in stderr
 
+    @pytest.mark.parametrize("timeout", ["inf", "1e30", "nan", "0", "-1"])
+    def test_timeout_out_of_range_exits_1_before_any_request(
+        self, capsys, net, monkeypatch, timeout
+    ):
+        sent = []
+        encode_frame = protocol.encode_frame
+        monkeypatch.setattr(
+            protocol, "encode_frame", lambda msg: sent.append(msg) or encode_frame(msg)
+        )
+        code, stdout, stderr = run(capsys, "query", "--cluster", net.cfg, "--hub", net.hub,
+                                   "--timeout", timeout, "SELECT Patientid FROM patient_details")
+        assert code == 1 and stdout == ""
+        [line] = stderr.splitlines()
+        assert line.startswith("ssdb: error: timeout must be in (0, ")
+        assert sent == []
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self, tmp_path):

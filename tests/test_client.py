@@ -816,15 +816,20 @@ class TestSchemaCache:
             cluster.load_fixture_patients()
             yield cluster
 
-    def test_three_queries_cost_one_hub_schema_read(self, cluster, monkeypatch):
+    def test_three_queries_cost_one_hub_schema_read(self, monkeypatch):
         reads = []
-        fetch_schema = Hub.fetch_schema
+        handle = Hub.handle
+        # patched before the hub starts, which binds its handler then
         monkeypatch.setattr(
-            Hub, "fetch_schema", lambda hub, msg: reads.append(msg.table) or fetch_schema(hub, msg)
+            Hub, "handle", lambda hub, msg: reads.append(msg.table) or handle(hub, msg)
         )
-        hub_client = HubClient(cluster.hub.addr_str)
-        for _ in range(3):
-            assert execute_query(self.AIDS, hub_client, cluster.config).rows == [["Ann"], ["Dona"]]
+        with TestCluster.start(3, 2, seed=41) as cluster:
+            cluster.load_fixture_patients()
+            reads.clear()  # the dealer's own reads
+            hub_client = HubClient(cluster.hub.addr_str)
+            for _ in range(3):
+                rows = execute_query(self.AIDS, hub_client, cluster.config).rows
+                assert rows == [["Ann"], ["Dona"]]
         assert reads == [PATIENTS_TABLE]
 
     def test_cached_table_is_queried_without_the_hub(self, cluster):

@@ -196,7 +196,8 @@ def pairs(rows):
 
 
 def stored(server, attr="k"):
-    return pairs(server.store.rows_for("records", [attr], None))
+    rows, _ = server.store.rows_for("records", [attr], None)
+    return pairs(rows)
 
 
 class TestHubRouting:
@@ -479,7 +480,8 @@ def test_no_share_value_crosses_the_hub(monkeypatch):
             store = ServerStore(handle.data_dir, handle.info.server_id, handle.info.x_coord)
             store.load()
             for attr in PATIENTS_SCHEMA.attr_names():
-                shares.update(unpack(store.rows_for(PATIENTS_TABLE, [attr], None).packed))
+                rows, _ = store.rows_for(PATIENTS_TABLE, [attr], None)
+                shares.update(unpack(rows.packed))
 
     # every element of every cell, once on each of the 3 servers
     elements = sum(

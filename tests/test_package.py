@@ -23,3 +23,12 @@ def test_runtime_imports_are_stdlib_only():
             for name in names:
                 top = name.partition(".")[0]
                 assert top in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
+def test_readme_library_example_runs(capsys):
+    """The README's "As a library" example runs as written and prints what it shows."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## As a library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "[['shares only']]\n"

@@ -75,7 +75,7 @@ def pairs(rows):
 
 def column(store, attr):
     """(indices, share vectors) of every stored row."""
-    rows = store.rows_for("patients", [attr], None)
+    rows, _ = store.rows_for("patients", [attr], None)
     return list(rows.indices), vectors(rows)
 
 
@@ -210,19 +210,19 @@ class TestServerStore:
         store.create_table(SCHEMA)
         for k in range(1, 4):
             append(store, k)
-        assert pairs(store.rows_for("patients", ["pid"], [1, 3])) == [(1, [101]), (3, [103])]
-        assert store.rows_for("patients", ["name"], [2]) == ShareRows.pack([2], [[1, 67]])
-        assert store.rows_for("patients", ["pid"], []) == ShareRows()
+        assert pairs(store.rows_for("patients", ["pid"], [1, 3])[0]) == [(1, [101]), (3, [103])]
+        assert store.rows_for("patients", ["name"], [2]) == (ShareRows.pack([2], [[1, 67]]), None)
+        assert store.rows_for("patients", ["pid"], []) == (ShareRows(), None)
         # several attributes: their cells joined attribute by attribute, in
         # the asked order, each attribute's cells in the asked row order
-        assert store.rows_for("patients", ["name", "pid"], [1, 3]) == ShareRows.pack(
-            [1, 3], [[1, 66], [1, 68], [101], [103]]
+        assert store.rows_for("patients", ["name", "pid"], [1, 3]) == (
+            ShareRows.pack([1, 3], [[1, 66], [1, 68], [101], [103]]), None
         )
         for bad in (4, 9):  # index 0 is refused by the wire
             with pytest.raises(SsdbError) as e:
                 store.rows_for("patients", ["pid"], [1, bad])
             assert e.value.code == protocol.VALUE_RANGE
-        every = store.rows_for("patients", ["pid"], None)
+        every, _ = store.rows_for("patients", ["pid"], None)
         assert pairs(every) == [(1, [101]), (2, [102]), (3, [103])]
 
     def test_rows_after_and_their_digest(self, make_store):
@@ -230,19 +230,25 @@ class TestServerStore:
         store.create_table(SCHEMA)
         for k in range(1, 4):
             append(store, k)
-        assert pairs(store.rows_for("patients", ["name"], None, 2)) == [(3, [1, 68])]
+        later, _ = store.rows_for("patients", ["name"], None, 2)
+        assert pairs(later) == [(3, [1, 68])]
         for after in (3, 5):  # no later row, or fewer rows than asked past
-            assert store.rows_for("patients", ["name"], None, after) == ShareRows()
+            assert store.rows_for("patients", ["name"], None, after)[0] == ShareRows()
+
+        def digest(after):
+            return store.rows_for("patients", ["name"], None, after)[1]
+
         # the digest of rows 1..2 is the hash of what a read of them delivers
-        first = store.rows_for("patients", ["name"], [1, 2])
-        digest = RowsDigest().add(first.counts, first.packed).hexdigest()
-        assert store.digest("patients", "name", 2) == digest
-        assert store.digest("patients", "name", 3) != digest
-        assert store.digest("patients", "name", 4) is None
+        first, _ = store.rows_for("patients", ["name"], [1, 2])
+        expected = RowsDigest().add(first.counts, first.packed).hexdigest()
+        assert digest(2) == expected
+        assert digest(3) != expected
+        assert digest(4) is None
+        assert digest(0) is None
         # made from the stored cells on every call: a changed share shows at once
         cells = store.tables["patients"].columns["name"]
         cells[1] = cells[1][:-1] + bytes([cells[1][-1] ^ 1])
-        assert store.digest("patients", "name", 2) != digest
+        assert digest(2) != expected
 
     def test_torn_trailing_record_is_truncated(self, tmp_path, make_store):
         store = make_store()
@@ -693,6 +699,28 @@ def test_unsent_fetch_shape_is_refused_in_bounded_memory(tmp_path, attrs, indice
             tracemalloc.stop()
     assert e.value.code == protocol.VALUE_RANGE
     assert peak < 4 * 2**20
+
+
+def test_column_past_the_frame_cap_is_refused_before_it_is_joined(tmp_path, monkeypatch):
+    # 32 rows of a 4,096-element name cell: 1 MiB of shares, 16 times the cap below
+    with LiveServer(tmp_path) as server:
+        ask(server, CreateTable(req_id="c", schema=SCHEMA))
+        for k in range(1, 33):
+            ask(server, insert(f"i{k}", k, [[100 + k], [1] + [k] * 4_095]))
+        column = 32 * 4_096 * 8
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 64 * 1024)
+        msg = FetchToClient(req_id="f", table="patients", attrs=["name"])
+        frame = protocol.encode_frame(msg)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RemoteError) as e:
+                protocol.Exchange(server.address, frame, msg.req_id).reply()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert e.value.code == protocol.INTERNAL
+    assert f"exceeds {64 * 1024}" in e.value.detail
+    assert peak < column // 4
 
 
 @pytest.mark.parametrize("schema", MALFORMED_SCHEMAS.values(), ids=MALFORMED_SCHEMAS.keys())
