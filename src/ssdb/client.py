@@ -2,20 +2,22 @@
 
 All secret-bearing computation happens here. Inserts encode each value,
 split every field element into n shares, and send each server only its
-own cut, directly. A query is two fetches, each one request and one
-reply per server from t servers: every row of the condition column
-first, which the client reconstructs to evaluate the predicate on
-plaintext, then the matching rows of every other selected attribute.
-Writes and fetches go through `hub.ResultListener`, the fan-out the
-hub's schema reads use too, and so follow one failure rule. The hub
-answers a client's first schema read per table.
+own cut, directly. A query is two fetches from t servers: every row of
+the condition column, which the client reconstructs to evaluate the
+predicate on plaintext, and the matching rows of every other selected
+attribute. Writes and fetches go through `hub.ResultListener`, the
+fan-out the hub's schema reads use too, and so follow one failure rule.
+The hub answers a client's first schema read per table.
 
 A `HubClient` keeps each condition column it has read, and later asks
 only for the rows after the ones it holds, with each server's digest of
 those (see `_condition_column`). Stored rows never change, so the kept
 rows are used only while every server that delivered them still holds
 the bytes it sent; otherwise the column is read whole again, as a fresh
-client would.
+client would. Such a warm query is one round trip: the predicate is
+tested on the kept rows first, so each server gets both fetches in one
+write, and only matching rows after the kept ones cost one more. A cold
+query is two rounds, the second fetch sent once the first is tested.
 
 A delivery is reconstructed and decoded a column at a time, not an
 element at a time: `_reconstruct_matrix` combines the packed share runs
@@ -34,7 +36,8 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from itertools import compress, count, repeat
+from typing import Optional, Sequence, Union
 
 from . import protocol
 from .encoding import IDENT_PATTERN, AttrType, TableSchema, decode_cells, encode_value
@@ -184,20 +187,23 @@ def parse_query(text: str) -> Query:
 
 
 def evaluate_predicate(
-    decoded: Iterable[tuple[int, Value]],
+    values: Sequence[Value],
     predicate: Optional[Predicate],
     attr_type: Optional[AttrType],
+    first: int = 1,
 ) -> list[int]:
     """Return the row indices (ascending) whose value satisfies the test.
 
-    Text compares as UTF-8 bytes, so ordering is byte-lexicographic and
-    case-sensitive. No predicate keeps every row.
+    `values` holds rows `first`, `first` + 1, ... in order. Text
+    compares as UTF-8 bytes, so ordering is byte-lexicographic and
+    case-sensitive. No predicate keeps every row. No Python code runs
+    per row: `map` applies the comparison, `compress` picks the indices.
     """
     if predicate is None:
-        return [index for index, _ in decoded]
+        return list(range(first, first + len(values)))
     _check_literal(predicate, attr_type)
-    cmp, literal = _OPS[predicate.op], predicate.literal
-    return [i for i, v in decoded if cmp(v, literal)]
+    tests = map(_OPS[predicate.op], values, repeat(predicate.literal))
+    return list(compress(count(first), tests))
 
 
 def _check_literal(predicate: Predicate, attr_type: Optional[AttrType]) -> None:
@@ -369,7 +375,8 @@ class Dealer:
         message).
         """
         deadline = time.monotonic() + protocol.RESPONSE_TIMEOUT
-        for info, reply in ResultListener(self.config, build, self.config.n, deadline).wait():
+        listener = ResultListener(self.config, lambda info: [build(info)], self.config.n, deadline)
+        for info, [reply] in listener.wait():
             if not isinstance(reply, Ack):
                 raise SsdbError(protocol.INTERNAL, f"server {info.server_id} replied {reply.type}")
 
@@ -505,82 +512,110 @@ def execute_query(
             raise SsdbError(protocol.NO_SUCH_ATTR, f"{query.table!r} has no attribute {name!r}")
     if predicate is not None:  # before any fetch, as the attribute names are
         _check_literal(predicate, schema.attr_type(cond_attr))
-
-    # (a)+(b): t servers deliver the condition column, reconstructed
-    # locally; row k <= n is at cond[k - 1]
-    cond, n = _condition_column(hub, config, schema, cond_attr, deadline)
-
-    # (c): plaintext predicate evaluation
-    decoded = zip(range(1, n + 1), cond)
-    matched = evaluate_predicate(decoded, predicate, schema.attr_type(cond_attr))
-
-    # (d)+(e): every other selected attribute at the matched rows, in one fetch
-    columns = {cond_attr: [cond[i - 1] for i in matched]} if cond_attr in select_attrs else {}
     others = [a for a in dict.fromkeys(select_attrs) if a != cond_attr]
+
+    # (a)-(c): t servers deliver the condition column, reconstructed and
+    # tested on plaintext locally; row i is at cond[i - 1]. A warm client
+    # gets `others` at the kept rows that match in the same round
+    cond, matched, fetched = _condition_column(
+        hub, config, schema, cond_attr, predicate, others, deadline
+    )
+
+    # (d)+(e): every other selected attribute at the other matched rows, in one fetch
+    columns = {cond_attr: [cond[i - 1] for i in matched]} if cond_attr in select_attrs else {}
     if others:
-        msg = FetchToClient(table=query.table, attrs=others, indices=matched)
-        delivered = _deliveries(config, msg, deadline)
-        columns.update(zip(others, _decode(schema, msg, delivered)))
+        got = fetched or [[] for _ in others]
+        rest = matched[len(got[0]) :]
+        if rest or fetched is None:  # a cold query's fetch is made even when nothing matched
+            msg = FetchToClient(table=query.table, attrs=others, indices=rest)
+            [delivered] = _deliveries(config, lambda info: [msg], deadline)
+            for values, more in zip(got, _decode(schema, msg, delivered)):
+                values += more
+        columns.update(zip(others, got))
 
     rows = list(map(list, zip(*[columns[a] for a in select_attrs])))
     return ResultSet(columns=select_attrs, indices=matched, rows=rows)
 
 
 def _condition_column(
-    hub: HubClient, config: ClusterConfig, schema: TableSchema, attr: str, deadline: float
-) -> tuple[list[Value], int]:
-    """Every row of `attr`, fetching only the rows after those `hub` keeps, if it can.
+    hub: HubClient,
+    config: ClusterConfig,
+    schema: TableSchema,
+    attr: str,
+    predicate: Optional[Predicate],
+    others: list[str],
+    deadline: float,
+) -> tuple[list[Value], list[int], Optional[list[list[Value]]]]:
+    """Every row of `attr`, the rows that pass `predicate`, and maybe `others` at those.
 
-    Returns the kept list and its length now: once kept, a later query
-    through `hub` may append to the list in place.
+    Fetches only the rows after those `hub` keeps, if it can. Returns the
+    kept list (once kept, a later query through `hub` may append to it in
+    place, so read only the rows that passed), the ascending indices of
+    the rows that pass, and `others` decoded at the first of those if they
+    came in the same round, else None.
 
-    With k rows kept, the fetch names `after` = k. The kept rows are used
-    only if the same servers reply and each one's digest of its rows
-    1..k equals the hash of what it sent this client. Rows never change
-    in place, so then a full read would give them again. Otherwise the
-    column is read whole, under the same deadline, as a fresh client
-    would. The new rows pass `_decode`'s checks either way.
+    With k rows kept, the fetch names `after` = k. The predicate is
+    tested on the kept rows first, so each server that delivered them
+    gets, in the same write, the fetch of `others` at the kept rows that
+    pass. The kept rows, and that fetch, are used only if the same
+    servers reply and each one's digest of its rows 1..k equals the hash
+    of what it sent this client. Rows never change in place, so then a
+    full read would give them again. Otherwise the column is read whole,
+    under the same deadline, as a fresh client would. The new rows pass
+    `_decode`'s checks either way, and so do the rows of `others`.
     """
     key = (schema.table_name, attr)
+    attr_type = schema.attr_type(attr)
     kept = hub.columns.take(key) or _Column()  # kept again only once it has passed
-    msg = FetchToClient(table=key[0], attrs=[attr], after=len(kept.values) or None)
-    delivered = _deliveries(config, msg, deadline)
-    if kept.values and not kept.holds(delivered):
-        kept, msg = _Column(), FetchToClient(table=key[0], attrs=[attr])
-        delivered = _deliveries(config, msg, deadline)
-    [values] = _decode(schema, msg, delivered)
-    kept.extend(delivered, values)
-    n = len(kept.values)
+    k = len(kept.values)
+    matched = evaluate_predicate(kept.values, predicate, attr_type) if k else []
+    fetches = [FetchToClient(table=key[0], attrs=[attr], after=k or None)]
+    if k and others:
+        fetches.append(FetchToClient(table=key[0], attrs=others, indices=matched))
+    # only a server that delivered the kept rows can confirm them; another
+    # may hold fewer rows than the indices name, and refuse the second fetch
+    delivered = _deliveries(
+        config, lambda info: fetches if info.x_coord in kept.digests else fetches[:1], deadline
+    )
+    if k and not kept.holds(delivered[0]):
+        kept, matched, fetches = _Column(), [], [FetchToClient(table=key[0], attrs=[attr])]
+        delivered = _deliveries(config, lambda info: fetches, deadline)
+    # a row reaches the servers one by one, so a read that overlaps an
+    # insert may find it on only some of them: keep the rows all of them hold
+    m = min(len(reply.rows.indices) for reply in delivered[0].values())
+    for reply in delivered[0].values():
+        indices, counts, packed = reply.rows.indices, reply.rows.counts, reply.rows.packed
+        reply.rows = ShareRows(indices[:m], counts[:m], packed[: SHARE_BYTES * sum(counts[:m])])
+    [values] = _decode(schema, fetches[0], delivered[0])
+    first = len(kept.values) + 1
+    kept.extend(delivered[0], values)
     hub.columns.keep(key, kept)
-    return kept.values, n
+    fetched = _decode(schema, fetches[1], delivered[1]) if len(fetches) > 1 else None
+    return kept.values, matched + evaluate_predicate(values, predicate, attr_type, first), fetched
 
 
-def _deliveries(
-    config: ClusterConfig, msg: FetchToClient, deadline: float
-) -> dict[int, DeliverShares]:
-    """t servers' replies to `msg`, by x-coordinate.
+def _deliveries(config: ClusterConfig, build, deadline: float) -> list[dict[int, DeliverShares]]:
+    """t servers' replies to the fetches build(server) gives each, by x-coordinate.
 
-    Each must come from the server's own x-coordinate and name the
-    requested attributes. An every-row fetch is cut to the rows that
-    every replying server holds: a row reaches the servers one by one,
-    so a read that overlaps an insert may find it on only some of them.
+    Returns one dict per place in those lists, so a server given fewer
+    fetches is missing from the later dicts. Each reply must come from
+    the server's own x-coordinate and name the attributes its fetch asked
+    for.
     """
-    delivered: dict[int, DeliverShares] = {}
-    for info, reply in ResultListener(config, lambda info: msg, config.t, deadline).wait():
-        if not isinstance(reply, DeliverShares):
-            raise SsdbError(protocol.INTERNAL, f"unexpected reply {reply.type}")
-        if reply.server_x != info.x_coord or reply.attrs != msg.attrs:
-            raise SsdbError(
-                protocol.DATA_CORRUPTION,
-                f"server {info.server_id} (x={info.x_coord}) delivered {reply.attrs} "
-                f"as x={reply.server_x}, asked for {msg.attrs}",
-            )
-        delivered[info.x_coord] = reply
-    if msg.indices is None:  # one attribute, so its counts line up with the indices
-        m = min(len(reply.rows.indices) for reply in delivered.values())
-        for reply in delivered.values():
-            indices, counts, packed = reply.rows.indices, reply.rows.counts, reply.rows.packed
-            reply.rows = ShareRows(indices[:m], counts[:m], packed[: SHARE_BYTES * sum(counts[:m])])
+    delivered: list[dict[int, DeliverShares]] = []
+    for info, replies in ResultListener(config, build, config.t, deadline).wait():
+        for k, (msg, reply) in enumerate(zip(build(info), replies)):
+            if not isinstance(reply, DeliverShares):
+                raise SsdbError(protocol.INTERNAL, f"unexpected reply {reply.type}")
+            if reply.server_x != info.x_coord or reply.attrs != msg.attrs:
+                raise SsdbError(
+                    protocol.DATA_CORRUPTION,
+                    f"server {info.server_id} (x={info.x_coord}) delivered {reply.attrs} "
+                    f"as x={reply.server_x}, asked for {msg.attrs}",
+                )
+            if k == len(delivered):
+                delivered.append({})
+            delivered[k][info.x_coord] = reply
     return delivered
 
 

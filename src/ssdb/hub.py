@@ -111,27 +111,30 @@ class ClusterConfig:
 
 
 class ResultListener:
-    """One request to several servers, and one reply from each.
+    """One request, of one or more frames, to several servers, and their replies.
 
-    Construction builds and encodes build(server) for every server, all
-    under one req_id: the first built message's own, or a fresh one if
-    it has none, so a relayed request keeps its sender's. Each message
-    is encoded once, before any server is asked, so a request too large
-    to encode fails once and names no server; a read, whose `build`
-    returns one message for all, costs one `encode_frame`. The frames go
-    on pooled connections to the first `need` servers in configured
-    order that take the connection; `wait` reads one reply from each.
-    One rule covers every caller, the dealer's writes (need = n), the
-    client's fetches (need = t) and the hub's schema reads (need = 1):
+    Construction builds build(server), a list of messages, for every
+    server, and encodes each message once, all under one req_id: the
+    first built message's own, or a fresh one if it has none, so a
+    relayed request keeps its sender's. Every message is encoded before
+    any server is asked, so a request too large to encode fails once and
+    names no server; a message that `build` gives several servers, as a
+    read does, costs one `encode_frame`. Each server's frames go in one
+    write on a pooled connection (`protocol.Exchange`) to the first
+    `need` servers in configured order that take the connection; `wait`
+    reads each one's replies, one per frame, in order. One rule covers
+    every caller, the dealer's writes (need = n), the client's fetches
+    (need = t) and the hub's schema reads (need = 1):
 
-    * a transport failure before a reply is replaced by the next server
-      not yet tried;
-    * an ERROR reply counts against its server and is not replaced;
-    * no reply by the deadline counts as QUERY_TIMEOUT;
-    * with fewer than `need` replies, the error takes the class and code
-      of the first failure in configured order (RemoteError for an ERROR
-      reply, THRESHOLD_UNAVAILABLE for a transport failure) and names
-      every server that failed.
+    * a transport failure before a server's last reply is replaced by
+      the next server not yet tried, which gets all of its own frames;
+    * an ERROR reply to any frame counts against its server and is not
+      replaced;
+    * replies not all in by the deadline count as QUERY_TIMEOUT;
+    * with fewer than `need` servers answered, the error takes the class
+      and code of the first failure in configured order (RemoteError for
+      an ERROR reply, THRESHOLD_UNAVAILABLE for a transport failure) and
+      names every server that failed.
 
     (It listens on nothing; the name is kept for the benchmark, which
     wraps `ResultListener.wait`.)
@@ -142,13 +145,14 @@ class ResultListener:
         self.need = need
         self.deadline = deadline
         self.req_id = ""
-        frames: list[bytes] = []
-        msg = None
-        for info in config.servers:
-            # `last` keeps the previous message alive, so `is` never meets a reused id
-            last, msg = msg, build(info)
-            self.req_id = msg.req_id = self.req_id or msg.req_id or protocol.new_req_id()
-            frames.append(frames[-1] if msg is last else protocol.encode_frame(msg))
+        built = [build(info) for info in config.servers]  # alive, so no id is reused
+        encoded: dict[int, bytes] = {}
+        for msgs in built:
+            for msg in msgs:
+                if id(msg) not in encoded:
+                    self.req_id = msg.req_id = self.req_id or msg.req_id or protocol.new_req_id()
+                    encoded[id(msg)] = protocol.encode_frame(msg)
+        frames = [[encoded[id(msg)] for msg in msgs] for msgs in built]
         self._untried = iter(zip(config.servers, frames))
         self._asked: list[tuple[ServerInfo, protocol.Exchange]] = []
         self._failed: dict[ServerInfo, SsdbError] = {}
@@ -163,27 +167,27 @@ class ResultListener:
 
     def _ask_next(self) -> None:
         """Send the request to the next untried server that takes the connection."""
-        for info, frame in self._untried:
+        for info, frames in self._untried:
             try:
-                exchange = protocol.Exchange(protocol.parse_addr(info.address), frame, self.req_id)
+                exchange = protocol.Exchange(protocol.parse_addr(info.address), frames, self.req_id)
             except OSError as exc:
                 self._fail(info, exc)
                 continue
             self._asked.append((info, exchange))
             return
 
-    def wait(self) -> list[tuple[ServerInfo, object]]:
-        """(server, reply) of `need` servers, in configured order.
+    def wait(self) -> list[tuple[ServerInfo, list]]:
+        """(server, its replies in frame order) of `need` servers, in configured order.
 
         Servers are asked, and so read, in configured order: a
         replacement comes after every server asked before it.
         """
-        replies: list[tuple[ServerInfo, object]] = []
+        replies: list[tuple[ServerInfo, list]] = []
         try:
             while self._asked:
                 info, exchange = self._asked.pop(0)
                 try:
-                    replies.append((info, exchange.reply(self.deadline - time.monotonic())))
+                    replies.append((info, exchange.replies(self.deadline - time.monotonic())))
                 except TimeoutError:
                     self._fail(info, SsdbError(protocol.QUERY_TIMEOUT, "no reply in time"))
                 except SsdbError as exc:
@@ -219,5 +223,5 @@ class Hub(TcpService):
         if not isinstance(msg, GetSchema):
             raise SsdbError(protocol.INTERNAL, f"{msg.type} is not handled by the hub")
         deadline = time.monotonic() + protocol.RESPONSE_TIMEOUT
-        [(_, reply)] = ResultListener(self.config, lambda info: msg, 1, deadline).wait()
+        [(_, [reply])] = ResultListener(self.config, lambda info: [msg], 1, deadline).wait()
         return reply

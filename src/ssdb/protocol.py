@@ -30,12 +30,14 @@ code, or, for a body, its shape. One generic encode_message/decode_message
 walks those fields.
 
 Servers and clients cut frames from a socket with one `FrameDecoder`.
-Connections are kept open. Every request goes out as an `Exchange` on a
-connection taken from the process's `ConnectionPool`, which gets it back
-once its one reply, with nothing after it, has been read within the
-reply's deadline. Reuse makes no check: a request that a reused
-connection fails before any reply byte goes once more on a fresh one, as
-in HTTP/1.1 (RFC 9112, section 9.3.1). `close_idle` closes the idle ones.
+Connections are kept open. Every request goes out in an `Exchange` on a
+connection taken from the process's `ConnectionPool`. An exchange may
+carry several requests in one write, which the server answers in order,
+as HTTP/1.1 pipelining does (RFC 9112, section 9.3.2). The pool gets the
+connection back once one reply per request, with nothing after the last,
+has been read within the deadline. Reuse makes no check: requests that a
+reused connection fails before any reply byte go once more on a fresh
+one (RFC 9112, section 9.3.1). `close_idle` closes the idle ones.
 """
 
 from __future__ import annotations
@@ -527,6 +529,7 @@ class FrameDecoder:
 CONNECT_TIMEOUT = 2.0
 RESPONSE_TIMEOUT = 5.0
 MAX_IDLE_PER_ADDR = 8  # idle connections kept per address; more are closed when handed back
+_MORE = getattr(socket, "MSG_MORE", 0)  # Linux: hold a send's tail until the next send
 
 
 def _connect(addr: tuple[str, int]) -> socket.socket:
@@ -538,8 +541,8 @@ def _connect(addr: tuple[str, int]) -> socket.socket:
 class ConnectionPool:
     """Idle connections kept open per address, for later requests to reuse.
 
-    A connection is handed back only after exactly one complete reply was
-    read from it, so an idle one has nothing in flight; at most
+    A connection is handed back only after exactly one complete reply per
+    request was read from it, so an idle one has nothing in flight; at most
     MAX_IDLE_PER_ADDR are kept per address. `take` hands an idle one out
     as it is: a peer that hung up meanwhile costs `Exchange` one resend,
     and bytes it sent unasked fail the next request's req_id check.
@@ -581,48 +584,50 @@ def close_idle() -> None:
 
 
 class Exchange:
-    """One request, an encoded frame, sent on a pooled connection; `reply` reads its answer.
+    """Requests, encoded frames, sent in one write on a pooled connection; `replies` reads them.
 
-    `req_id` is the request's own, which the reply must echo. The caller
-    encodes the frame, so a request sent to several servers is encoded
-    once. Several exchanges can be in flight at once, each on its own
-    connection. Connecting and sending each wait at most
-    CONNECT_TIMEOUT. `reply` cuts its frame with a `FrameDecoder`, and
-    its deadline covers the whole reply, not only the first byte. The
-    connection goes back to the pool only if exactly one complete reply
-    frame (an ERROR frame counts) arrived with no byte after it; bytes
-    nobody asked for, any failure, or `close` before the reply closes
-    it. A request that fails on a reused connection before any reply
-    byte arrives, in sending (unless the send timed out) or in reading,
-    is sent once more on a fresh one, by `reply`. Nothing else is
-    retried: a frame the peer sent unasked on an idle connection is read
-    as the reply, and its req_id fails this one request.
+    `req_id` is the requests' own, which every reply must echo. The
+    caller encodes the frames, so a request sent to several servers is
+    encoded once. Several exchanges can be in flight at once, each on its
+    own connection. Connecting and sending each wait at most
+    CONNECT_TIMEOUT. `replies` cuts one reply frame per request with a
+    `FrameDecoder`, in order, and its deadline covers them whole, not
+    only the first byte. The connection goes back to the pool only if
+    exactly that many complete reply frames (an ERROR frame counts)
+    arrived with no byte after the last; bytes nobody asked for, any
+    failure, or `close` before the last reply closes it. Requests that
+    fail on a reused connection before any reply byte arrives, in sending
+    (unless the send timed out) or in reading, are all sent once more on
+    a fresh one, by `replies`. Nothing else is retried: a frame the peer
+    sent unasked on an idle connection is read as the first reply, and
+    its req_id fails these requests.
     """
 
-    def __init__(self, addr: tuple[str, int], frame: bytes, req_id: str):
+    def __init__(self, addr: tuple[str, int], frames: Sequence[bytes], req_id: str):
         self.addr = addr
         self.req_id = req_id
-        self._frame = frame
+        self._frames = b"".join(frames)
+        self._count = len(frames)
         self._sock, self._reused = POOL.take(addr)
         self._send()
 
     def _send(self) -> None:
-        """Send the frame; a failed reused connection is closed and left for `reply` to redo."""
+        """Send the frames; a failed reused connection is closed and left for `replies` to redo."""
         try:
             self._sock.settimeout(CONNECT_TIMEOUT)
-            self._sock.sendall(self._frame)
+            self._sock.sendall(self._frames)
         except OSError as exc:
             self.close()
             if not self._reused or isinstance(exc, TimeoutError):
                 raise
 
     def _read(self, deadline: float):
-        """Read until one whole frame is in, all of it by the deadline.
+        """Read until one whole frame per request is in, all of them by the deadline.
 
-        Returns that frame and whether nothing came after it, or None if
-        the peer hung up (EOF or a non-timeout OSError) before any byte.
+        Returns those frames and whether nothing came after them, or None
+        if the peer hung up (EOF or a non-timeout OSError) before any byte.
         """
-        decoder = FrameDecoder()
+        decoder, replies = FrameDecoder(), []
         while True:
             # past the deadline, 0 reads only the bytes already here
             self._sock.settimeout(max(deadline - time.monotonic(), 0.0))
@@ -631,23 +636,24 @@ class Exchange:
             except (TimeoutError, BlockingIOError):
                 raise TimeoutError("no whole reply by the deadline") from None
             except OSError:
-                if decoder._buf:
+                if replies or decoder._buf:
                     raise
                 data = b""
             if not data:
-                if decoder._buf:
-                    raise ConnectionError("peer closed mid-frame")
+                if replies or decoder._buf:
+                    raise ConnectionError("peer closed before its last reply")
                 return None
-            frames = decoder.feed(data)
-            if frames:
-                return frames[0], len(frames) == 1 and not decoder._buf
+            replies += decoder.feed(data)
+            if len(replies) >= self._count:
+                return replies[: self._count], len(replies) == self._count and not decoder._buf
 
-    def reply(self, timeout: float = RESPONSE_TIMEOUT):
-        """Read the one reply within `timeout` seconds.
+    def replies(self, timeout: float = RESPONSE_TIMEOUT) -> list:
+        """Read one reply per request, in request order, within `timeout` seconds.
 
-        Raises RemoteError if the peer answers with an ERROR frame,
-        TimeoutError if no whole reply arrives in time, and the rest of
-        the OSError family if the peer hangs up without answering.
+        Raises RemoteError, for the first one, if the peer answers any
+        request with an ERROR frame, TimeoutError if the replies are not
+        all in by then, and the rest of the OSError family if the peer
+        hangs up before its last reply.
         """
         deadline = time.monotonic() + timeout
         try:
@@ -659,12 +665,13 @@ class Exchange:
                 got = self._read(deadline)
             if got is None:
                 raise ConnectionError("peer closed the connection without replying")
-            reply, alone = got
-            # only an ERROR about an unreadable frame carries no req_id
-            if reply.req_id != self.req_id and (reply.req_id or not isinstance(reply, Error)):
-                raise ProtocolError(
-                    INTERNAL, f"reply for {reply.req_id!r} to request {self.req_id!r}"
-                )
+            replies, alone = got
+            for reply in replies:
+                # only an ERROR about an unreadable frame carries no req_id
+                if reply.req_id != self.req_id and (reply.req_id or not isinstance(reply, Error)):
+                    raise ProtocolError(
+                        INTERNAL, f"reply for {reply.req_id!r} to request {self.req_id!r}"
+                    )
         except BaseException:
             self.close()
             raise
@@ -672,13 +679,14 @@ class Exchange:
             POOL.give(self.addr, self._sock)
             self._sock = None
         else:
-            self.close()  # bytes nobody asked for came after the reply
-        if isinstance(reply, Error):
-            raise RemoteError(reply.code, reply.detail)
-        return reply
+            self.close()  # bytes nobody asked for came after the replies
+        for reply in replies:
+            if isinstance(reply, Error):
+                raise RemoteError(reply.code, reply.detail)
+        return replies
 
     def close(self) -> None:
-        """Close the connection, unless its reply was read and it went back to the pool."""
+        """Close the connection, unless its replies were read and it went back to the pool."""
         if self._sock is not None:
             self._sock.close()
             self._sock = None
@@ -690,17 +698,22 @@ def request(addr: tuple[str, int], msg, *, response_timeout: float = RESPONSE_TI
     Raises RemoteError if the peer answers with an ERROR frame, and the
     usual OSError family on transport trouble.
     """
-    return Exchange(addr, encode_frame(msg), msg.req_id).reply(response_timeout)
+    [reply] = Exchange(addr, [encode_frame(msg)], msg.req_id).replies(response_timeout)
+    return reply
 
 
 class TcpService:
     """Threaded frame server: one handler call per frame, in arrival order.
 
     Pipelined frames on a single connection are processed and answered
-    strictly in order. Handler exceptions, and a reply too big for one
-    frame, become ERROR frames carrying the request's req_id. `_conns`
-    maps each live connection to the thread serving it, which removes
-    the entry as it ends; `stop` joins the accept thread and those.
+    strictly in order. Connections are served with TCP_NODELAY, and every
+    reply to the frames of one read but the last is sent with MSG_MORE
+    where the platform has it, so those replies leave as one write and
+    none waits for the peer's delayed ACK; only one reply is held at a
+    time. Handler exceptions, and a reply too big for one frame, become
+    ERROR frames carrying the request's req_id. `_conns` maps each live
+    connection to the thread serving it, which removes the entry as it
+    ends; `stop` joins the accept thread and those.
     """
 
     def __init__(self, host: str, port: int, handler: Callable, *, name: str = "service"):
@@ -756,6 +769,7 @@ class TcpService:
     def _serve_conn(self, conn: socket.socket) -> None:
         decoder = FrameDecoder()
         try:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             while data := conn.recv(65536):
                 try:
                     messages = decoder.feed(data)
@@ -763,13 +777,13 @@ class TcpService:
                     # Stream state is unknown after a malformed frame: report, then drop.
                     conn.sendall(encode_frame(Error(code=exc.code, detail=exc.detail)))
                     return
-                for msg in messages:
+                for k, msg in enumerate(messages, 1):
                     reply = self._dispatch(msg)
                     try:
                         frame = encode_frame(reply)
                     except SsdbError as exc:  # a reply past MAX_FRAME_BYTES
                         frame = encode_frame(Error(reply.req_id, exc.code, exc.detail))
-                    conn.sendall(frame)
+                    conn.sendall(frame, _MORE if k < len(messages) else 0)
         except OSError:
             return  # the peer went away, or `stop` shut the connection down
         finally:

@@ -237,8 +237,8 @@ UNICODE = st.text(
 
 
 class TestEvaluatePredicate:
-    DOCTOR = list(zip([1, 2, 3, 4], [51, 21, 51, 26]))
-    DIAG = list(zip([1, 2, 3, 4], ["Aids", "Cancer", "Fever", "Aids"]))
+    DOCTOR = [51, 21, 51, 26]  # rows 1..4
+    DIAG = ["Aids", "Cancer", "Fever", "Aids"]
 
     def test_no_predicate_keeps_all(self):
         assert evaluate_predicate(self.DOCTOR, None, AttrType.INTEGER) == [1, 2, 3, 4]
@@ -261,7 +261,7 @@ class TestEvaluatePredicate:
                                       AttrType.INTEGER) == expected, op
 
     def test_text_ordering_is_utf8_byte_order(self):
-        rows = list(zip([1, 2, 3], ["Zoo", "apple", "émigré"]))
+        rows = ["Zoo", "apple", "émigré"]
         # b"Zoo" < b"apple" < "émigré".encode() because 0x5A < 0x61 < 0xC3
         pred = Predicate("d", ">", "Zoo")
         assert evaluate_predicate(rows, pred, AttrType.TEXT) == [2, 3]
@@ -283,7 +283,7 @@ class TestEvaluatePredicate:
     @example("a\U0001f600", "a\U0001f600", "=")
     @example("a", "a\U0001f600", "<=")
     def test_text_ordering_matches_utf8_bytes_for_any_text(self, value, literal, op):
-        got = evaluate_predicate([(1, value)], Predicate("d", op, literal), AttrType.TEXT)
+        got = evaluate_predicate([value], Predicate("d", op, literal), AttrType.TEXT)
         want = BYTE_ORDER[op](value.encode("utf-8"), literal.encode("utf-8"))
         assert got == ([1] if want else [])
 
@@ -318,15 +318,17 @@ class FakeCluster:
         self.schema_calls += 1
         return SchemaResult(schema=SCHEMA2, rows=self.row_count)
 
-    def _exchange(self, addr, frame, req_id, **kwargs):
-        """A sent request: recorded now, acknowledged when its reply is read."""
+    def _exchange(self, addr, frames, req_id, **kwargs):
+        """Sent requests: recorded now, acknowledged when their replies are read."""
         (info,) = [s for s in self.config.servers if protocol.parse_addr(s.address) == addr]
         if info.server_id in self.down:
             raise ConnectionRefusedError(f"{info.address} refused")
-        msg, _ = protocol.decode_frame(frame)
-        assert msg.req_id == req_id
-        self.writes.append((info.server_id, msg))
-        return SimpleNamespace(reply=lambda timeout=None: Ack(), close=lambda: None)
+        for frame in frames:
+            msg, _ = protocol.decode_frame(frame)
+            assert msg.req_id == req_id
+            self.writes.append((info.server_id, msg))
+        acks = [Ack() for _ in frames]
+        return SimpleNamespace(replies=lambda timeout=None: acks, close=lambda: None)
 
     def bundles(self):
         """Each insert's (table, index, per-server cells), rebuilt from the writes."""
@@ -436,12 +438,14 @@ class StubServer:
     `answer(request)` returns (bytes go out as they are), and stays open
     until the client closes it; an answer of None hangs up at once
     instead. With `drip` set, the replies go out one byte every `drip`
-    seconds.
+    seconds. With `hang_up` set, the stub closes the connection right
+    after its replies, leaving any later request unanswered.
     """
 
-    def __init__(self, answer, drip=0.0):
+    def __init__(self, answer, drip=0.0, hang_up=False):
         self.answer = answer
         self.drip = drip
+        self.hang_up = hang_up
         self.requests = []
         self._sock = socket.create_server(("127.0.0.1", 0))
         self.addr = protocol.format_addr(*self._sock.getsockname()[:2])
@@ -467,7 +471,8 @@ class StubServer:
                     for at in range(0, len(reply), step):
                         conn.sendall(reply[at : at + step])
                         time.sleep(self.drip)
-                conn.recv(1)  # until the client hangs up
+                if not self.hang_up:
+                    conn.recv(1)  # until the client hangs up
 
     def stop(self):
         with contextlib.suppress(OSError):
@@ -510,12 +515,12 @@ def stub_config(servers, t=2):
 def listen(config, timeout=5.0, table="t", attr="a"):
     """A fetch of `attr` sent to t servers, as the client's read path sends it."""
     msg = FetchToClient(table=table, attrs=[attr])
-    return ResultListener(config, lambda info: msg, config.t, time.monotonic() + timeout)
+    return ResultListener(config, lambda info: [msg], config.t, time.monotonic() + timeout)
 
 
 def by_x(replies):
     """Each replying server's x-coordinate -> its delivered rows."""
-    return {info.x_coord: reply.rows for info, reply in replies}
+    return {info.x_coord: reply.rows for info, [reply] in replies}
 
 
 class TestResultListener:
@@ -642,19 +647,37 @@ def patients():
         yield cluster
 
 
+def record_rounds(monkeypatch, record):
+    """Call record() with the (attrs, indices) of each fetch round's FETCH_TO_CLIENTs.
+
+    A round that gives some servers fewer fetches than others is shown
+    by its longest list.
+    """
+    init = ResultListener.__init__
+
+    def spy(self, config, build, need, deadline):
+        msgs = max((build(info) for info in config.servers), key=len)
+        sent = [(m.attrs, m.indices) for m in msgs if isinstance(m, FetchToClient)]
+        if sent:
+            record(sent)
+        init(self, config, build, need, deadline)
+
+    monkeypatch.setattr(ResultListener, "__init__", spy)
+
+
 @pytest.fixture
 def fetches(monkeypatch):
     """(attrs, indices) of every FETCH_TO_CLIENT a query sends, in order."""
     calls = []
-    init = ResultListener.__init__
+    record_rounds(monkeypatch, calls.extend)
+    return calls
 
-    def spy(self, config, build, need, deadline):
-        msg = build(config.servers[0])
-        if isinstance(msg, FetchToClient):
-            calls.append((msg.attrs, msg.indices))
-        init(self, config, build, need, deadline)
 
-    monkeypatch.setattr(ResultListener, "__init__", spy)
+@pytest.fixture
+def rounds(monkeypatch):
+    """(attrs, indices) of every FETCH_TO_CLIENT a query sends, one list per round trip."""
+    calls = []
+    record_rounds(monkeypatch, calls.append)
     return calls
 
 
@@ -1159,7 +1182,9 @@ def delivered_share_bytes(monkeypatch):
 
     def spy(self):
         replies = wait(self)
-        seen.extend(len(r.rows.packed) for _, r in replies if isinstance(r, DeliverShares))
+        seen.extend(
+            len(r.rows.packed) for _, rs in replies for r in rs if isinstance(r, DeliverShares)
+        )
         return replies
 
     monkeypatch.setattr(ResultListener, "wait", spy)
@@ -1237,8 +1262,9 @@ class TestKeptColumns:
         assert answer(warm, cluster, text) == answer(fresh(cluster), cluster, text) == (
             ["k"], [3], [[3]]
         )
-        # the warm fetch, then the whole column (3 one-element cells) again
-        assert delivered_share_bytes[:4] == [0, 0, 24, 24]
+        # the warm round, from each server no new row and k at the kept
+        # matches 1 and 3, then the whole column (3 one-element cells) again
+        assert delivered_share_bytes[:6] == [0, 16, 0, 16, 24, 24]
 
     def test_other_servers_mean_a_full_read(self, cluster, fetches):
         text = "SELECT k FROM notes WHERE v = 'Ann'"
@@ -1248,8 +1274,153 @@ class TestKeptColumns:
         del fetches[:]
         assert execute_query(text, warm, cluster.config).rows == [[1], [3]]
         # s2 and s3 answered: the kept rows came from s1 and s2, so the
-        # column is read again whole
-        assert fetches == [(["v"], None), (["v"], None), (["k"], [1, 3])]
+        # column is read again whole, and k fetched again at its matches
+        assert fetches == [(["v"], None), (["k"], [1, 3]), (["v"], None), (["k"], [1, 3])]
+
+    def test_warm_query_is_one_write_to_each_server_and_one_wait(self, cluster, monkeypatch):
+        text = "SELECT k FROM notes WHERE v = 'Ann'"
+        names = {protocol.parse_addr(s.address): s.server_id for s in cluster.config.servers}
+        names[cluster.hub.address] = "hub"
+        writes, waits = [], []
+        sendall, wait = socket.socket.sendall, ResultListener.wait
+
+        def on_client():  # not a server's reply, nor the hub's own read
+            return threading.current_thread() is threading.main_thread()
+
+        def spy_sendall(sock, data, *args):
+            if on_client():
+                sent = protocol.FrameDecoder().feed(data)
+                writes.append((names[sock.getpeername()[:2]], [m.type for m in sent]))
+            return sendall(sock, data, *args)
+
+        def spy_wait(self):
+            if on_client():
+                waits.append(self.req_id)
+            return wait(self)
+
+        monkeypatch.setattr(socket.socket, "sendall", spy_sendall)
+        monkeypatch.setattr(ResultListener, "wait", spy_wait)
+        warm, fetch = fresh(cluster), ["FETCH_TO_CLIENT"]
+        cold = answer(warm, cluster, text)
+        # cold: the schema read, then two rounds of one fetch to each of t servers
+        assert writes == [("hub", ["GET_SCHEMA"])] + [("s1", fetch), ("s2", fetch)] * 2
+        assert len(waits) == 2
+        del writes[:], waits[:]
+        assert answer(warm, cluster, text) == cold == (["k"], [1, 3], [[1], [3]])
+        # warm: both fetches in one write to each server, read by one wait
+        assert writes == [("s1", fetch * 2), ("s2", fetch * 2)]
+        assert len(waits) == 1
+
+    def test_warm_query_with_no_new_row_is_one_round(self, cluster, rounds):
+        text = "SELECT k FROM notes WHERE v = 'Ann'"
+        warm = fresh(cluster)
+        execute_query(text, warm, cluster.config)
+        del rounds[:]
+        got = answer(warm, cluster, text)
+        assert rounds == [[(["v"], None), (["k"], [1, 3])]]
+        assert got == answer(fresh(cluster), cluster, text) == (["k"], [1, 3], [[1], [3]])
+
+    def test_new_rows_that_match_cost_one_fetch_of_only_them(self, cluster, rounds):
+        text = "SELECT k FROM notes WHERE v = 'Ann'"
+        warm = fresh(cluster)
+        execute_query(text, warm, cluster.config)
+        for row in ((4, "Ann"), (5, "Bo"), (6, "Ann")):
+            cluster.insert_row(NOTES, row)
+        del rounds[:]
+        got = answer(warm, cluster, text)
+        assert rounds == [[(["v"], None), (["k"], [1, 3])], [(["k"], [4, 6])]]
+        assert got == answer(fresh(cluster), cluster, text)
+        assert got == (["k"], [1, 3, 4, 6], [[1], [3], [4], [6]])
+
+    def test_new_row_matching_where_no_kept_row_does(self, cluster, rounds):
+        text = "SELECT k FROM notes WHERE v = 'Cy'"
+        warm = fresh(cluster)
+        assert execute_query(text, warm, cluster.config).rows == []
+        cluster.insert_row(NOTES, (4, "Cy"))
+        del rounds[:]
+        got = answer(warm, cluster, text)
+        # the empty fetch goes with the condition fetch, the new match after them
+        assert rounds == [[(["v"], None), (["k"], [])], [(["k"], [4])]]
+        assert got == answer(fresh(cluster), cluster, text) == (["k"], [4], [[4]])
+
+    def test_stale_digest_means_a_full_read_then_the_fetch_of_the_matches(self, cluster, rounds):
+        text = "SELECT k FROM notes WHERE v = 'Ann'"
+        warm = fresh(cluster)
+        execute_query(text, warm, cluster.config)
+        cells = stored(cluster, "s1", "v")
+        cells[2] = flip(cells[2])  # row 3 no longer reconstructs to 'Ann'
+        del rounds[:]
+        got = answer(warm, cluster, text)
+        assert rounds == [
+            [(["v"], None), (["k"], [1, 3])], [(["v"], None)], [(["k"], [1])],
+        ]
+        assert got == answer(fresh(cluster), cluster, text) == (["k"], [1], [[1]])
+
+    def test_server_that_did_not_send_the_kept_rows_gets_only_the_condition_fetch(
+        self, cluster
+    ):
+        text = "SELECT k FROM notes WHERE v = 'Ann'"
+        warm = fresh(cluster)
+        execute_query(text, warm, cluster.config)
+        cluster.kill_server("s3")
+        with pytest.raises(SsdbError):
+            cluster.insert_row(NOTES, (4, "Ann"))  # lands on s1 and s2 only
+        cluster.revive_server("s3")
+        assert execute_query(text, warm, cluster.config).indices == [1, 3, 4]
+        cluster.kill_server("s1")
+        # s3 holds 3 rows: a fetch of row 4 from it would fail the query
+        got = answer(warm, cluster, text)
+        assert got == answer(fresh(cluster), cluster, text) == (["k"], [1, 3], [[1], [3]])
+
+    def test_error_reply_to_the_pipelined_fetch_fails_as_the_second_fetch_would(
+        self, cluster, rounds, monkeypatch
+    ):
+        text = "SELECT v FROM notes WHERE k < 10"
+        cluster.insert_row(NOTES, (4, "x" * 1000))  # 143 elements: 1,144 share bytes
+        warm = fresh(cluster)
+        execute_query(text, warm, cluster.config)
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 1024)  # the reply with row 4 is past it
+        del rounds[:]
+        errors = []
+        for hub_client in (warm, fresh(cluster)):
+            with pytest.raises(SsdbError) as e:
+                execute_query(text, hub_client, cluster.config)
+            errors.append(e.value)
+        assert rounds[0] == [(["k"], None), (["v"], [1, 2, 3, 4])]  # the warm query: one round
+        assert rounds[1:] == [[(["k"], None)], [(["v"], [1, 2, 3, 4])]]  # the fresh one: two
+        assert [type(exc) for exc in errors] == [RemoteError, RemoteError]
+        assert [exc.code for exc in errors] == [protocol.INTERNAL] * 2
+        for exc in errors:
+            assert "server s1" in exc.detail and "server s2" in exc.detail
+            assert "exceeds 1024" in exc.detail and "server s3" not in exc.detail
+
+    def test_server_hanging_up_after_its_first_reply_is_replaced(self, cluster, monkeypatch):
+        text = "SELECT k FROM notes WHERE v = 'Ann'"
+        warm = fresh(cluster)
+        execute_query(text, warm, cluster.config)  # kept from s1 and s2
+        s1, *others = cluster.config.servers
+        real = protocol.parse_addr(s1.address)
+        # in s1's place: answers the first request on a connection, then hangs up
+        stub = StubServer(lambda msg: [protocol.request(real, msg)], hang_up=True)
+        answered, wait = [], ResultListener.wait
+
+        def spy(self):
+            replies = wait(self)
+            answered.append([info.server_id for info, _ in replies])
+            return replies
+
+        monkeypatch.setattr(ResultListener, "wait", spy)
+        try:
+            proxied = SimpleNamespace(config=ClusterConfig(
+                p=P, n=3, t=2, servers=(ServerInfo("s1", 1, stub.addr), *others)
+            ))
+            got = answer(warm, proxied, text)
+            assert stub.requests[0].after == 3  # it answered the condition fetch only
+            # s3 took s1's place; it never sent the kept rows, so the column is read whole
+            assert answered[0] == ["s2", "s3"]
+            assert got == answer(fresh(cluster), proxied, text) == (["k"], [1, 3], [[1], [3]])
+        finally:
+            stub.stop()
 
     def test_least_recently_used_column_is_evicted(self, cluster, monkeypatch):
         warm = fresh(cluster)
@@ -1287,14 +1458,15 @@ def test_kept_column_grown_by_a_later_query_leaves_an_earlier_answer_alone(monke
         cluster.insert_row(NOTES, (2, "Ann"))
         evaluate, calls, inner = client.evaluate_predicate, [], []
 
-        def between(decoded, predicate, attr_type):
+        def between(values, predicate, attr_type, first=1):
             # the first query kept rows 1..2; a second one through the same
-            # client appends row 3 to that list before the first one's predicate
+            # client appends row 3 to that list before the first one tests
+            # its new row (its second call, made after the fetch)
             calls.append(predicate)
-            if len(calls) == 1:
+            if len(calls) == 2:
                 cluster.insert_row(NOTES, (3, "Ann"))
                 inner.append(execute_query(text, warm, cluster.config))
-            return evaluate(decoded, predicate, attr_type)
+            return evaluate(values, predicate, attr_type, first)
 
         monkeypatch.setattr(client, "evaluate_predicate", between)
         outer = execute_query(text, warm, cluster.config)

@@ -172,8 +172,8 @@ class MiniCluster:
         """The client's fetch of `attr` at `indices`: each delivering server's x -> rows."""
         msg = FetchToClient(table="records", attrs=[attr], indices=indices)
         deadline = time.monotonic() + 5
-        listener = ResultListener(self.config, lambda info: msg, self.config.t, deadline)
-        return {info.x_coord: reply.rows for info, reply in listener.wait()}
+        listener = ResultListener(self.config, lambda info: [msg], self.config.t, deadline)
+        return {info.x_coord: reply.rows for info, [reply] in listener.wait()}
 
     def kill(self, k):
         self.servers[k - 1].stop()
@@ -438,7 +438,7 @@ def test_no_share_value_crosses_the_hub(monkeypatch):
 
     handle = Hub.handle
     open_exchange = protocol.Exchange.__init__
-    read_reply = protocol.Exchange.reply
+    read_replies = protocol.Exchange.replies
 
     def spy_handle(self, msg):
         keep(protocol.encode_frame(msg))
@@ -450,24 +450,25 @@ def test_no_share_value_crosses_the_hub(monkeypatch):
         keep(protocol.encode_frame(reply))
         return reply
 
-    def spy_open(self, addr, frame, req_id, **kwargs):
+    def spy_open(self, addr, frames, req_id, **kwargs):
         if on_hub_thread():
-            to_servers.append(protocol.decode_frame(frame)[0].type)
-            recorded.append(frame)
-        open_exchange(self, addr, frame, req_id, **kwargs)
+            to_servers.extend(protocol.decode_frame(frame)[0].type for frame in frames)
+            recorded.extend(frames)
+        open_exchange(self, addr, frames, req_id, **kwargs)
 
-    def spy_reply(self, *args):
+    def spy_replies(self, *args):
         try:
-            reply = read_reply(self, *args)
+            replies = read_replies(self, *args)
         except Exception as exc:
             keep(str(exc).encode())
             raise
-        keep(protocol.encode_frame(reply))
-        return reply
+        for reply in replies:
+            keep(protocol.encode_frame(reply))
+        return replies
 
     monkeypatch.setattr(Hub, "handle", spy_handle)  # before the hub binds it
     monkeypatch.setattr(protocol.Exchange, "__init__", spy_open)
-    monkeypatch.setattr(protocol.Exchange, "reply", spy_reply)
+    monkeypatch.setattr(protocol.Exchange, "replies", spy_replies)
     hospital = "SELECT Patientname FROM patient_details WHERE Diagonosis = 'Aids'"
     with TestCluster.start(3, 2, seed=31) as cluster:
         cluster.load_fixture_patients()

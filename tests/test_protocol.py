@@ -5,6 +5,7 @@ import errno
 import json
 import random
 import socket
+import statistics
 import sys
 import threading
 import time
@@ -639,6 +640,22 @@ class TestTcpService:
                     got.extend(decoder.feed(data))
         assert [m.req_id for m in got] == ids
 
+    def test_two_requests_in_one_write_get_both_replies_at_once(self):
+        # the second reply must not wait for the client's delayed ACK of
+        # the first (about 40 ms), as Nagle's algorithm would have it
+        took = []
+        with EchoService(lambda msg: Ack()) as svc:
+            with socket.create_connection(svc.address, timeout=5) as sock:
+                reader = FrameReader(sock)
+                for k in range(10):
+                    ids = [f"a{k}", f"b{k}"]
+                    started = time.monotonic()
+                    sock.sendall(b"".join(encode_frame(Ack(req_id=i)) for i in ids))
+                    got = [reader.read(), reader.read()]
+                    took.append(time.monotonic() - started)
+                    assert [m.req_id for m in got] == ids
+        assert statistics.median(took) < 0.02, took
+
     def test_unknown_message_type_answered_then_closed(self):
         with EchoService(lambda msg: Ack()) as svc:
             with socket.create_connection(svc.address, timeout=5) as sock:
@@ -892,6 +909,38 @@ class TestKeptOpenConnections:
             assert hung_up.wait(5)
             assert protocol.request(server.address, Ack(req_id="b")).req_id == "b"
         assert seen == [(0, "a"), (1, "b")]
+
+    def test_stale_connection_resends_every_pipelined_request(self):
+        seen, hung_up = [], threading.Event()
+
+        def serve(conn, k):
+            for msg in requests_in(conn):
+                seen.append((k, msg.req_id))
+                conn.sendall(encode_frame(Ack(req_id=msg.req_id)))
+            if k == 0:
+                hung_up.set()
+
+        with ScriptedServer(serve) as server:
+            assert protocol.request(server.address, Ack(req_id="a")).req_id == "a"
+            server.conns[0].shutdown(socket.SHUT_RDWR)  # the idle connection's peer hangs up
+            assert hung_up.wait(5)
+            exchange = protocol.Exchange(server.address, [encode_frame(Ack(req_id="b"))] * 2, "b")
+            assert [reply.req_id for reply in exchange.replies()] == ["b", "b"]
+            assert len(self.idle(server.address)) == 1
+        assert seen == [(0, "a"), (1, "b"), (1, "b")]
+
+    def test_error_reply_to_a_pipelined_request_comes_after_every_reply_is_read(self):
+        def handler(msg):
+            if msg.table == "ghost":
+                raise SsdbError(protocol.NO_SUCH_TABLE, "no such table 'ghost'")
+            return Ack()
+
+        with EchoService(handler) as svc:
+            frames = [encode_frame(GetSchema(req_id="r", table=t)) for t in ("ghost", "t")]
+            with pytest.raises(RemoteError) as e:
+                protocol.Exchange(svc.address, frames, "r").replies()
+            assert e.value.code == protocol.NO_SUCH_TABLE
+            assert len(self.idle(svc.address)) == 1  # both replies read: reusable
 
     @pytest.mark.parametrize("unasked_id", ["a", ""], ids=["repeated-id", "no-id"])
     def test_frame_sent_unasked_to_an_idle_connection_fails_one_request(self, unasked_id):

@@ -693,7 +693,7 @@ def test_unsent_fetch_shape_is_refused_in_bounded_memory(tmp_path, attrs, indice
         tracemalloc.start()
         try:
             with pytest.raises(RemoteError) as e:
-                protocol.Exchange(server.address, frame, msg.req_id).reply()
+                protocol.Exchange(server.address, [frame], msg.req_id).replies()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -714,7 +714,7 @@ def test_column_past_the_frame_cap_is_refused_before_it_is_joined(tmp_path, monk
         tracemalloc.start()
         try:
             with pytest.raises(RemoteError) as e:
-                protocol.Exchange(server.address, frame, msg.req_id).reply()
+                protocol.Exchange(server.address, [frame], msg.req_id).replies()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
