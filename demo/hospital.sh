@@ -50,6 +50,10 @@ $SSDB query --hub "$HUB" --format json \
   'SELECT Patientid, Doctorid FROM patient_details WHERE Doctorid < 40'
 
 echo
+echo '== patients of doctor 99, who has none: one fetch round, no rows =='
+$SSDB query --hub "$HUB" 'SELECT Patientname FROM patient_details WHERE Doctorid = 99'
+
+echo
 echo "== Aids patients again, with server s1 stopped =="
 kill "${SERVER_PID[1]}"
 wait "${SERVER_PID[1]}" || true

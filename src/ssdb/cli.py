@@ -47,10 +47,10 @@ def _parse_values(schema: TableSchema, raw: list[str]) -> list:
     values = []
     for attr, token in zip(schema.attributes, raw):
         if attr.type is AttrType.INTEGER:
-            try:
-                values.append(int(token, 10))
-            except ValueError:
-                raise ValueError(f"attribute {attr.name!r} needs an integer, got {token!r}") from None
+            # ASCII digits only, as in a query: int() also takes '١٠١', '1_01', ' 51 ' and '+51'
+            if not (token.isascii() and token.isdigit()):
+                raise ValueError(f"attribute {attr.name!r} needs an integer, got {token!r}")
+            values.append(int(token))
         else:
             values.append(token)
     return values

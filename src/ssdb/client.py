@@ -2,22 +2,23 @@
 
 All secret-bearing computation happens here. Inserts encode each value,
 split every field element into n shares, and send each server only its
-own cut, directly. A query is two fetches from t servers: every row of
-the condition column, which the client reconstructs to evaluate the
-predicate on plaintext, and the matching rows of every other selected
-attribute. Writes and fetches go through `hub.ResultListener`, the
-fan-out the hub's schema reads use too, and so follow one failure rule.
-The hub answers a client's first schema read per table.
+own cut, directly. A query is at most two fetches from t servers: every
+row of the condition column, which the client reconstructs to evaluate
+the predicate on plaintext, and, if any row matched, the matching rows
+of every other selected attribute. Writes and fetches go through
+`hub.ResultListener`, the fan-out the hub's schema reads use too, and so
+follow one failure rule. The hub answers a client's first schema read
+per table.
 
 A `HubClient` keeps each condition column it has read, and later asks
 only for the rows after the ones it holds, with each server's digest of
-those (see `_condition_column`). Stored rows never change, so the kept
-rows are used only while every server that delivered them still holds
-the bytes it sent; otherwise the column is read whole again, as a fresh
-client would. Such a warm query is one round trip: the predicate is
-tested on the kept rows first, so each server gets both fetches in one
-write, and only matching rows after the kept ones cost one more. A cold
-query is two rounds, the second fetch sent once the first is tested.
+those (see `execute_query`). Stored rows never change, so the kept rows
+are used only while every server that delivered them still holds the
+bytes it sent; otherwise the round runs again with nothing kept. A cold
+query is a warm one with no rows kept: the predicate is tested on the
+kept rows first, so each server gets, in one write, the condition fetch
+and the fetch of the kept rows that match, if any do. Only matching rows
+after the kept ones cost one more round. No fetch asks for zero rows.
 
 A delivery is reconstructed and decoded a column at a time, not an
 element at a time: `_reconstruct_matrix` combines the packed share runs
@@ -254,8 +255,8 @@ class _Column:
     nbytes: int = 0
 
     def holds(self, delivered: dict[int, DeliverShares]) -> bool:
-        """The same servers delivered, and each reports the digest of what it sent."""
-        return delivered.keys() == self.digests.keys() and all(
+        """Nothing is kept, or the same servers delivered, each with the digest of what it sent."""
+        return not self.digests or delivered.keys() == self.digests.keys() and all(
             reply.digest == self.digests[x].hexdigest() for x, reply in delivered.items()
         )
 
@@ -492,7 +493,12 @@ def execute_query(
     """Run one SELECT against the cluster and return plaintext rows.
 
     Reconstruction and predicate evaluation happen entirely in this
-    process; servers only ever see share values and row indices.
+    process; servers only ever see share values and row indices. One
+    fetch round brings the condition column's rows after those `hub`
+    keeps, and the other selected attributes at the kept rows that
+    match; it runs again with nothing kept if a server's digest does not
+    hold. A second fetch brings the other attributes at the new rows that
+    match, if any do. Every delivery passes `_decode`'s checks.
     """
     if not 0 < timeout <= threading.TIMEOUT_MAX:  # NaN fails this too
         raise ValueError(f"timeout must be in (0, {threading.TIMEOUT_MAX:g}] s, got {timeout}")
@@ -510,76 +516,33 @@ def execute_query(
     for name in [*select_attrs, cond_attr]:
         if not schema.has_attr(name):
             raise SsdbError(protocol.NO_SUCH_ATTR, f"{query.table!r} has no attribute {name!r}")
-    if predicate is not None:  # before any fetch, as the attribute names are
+    if predicate is not None:  # before any fetch, and before the kept column is taken out
         _check_literal(predicate, schema.attr_type(cond_attr))
     others = [a for a in dict.fromkeys(select_attrs) if a != cond_attr]
 
-    # (a)-(c): t servers deliver the condition column, reconstructed and
-    # tested on plaintext locally; row i is at cond[i - 1]. A warm client
-    # gets `others` at the kept rows that match in the same round
-    cond, matched, fetched = _condition_column(
-        hub, config, schema, cond_attr, predicate, others, deadline
-    )
-
-    # (d)+(e): every other selected attribute at the other matched rows, in one fetch
-    columns = {cond_attr: [cond[i - 1] for i in matched]} if cond_attr in select_attrs else {}
-    if others:
-        got = fetched or [[] for _ in others]
-        rest = matched[len(got[0]) :]
-        if rest or fetched is None:  # a cold query's fetch is made even when nothing matched
-            msg = FetchToClient(table=query.table, attrs=others, indices=rest)
-            [delivered] = _deliveries(config, lambda info: [msg], deadline)
-            for values, more in zip(got, _decode(schema, msg, delivered)):
-                values += more
-        columns.update(zip(others, got))
-
-    rows = list(map(list, zip(*[columns[a] for a in select_attrs])))
-    return ResultSet(columns=select_attrs, indices=matched, rows=rows)
-
-
-def _condition_column(
-    hub: HubClient,
-    config: ClusterConfig,
-    schema: TableSchema,
-    attr: str,
-    predicate: Optional[Predicate],
-    others: list[str],
-    deadline: float,
-) -> tuple[list[Value], list[int], Optional[list[list[Value]]]]:
-    """Every row of `attr`, the rows that pass `predicate`, and maybe `others` at those.
-
-    Fetches only the rows after those `hub` keeps, if it can. Returns the
-    kept list (once kept, a later query through `hub` may append to it in
-    place, so read only the rows that passed), the ascending indices of
-    the rows that pass, and `others` decoded at the first of those if they
-    came in the same round, else None.
-
-    With k rows kept, the fetch names `after` = k. The predicate is
-    tested on the kept rows first, so each server that delivered them
-    gets, in the same write, the fetch of `others` at the kept rows that
-    pass. The kept rows, and that fetch, are used only if the same
-    servers reply and each one's digest of its rows 1..k equals the hash
-    of what it sent this client. Rows never change in place, so then a
-    full read would give them again. Otherwise the column is read whole,
-    under the same deadline, as a fresh client would. The new rows pass
-    `_decode`'s checks either way, and so do the rows of `others`.
-    """
-    key = (schema.table_name, attr)
-    attr_type = schema.attr_type(attr)
-    kept = hub.columns.take(key) or _Column()  # kept again only once it has passed
-    k = len(kept.values)
-    matched = evaluate_predicate(kept.values, predicate, attr_type) if k else []
-    fetches = [FetchToClient(table=key[0], attrs=[attr], after=k or None)]
-    if k and others:
-        fetches.append(FetchToClient(table=key[0], attrs=others, indices=matched))
-    # only a server that delivered the kept rows can confirm them; another
-    # may hold fewer rows than the indices name, and refuse the second fetch
-    delivered = _deliveries(
-        config, lambda info: fetches if info.x_coord in kept.digests else fetches[:1], deadline
-    )
-    if k and not kept.holds(delivered[0]):
-        kept, matched, fetches = _Column(), [], [FetchToClient(table=key[0], attrs=[attr])]
-        delivered = _deliveries(config, lambda info: fetches, deadline)
+    # (a)-(c): t servers deliver the condition column after the kept rows,
+    # reconstructed and tested on plaintext locally; row i is at cond[i - 1].
+    # The kept rows are tested first, so each server that delivered them
+    # gets, in the same write, the fetch of `others` at those that match.
+    # Both are used only if the same servers reply and each one's digest of
+    # its rows 1..k equals the hash of what it sent this client: rows never
+    # change in place, so a full read would give them again. Otherwise the
+    # round runs again as a fresh client's, which keeps nothing
+    key = (query.table, cond_attr)
+    attr_type = schema.attr_type(cond_attr)
+    for kept in (hub.columns.take(key) or _Column(), _Column()):  # kept again once it passes
+        k = len(kept.values)
+        matched = evaluate_predicate(kept.values, predicate, attr_type)
+        fetches = [FetchToClient(table=query.table, attrs=[cond_attr], after=k or None)]
+        if matched and others:
+            fetches.append(FetchToClient(table=query.table, attrs=others, indices=matched))
+        # only a server that delivered the kept rows can confirm them; another
+        # may hold fewer rows than the indices name, and refuse the second fetch
+        delivered = _deliveries(
+            config, lambda info: fetches if info.x_coord in kept.digests else fetches[:1], deadline
+        )
+        if kept.holds(delivered[0]):
+            break
     # a row reaches the servers one by one, so a read that overlaps an
     # insert may find it on only some of them: keep the rows all of them hold
     m = min(len(reply.rows.indices) for reply in delivered[0].values())
@@ -587,11 +550,23 @@ def _condition_column(
         indices, counts, packed = reply.rows.indices, reply.rows.counts, reply.rows.packed
         reply.rows = ShareRows(indices[:m], counts[:m], packed[: SHARE_BYTES * sum(counts[:m])])
     [values] = _decode(schema, fetches[0], delivered[0])
-    first = len(kept.values) + 1
+    new = evaluate_predicate(values, predicate, attr_type, k + 1)
     kept.extend(delivered[0], values)
     hub.columns.keep(key, kept)
-    fetched = _decode(schema, fetches[1], delivered[1]) if len(fetches) > 1 else None
-    return kept.values, matched + evaluate_predicate(values, predicate, attr_type, first), fetched
+    cond = kept.values  # a later query through `hub` may append to it: read only matched rows
+    got = _decode(schema, fetches[1], delivered[1]) if len(fetches) > 1 else [[] for _ in others]
+
+    # (d)+(e): every other selected attribute at the new matches, in one fetch
+    if others and new:
+        msg = FetchToClient(table=query.table, attrs=others, indices=new)
+        [delivered] = _deliveries(config, lambda info: [msg], deadline)
+        for column, more in zip(got, _decode(schema, msg, delivered)):
+            column += more
+    indices = matched + new
+    columns = {cond_attr: [cond[i - 1] for i in indices]} if cond_attr in select_attrs else {}
+    columns.update(zip(others, got))
+    rows = list(map(list, zip(*[columns[a] for a in select_attrs])))
+    return ResultSet(columns=select_attrs, indices=indices, rows=rows)
 
 
 def _deliveries(config: ClusterConfig, build, deadline: float) -> list[dict[int, DeliverShares]]:

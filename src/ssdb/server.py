@@ -123,7 +123,7 @@ class ServerStore:
         self.server_id = server_id
         self.x_coord = x_coord
         self.tables: dict[str, StoredTable] = {}
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
     def load(self) -> None:
         self.data_dir.mkdir(parents=True, exist_ok=True)

@@ -139,6 +139,17 @@ class TestTableCommands:
         assert code == 0
         assert json.loads(stdout) == [{"k": 7, "v": "seven"}]
 
+    @pytest.mark.parametrize("token", ["\u0661\u0660\u0661", "1_01", " 51 ", "+51", "-5", ""])
+    def test_integer_must_be_ascii_digits(self, capsys, net, token):
+        # a query's literal is ASCII digits, so a value written any other
+        # way could be stored but never named; nothing is stored
+        before = net.cluster.query("SELECT Patientid FROM patient_details").indices
+        code, _, stderr = run(capsys, "insert", "--cluster", net.cfg, "--hub", net.hub,
+                              "patient_details", token, "Eve", "33", "Flu")
+        assert code == 1
+        assert f"attribute 'Patientid' needs an integer, got {token!r}" in stderr
+        assert net.cluster.query("SELECT Patientid FROM patient_details").indices == before
+
     def test_create_table_bad_json(self, capsys, net):
         bad = net.root / "bad.json"
         bad.write_text("{not json")
@@ -184,6 +195,19 @@ class TestLoadCsv:
         code, stdout, _ = run(capsys, "query", "--cluster", net.cfg,
                               "--hub", net.hub, "--format", "json",
                               "SELECT * FROM cli_csv2")
+        assert json.loads(stdout) == []
+
+    def test_integer_with_spaces_rejected(self, capsys, net):
+        self.make_table(capsys, net, "cli_csv4")
+        data = net.root / "spaced.csv"
+        data.write_text("k,v\n1,x\n 2 ,y\n")
+        code, _, stderr = run(capsys, "load-csv", "--cluster", net.cfg,
+                              "--hub", net.hub, "cli_csv4", str(data))
+        assert code == 1 and "attribute 'k' needs an integer, got ' 2 '" in stderr
+        # every row is parsed before any is stored
+        code, stdout, _ = run(capsys, "query", "--cluster", net.cfg,
+                              "--hub", net.hub, "--format", "json",
+                              "SELECT * FROM cli_csv4")
         assert json.loads(stdout) == []
 
     def test_empty_file_rejected(self, capsys, net):

@@ -681,6 +681,21 @@ def rounds(monkeypatch):
     return calls
 
 
+PATIENT_QUERIES = {
+    "condition-second": "SELECT Patientname, Doctorid FROM patient_details WHERE Doctorid = 51",
+    "condition-not-selected":
+        "SELECT Diagonosis, Patientid FROM patient_details WHERE Patientname >= 'C'",
+    "condition-duplicated":
+        "SELECT Doctorid, Patientname, Doctorid FROM patient_details WHERE Doctorid < 30",
+    "duplicate-no-predicate": "SELECT Patientname, Patientname FROM patient_details",
+    "star-condition-last": "SELECT * FROM patient_details WHERE Diagonosis = 'Aids'",
+    "star-every-row": "SELECT * FROM patient_details",
+    "empty-condition-selected":
+        "SELECT Patientname, Patientid FROM patient_details WHERE Patientid > 104",
+    "empty-condition-not-selected": "SELECT Doctorid FROM patient_details WHERE Diagonosis = 'Flu'",
+}
+
+
 class TestExecuteQuery:
     def test_select_where_on_other_attribute(self, patients):
         rs = patients.query(
@@ -727,23 +742,20 @@ class TestExecuteQuery:
     def test_empty_result(self, patients, fetches):
         rs = patients.query("SELECT Patientname FROM patient_details WHERE Doctorid > 1000")
         assert rs.rows == [] and rs.indices == []
-        # vacuous fetch still happens
-        assert fetches == [(["Doctorid"], None), (["Patientname"], [])]
+        # nothing matched, so nothing else is fetched: one round
+        assert fetches == [(["Doctorid"], None)]
 
-    @pytest.mark.parametrize("text", [
-        "SELECT Patientname, Doctorid FROM patient_details WHERE Doctorid = 51",
-        "SELECT Diagonosis, Patientid FROM patient_details WHERE Patientname >= 'C'",
-        "SELECT Doctorid, Patientname, Doctorid FROM patient_details WHERE Doctorid < 30",
-        "SELECT Patientname, Patientname FROM patient_details",
-        "SELECT * FROM patient_details WHERE Diagonosis = 'Aids'",
-        "SELECT * FROM patient_details",
-        "SELECT Patientname, Patientid FROM patient_details WHERE Patientid > 104",
-        "SELECT Doctorid FROM patient_details WHERE Diagonosis = 'Flu'",
-    ], ids=[
-        "condition-second", "condition-not-selected", "condition-duplicated",
-        "duplicate-no-predicate", "star-condition-last", "star-every-row",
-        "empty-condition-selected", "empty-condition-not-selected",
-    ])
+    def test_no_fetch_asks_for_zero_rows(self, patients, fetches):
+        none = "SELECT Patientname FROM patient_details WHERE Doctorid = 99"
+        texts = [*PATIENT_QUERIES.values(), none]
+        warm = fresh(patients)
+        for text in texts:
+            for hub_client in (fresh(patients), warm, warm):  # cold, then warm twice
+                execute_query(text, hub_client, patients.config)
+        assert len(fetches) > 3 * len(texts)
+        assert [] not in [indices for _, indices in fetches]
+
+    @pytest.mark.parametrize("text", PATIENT_QUERIES.values(), ids=PATIENT_QUERIES.keys())
     def test_rows_match_a_plaintext_reference(self, patients, text):
         query = parse_query(text)
         names = list(PATIENTS_SCHEMA.attr_names())
@@ -1332,6 +1344,17 @@ class TestKeptColumns:
         assert got == answer(fresh(cluster), cluster, text)
         assert got == (["k"], [1, 3, 4, 6], [[1], [3], [4], [6]])
 
+    def test_literal_of_the_wrong_type_leaves_the_column_kept(self, cluster, rounds):
+        text = "SELECT k FROM notes WHERE v = 'Ann'"
+        warm = fresh(cluster)
+        execute_query(text, warm, cluster.config)
+        del rounds[:]
+        with pytest.raises(ValueError, match="is TEXT, literal is not"):
+            execute_query("SELECT k FROM notes WHERE v = 3", warm, cluster.config)
+        assert rounds == []
+        assert answer(warm, cluster, text) == (["k"], [1, 3], [[1], [3]])
+        assert rounds == [[(["v"], None), (["k"], [1, 3])]]  # still warm: one round
+
     def test_new_row_matching_where_no_kept_row_does(self, cluster, rounds):
         text = "SELECT k FROM notes WHERE v = 'Cy'"
         warm = fresh(cluster)
@@ -1339,8 +1362,8 @@ class TestKeptColumns:
         cluster.insert_row(NOTES, (4, "Cy"))
         del rounds[:]
         got = answer(warm, cluster, text)
-        # the empty fetch goes with the condition fetch, the new match after them
-        assert rounds == [[(["v"], None), (["k"], [])], [(["k"], [4])]]
+        # no kept row matches, so the condition fetch goes alone, the new match after it
+        assert rounds == [[(["v"], None)], [(["k"], [4])]]
         assert got == answer(fresh(cluster), cluster, text) == (["k"], [4], [[4]])
 
     def test_stale_digest_means_a_full_read_then_the_fetch_of_the_matches(self, cluster, rounds):

@@ -6,6 +6,7 @@ import json
 import random
 import socket
 import statistics
+import struct
 import sys
 import threading
 import time
@@ -703,6 +704,31 @@ class TestTcpService:
                 assert svc._conns == {}
         finally:
             sys.setswitchinterval(switch)
+
+    # a thread that dies of the reset, rather than ending, fails the test
+    @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_peer_that_resets_its_connection_ends_its_thread(self):
+        with EchoService(lambda msg: Ack()) as svc:
+            sock = socket.create_connection(svc.address, timeout=5)
+            sock.sendall(encode_frame(Ack(req_id="r")))
+            assert FrameReader(sock).read().req_id == "r"
+            [thread] = svc._conns.values()
+            # a zero linger makes close send RST: the service's recv fails
+            # with ECONNRESET instead of reading the end of the stream
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+            assert svc._conns == {}
+
+    def test_stop_before_start_does_nothing(self):
+        svc = TcpService("127.0.0.1", 0, lambda m: Ack(), name="t")
+        svc.stop()
+        svc.start()
+        try:
+            assert protocol.request(svc.address, Ack(req_id="after")).req_id == "after"
+        finally:
+            svc.stop()
 
     def test_connection_refused_raises_oserror(self):
         with EchoService(lambda msg: Ack()) as svc:

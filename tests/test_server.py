@@ -723,6 +723,31 @@ def test_column_past_the_frame_cap_is_refused_before_it_is_joined(tmp_path, monk
     assert peak < column // 4
 
 
+def test_reply_frame_past_the_cap_is_an_error_on_a_connection_that_lives_on(
+    tmp_path, monkeypatch
+):
+    # a cap that the reply's body fits under and its whole frame does not:
+    # rows_for's body check passes, and the service's frame check answers
+    with LiveServer(tmp_path) as server:
+        ask(server, CreateTable(req_id="c", schema=SCHEMA))
+        ask(server, insert("i1", 1))
+        msg = FetchToClient(req_id="f", table="patients", attrs=["name"])
+        reply = ask(server, msg)
+        frame = len(protocol.encode_frame(reply)) - 4  # the length prefix is not counted
+        assert len(reply.rows.body()) < frame - 1
+        [conn] = server._conns.values()
+        cap = protocol.MAX_FRAME_BYTES
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", frame - 1)
+        with pytest.raises(RemoteError) as e:
+            ask(server, msg)
+        assert e.value.code == protocol.INTERNAL
+        assert e.value.detail == f"frame of {frame} bytes exceeds {frame - 1}"
+        # with the cap back, the same kept-open connection answers again
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", cap)
+        assert ask(server, msg).rows == reply.rows
+        assert list(server._conns.values()) == [conn]
+
+
 @pytest.mark.parametrize("schema", MALFORMED_SCHEMAS.values(), ids=MALFORMED_SCHEMAS.keys())
 def test_malformed_create_table_gets_schema_mismatch(tmp_path, schema):
     header = json.dumps({"type": "CREATE_TABLE", "req_id": "c", "schema": schema}).encode()
