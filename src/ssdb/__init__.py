@@ -18,7 +18,7 @@ from .client import (
     parse_query,
 )
 from .encoding import Attribute, AttrType, TableSchema, encode_value
-from .field import MERSENNE_61, is_prime
+from .field import MERSENNE_61
 from .hub import ClusterConfig, Hub, ServerInfo
 from .protocol import RemoteError, SsdbError
 from .server import ShareServer
@@ -49,7 +49,6 @@ __all__ = [
     "encode_value",
     "evaluate_predicate",
     "execute_query",
-    "is_prime",
     "lagrange_weights",
     "parse_query",
     "reconstruct",

@@ -16,7 +16,7 @@ import threading
 
 from . import protocol
 from .client import Dealer, HubClient, QuerySyntaxError, execute_query
-from .encoding import AttrType, TableSchema
+from .encoding import MAX_TEXT_BYTES, AttrType, TableSchema, encode_value
 from .field import MERSENNE_61
 from .hub import ClusterConfig, Hub, ServerInfo
 from .protocol import SsdbError
@@ -46,13 +46,16 @@ def _parse_values(schema: TableSchema, raw: list[str]) -> list:
         )
     values = []
     for attr, token in zip(schema.attributes, raw):
-        if attr.type is AttrType.INTEGER:
-            # ASCII digits only, as in a query: int() also takes '١٠١', '1_01', ' 51 ' and '+51'
-            if not (token.isascii() and token.isdigit()):
-                raise ValueError(f"attribute {attr.name!r} needs an integer, got {token!r}")
-            values.append(int(token))
-        else:
-            values.append(token)
+        integer = attr.type is AttrType.INTEGER
+        # ASCII digits only, as in a query: int() also takes '١٠١', '1_01', ' 51 ' and '+51'
+        if integer and not (token.isascii() and token.isdigit()):
+            raise ValueError(f"attribute {attr.name!r} needs an integer, got {token!r}")
+        try:  # INTEGER range and TEXT length, so a bad last row stores no row before it
+            value = int(token) if integer else token
+            encode_value(attr.type, value)
+        except ValueError as exc:  # int() refuses more than 4,300 digits
+            raise ValueError(f"attribute {attr.name!r}: {exc}") from None
+        values.append(value)
     return values
 
 
@@ -136,18 +139,23 @@ def _cmd_insert(args) -> int:
 
 def _cmd_load_csv(args) -> int:
     def read_rows(schema: TableSchema) -> list[list[str]]:
+        # csv's default limit, 128 Ki characters, is below a TEXT's; one
+        # character past it still reaches encode_value, which names the attribute
+        csv.field_size_limit(MAX_TEXT_BYTES + 1)
         with open(args.file, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             try:
-                header = next(reader)
-            except StopIteration:
-                raise ValueError(f"{args.file}: empty file, expected a header row") from None
-            if header != list(schema.attr_names()):
-                raise ValueError(
-                    f"{args.file}: header {header} does not match schema "
-                    f"{list(schema.attr_names())}"
-                )
-            return list(reader)
+                header, rows = next(reader, None), list(reader)
+            except csv.Error as exc:
+                raise ValueError(f"{args.file}, line {reader.line_num}: {exc}") from None
+        if header is None:
+            raise ValueError(f"{args.file}: empty file, expected a header row")
+        if header != list(schema.attr_names()):
+            raise ValueError(
+                f"{args.file}: header {header} does not match schema "
+                f"{list(schema.attr_names())}"
+            )
+        return rows
 
     indices = _insert(args, read_rows)
     print(f"loaded {len(indices)} rows into {args.table}")
@@ -252,6 +260,8 @@ def main(argv=None) -> int:
         return 2
     except KeyboardInterrupt:
         return 0
+    finally:
+        protocol.close_idle()  # the kept-open connections of a one-shot command or a daemon
 
 
 if __name__ == "__main__":

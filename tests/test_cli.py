@@ -15,6 +15,7 @@ import pytest
 import ssdb
 from ssdb import protocol
 from ssdb.cli import ENV_CLUSTER, main
+from ssdb.encoding import MAX_TEXT_BYTES
 from ssdb.hub import ClusterConfig, ServerInfo
 from ssdb.field import MERSENNE_61
 from ssdb.testnet import TestCluster
@@ -210,6 +211,35 @@ class TestLoadCsv:
                               "SELECT * FROM cli_csv4")
         assert json.loads(stdout) == []
 
+    @pytest.mark.parametrize("attr, last", [
+        ("k", f"{MERSENNE_61},z"),  # p itself, one past the largest INTEGER
+        ("k", "9" * 5000 + ",z"),  # past the digits int() takes
+        ("v", "3," + "x" * (MAX_TEXT_BYTES + 1)),
+    ], ids=["integer-p", "integer-of-5000-digits", "text-too-long"])
+    def test_row_that_cannot_be_encoded_stores_no_row(self, capsys, net, attr, last):
+        table = f"cli_csv_{attr}"
+        self.make_table(capsys, net, table)
+        data = net.root / f"{table}.csv"
+        data.write_text(f"k,v\n1,a\n2,b\n{last}\n")
+        code, _, stderr = run(capsys, "load-csv", "--cluster", net.cfg,
+                              "--hub", net.hub, table, str(data))
+        assert code == 1 and f"attribute {attr!r}: " in stderr
+        # every row is encoded before any is stored
+        code, stdout, _ = run(capsys, "query", "--cluster", net.cfg,
+                              "--hub", net.hub, "--format", "json", f"SELECT * FROM {table}")
+        assert code == 0 and json.loads(stdout) == []
+
+    def test_field_past_any_text_is_refused_by_line(self, capsys, net):
+        self.make_table(capsys, net, "cli_csv_long")
+        data = net.root / "long.csv"
+        data.write_text("k,v\n1,a\n2," + "x" * (MAX_TEXT_BYTES + 2) + "\n")
+        code, _, stderr = run(capsys, "load-csv", "--cluster", net.cfg,
+                              "--hub", net.hub, "cli_csv_long", str(data))
+        assert code == 1 and f"{data}, line 3: field larger than field limit" in stderr
+        code, stdout, _ = run(capsys, "query", "--cluster", net.cfg,
+                              "--hub", net.hub, "--format", "json", "SELECT * FROM cli_csv_long")
+        assert json.loads(stdout) == []
+
     def test_empty_file_rejected(self, capsys, net):
         self.make_table(capsys, net, "cli_csv3")
         data = net.root / "empty.csv"
@@ -284,6 +314,14 @@ class TestQueryCommand:
         assert sent == []
 
 
+def checkout_env():
+    """os.environ, with this ssdb package first on PYTHONPATH for a subprocess."""
+    src = str(Path(ssdb.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self, tmp_path):
         proc = subprocess.run(
@@ -300,6 +338,29 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, timeout=30,
         )
         assert proc.returncode == 1
+
+    def test_one_shot_commands_leave_no_socket_to_the_garbage_collector(self, net):
+        # development mode prints a ResourceWarning for every socket that
+        # is closed only when it is collected
+        schema_file = net.root / "cli_dev.json"
+        schema_file.write_text(json.dumps({
+            "table": "cli_dev",
+            "attributes": [{"name": "k", "type": "INTEGER"},
+                           {"name": "v", "type": "TEXT"}],
+        }))
+        data = net.root / "cli_dev.csv"
+        data.write_text("k,v\n1,one\n2,two\n")
+        env = {**checkout_env(), ENV_CLUSTER: net.cfg}
+        for args in (["create-table", str(schema_file)],
+                     ["load-csv", "--hub", net.hub, "cli_dev", str(data)],
+                     ["query", "--hub", net.hub, "SELECT v FROM cli_dev WHERE k = 2"]):
+            proc = subprocess.run(
+                [sys.executable, "-X", "dev", "-m", "ssdb", *args], env=env,
+                capture_output=True, text=True, timeout=30,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert "ResourceWarning" not in proc.stderr, (args[0], proc.stderr)
+        assert proc.stdout.splitlines()[2:] == ["two"]
 
 
 def free_ports(count):
@@ -339,10 +400,7 @@ class TestDaemons:
             for info in servers
         }
         commands[hub] = ["hub", "--cluster", cfg, "--listen", hub]
-        src = str(Path(ssdb.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])
-        )}
+        env = checkout_env()
         procs = {}
         try:
             for addr, args in commands.items():

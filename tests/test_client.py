@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ssdb import client, field, protocol
+from ssdb import client, protocol
 from ssdb.client import (
     Dealer,
     HubClient,
@@ -589,6 +589,25 @@ class TestResultListener:
         servers = stubs(lambda msg: None, delivers(2), delivers(3))  # s1 hangs up
         assert sorted(by_x(listen(stub_config(servers)).wait())) == [2, 3]
         assert [len(s.requests) for s in servers] == [1, 1, 1]
+
+    def test_exchanges_left_unread_are_closed_when_an_exception_escapes(
+        self, stubs, monkeypatch
+    ):
+        listener = listen(stub_config(stubs(delivers(1), delivers(2), delivers(3))))
+        (_, first), (s2, second) = listener._asked
+        sock, replies = second._sock, protocol.Exchange.replies
+
+        def interrupted(self, timeout=protocol.RESPONSE_TIMEOUT):
+            if self is first:  # not a server's failure, so `wait` does not catch it
+                self.close()
+                raise RuntimeError("interrupted")
+            return replies(self, timeout)
+
+        monkeypatch.setattr(protocol.Exchange, "replies", interrupted)
+        with pytest.raises(RuntimeError):
+            listener.wait()
+        assert second._sock is None and sock.fileno() == -1
+        assert protocol.POOL._idle.get(protocol.parse_addr(s2.address), []) == []
 
     def test_a_read_is_encoded_once_past_a_refusing_server(self, stubs, monkeypatch):
         encoded = []
@@ -1647,23 +1666,6 @@ def test_warm_client_answers_like_a_fresh_one(steps):
                     cells[row % len(cells)] = flip(cells[row % len(cells)])
             else:
                 assert answer(warm, cluster, args[0]) == answer(fresh(cluster), cluster, args[0])
-
-
-def test_hot_path_never_tests_primality(monkeypatch):
-    """p is fixed at 2^61 - 1, so inserts and queries never test it for primality."""
-    with TestCluster.start(3, 2, seed=19) as cluster:
-        cluster.create_table(PATIENTS_SCHEMA)
-        calls = []
-        real = field.is_prime
-        monkeypatch.setattr(field, "is_prime", lambda n: calls.append(n) or real(n))
-        for row in ((1, "Ann", 5, "Aids"), (2, "Bo", 6, "Flu"), (3, "Cy", 5, "Aids")):
-            cluster.dealer.insert_row(PATIENTS_SCHEMA, row)
-        rs = execute_query(
-            "SELECT Patientname FROM patient_details WHERE Doctorid = 5",
-            cluster.hub_client, cluster.config,
-        )
-        assert rs.rows == [["Ann"], ["Cy"]]
-        assert calls == []
 
 
 # a reader holding only the cluster file: a schema read, then a fetch from t servers

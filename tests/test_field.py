@@ -1,48 +1,21 @@
-"""The primality check behind every modulus."""
+"""The one modulus: 2^61 - 1 is prime, and every element fits a share."""
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from ssdb.field import MERSENNE_61, is_prime
+from ssdb.field import MERSENNE_61, SHARE_BYTES
 
 
-def trial_division(n: int) -> bool:
-    """Independent primality oracle for small n."""
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+def lucas_lehmer(q: int) -> bool:
+    """Whether 2^q - 1 is prime, for an odd prime q (Lehmer, Annals of Math. 1930)."""
+    m, s = (1 << q) - 1, 4
+    for _ in range(q - 2):
+        s = (s * s - 2) % m
+    return s == 0
 
 
-class TestIsPrime:
-    def test_small_numbers_match_trial_division(self):
-        for n in range(-5, 2000):
-            assert is_prime(n) == trial_division(n), n
-
-    def test_carmichael_numbers_are_composite(self):
-        # Fermat-only tests pass these; Miller-Rabin must not.
-        for n in (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265):
-            assert not is_prime(n), n
-
-    def test_strong_pseudoprimes_are_composite(self):
-        # strong pseudoprimes to the first few bases individually
-        assert not is_prime(2047)  # base 2
-        assert not is_prime(1373653)  # bases 2, 3
-        assert not is_prime(25326001)  # bases 2, 3, 5
-        assert not is_prime(3215031751)  # bases 2, 3, 5, 7
-
-    def test_known_large_values(self):
-        assert is_prime(MERSENNE_61)
-        assert is_prime((1 << 61) - 1)
-        assert not is_prime((1 << 67) - 1)  # 193707721 * 761838257287
-        assert not is_prime(MERSENNE_61 - 1)
-        assert is_prime(2**127 - 1)
-
-    @given(st.integers(min_value=2, max_value=10**6))
-    @settings(max_examples=300)
-    def test_matches_trial_division(self, n):
-        assert is_prime(n) == trial_division(n)
+def test_modulus_is_the_mersenne_prime_and_fits_a_share():
+    assert MERSENNE_61 == 2**61 - 1
+    assert lucas_lehmer(61)
+    # the same helper on a composite Mersenne number, whose factors are known
+    assert 193707721 * 761838257287 == 2**67 - 1
+    assert not lucas_lehmer(67)
+    # every element below p, the largest included, fits one share word
+    assert (MERSENNE_61 - 1).bit_length() <= 8 * SHARE_BYTES

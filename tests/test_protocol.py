@@ -721,6 +721,29 @@ class TestTcpService:
             assert not thread.is_alive()
             assert svc._conns == {}
 
+    def test_connection_accepted_after_stop_began_is_closed_unserved(self, monkeypatch):
+        svc = TcpService("127.0.0.1", 0, lambda msg: Ack(), name="test")
+        served, serve = [], svc._serve_conn
+        svc._serve_conn = lambda conn: served.append(conn) or serve(conn)
+        accepted, real = threading.Event(), socket.socket.accept
+
+        def accept_then_wait_for_stop(sock):
+            got = real(sock)
+            if sock is svc._sock:  # `stop` begins between this accept and its lock
+                accepted.set()
+                while not svc._stopping:
+                    time.sleep(0.001)
+            return got
+
+        monkeypatch.setattr(socket.socket, "accept", accept_then_wait_for_stop)
+        svc.start()
+        with socket.create_connection(svc.address, timeout=5) as client:
+            assert accepted.wait(5)
+            svc.stop()
+            assert svc._conns == {}
+            assert client.recv(1) == b""  # closed, never answered
+        assert served == []
+
     def test_stop_before_start_does_nothing(self):
         svc = TcpService("127.0.0.1", 0, lambda m: Ack(), name="t")
         svc.stop()
@@ -1045,6 +1068,39 @@ class TestKeptOpenConnections:
                 protocol.request(server.address, Ack(req_id="b"))
             assert seen == [(0, "a"), (0, "b")] and server.accepted == 1
             assert self.idle(server.address) == []
+
+    def test_reused_connection_reset_mid_reply_is_not_retried(self):
+        seen = []
+
+        def serve(conn, k):  # answers "a", then half of the reply to "b" and resets
+            for msg in requests_in(conn):
+                seen.append((k, msg.req_id))
+                frame = encode_frame(Ack(req_id=msg.req_id))
+                if msg.req_id == "b":
+                    conn.sendall(frame[:len(frame) // 2])
+                    time.sleep(0.1)  # the half is read before the reset comes
+                    conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                    conn.close()
+                    return
+                conn.sendall(frame)
+
+        with ScriptedServer(serve) as server:
+            assert protocol.request(server.address, Ack(req_id="a")).req_id == "a"
+            # the reset itself, not the end of a stream cut short
+            with pytest.raises(ConnectionResetError):
+                protocol.request(server.address, Ack(req_id="b"))
+            assert seen == [(0, "a"), (0, "b")] and server.accepted == 1
+            assert self.idle(server.address) == []
+
+    def test_fresh_connection_whose_send_times_out_raises(self, monkeypatch):
+        monkeypatch.setattr(protocol, "CONNECT_TIMEOUT", 0.2)
+        done = threading.Event()
+        with ScriptedServer(lambda conn, k: done.wait(5)) as server:  # reads nothing
+            # more bytes than both ends' socket buffers hold, so the send cannot finish
+            with pytest.raises(TimeoutError):
+                protocol.Exchange(server.address, [bytes(protocol.MAX_FRAME_BYTES)], "big")
+            done.set()
+            assert server.accepted == 1 and self.idle(server.address) == []
 
     def test_threads_sharing_the_pool_each_get_their_own_reply(self):
         errors = []
