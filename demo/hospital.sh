@@ -29,12 +29,16 @@ for k in 1 2 3; do
   $SSDB server --id "s$k" --data-dir "$WORK/s$k" &
   SERVER_PID[$k]=$!
 done
-$SSDB hub --listen "$HUB" &
-for port in 7600 7601 7602 7603; do wait_for_port "$port"; done
+for port in 7601 7602 7603; do wait_for_port "$port"; done
 
+# writes go straight to every server; no hub is running yet
 $SSDB create-table "$DEMO/schema.json"
-$SSDB load-csv    --hub "$HUB" patient_details "$DEMO/patients.csv"
-$SSDB insert      --hub "$HUB" patient_details 105 Eve 33 Flu
+$SSDB load-csv     patient_details "$DEMO/patients.csv"
+$SSDB insert       patient_details 105 Eve 33 Flu
+
+# the hub answers only a query's first schema read of each table
+$SSDB hub --listen "$HUB" &
+wait_for_port 7600
 
 echo
 echo '== every row, reassembled from shares =='

@@ -77,13 +77,10 @@ def _run_daemon(daemon: protocol.TcpService, banner: str) -> int:
 
 
 def _insert(args, read_rows) -> list[int]:
-    """Parse every row `read_rows(schema)` returns, then insert each; their indices."""
-    config = _load_config(args)
-    hub = HubClient(args.hub)
-    schema = hub.get_schema(args.table).schema
-    rows = [_parse_values(schema, raw) for raw in read_rows(schema)]
-    dealer = Dealer(hub, config)
-    return [dealer.insert_row(schema, values) for values in rows]
+    """Insert each row `read_rows(schema)` returns, all parsed first; their indices."""
+    dealer = Dealer(None, _load_config(args))
+    schema = dealer.read_table(args.table).schema
+    return [dealer.insert_row(schema, values) for values in read_rows(schema)]
 
 
 # --- subcommands -------------------------------------------------------------
@@ -126,36 +123,37 @@ def _cmd_create_table(args) -> int:
             schema = TableSchema.from_json_dict(json.load(fh))
         except json.JSONDecodeError as exc:
             raise ValueError(f"{args.schema}: not valid JSON: {exc}") from None
-    Dealer(None, config).create_table(schema)  # writes go straight to the servers
+    Dealer(None, config).create_table(schema)
     print(f"created table {schema.table_name}")
     return 0
 
 
 def _cmd_insert(args) -> int:
-    [index] = _insert(args, lambda schema: [args.values])
+    [index] = _insert(args, lambda schema: [_parse_values(schema, args.values)])
     print(f"inserted row {index} into {args.table}")
     return 0
 
 
 def _cmd_load_csv(args) -> int:
-    def read_rows(schema: TableSchema) -> list[list[str]]:
+    def read_rows(schema: TableSchema) -> list[list]:
+        names = list(schema.attr_names())
         # csv's default limit, 128 Ki characters, is below a TEXT's; one
         # character past it still reaches encode_value, which names the attribute
         csv.field_size_limit(MAX_TEXT_BYTES + 1)
-        with open(args.file, newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" writes
+        with open(args.file, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
-                header, rows = next(reader, None), list(reader)
-            except csv.Error as exc:
+                header = next(reader, None)
+                if header == names:
+                    return [_parse_values(schema, raw) for raw in reader]
+            except UnicodeDecodeError:
+                raise  # its position counts bytes, not lines
+            except (csv.Error, ValueError) as exc:
                 raise ValueError(f"{args.file}, line {reader.line_num}: {exc}") from None
         if header is None:
             raise ValueError(f"{args.file}: empty file, expected a header row")
-        if header != list(schema.attr_names()):
-            raise ValueError(
-                f"{args.file}: header {header} does not match schema "
-                f"{list(schema.attr_names())}"
-            )
-        return rows
+        raise ValueError(f"{args.file}: header {header} does not match schema {names}")
 
     indices = _insert(args, read_rows)
     print(f"loaded {len(indices)} rows into {args.table}")
@@ -187,10 +185,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ssdb", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def common(p, hub=True):
+    def common(p):
         p.add_argument("--cluster", help=f"cluster config file (default: ${ENV_CLUSTER})")
-        if hub:
-            p.add_argument("--hub", required=True, help="hub address, host:port")
 
     p = sub.add_parser("gen-cluster", help="write a cluster config file")
     p.add_argument("n", type=int, help="number of share servers (max 16)")
@@ -201,19 +197,19 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_gen_cluster)
 
     p = sub.add_parser("server", help="run one share server")
-    common(p, hub=False)
+    common(p)
     p.add_argument("--id", required=True, help="server id from the cluster file")
     p.add_argument("--data-dir", required=True)
     p.add_argument("--listen", help="host:port (default: the configured address)")
     p.set_defaults(func=_cmd_server)
 
     p = sub.add_parser("hub", help="run the routing hub")
-    common(p, hub=False)
+    common(p)
     p.add_argument("--listen", default="127.0.0.1:7100", help="host:port")
     p.set_defaults(func=_cmd_hub)
 
     p = sub.add_parser("create-table", help="create a table on every server")
-    common(p, hub=False)
+    common(p)
     p.add_argument("schema", help="schema JSON file")
     p.set_defaults(func=_cmd_create_table)
 
@@ -231,6 +227,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("query", help="run a SELECT and print the rows")
     common(p)
+    p.add_argument("--hub", required=True, help="hub address, host:port")
     p.add_argument("query", help="SELECT attrs FROM table [WHERE attr OP literal]")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--timeout", type=float, default=10.0)

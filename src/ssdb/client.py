@@ -5,10 +5,10 @@ split every field element into n shares, and send each server only its
 own cut, directly. A query is at most two fetches from t servers: every
 row of the condition column, which the client reconstructs to evaluate
 the predicate on plaintext, and, if any row matched, the matching rows
-of every other selected attribute. Writes and fetches go through
-`hub.ResultListener`, the fan-out the hub's schema reads use too, and so
-follow one failure rule. The hub answers a client's first schema read
-per table.
+of every other selected attribute. The dealer's reads and writes, and
+the client's fetches, go through `hub.ResultListener`, the fan-out the
+hub's schema reads use too, and so follow one failure rule. The hub
+answers only a query client's first schema read per table.
 
 A `HubClient` keeps each condition column it has read, and later asks
 only for the rows after the ones it holds, with each server's digest of
@@ -356,40 +356,52 @@ class Dealer:
 
     The dealer is the only party that ever sees a whole row; nothing it
     sends over the wire contains a plaintext encoding once t >= 2, and
-    each server receives only the shares at its own x-coordinate. The
-    hub is used only to read a table's row count, so a dealer that only
-    creates tables needs none.
+    each server receives only the shares at its own x-coordinate. It
+    reads a table's row count from the n servers it writes to, so it
+    never needs the hub. `hub` is not used: the parameter is kept for
+    callers that pass one.
     """
 
-    def __init__(self, hub: Optional[HubClient], config: ClusterConfig, rng=None):
-        self.hub = hub
+    def __init__(self, hub: object, config: ClusterConfig, rng=None):
         self.config = config
         self.rng = rng
         self.xs = [s.x_coord for s in config.servers]
         self._next_index: dict[str, int] = {}
 
-    def _write_all(self, build) -> None:
-        """Send build(server) to every server; all n must answer ACK.
+    def _ask_all(self, build, expect: type) -> list:
+        """Send the messages build(server) gives to every server; all n must answer `expect`s.
 
-        A server that fails does not stop the others, so a failed write
-        leaves the row on whichever servers took it (there is no rollback
-        message).
+        Returns the replies, one per server in configured order. A server
+        that fails does not stop the others, so a failed write leaves the
+        row on whichever servers took it (there is no rollback message).
         """
         deadline = time.monotonic() + protocol.RESPONSE_TIMEOUT
-        listener = ResultListener(self.config, lambda info: [build(info)], self.config.n, deadline)
-        for info, [reply] in listener.wait():
-            if not isinstance(reply, Ack):
+        replies = ResultListener(self.config, build, self.config.n, deadline).wait()
+        for info, [reply] in replies:
+            if not isinstance(reply, expect):
                 raise SsdbError(protocol.INTERNAL, f"server {info.server_id} replied {reply.type}")
+        return [reply for _, [reply] in replies]
 
     def create_table(self, schema: TableSchema) -> None:
         # no index-cache seeding: create is idempotent, the table may
         # already hold rows
         msg = CreateTable(schema=schema)
-        self._write_all(lambda info: msg)
+        self._ask_all(lambda info: [msg], Ack)
 
-    def next_index_for(self, schema: TableSchema) -> int:
-        """Stored row count + 1, read through the hub."""
-        return self.hub.get_schema(schema.table_name).rows + 1
+    def read_table(self, table: str) -> SchemaResult:
+        """The table's schema and row count, which all n servers must report alike.
+
+        Seeds the index of the next row written to the table. Servers
+        that disagree, as after a write that only some of them took, get
+        no row until they agree again.
+        """
+        msg = GetSchema(table=table)
+        reads = self._ask_all(lambda info: [msg], SchemaResult)
+        if len({(read.schema, read.rows) for read in reads}) > 1:
+            held = ", ".join(f"{s.server_id}={r.rows}" for s, r in zip(self.config.servers, reads))
+            raise SsdbError(protocol.SCHEMA_MISMATCH, f"servers disagree on {table!r}: rows {held}")
+        self._next_index[table] = reads[0].rows + 1
+        return reads[0]
 
     def insert_row(self, schema: TableSchema, values) -> int:
         """Split one row and write each server its shares; returns the row index."""
@@ -403,9 +415,7 @@ class Dealer:
         cells = [encode_value(attr.type, value) for attr, value in zip(schema.attributes, values)]
 
         table = schema.table_name
-        if table not in self._next_index:
-            self._next_index[table] = self.next_index_for(schema)
-        index = self._next_index[table]
+        index = self._next_index.get(table) or self.read_table(table).rows + 1
 
         t, p = self.config.t, self.config.p
         per_server: dict[str, list[list[int]]] = {s.server_id: [] for s in self.config.servers}
@@ -424,8 +434,9 @@ class Dealer:
         attrs = schema.attr_names()
         bodies = {sid: ShareRows.pack((index,), vecs) for sid, vecs in per_server.items()}
         try:
-            self._write_all(
-                lambda info: InsertShares(table=table, attrs=attrs, cells=bodies[info.server_id])
+            self._ask_all(
+                lambda info: [InsertShares(table=table, attrs=attrs, cells=bodies[info.server_id])],
+                Ack,
             )
         except SsdbError:
             self._next_index.pop(table, None)  # cache may be stale, rediscover

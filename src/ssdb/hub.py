@@ -1,9 +1,10 @@
 """Cluster topology, the one fan-out to the share servers, and the hub.
 
 `ResultListener` is the only code that sends requests to the servers of
-a `ClusterConfig`: the dealer's writes, the client's fetches and the
-hub's schema reads, all under one failover rule. The hub answers schema
-and row-count reads and nothing else, so no share value passes through it.
+a `ClusterConfig`: the dealer's reads and writes, the client's fetches
+and the hub's schema reads, all under one failover rule. The hub answers
+a query client's schema reads and nothing else, so no share value passes
+through it.
 """
 
 from __future__ import annotations
@@ -123,8 +124,8 @@ class ResultListener:
     write on a pooled connection (`protocol.Exchange`) to the first
     `need` servers in configured order that take the connection; `wait`
     reads each one's replies, one per frame, in order. One rule covers
-    every caller, the dealer's writes (need = n), the client's fetches
-    (need = t) and the hub's schema reads (need = 1):
+    every caller, the dealer's reads and writes (need = n), the client's
+    fetches (need = t) and the hub's schema reads (need = 1):
 
     * a transport failure before a server's last reply is replaced by
       the next server not yet tried, which gets all of its own frames;

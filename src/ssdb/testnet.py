@@ -65,6 +65,7 @@ class TestCluster:
         self.config = config
         self.handles = {h.info.server_id: h for h in handles}
         self.hub = hub
+        self.hub_client = HubClient(hub.addr_str)
         self.dealer = dealer
         self.root = root
         self._owns_root = owns_root
@@ -110,8 +111,7 @@ class TestCluster:
                 shutil.rmtree(root, ignore_errors=True)
             raise
 
-        hub_client = HubClient(hub.addr_str)
-        dealer = Dealer(hub_client, config, rng=random.Random(seed))
+        dealer = Dealer(None, config, rng=random.Random(seed))
         return cls(config, handles, hub, dealer, root, owns_root)
 
     # --- lifecycle ----------------------------------------------------------
@@ -155,10 +155,6 @@ class TestCluster:
 
     # --- convenience --------------------------------------------------------
 
-    @property
-    def hub_client(self) -> HubClient:
-        return self.dealer.hub
-
     def create_table(self, schema: TableSchema) -> None:
         self.dealer.create_table(schema)
 
@@ -175,7 +171,7 @@ class TestCluster:
     def load_fixture_patients(self) -> None:
         """Create and fill the hospital table; only into an empty table."""
         self.dealer.create_table(PATIENTS_SCHEMA)
-        if self.dealer.next_index_for(PATIENTS_SCHEMA) != 1:
+        if self.dealer.read_table(PATIENTS_TABLE).rows:
             raise ValueError(f"{PATIENTS_TABLE!r} already holds rows, refusing to reload")
         for row in PATIENT_ROWS:
             self.dealer.insert_row(PATIENTS_SCHEMA, row)

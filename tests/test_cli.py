@@ -16,7 +16,7 @@ import ssdb
 from ssdb import protocol
 from ssdb.cli import ENV_CLUSTER, main
 from ssdb.encoding import MAX_TEXT_BYTES
-from ssdb.hub import ClusterConfig, ServerInfo
+from ssdb.hub import ClusterConfig, Hub, ServerInfo
 from ssdb.field import MERSENNE_61
 from ssdb.testnet import TestCluster
 
@@ -79,9 +79,15 @@ class TestArgumentErrors:
         assert run(capsys, "frobnicate")[0] == 1
 
     def test_missing_required_flag(self, capsys):
-        assert run(capsys, "insert", "t", "1")[0] == 1  # no --hub
-        # create-table writes to the servers directly and takes no --hub
+        assert run(capsys, "query", "SELECT a FROM t")[0] == 1  # no --hub
+        # create-table, insert and load-csv read and write the servers
+        # directly and take no --hub
         assert run(capsys, "create-table", "--hub", "127.0.0.1:1", "schema.json")[0] == 1
+        for args in (["insert", "t", "1"], ["load-csv", "t", "t.csv"]):
+            code, _, stderr = run(capsys, args[0], "--hub", "127.0.0.1:1", *args[1:])
+            assert code == 1 and "unrecognized arguments: --hub" in stderr
+            code, stdout, _ = run(capsys, args[0], "--help")
+            assert code == 0 and "--cluster" in stdout and "--hub" not in stdout
         # servers announce themselves to nobody; the hub reads the cluster file
         assert run(capsys, "server", "--id", "s1", "--data-dir", "d", "--hub", "127.0.0.1:1")[0] == 1
         # a query reads from the servers over its own connections; nothing listens
@@ -120,18 +126,15 @@ class TestTableCommands:
         code, stdout, _ = run(capsys, "create-table", "--cluster", net.cfg, str(schema_file))
         assert code == 0 and "created table cli_rows" in stdout
 
-        code, stdout, _ = run(capsys, "insert", "--cluster", net.cfg,
-                              "--hub", net.hub, "cli_rows", "7", "seven")
+        code, stdout, _ = run(capsys, "insert", "--cluster", net.cfg, "cli_rows", "7", "seven")
         assert code == 0 and "inserted row 1" in stdout
 
         # wrong arity: rejected locally, nothing stored
-        code, _, stderr = run(capsys, "insert", "--cluster", net.cfg,
-                              "--hub", net.hub, "cli_rows", "8")
+        code, _, stderr = run(capsys, "insert", "--cluster", net.cfg, "cli_rows", "8")
         assert code == 1 and "2 attributes" in stderr
 
         # non-integer where an integer is needed
-        code, _, stderr = run(capsys, "insert", "--cluster", net.cfg,
-                              "--hub", net.hub, "cli_rows", "x", "y")
+        code, _, stderr = run(capsys, "insert", "--cluster", net.cfg, "cli_rows", "x", "y")
         assert code == 1 and "needs an integer" in stderr
 
         code, stdout, _ = run(capsys, "query", "--cluster", net.cfg,
@@ -145,7 +148,7 @@ class TestTableCommands:
         # a query's literal is ASCII digits, so a value written any other
         # way could be stored but never named; nothing is stored
         before = net.cluster.query("SELECT Patientid FROM patient_details").indices
-        code, _, stderr = run(capsys, "insert", "--cluster", net.cfg, "--hub", net.hub,
+        code, _, stderr = run(capsys, "insert", "--cluster", net.cfg,
                               "patient_details", token, "Eve", "33", "Flu")
         assert code == 1
         assert f"attribute 'Patientid' needs an integer, got {token!r}" in stderr
@@ -177,8 +180,7 @@ class TestLoadCsv:
         self.make_table(capsys, net, "cli_csv")
         data = net.root / "rows.csv"
         data.write_text('k,v\n1,plain\n2,"has, comma"\n3,émigré\n', encoding="utf-8")
-        code, stdout, _ = run(capsys, "load-csv", "--cluster", net.cfg,
-                              "--hub", net.hub, "cli_csv", str(data))
+        code, stdout, _ = run(capsys, "load-csv", "--cluster", net.cfg, "cli_csv", str(data))
         assert code == 0 and "loaded 3 rows" in stdout
         code, stdout, _ = run(capsys, "query", "--cluster", net.cfg,
                               "--hub", net.hub, "--format", "json",
@@ -189,8 +191,7 @@ class TestLoadCsv:
         self.make_table(capsys, net, "cli_csv2")
         data = net.root / "bad_header.csv"
         data.write_text("k,wrong\n1,x\n")
-        code, _, stderr = run(capsys, "load-csv", "--cluster", net.cfg,
-                              "--hub", net.hub, "cli_csv2", str(data))
+        code, _, stderr = run(capsys, "load-csv", "--cluster", net.cfg, "cli_csv2", str(data))
         assert code == 1 and "does not match schema" in stderr
         # nothing was stored
         code, stdout, _ = run(capsys, "query", "--cluster", net.cfg,
@@ -202,8 +203,7 @@ class TestLoadCsv:
         self.make_table(capsys, net, "cli_csv4")
         data = net.root / "spaced.csv"
         data.write_text("k,v\n1,x\n 2 ,y\n")
-        code, _, stderr = run(capsys, "load-csv", "--cluster", net.cfg,
-                              "--hub", net.hub, "cli_csv4", str(data))
+        code, _, stderr = run(capsys, "load-csv", "--cluster", net.cfg, "cli_csv4", str(data))
         assert code == 1 and "attribute 'k' needs an integer, got ' 2 '" in stderr
         # every row is parsed before any is stored
         code, stdout, _ = run(capsys, "query", "--cluster", net.cfg,
@@ -221,8 +221,7 @@ class TestLoadCsv:
         self.make_table(capsys, net, table)
         data = net.root / f"{table}.csv"
         data.write_text(f"k,v\n1,a\n2,b\n{last}\n")
-        code, _, stderr = run(capsys, "load-csv", "--cluster", net.cfg,
-                              "--hub", net.hub, table, str(data))
+        code, _, stderr = run(capsys, "load-csv", "--cluster", net.cfg, table, str(data))
         assert code == 1 and f"attribute {attr!r}: " in stderr
         # every row is encoded before any is stored
         code, stdout, _ = run(capsys, "query", "--cluster", net.cfg,
@@ -233,20 +232,72 @@ class TestLoadCsv:
         self.make_table(capsys, net, "cli_csv_long")
         data = net.root / "long.csv"
         data.write_text("k,v\n1,a\n2," + "x" * (MAX_TEXT_BYTES + 2) + "\n")
-        code, _, stderr = run(capsys, "load-csv", "--cluster", net.cfg,
-                              "--hub", net.hub, "cli_csv_long", str(data))
+        code, _, stderr = run(capsys, "load-csv", "--cluster", net.cfg, "cli_csv_long", str(data))
         assert code == 1 and f"{data}, line 3: field larger than field limit" in stderr
         code, stdout, _ = run(capsys, "query", "--cluster", net.cfg,
                               "--hub", net.hub, "--format", "json", "SELECT * FROM cli_csv_long")
+        assert json.loads(stdout) == []
+
+    def test_byte_order_mark_is_not_part_of_the_header(self, capsys, net):
+        # Excel's "CSV UTF-8" starts the file with U+FEFF
+        self.make_table(capsys, net, "cli_csv_bom")
+        data = net.root / "bom.csv"
+        data.write_text("k,v\n1,é\n", encoding="utf-8-sig")
+        code, stdout, stderr = run(capsys, "load-csv", "--cluster", net.cfg,
+                                   "cli_csv_bom", str(data))
+        assert code == 0 and "loaded 1 rows" in stdout, stderr
+        code, stdout, _ = run(capsys, "query", "--cluster", net.cfg, "--hub", net.hub,
+                              "--format", "json", "SELECT * FROM cli_csv_bom")
+        assert json.loads(stdout) == [{"k": 1, "v": "é"}]
+
+    def test_value_error_names_its_line(self, capsys, net):
+        self.make_table(capsys, net, "cli_csv_line")
+        data = net.root / "line.csv"
+        data.write_text('k,v\n1,a\n"x1","b\nc"\n2,d\n')  # row 2 ends on line 4
+        code, _, stderr = run(capsys, "load-csv", "--cluster", net.cfg, "cli_csv_line", str(data))
+        assert code == 1
+        assert f"{data}, line 4: attribute 'k' needs an integer, got 'x1'" in stderr
+        code, stdout, _ = run(capsys, "query", "--cluster", net.cfg, "--hub", net.hub,
+                              "--format", "json", "SELECT * FROM cli_csv_line")
         assert json.loads(stdout) == []
 
     def test_empty_file_rejected(self, capsys, net):
         self.make_table(capsys, net, "cli_csv3")
         data = net.root / "empty.csv"
         data.write_text("")
-        code, _, stderr = run(capsys, "load-csv", "--cluster", net.cfg,
-                              "--hub", net.hub, "cli_csv3", str(data))
+        code, _, stderr = run(capsys, "load-csv", "--cluster", net.cfg, "cli_csv3", str(data))
         assert code == 1 and "empty" in stderr
+
+
+class TestWritesWithoutHub:
+    def test_insert_and_load_csv_with_the_hub_stopped(self, tmp_path, capsys):
+        schema_file = tmp_path / "nohub.json"
+        schema_file.write_text(json.dumps({
+            "table": "nohub",
+            "attributes": [{"name": "k", "type": "INTEGER"},
+                           {"name": "v", "type": "TEXT"}],
+        }))
+        data = tmp_path / "nohub.csv"
+        data.write_text("k,v\n1,one\n2,two\n")
+        with TestCluster.start(3, 2, seed=29) as cluster:
+            cfg = str(tmp_path / "cluster.json")
+            cluster.config.save(cfg)
+            cluster.hub.stop()
+            assert run(capsys, "create-table", "--cluster", cfg, str(schema_file))[0] == 0
+            code, stdout, stderr = run(capsys, "load-csv", "--cluster", cfg, "nohub", str(data))
+            assert code == 0 and "loaded 2 rows into nohub" in stdout, stderr
+            code, stdout, stderr = run(capsys, "insert", "--cluster", cfg, "nohub", "3", "three")
+            assert code == 0 and "inserted row 3 into nohub" in stdout, stderr
+            # the hub was needed for none of it; a query still reads through one
+            hub = Hub(cluster.config)
+            hub.start()
+            try:
+                code, stdout, _ = run(capsys, "query", "--cluster", cfg, "--hub", hub.addr_str,
+                                      "--format", "json", "SELECT v FROM nohub")
+            finally:
+                hub.stop()
+            assert code == 0
+            assert json.loads(stdout) == [{"v": "one"}, {"v": "two"}, {"v": "three"}]
 
 
 class TestQueryCommand:
@@ -352,7 +403,7 @@ class TestModuleEntryPoint:
         data.write_text("k,v\n1,one\n2,two\n")
         env = {**checkout_env(), ENV_CLUSTER: net.cfg}
         for args in (["create-table", str(schema_file)],
-                     ["load-csv", "--hub", net.hub, "cli_dev", str(data)],
+                     ["load-csv", "cli_dev", str(data)],
                      ["query", "--hub", net.hub, "SELECT v FROM cli_dev WHERE k = 2"]):
             proc = subprocess.run(
                 [sys.executable, "-X", "dev", "-m", "ssdb", *args], env=env,
@@ -418,8 +469,7 @@ class TestDaemons:
                                {"name": "v", "type": "TEXT"}],
             }))
             assert run(capsys, "create-table", "--cluster", cfg, str(schema_file))[0] == 0
-            code, stdout, _ = run(capsys, "insert", "--cluster", cfg, "--hub", hub,
-                                  "daemons", "7", "seven")
+            code, stdout, _ = run(capsys, "insert", "--cluster", cfg, "daemons", "7", "seven")
             assert code == 0 and "inserted row 1 into daemons" in stdout
             code, stdout, _ = run(capsys, "query", "--cluster", cfg, "--hub", hub,
                                   "--format", "json", "SELECT * FROM daemons")

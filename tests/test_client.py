@@ -39,6 +39,7 @@ from ssdb.protocol import (
     Ack,
     DeliverShares,
     FetchToClient,
+    GetSchema,
     InsertShares,
     RemoteError,
     SchemaResult,
@@ -300,35 +301,41 @@ def make_config(n=3, t=2):
 
 
 class FakeCluster:
-    """Answers the dealer's row-count reads and records its direct writes.
+    """Answers the dealer's table reads and records its writes.
 
-    Stands in for the hub (get_schema) and, through a patched
-    protocol.Exchange, for every share server; nothing touches the network.
+    Stands in, through a patched protocol.Exchange, for every share
+    server: each reports `row_count` rows of SCHEMA2 and acknowledges
+    every write; nothing touches the network.
     """
 
     def __init__(self, monkeypatch, config, row_count=0):
         self.config = config
         self.row_count = row_count
-        self.schema_calls = 0
+        self.reads = set()  # req_ids of the GET_SCHEMAs sent, one per table read
         self.writes = []  # (server id, message) in send order
         self.down = set()  # server ids that refuse connections
         monkeypatch.setattr(protocol, "Exchange", self._exchange)
 
-    def get_schema(self, table):
-        self.schema_calls += 1
-        return SchemaResult(schema=SCHEMA2, rows=self.row_count)
+    @property
+    def schema_calls(self):
+        return len(self.reads)
 
     def _exchange(self, addr, frames, req_id, **kwargs):
-        """Sent requests: recorded now, acknowledged when their replies are read."""
+        """Sent requests: recorded now, answered when their replies are read."""
         (info,) = [s for s in self.config.servers if protocol.parse_addr(s.address) == addr]
         if info.server_id in self.down:
             raise ConnectionRefusedError(f"{info.address} refused")
+        replies = []
         for frame in frames:
             msg, _ = protocol.decode_frame(frame)
             assert msg.req_id == req_id
-            self.writes.append((info.server_id, msg))
-        acks = [Ack() for _ in frames]
-        return SimpleNamespace(replies=lambda timeout=None: acks, close=lambda: None)
+            if isinstance(msg, GetSchema):
+                self.reads.add(msg.req_id)
+                replies.append(SchemaResult(schema=SCHEMA2, rows=self.row_count))
+            else:
+                self.writes.append((info.server_id, msg))
+                replies.append(Ack())
+        return SimpleNamespace(replies=lambda timeout=None: replies, close=lambda: None)
 
     def bundles(self):
         """Each insert's (table, index, per-server cells), rebuilt from the writes."""
@@ -350,32 +357,32 @@ SCHEMA2 = TableSchema(
 @pytest.fixture
 def fake(monkeypatch):
     config = make_config()
-    hub = FakeCluster(monkeypatch, config)
-    return hub, Dealer(hub, config)
+    cluster = FakeCluster(monkeypatch, config)
+    return cluster, Dealer(None, config)
 
 
 class TestDealer:
     def test_wrong_arity_sends_nothing(self, fake):
-        hub, dealer = fake
+        cluster, dealer = fake
         with pytest.raises(ValueError):
             dealer.insert_row(SCHEMA2, (1,))
         with pytest.raises(ValueError):
             dealer.insert_row(SCHEMA2, (1, "x", 3))
-        assert hub.writes == [] and hub.schema_calls == 0
+        assert cluster.writes == [] and cluster.schema_calls == 0
 
     def test_wrong_type_sends_nothing(self, fake):
-        hub, dealer = fake
+        cluster, dealer = fake
         with pytest.raises(ValueError):
             dealer.insert_row(SCHEMA2, ("not-int", "x"))
-        assert hub.writes == [] and hub.schema_calls == 0
+        assert cluster.writes == [] and cluster.schema_calls == 0
 
     def test_bundle_shape_and_reconstruction(self, fake):
-        hub, dealer = fake
+        cluster, dealer = fake
         values = (12345, "Aids")
         dealer.insert_row(SCHEMA2, values)
         # one message per server, in configured order, each its own cut
-        assert [sid for sid, _ in hub.writes] == ["s1", "s2", "s3"]
-        (table, index, per_server) = hub.bundles()[0]
+        assert [sid for sid, _ in cluster.writes] == ["s1", "s2", "s3"]
+        (table, index, per_server) = cluster.bundles()[0]
         assert table == "t" and index == 1
 
         for attr, value in zip(SCHEMA2.attributes, values):
@@ -389,10 +396,10 @@ class TestDealer:
                 assert reconstruct(shares[1:], 2, P) == element
 
     def test_no_plaintext_encoding_leaves_the_dealer(self, fake):
-        hub, dealer = fake
+        cluster, dealer = fake
         values = (999, "a long secret string that must never travel whole")
         dealer.insert_row(SCHEMA2, values)
-        (_, _, per_server) = hub.bundles()[0]
+        (_, _, per_server) = cluster.bundles()[0]
         for attr, value in zip(SCHEMA2.attributes, values):
             plain = encode_value(attr.type, value)
             for sid in per_server:
@@ -405,7 +412,7 @@ class TestDealer:
 
         with TestCluster.start(3, 2, seed=23) as cluster:
             cluster.create_table(SCHEMA2)
-            dealer = Dealer(cluster.hub_client, cluster.config, rng=ZeroRng())
+            dealer = Dealer(None, cluster.config, rng=ZeroRng())
             with pytest.raises(SsdbError) as e:
                 dealer.insert_row(SCHEMA2, (12345, "Aids"))
             assert e.value.code == protocol.INTERNAL
@@ -413,22 +420,22 @@ class TestDealer:
                 assert cluster.rows_log_bytes(sid, "t") == b""
 
     def test_next_index_discovered_then_cached(self, fake):
-        hub, dealer = fake
-        hub.row_count = 3
+        cluster, dealer = fake
+        cluster.row_count = 3
         assert dealer.insert_row(SCHEMA2, (1, "a")) == 4
         assert dealer.insert_row(SCHEMA2, (2, "b")) == 5
-        assert hub.schema_calls == 1  # second insert reused the cache
+        assert cluster.schema_calls == 1  # second insert reused the cache
 
     def test_failed_insert_invalidates_cache(self, fake):
-        hub, dealer = fake
+        cluster, dealer = fake
         assert dealer.insert_row(SCHEMA2, (1, "a")) == 1
-        hub.down = {"s2"}
+        cluster.down = {"s2"}
         with pytest.raises(SsdbError):
             dealer.insert_row(SCHEMA2, (2, "b"))
-        hub.down = set()
-        hub.row_count = 1  # pretend only the first landed
+        cluster.down = set()
+        cluster.row_count = 1  # pretend only the first landed
         assert dealer.insert_row(SCHEMA2, (2, "b")) == 2
-        assert hub.schema_calls == 2
+        assert cluster.schema_calls == 2
 
 
 class StubServer:
@@ -644,19 +651,19 @@ class TestResultListener:
 
     def test_write_answered_with_anything_but_ack_fails(self, stubs):
         # s2 answers INSERT_SHARES with a well-formed frame that is not an ACK
-        def acks(msg):
-            return [Ack()]
-
         def schema_result(msg):
             return [SchemaResult(schema=SCHEMA2, rows=0)]
 
+        def acks(msg):
+            return schema_result(msg) if isinstance(msg, GetSchema) else [Ack()]
+
         servers = stubs(acks, schema_result, acks)
-        hub = SimpleNamespace(get_schema=lambda table: SchemaResult(schema=SCHEMA2, rows=0))
         with pytest.raises(SsdbError) as e:
-            Dealer(hub, stub_config(servers)).insert_row(SCHEMA2, (1, "a"))
+            Dealer(None, stub_config(servers)).insert_row(SCHEMA2, (1, "a"))
         assert e.value.code == protocol.INTERNAL
         assert "s2" in e.value.detail and "SCHEMA_RESULT" in e.value.detail
-        assert [type(s.requests[0]) for s in servers] == [InsertShares] * 3
+        # each server was asked for the table, then sent its write
+        assert [list(map(type, s.requests)) for s in servers] == [[GetSchema, InsertShares]] * 3
 
 
 @pytest.fixture(scope="module")
@@ -1265,7 +1272,7 @@ class TestKeptColumns:
         text = "SELECT k FROM notes WHERE v = 'Ann'"
         warm = fresh(cluster)
         assert execute_query(text, warm, cluster.config).rows == [[1], [3]]
-        other = Dealer(fresh(cluster), cluster.config, rng=random.Random(1))
+        other = Dealer(None, cluster.config, rng=random.Random(1))
         assert other.insert_row(NOTES, (4, "Ann")) == 4
         assert execute_query(text, warm, cluster.config).rows == [[1], [3], [4]]
         assert execute_query(text, warm, cluster.config).rows == [[1], [3], [4]]
@@ -1639,7 +1646,7 @@ def test_reads_that_overlap_inserts_see_a_prefix_of_them():
 def test_warm_client_answers_like_a_fresh_one(steps):
     with TestCluster.start(3, 2, seed=47) as cluster:
         cluster.create_table(NOTES)
-        dealers = [Dealer(fresh(cluster), cluster.config, rng=random.Random(d)) for d in (0, 1)]
+        dealers = [Dealer(None, cluster.config, rng=random.Random(d)) for d in (0, 1)]
         dealers[0].insert_row(NOTES, (0, "Ann"))
         warm = fresh(cluster)
         for step in [*steps, ("query", NOTE_QUERIES[0])]:

@@ -5,6 +5,7 @@ import ast
 import inspect
 import json
 import random
+import re
 import socket
 import threading
 import time
@@ -160,7 +161,7 @@ class MiniCluster:
         self.hub = Hub(self.config, listen=("127.0.0.1", 0))
         self.hub.start()
         self.hub_client = HubClient(self.hub.addr_str)
-        self.dealer = Dealer(self.hub_client, self.config, rng=random.Random(0))
+        self.dealer = Dealer(None, self.config, rng=random.Random(0))
 
     def ask(self, msg):
         return protocol.request(self.hub.address, msg)
@@ -256,6 +257,7 @@ class TestHubRouting:
     def test_write_needs_every_server_and_names_the_dead_one(self, tmp_path):
         with MiniCluster(tmp_path) as mini:
             mini.dealer.create_table(SCHEMA)
+            mini.dealer.insert_row(SCHEMA, (6, "Z"))  # the dealer now holds the next index
             mini.kill(2)
             address = mini.config.server_by_id("s2").address
             with pytest.raises(SsdbError) as e:
@@ -263,29 +265,55 @@ class TestHubRouting:
             assert e.value.code == protocol.THRESHOLD_UNAVAILABLE
             assert "s2" in e.value.detail and address in e.value.detail
             # the write goes on past s2: stored on s1 and s3, not on s2
-            assert [len(stored(server)) for server in mini.servers] == [1, 0, 1]
+            assert [len(stored(server)) for server in mini.servers] == [2, 1, 2]
             with pytest.raises(SsdbError) as e:
                 mini.dealer.create_table(SCHEMA)
             assert e.value.code == protocol.THRESHOLD_UNAVAILABLE
             assert "s2" in e.value.detail and address in e.value.detail
             mini.kill(3)
             with pytest.raises(SsdbError) as e:
-                mini.dealer.insert_row(SCHEMA, (8, "B"))
+                mini.dealer.insert_row(SCHEMA, (8, "B"))  # its table read fails
             assert "s2" in e.value.detail and "s3" in e.value.detail  # every failed server
             assert "s1" not in e.value.detail
+            assert [len(stored(server)) for server in mini.servers] == [2, 1, 2]
+
+    def test_fresh_dealer_with_a_server_down_writes_nothing(self, tmp_path):
+        with MiniCluster(tmp_path) as mini:
+            mini.dealer.create_table(SCHEMA)
+            mini.kill(2)
+            with pytest.raises(SsdbError) as e:
+                Dealer(None, mini.config).insert_row(SCHEMA, (7, "A"))
+            assert e.value.code == protocol.THRESHOLD_UNAVAILABLE
+            assert "s2" in e.value.detail
+            assert "s1" not in e.value.detail and "s3" not in e.value.detail
+            assert [len(stored(mini.servers[k])) for k in (0, 2)] == [0, 0]
+
+    def test_servers_with_different_schemas_get_no_write(self, tmp_path):
+        other = TableSchema("records", (Attribute("k", AttrType.INTEGER),))
+        with MiniCluster(tmp_path) as mini:
+            mini.ask_server(1, CreateTable(req_id="c", schema=other))
+            for k in (2, 3):
+                mini.ask_server(k, CreateTable(req_id="c", schema=SCHEMA))
+            for dealer in (mini.dealer, Dealer(None, mini.config)):
+                with pytest.raises(SsdbError) as e:
+                    dealer.insert_row(SCHEMA, (7, "A"))
+                assert e.value.code == protocol.SCHEMA_MISMATCH
+                assert "'records'" in e.value.detail
+            assert [len(stored(server)) for server in mini.servers] == [0, 0, 0]
 
     def test_write_failures_follow_the_read_rule(self, tmp_path):
         # s2 answers ERROR, s3 is down: the error takes s2's code, as the
         # first failure in configured order, and names both
         with MiniCluster(tmp_path) as mini:
             mini.dealer.create_table(SCHEMA)
+            mini.dealer.insert_row(SCHEMA, (6, "Z"))  # the dealer now holds the next index
             mini.ask_server(
                 2, InsertShares(req_id="x", table="records", attrs=["k", "v"],
-                                cells=ShareRows.pack([1], [[5], [1, 70]]))
+                                cells=ShareRows.pack([2], [[5], [1, 70]]))
             )
             mini.kill(3)
             with pytest.raises(RemoteError) as e:
-                mini.dealer.insert_row(SCHEMA, (7, "A"))  # row 1 again on s2
+                mini.dealer.insert_row(SCHEMA, (7, "A"))  # row 2 again on s2
             assert e.value.code == protocol.SCHEMA_MISMATCH
             for sid in ("s2", "s3"):
                 assert sid in e.value.detail
@@ -311,6 +339,40 @@ class TestHubRouting:
             # to s1 and s2, which both hold only row 1. Only a repair
             # (ROADMAP item 4) brings the unacknowledged row 2 back.
             assert cluster.query("SELECT * FROM records").rows == [[1, "kept"]]
+            # until then the servers disagree, and the next insert is refused
+            with pytest.raises(SsdbError) as e:
+                cluster.insert_row(SCHEMA, (3, "refused"))
+            assert e.value.code == protocol.SCHEMA_MISMATCH
+            assert "s1=2, s2=1, s3=2" in e.value.detail
+            assert [len(stored(h.server)) for h in cluster.handles.values()] == [2, 1, 2]
+
+    def test_retry_after_a_failed_write_splits_no_row(self):
+        # a rerun of `ssdb insert` after an insert that s1 missed: a dealer
+        # that read s1's row count alone would store a different row 5 on
+        # s1 than on s2 and s3
+        inserted = {row[::2] for row in PATIENT_ROWS} | {(105, 33), (106, 44)}
+        with TestCluster.start(3, 2, seed=5) as cluster:
+            cluster.load_fixture_patients()
+            cluster.kill_server("s1")
+            with pytest.raises(SsdbError) as e:
+                cluster.insert_row(PATIENTS_SCHEMA, (105, "Eve", 33, "Flu"))
+            assert e.value.code == protocol.THRESHOLD_UNAVAILABLE
+            cluster.revive_server("s1")
+            retry = Dealer(None, cluster.config, rng=random.Random(1))
+            with pytest.raises(SsdbError) as e:
+                retry.insert_row(PATIENTS_SCHEMA, (106, "Fay", 44, "Cold"))
+            assert e.value.code == protocol.SCHEMA_MISMATCH
+            assert re.search(r"s1=4\b.*s2=5\b.*s3=5\b", e.value.detail)
+            counts = [h.server.store.schema(PATIENTS_TABLE)[1] for h in cluster.handles.values()]
+            assert counts == [4, 5, 5]
+            for down in cluster.config.servers:  # every pair of servers
+                cluster.kill_server(down.server_id)
+                rows = execute_query(
+                    f"SELECT Patientid, Doctorid FROM {PATIENTS_TABLE}",
+                    HubClient(cluster.hub.addr_str), cluster.config,
+                ).rows
+                cluster.revive_server(down.server_id)
+                assert {tuple(row) for row in rows} <= inserted, down.server_id
 
     def test_application_errors_propagate_not_skip(self, tmp_path):
         with MiniCluster(tmp_path) as mini:
